@@ -6,6 +6,12 @@ every expression in sight (including half-weights e^{mu/2}) has integer
 keys. Products, the Weyl character formula, Freudenthal multiplicities,
 exterior powers and decomposition into irreducibles are all exact; any
 division that fails to be exact raises instead of rounding.
+
+Decomposition folds a W-invariant character by the dot action
+(Racah-Speiser) and Freudenthal's recursion visits dominant weights only,
+so neither enumerates W. The division-based Weyl character formula
+(``irreducible_character``, ``exact_divide``) is the independent oracle
+the tests and verification suites compare them against.
 """
 
 from __future__ import annotations
@@ -289,7 +295,11 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
 
 def irreducible_character(rs: RootSystem, lam: Weight,
                           budget: int = DEFAULT_WEYL_BUDGET) -> Character:
-    """Weyl character formula, computed by exact division in the group algebra."""
+    """Weyl character formula, computed by exact division in the group algebra.
+
+    Enumerates W; the library's own paths use ``freudenthal_weights`` and
+    this stays as their independent oracle.
+    """
     if not rs.is_dominant(lam):
         raise InvalidDescriptor(f"{lam} is not dominant")
     if not rs.is_integral(lam):
@@ -311,19 +321,56 @@ def irreducible_character(rs: RootSystem, lam: Weight,
     return ch
 
 
+def _check_weyl_budget(rs: RootSystem, budget: int):
+    """Refuse up front when |W| exceeds the budget, from the type alone."""
+    required = rs.weyl_order()
+    if required > budget:
+        raise BudgetExceeded(
+            f"|W({rs.descriptor()})| = {required} exceeds the budget {budget}",
+            required=required, budget=budget)
+
+
+def _racah_speiser(ch: Character, rs: RootSystem, budget: int) -> dict:
+    """Irreducible multiplicities of a W-invariant character, keyed by the
+    highest weight's key, by Racah-Speiser folding.
+
+    Each support weight mu moves mu + rho into the dominant chamber by
+    simple reflections. It drops out if the image nu lies on a wall and
+    otherwise adds sign * c(mu) to V_{nu - rho}. This is the Weyl character
+    formula read backwards, so it needs W-invariance (checked) and integral
+    weights (checked); it costs O(|support| rank) reflections and never
+    enumerates W.
+    """
+    _check_weyl_budget(rs, budget)
+    if not ch.is_invariant(rs):
+        raise NonModuleCharacter("character is not Weyl-invariant")
+    geom = rs.key_geometry()
+    rho = geom.rho_key
+    out = {}
+    for k, c in ch.terms.items():
+        labels = geom.labels(k)
+        if labels is None:
+            raise NonModuleCharacter(
+                f"weight {key_weight(ch.rs, k)} is not integral for {rs.descriptor()}")
+        nu_labels, nu, sign = geom.to_dominant(
+            [p + 1 for p in labels], tuple(a + b for a, b in zip(k, rho)))
+        if 0 in nu_labels:
+            continue
+        lam = tuple(a - b for a, b in zip(nu, rho))
+        out[lam] = out.get(lam, 0) + sign * c
+    return {k: m for k, m in out.items() if m}
+
+
 def multiplicity_of(ch: Character, lam: Weight, rs: RootSystem = None,
                     budget: int = DEFAULT_WEYL_BUDGET) -> int:
-    """Multiplicity of the irreducible V_lam in ch, by alternating sum."""
-    rs = rs or ch.rs
-    if rs.rank == 0:
-        return ch.coefficient(lam)
-    group = enumerate_weyl(rs, budget)
-    total = 0
-    target = lam + rs.rho
-    for w in group:
-        shifted = w.apply(target) - rs.rho
-        total += w.sign * ch.coefficient(shifted)
-    return total
+    """Multiplicity of the irreducible V_lam in the W-invariant character ch,
+    by Racah-Speiser folding. The budget is checked against |W| computed
+    from the type, without enumerating W."""
+    folded = _racah_speiser(ch, rs or ch.rs, budget)
+    try:
+        return folded.get(weight_key(ch.rs, lam), 0)
+    except ValueError:
+        return 0
 
 
 # ---------------------------------------------------------------------------
@@ -392,26 +439,19 @@ class WeightSystem:
         return f"WeightSystem(dim {self.dimension()}, m(0)={self.zero_mult})"
 
 
-def weyl_orbit_keys(rs: RootSystem, key):
-    """The Weyl orbit of a key, by closure under simple reflections."""
-    geom = rs.key_geometry()
-    orbit = {key}
-    frontier = [key]
-    while frontier:
-        nxt = []
-        for k in frontier:
-            for i in range(len(geom.simple_keys)):
-                v = geom.reflect_key(k, i)
-                if v not in orbit:
-                    orbit.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return orbit
-
-
 def freudenthal_weights(rs: RootSystem, lam: Weight) -> WeightSystem:
     """Full weight multiset of the irreducible V_lam via Freudenthal's
-    recursion, cross-checked against the Weyl dimension formula."""
+    recursion, cross-checked against the Weyl dimension formula.
+
+    The recursion visits dominant weights only (Moody-Patera). These are
+    the dominant weights below lam, reached from lam by chains of dominant
+    weights that differ by positive roots (Stembridge), and each has
+    positive multiplicity. Inside lam + Q a weight is fixed by its Dynkin
+    labels. An alpha-string ends where its dominant representative leaves
+    that set, since strings of weights are unbroken. The dominant
+    multiplicities are then spread over their orbits; W is never
+    enumerated.
+    """
     if not rs.is_dominant(lam) or not rs.is_integral(lam):
         raise InvalidDescriptor(f"{lam} is not dominant integral")
     if rs.rank == 0:
@@ -420,64 +460,79 @@ def freudenthal_weights(rs: RootSystem, lam: Weight) -> WeightSystem:
     geom = rs.key_geometry()
     rho_k = geom.rho_key
     lam_k = weight_key(rs, lam)
+    # per positive root: labels, form vector, scaled (alpha, alpha), key
+    root_steps = []
+    for a in geom.positive_keys:
+        fa = geom._matvec(a)
+        root_steps.append((tuple(geom.labels(a)), fa, sum(x * y for x, y in zip(a, fa)), a))
+
+    # dominant weights below lam, keyed by Dynkin labels
+    top_labels = tuple(geom.labels(lam_k))
+    keys = {top_labels: lam_k}
+    frontier = [top_labels]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            k = keys[p]
+            for la, _, _, a in root_steps:
+                q = tuple(x - y for x, y in zip(p, la))
+                if min(q) >= 0 and q not in keys:
+                    keys[q] = tuple(x - y for x, y in zip(k, a))
+                    nxt.append(q)
+        frontier = nxt
 
     def shifted_norm(k):
         s = tuple(a + b for a, b in zip(k, rho_k))
         return geom.inner_keys(s, s)
 
-    top = shifted_norm(lam_k)
-
-    # all ball points of lam - Q+ reachable by positive-root steps
-    seen = {lam_k}
-    frontier = [lam_k]
-    while frontier:
-        nxt = []
-        for k in frontier:
-            for a in geom.positive_keys:
-                v = tuple(x - y for x, y in zip(k, a))
-                if v not in seen and shifted_norm(v) <= top:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    dominant = [k for k in seen if geom.is_dominant_key(k)]
     rho_w = geom._matvec(rho_k)
-    dominant.sort(key=lambda k: (sum(a * b for a, b in zip(rho_w, lam_k))
-                                 - sum(a * b for a, b in zip(rho_w, k)), k))
-    mult = {}
+    # every dominant representative of mu + k alpha lies strictly above mu
+    order = sorted(keys, key=lambda p: (-sum(a * b for a, b in zip(rho_w, keys[p])), p))
+    dominant_of = {}
 
-    def lookup(k) -> int:
-        return mult.get(geom.dominant_key(k), 0)
+    def dominant_labels(p):
+        d = dominant_of.get(p)
+        if d is None:
+            d = dominant_of[p] = geom.to_dominant(p)[0]
+        return d
 
-    for mu in dominant:
-        if mu == lam_k:
-            mult[mu] = 1
-            continue
+    top = shifted_norm(lam_k)
+    mult = {top_labels: 1}
+    for p in order[1:]:
+        mu = keys[p]
         denom = top - shifted_norm(mu)  # scaled by geom.scale, like the sums below
-        assert denom != 0, "Freudenthal denominator vanished on a dominant weight"
+        if denom <= 0:
+            raise NonModuleCharacter(
+                f"Freudenthal denominator {denom} on the dominant weight"
+                f" {key_weight(rs, mu)}")
         total = 0
-        for a in geom.positive_keys:
-            fa = geom._matvec(a)
-            k = 1
-            w = tuple(x + y for x, y in zip(mu, a))
-            while shifted_norm(w) <= top:
-                m = lookup(w)
-                if m:
-                    total += 2 * m * sum(x * y for x, y in zip(w, fa))
-                k += 1
-                w = tuple(x + y for x, y in zip(w, a))
+        for la, fa, step, _ in root_steps:
+            ip = sum(x * y for x, y in zip(mu, fa))
+            q = p
+            while True:
+                q = tuple(x + y for x, y in zip(q, la))
+                ip += step
+                d = dominant_labels(q)
+                if d not in keys:
+                    break
+                total += mult[d] * ip
+        total *= 2
         if total % denom:
             raise NonModuleCharacter("Freudenthal recursion gave a non-integer")
         value = total // denom
-        if value:
-            mult[mu] = value
+        if value <= 0:
+            raise NonModuleCharacter(
+                f"Freudenthal multiplicity {value} on the dominant weight"
+                f" {key_weight(rs, mu)}")
+        mult[p] = value
 
     # expand dominant multiplicities over Weyl orbits
     nonzero = {}
     zero_mult = 0
     total_dim = 0
     zero_key = (0,) * rs.space_dim
-    for mu, m in mult.items():
-        orbit = weyl_orbit_keys(rs, mu)
+    for p, m in mult.items():
+        orbit = geom.dominant_orbit(keys[p], list(p))
         total_dim += m * len(orbit)
         for k in orbit:
             if k == zero_key:
@@ -536,38 +591,28 @@ class Decomposition:
 
 def decompose(ch: Character, rs: RootSystem = None,
               budget: int = DEFAULT_WEYL_BUDGET) -> Decomposition:
-    """Greedy decomposition of a W-invariant character into irreducibles.
+    """Decomposition of a W-invariant character into irreducibles.
 
-    Repeatedly picks the maximal weight of the support (inner product with
-    rho first, lexicographic tiebreak), which W-invariance forces to be a
-    dominant highest weight, and subtracts that full irreducible character.
-    Fails loudly on any negative multiplicity.
+    All multiplicities come from one Racah-Speiser fold over the support
+    (see ``_racah_speiser``); the budget is checked against |W| computed
+    from the type, without enumerating W. Fails loudly on a character that
+    is not W-invariant, on a negative multiplicity, and when the summand
+    dimensions do not add up to the character's dimension.
     """
     rs = rs or ch.rs
-    if not ch.is_invariant(rs):
-        raise NonModuleCharacter("character is not Weyl-invariant")
-    if rs.rank == 0:
-        return Decomposition(rs, [(w, c) for w, c in
-                                  ((key_weight(ch.rs, k), v) for k, v in ch.terms.items())])
-    okey = _order_key(rs)
-    rem = dict(ch.terms)
     summands = []
-    while rem:
-        lead = max(rem, key=okey)
-        mult = rem[lead]
-        lam = key_weight(ch.rs, lead)
-        if mult < 0 or not rs.is_dominant(lam):
+    for k, m in _racah_speiser(ch, rs, budget).items():
+        lam = key_weight(ch.rs, k)
+        if m < 0:
             raise NonModuleCharacter(
-                f"maximal weight {lam} has multiplicity {mult} and cannot head a module")
-        part = irreducible_character(rs, lam, budget)
-        for k, v in part.terms.items():
-            nv = rem.get(k, 0) - mult * v
-            if nv:
-                rem[k] = nv
-            else:
-                rem.pop(k, None)
-        summands.append((lam, mult))
-    return Decomposition(rs, summands)
+                f"V_{rs.format_weight(lam)} has multiplicity {m}; not a module")
+        summands.append((lam, m))
+    dec = Decomposition(rs, summands)
+    if dec.total_dimension() != ch.dimension():
+        raise NonModuleCharacter(
+            f"summands have total dimension {dec.total_dimension()},"
+            f" the character has dimension {ch.dimension()}")
+    return dec
 
 
 # ---------------------------------------------------------------------------

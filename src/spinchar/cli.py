@@ -43,7 +43,8 @@ def _parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--weyl-budget", type=int,
                         default=_env_default("weyl-budget", 10**6, int),
-                        help="largest Weyl group order to enumerate")
+                        help="largest Weyl group order to allow; checked against"
+                             " |W| from the type, without enumerating W")
     common.add_argument("--term-budget", type=int,
                         default=_env_default("term-budget", 5 * 10**6, int),
                         help="largest character support to hold")
@@ -225,7 +226,9 @@ def table2_markdown():
             f"| {data['g']} | {data['g0']} | isotropy module |"
             f" {data['diagram']['g0bar']} | {data['diagram']['g1bar']} |"
             f" {len(sp)} |")
-        assert len(sp) == expected
+        if len(sp) != expected:
+            raise AssertionError(
+                f"{family}{params}: {len(sp)} coset summands, expected {expected}")
     return "\n".join(lines)
 
 

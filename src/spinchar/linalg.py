@@ -15,10 +15,6 @@ def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def vec(*entries) -> Vec:
-    return tuple(frac(x) for x in entries)
-
-
 def vzero(n: int) -> Vec:
     return (Fraction(0),) * n
 
@@ -74,29 +70,6 @@ def block_diag(blocks) -> Mat:
             )
         offset += k
     return tuple(rows)
-
-
-def det(m: Mat) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(m)
-    a = [list(row) for row in m]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            sign = -sign
-        p = a[col][col]
-        result *= p
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] / p
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return sign * result
 
 
 def solve(m: Mat, rhs: Vec) -> Vec:

@@ -525,27 +525,56 @@ class KeyGeometry:
         """Numerator of <key, alpha_i~> over simple_n[i]/2."""
         return 2 * sum(a * b for a, b in zip(key, self.simple_w[i]))
 
-    def is_dominant_key(self, key) -> bool:
-        return all(self.pairing_num(key, i) >= 0 for i in range(len(self.simple_keys)))
+    # Dynkin labels <key, alpha_i~> turn a simple reflection into integer
+    # row operations: s_i moves the key by -p_i alpha_i and the labels by
+    # -p_i times row i of the Cartan matrix.
 
-    def reflect_key(self, key, i):
-        num = self.pairing_num(key, i)
-        n = self.simple_n[i]
-        if num % n:
-            raise ValueError("reflection leaves the key lattice")
-        c = num // n
-        a = self.simple_keys[i]
-        return tuple(x - c * y for x, y in zip(key, a))
+    def labels(self, key):
+        """The Dynkin labels of key, or None if one is not an integer."""
+        out = []
+        for i, n in enumerate(self.simple_n):
+            num = self.pairing_num(key, i)
+            if num % n:
+                return None
+            out.append(num // n)
+        return out
 
-    def dominant_key(self, key):
-        moved = True
-        while moved:
-            moved = False
-            for i in range(len(self.simple_keys)):
-                if self.pairing_num(key, i) < 0:
-                    key = self.reflect_key(key, i)
-                    moved = True
-        return key
+    def to_dominant(self, labels, key=None):
+        """Move integral labels, and the key they belong to if one is
+        given, into the dominant chamber by simple reflections; returns
+        (labels, key, sign of the word used)."""
+        cartan = self.rs.cartan_matrix
+        sign = 1
+        while True:
+            i = next((i for i, p in enumerate(labels) if p < 0), None)
+            if i is None:
+                return tuple(labels), key, sign
+            p = labels[i]
+            labels = [q - p * c for q, c in zip(labels, cartan[i])]
+            if key is not None:
+                key = tuple(x - p * y for x, y in zip(key, self.simple_keys[i]))
+            sign = -sign
+
+    def dominant_orbit(self, key, labels):
+        """The Weyl orbit of a dominant integral key.
+
+        Every orbit point is reached from the dominant one by reflections
+        s_i applied where the label p_i is positive, each step going down.
+        """
+        cartan = self.rs.cartan_matrix
+        orbit = {key}
+        frontier = [(key, labels)]
+        while frontier:
+            nxt = []
+            for k, p in frontier:
+                for i, pi in enumerate(p):
+                    if pi > 0:
+                        v = tuple(x - pi * y for x, y in zip(k, self.simple_keys[i]))
+                        if v not in orbit:
+                            orbit.add(v)
+                            nxt.append((v, [q - pi * c for q, c in zip(p, cartan[i])]))
+            frontier = nxt
+        return orbit
 
 
 def bourbaki_numbering(rs: RootSystem) -> list:
@@ -684,7 +713,9 @@ class SpecialElements:
         dim = rs.space_dim
         if shorts:
             dominant_short = [r for r in shorts if rs.is_dominant(r)]
-            assert len(dominant_short) == 1
+            if len(dominant_short) != 1:
+                raise InvalidDescriptor(
+                    f"{len(dominant_short)} dominant short roots, expected one")
             self.theta_s = dominant_short[0]
             self.rho_s = HALF * _wsum(shorts, dim)
             self.rho_l = HALF * _wsum(rs.long_roots(), dim)
@@ -700,7 +731,8 @@ class SpecialElements:
             i for i in range(rs.rank) if i not in self.simple_short)
         # rho_s must equal the sum of the short fundamental weights
         expected = _wsum([rs.fundamental_weights[i] for i in self.simple_short], dim)
-        assert self.rho_s == expected, "rho_s != sum of short fundamental weights"
+        if self.rho_s != expected:
+            raise InvalidDescriptor("rho_s != sum of short fundamental weights")
         self.coxeter_number = int(rs.pairing(rs.rho, self.theta_s)) + 1
 
     def as_dict(self):
@@ -736,7 +768,8 @@ def dual_root_system(rs: RootSystem):
                           type_label=rs.type_label, denom=rs.denom)
         return dual, {r: r for r in rs.positive_roots}
     r = rs.inner(se.theta, se.theta) / rs.inner(se.theta_s, se.theta_s)
-    assert r in (2, 3)
+    if r not in (2, 3):
+        raise InvalidDescriptor(f"long/short length ratio {r} is not 2 or 3")
     shorts = set(rs.short_roots())
     dual_simple = [
         (r * a).coords if a in shorts else a.coords for a in rs.simple_roots
@@ -747,7 +780,8 @@ def dual_root_system(rs: RootSystem):
         root: (r * root if root in shorts else root) for root in rs.positive_roots
     }
     expected = rs.rho + (r - 1) * se.rho_s
-    assert dual.rho == expected, "dual rho != rho + (r-1) rho_s"
+    if dual.rho != expected:
+        raise InvalidDescriptor("dual rho != rho + (r-1) rho_s")
     return dual, mapping
 
 

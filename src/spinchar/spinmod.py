@@ -18,9 +18,9 @@ from .charring import (
     Character,
     DEFAULT_TERM_BUDGET,
     WeightSystem,
+    _check_weyl_budget,
     decompose,
     freudenthal_weights,
-    irreducible_character,
     key_weight,
     multiplicity_of,
     plus_product,
@@ -45,11 +45,15 @@ def frobenius_schur(rs: RootSystem, lam: Weight,
     """+1 orthogonal, -1 symplectic, 0 not self-dual.
 
     Computed as the multiplicity of the trivial module in the character
-    with every weight doubled, which equals dim(S^2 V)^g - dim(L^2 V)^g.
+    with every weight doubled, which equals dim(S^2 V)^g - dim(L^2 V)^g:
+    the weights come from Freudenthal's recursion and the multiplicity
+    from Racah-Speiser folding. For a self-dual lam the budget is checked
+    against |W| up front, computed from the type without enumerating W.
     """
     if not self_dual(rs, lam):
         return 0
-    ch = irreducible_character(rs, lam, budget)
+    _check_weyl_budget(rs, budget)
+    ch = freudenthal_weights(rs, lam).character()
     zero = Weight((0,) * rs.space_dim)
     return multiplicity_of(ch.stretch(2), zero, rs, budget)
 
@@ -295,7 +299,8 @@ def enumerate_dominant_halves(ws: WeightSystem,
             return
         if i == len(hyper):
             witness = _fm_witness(constraints, dim)
-            assert witness is not None, "feasible region lost its witness"
+            if witness is None:
+                raise InvalidDescriptor("feasible region lost its witness")
             halves.append(DominantHalf(ws, Weight(witness)))
             return
         row = hyper[i]

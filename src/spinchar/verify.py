@@ -7,7 +7,9 @@ reported as skips, never as failures. The suites are what the command-line
 
 from __future__ import annotations
 
+import os
 import random
+import traceback
 from fractions import Fraction
 
 from .errors import BudgetExceeded, SpinCharError
@@ -62,6 +64,11 @@ def _run(check_id, fn):
         return _record(check_id, "skip", exc, time.time() - start)
     except (SpinCharError, AssertionError) as exc:
         return _record(check_id, "fail", exc, time.time() - start)
+    except Exception as exc:  # a stray error fails this check, not the run
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
+        return _record(check_id, "fail", f"{type(exc).__name__} at {where}: {exc}",
+                       time.time() - start)
 
 
 def _expect(condition, message):

@@ -21,10 +21,9 @@ _FORM_INVERSES = {}
 
 def inverse_orthogonal(rs: RootSystem, matrix):
     """Inverse of a form-preserving matrix: F^{-1} m^T F."""
-    key = id(rs.form)
-    if key not in _FORM_INVERSES:
-        _FORM_INVERSES[key] = inverse(rs.form)
-    return matmul(matmul(_FORM_INVERSES[key], mat_t(matrix)), rs.form)
+    if rs.form not in _FORM_INVERSES:
+        _FORM_INVERSES[rs.form] = inverse(rs.form)
+    return matmul(matmul(_FORM_INVERSES[rs.form], mat_t(matrix)), rs.form)
 
 
 class WeylElement:
@@ -108,8 +107,16 @@ class WeylGroup:
         return tuple(matvec(matrix, self.rs.rho.coords)) in self._by_image
 
 
-def _enumerate(rs: RootSystem, generators, positives, budget):
-    """BFS closure of a generating set of reflections, dedup via w(rho)."""
+def _enumerate(rs: RootSystem, generators, positives, budget, required):
+    """BFS closure of a generating set of reflections, dedup via w(rho).
+
+    ``required`` is the expected group order, reported by the budget
+    refusal (up front when it exceeds the budget).
+    """
+    if required > budget:
+        raise BudgetExceeded(
+            f"Weyl enumeration of {required} elements exceeds budget {budget}",
+            required=required, budget=budget)
     n = rs.space_dim
     gens = [reflection_matrix(rs, g) for g in generators]
     regular = rs.rho
@@ -131,7 +138,7 @@ def _enumerate(rs: RootSystem, generators, positives, budget):
                     if len(order) > budget:
                         raise BudgetExceeded(
                             f"Weyl enumeration exceeds budget {budget}",
-                            budget=budget)
+                            required=required, budget=budget)
         frontier = new
     elements = []
     for m in order:
@@ -150,8 +157,8 @@ def enumerate_weyl(rs: RootSystem, budget: int = DEFAULT_WEYL_BUDGET) -> WeylGro
         raise BudgetExceeded(
             f"|W({rs.descriptor()})| = {required} exceeds the budget {budget}",
             required=required, budget=budget)
-    group = WeylGroup(rs, _enumerate(rs, rs.simple_roots, rs.positive_roots, budget),
-                      rs.positive_roots)
+    group = WeylGroup(rs, _enumerate(rs, rs.simple_roots, rs.positive_roots, budget,
+                                     required), rs.positive_roots)
     if len(group) != required:
         raise InvalidDescriptor(
             f"enumerated {len(group)} elements of W({rs.descriptor()}),"
@@ -169,7 +176,8 @@ class SubsystemDatum:
         self.delta0_plus = tuple(
             w if isinstance(w, Weight) else Weight(w) for w in delta0_plus)
         self.system = subsystem(rs, self.delta0_plus)
-        elements = _enumerate(rs, self.delta0_plus, self.delta0_plus, budget)
+        elements = _enumerate(rs, self.delta0_plus, self.delta0_plus, budget,
+                              self.system.weyl_order())
         self.group = WeylGroup(rs, elements, self.delta0_plus)
         self._plus = {r.coords for r in self.delta0_plus}
         self._minus = {(-r).coords for r in self.delta0_plus}

@@ -1,0 +1,40 @@
+"""Checks that cannot be lost silently: no bare asserts in the library,
+stray exceptions in a verify check, budget refusals that name their size."""
+
+import ast
+import pathlib
+
+import pytest
+
+from spinchar import BudgetExceeded, SubsystemDatum, build_root_system
+from spinchar import verify
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "spinchar"
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, and with them the check
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_unexpected_exception_becomes_fail_record():
+    def check():
+        raise ValueError("reflection leaves the key lattice")
+
+    record = verify._run("robustness:stray-error", check)
+    assert record["status"] == "fail"
+    assert "ValueError" in record["detail"]
+    assert "key lattice" in record["detail"]
+
+
+def test_subgroup_budget_refusal_reports_order():
+    rs = build_root_system("B2")
+    with pytest.raises(BudgetExceeded) as info:
+        SubsystemDatum(rs, rs.positive_roots, budget=2)
+    assert info.value.required == 8
+    assert info.value.budget == 2
