@@ -9,6 +9,7 @@ pairs of both inner and outer type.
 
 from .errors import (
     BudgetExceeded,
+    ConsistencyError,
     InvalidDescriptor,
     NonModuleCharacter,
     NotClosed,

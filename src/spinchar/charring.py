@@ -35,23 +35,6 @@ def key_weight(rs: RootSystem, key) -> Weight:
     return Weight(tuple(Fraction(k, rs.denom) for k in key))
 
 
-def key_action(rs: RootSystem, matrix):
-    """Compile a Weyl matrix into an exact integer action on keys."""
-    q = lcm_denoms(matrix)
-    rows = [tuple(int(x * q) for x in row) for row in matrix]
-
-    def act(key):
-        out = []
-        for row in rows:
-            v = sum(a * b for a, b in zip(row, key))
-            if v % q:
-                raise ValueError("Weyl action leaves the key lattice")
-            out.append(v // q)
-        return tuple(out)
-
-    return act
-
-
 class Character:
     """A sparse integer-valued function on (half of) the weight lattice."""
 
@@ -142,8 +125,7 @@ class Character:
         return Character(self.rs, {tuple(n * x for x in k): v for k, v in self.terms.items()})
 
     def apply(self, w: WeylElement):
-        act = key_action(self.rs, w.matrix)
-        return Character(self.rs, {act(k): v for k, v in self.terms.items()})
+        return Character(self.rs, {w.act_key(k): v for k, v in self.terms.items()})
 
     def is_invariant(self, rs: RootSystem = None) -> bool:
         """W-invariance, checked on the simple reflections of rs."""
@@ -185,8 +167,7 @@ def weyl_denominator(rs: RootSystem, budget: int = DEFAULT_WEYL_BUDGET) -> Chara
         group = enumerate_weyl(rs, budget)
         terms = {}
         for w in group:
-            k = weight_key(rs, w.apply(rs.rho))
-            terms[k] = terms.get(k, 0) + w.sign
+            terms[w.key] = terms.get(w.key, 0) + w.sign
         rs._denominator_cache = Character(rs, terms)
     return rs._denominator_cache
 
@@ -307,10 +288,10 @@ def irreducible_character(rs: RootSystem, lam: Weight,
     if rs.rank == 0:
         return Character.monomial(rs, lam)
     group = enumerate_weyl(rs, budget)
-    target = lam + rs.rho
+    target = weight_key(rs, lam + rs.rho)
     terms = {}
     for w in group:
-        k = weight_key(rs, w.apply(target))
+        k = w.act_key(target)
         terms[k] = terms.get(k, 0) + w.sign
     num = Character(rs, terms)
     ch = exact_divide(num, weyl_denominator(rs, budget), rs)
@@ -337,13 +318,11 @@ def _racah_speiser(ch: Character, rs: RootSystem, budget: int) -> dict:
     Each support weight mu moves mu + rho into the dominant chamber by
     simple reflections. It drops out if the image nu lies on a wall and
     otherwise adds sign * c(mu) to V_{nu - rho}. This is the Weyl character
-    formula read backwards, so it needs W-invariance (checked) and integral
-    weights (checked); it costs O(|support| rank) reflections and never
-    enumerates W.
+    formula read backwards, so it needs integral weights and W-invariance,
+    checked in that order (the invariance check reflects integral weights
+    only); it costs O(|support| rank) reflections and never enumerates W.
     """
     _check_weyl_budget(rs, budget)
-    if not ch.is_invariant(rs):
-        raise NonModuleCharacter("character is not Weyl-invariant")
     geom = rs.key_geometry()
     rho = geom.rho_key
     out = {}
@@ -358,6 +337,8 @@ def _racah_speiser(ch: Character, rs: RootSystem, budget: int) -> dict:
             continue
         lam = tuple(a - b for a, b in zip(nu, rho))
         out[lam] = out.get(lam, 0) + sign * c
+    if not ch.is_invariant(rs):
+        raise NonModuleCharacter("character is not Weyl-invariant")
     return {k: m for k, m in out.items() if m}
 
 

@@ -1,8 +1,9 @@
 """Batch command line: compute Spin data, run verification suites, sweep.
 
-Exit codes: 0 success, 1 assertion failure, 2 usage error, 3 budget
-refusal. All output is deterministic at a fixed configuration; flags have
-SPINCHAR_* environment-variable equivalents.
+Exit codes: 0 success, 1 a failed check or two exact routes that
+disagree, 2 usage error, 3 budget refusal. All output is deterministic at
+a fixed configuration; flags have SPINCHAR_* environment-variable
+equivalents.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .errors import BudgetExceeded, SpinCharError
+from .errors import BudgetExceeded, ConsistencyError, SpinCharError
 from .charring import freudenthal_weights, decompose
 from .gradings import OUTER_FAMILIES, grading_catalog, outer_grading, spin_g1
 from .rootsys import build_root_system
@@ -21,6 +22,7 @@ from .spinmod import (
     classify_coprimary,
     extreme_weights,
     orthogonality_type,
+    self_dual,
     spin_scalar,
     spin0_character,
 )
@@ -103,14 +105,15 @@ def cmd_spin(args):
     reports = []
     for text in args.weight:
         lam = _parse_weight(rs, text)
-        kind = orthogonality_type(rs, lam, args.weyl_budget)
+        # one weight system serves the orthogonality test and Spin0
+        ws = freudenthal_weights(rs, lam) if self_dual(rs, lam) else None
+        kind = orthogonality_type(rs, lam, args.weyl_budget, ws)
         report = {
             "type": rs.descriptor(),
             "weight": [str(c) for c in rs.fw_coefficients(lam)],
             "orthogonality": kind,
         }
         if kind == "orthogonal":
-            ws = freudenthal_weights(rs, lam)
             dec = decompose(spin0_character(ws, term_budget=args.term_budget),
                             rs, args.weyl_budget)
             report["spin_scalar"] = spin_scalar(ws)
@@ -333,6 +336,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except ConsistencyError as exc:
+        print(f"consistency failure: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except SpinCharError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -28,3 +28,7 @@ class NotSelfDual(SpinCharError):
 
 class NotClosed(SpinCharError):
     """A generating set that is not closed under root addition."""
+
+
+class ConsistencyError(SpinCharError):
+    """Two exact routes to the same result disagree."""

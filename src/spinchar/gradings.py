@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvalidDescriptor, NotClosed
+from .errors import ConsistencyError, InvalidDescriptor, NotClosed
 from .charring import (
     Character,
     DEFAULT_TERM_BUDGET,
@@ -384,9 +384,9 @@ def spin_g1(grading: Z2Grading, budget: int = DEFAULT_WEYL_BUDGET,
         inv = group.invert(rep)
         lam = inv.apply(rho_eff) - rho0
         if not grading.g0.is_dominant(lam):
-            raise InvalidDescriptor(f"coset weight {lam} is not dominant for g0")
+            raise ConsistencyError(f"coset weight {lam} is not dominant for g0")
         if lam.coords in seen:
-            raise InvalidDescriptor(f"coset weight {lam} repeats")
+            raise ConsistencyError(f"coset weight {lam} repeats")
         seen.add(lam.coords)
         summands.append(SpinSummand(rep, lam, weyl_dimension(grading.g0, lam)))
     spin0 = spin0_character(grading.delta1, term_budget=term_budget)
@@ -394,13 +394,13 @@ def spin_g1(grading: Z2Grading, budget: int = DEFAULT_WEYL_BUDGET,
     formula = sorted(s.lam.coords for s in summands)
     direct = sorted(lam.coords for lam, _ in dec)
     if formula != direct or not dec.is_multiplicity_free():
-        raise InvalidDescriptor(
+        raise ConsistencyError(
             f"{grading.label}: coset formula and character decomposition disagree:"
             f" {formula} vs {direct}")
     result = SpinDecomposition(grading, summands, dec)
     expected_dim = 2 ** ((grading.delta1.dimension() - grading.delta1.zero_mult) // 2)
     if result.total_dimension() != expected_dim:
-        raise InvalidDescriptor(
+        raise ConsistencyError(
             f"{grading.label}: Spin0 dimensions sum to {result.total_dimension()},"
             f" expected {expected_dim}")
     return result
@@ -417,12 +417,12 @@ def verify_tau_identity(rs: RootSystem, sub: SubsystemDatum, delta1_plus,
     restricted system, pass the restricted rho = rho0 + rho1; the default
     is the system's own Weyl vector, which is the inner-type case.
     """
-    rho = rho if rho is not None else rs.rho
+    rho_key = weight_key(rs, rho if rho is not None else rs.rho)
     group = enumerate_weyl(rs, budget)
     terms = {}
     for w in group:
         tau, _ = cunning_parity(rs, sub, w)
-        k = weight_key(rs, w.apply(rho))
+        k = w.act_key(rho_key)
         terms[k] = terms.get(k, 0) + tau
     lhs = Character(rs, terms)
     rhs = skew_product(rs, [w for w in sub.delta0_plus], ambient=rs)
@@ -445,7 +445,7 @@ def casimir_check(grading: Z2Grading, spin: SpinDecomposition = None,
     for s in spin.summands:
         value = ambient.inner(s.lam + 2 * rho0, s.lam)
         if value != expected:
-            raise InvalidDescriptor(
+            raise ConsistencyError(
                 f"{grading.label}: Casimir value {value} on {s.lam},"
                 f" expected {expected}")
     return expected

@@ -40,22 +40,8 @@ def matvec(m: Mat, a: Vec) -> Vec:
     return tuple(sum(r[j] * a[j] for j in range(len(a))) for r in m)
 
 
-def matmul(m: Mat, n: Mat) -> Mat:
-    cols = len(n[0])
-    return tuple(
-        tuple(sum(m[i][k] * n[k][j] for k in range(len(n))) for j in range(cols))
-        for i in range(len(m))
-    )
-
-
 def mat_t(m: Mat) -> Mat:
     return tuple(zip(*m))
-
-
-def identity(n: int) -> Mat:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
 
 
 def block_diag(blocks) -> Mat:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from .errors import InvalidDescriptor
 from .linalg import (
@@ -524,6 +524,26 @@ class KeyGeometry:
     def pairing_num(self, key, i) -> int:
         """Numerator of <key, alpha_i~> over simple_n[i]/2."""
         return 2 * sum(a * b for a, b in zip(key, self.simple_w[i]))
+
+    def walk(self, letters, key, scale=1):
+        """Apply s_i for i in letters, first letter first, to key / scale.
+
+        s_i(k) = k - <k, alpha_i~> alpha_i at any scale of k; where the
+        coefficient is not an integer the vector is rescaled, so any
+        rational vector works. Returns (key, scale).
+        """
+        for i in letters:
+            num = self.pairing_num(key, i)
+            n = self.simple_n[i]
+            g = n // gcd(num, n)
+            if g > 1:
+                key = tuple(g * x for x in key)
+                scale *= g
+                num *= g
+            c = num // n
+            if c:
+                key = tuple(x - c * y for x, y in zip(key, self.simple_keys[i]))
+        return key, scale
 
     # Dynkin labels <key, alpha_i~> turn a simple reflection into integer
     # row operations: s_i moves the key by -p_i alpha_i and the labels by

@@ -41,7 +41,7 @@ def self_dual(rs: RootSystem, lam: Weight) -> bool:
 
 
 def frobenius_schur(rs: RootSystem, lam: Weight,
-                    budget: int = DEFAULT_WEYL_BUDGET) -> int:
+                    budget: int = DEFAULT_WEYL_BUDGET, weights=None) -> int:
     """+1 orthogonal, -1 symplectic, 0 not self-dual.
 
     Computed as the multiplicity of the trivial module in the character
@@ -49,18 +49,22 @@ def frobenius_schur(rs: RootSystem, lam: Weight,
     the weights come from Freudenthal's recursion and the multiplicity
     from Racah-Speiser folding. For a self-dual lam the budget is checked
     against |W| up front, computed from the type without enumerating W.
+    A caller that already holds lam's Freudenthal weight system passes it
+    as ``weights``, and self-duality is then read off its symmetry.
     """
-    if not self_dual(rs, lam):
+    if not (self_dual(rs, lam) if weights is None else weights.is_self_dual()):
         return 0
     _check_weyl_budget(rs, budget)
-    ch = freudenthal_weights(rs, lam).character()
+    if weights is None:
+        weights = freudenthal_weights(rs, lam)
+    ch = weights.character()
     zero = Weight((0,) * rs.space_dim)
     return multiplicity_of(ch.stretch(2), zero, rs, budget)
 
 
 def orthogonality_type(rs: RootSystem, lam: Weight,
-                       budget: int = DEFAULT_WEYL_BUDGET) -> str:
-    fs = frobenius_schur(rs, lam, budget)
+                       budget: int = DEFAULT_WEYL_BUDGET, weights=None) -> str:
+    fs = frobenius_schur(rs, lam, budget, weights)
     return {1: "orthogonal", -1: "symplectic", 0: "neither"}[fs]
 
 

@@ -257,9 +257,10 @@ def _dual_route_check(desc, weyl_budget, term_budget):
     dual, _ = dual_root_system(rs)
     _expect(dual.rho == rs.rho + se.rho_s, "dual rho != rho + rho_s")
     group = enumerate_weyl(rs, weyl_budget)
+    dual_rho = weight_key(rs, dual.rho)
     terms = {}
     for w in group:
-        k = weight_key(rs, w.apply(dual.rho))
+        k = w.act_key(dual_rho)
         terms[k] = terms.get(k, 0) + w.sign
     lhs = Character(rs, terms)
     rhs = weyl_denominator(rs, weyl_budget).__mul__(

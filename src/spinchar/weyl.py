@@ -1,87 +1,100 @@
 """Weyl groups: enumeration, lengths, coset sections, cunning parity.
 
-Elements are stored as exact rational matrices acting on the ambient
-coordinate space; an element is identified by its image of a fixed regular
-vector, which also makes enumeration order deterministic (BFS by length,
-ties broken lexicographically).
+An element w is the integer key of w(rho) (coordinates scaled by the
+system's ``denom``) together with a reduced word in the simple reflections
+that generate its group. Since rho is regular, w -> w(rho) is injective,
+and a breadth-first walk of the rho-orbit reaches every element at a depth
+equal to its length. Products, inverses and actions walk the word by the
+integer reflections of ``KeyGeometry``; an element's rational matrix is
+derived only when asked for. Enumeration order is deterministic: by
+length, ties broken by key.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .errors import BudgetExceeded, InvalidDescriptor
-from .linalg import identity, inverse, mat_t, matmul, matvec
-from .rootsys import RootSystem, Weight, subsystem
+from .errors import BudgetExceeded, ConsistencyError
+from .linalg import matvec, scale_to_int
+from .rootsys import KeyGeometry, RootSystem, Weight, subsystem
 
 DEFAULT_WEYL_BUDGET = 10**6
 
-_FORM_INVERSES = {}
-
-
-def inverse_orthogonal(rs: RootSystem, matrix):
-    """Inverse of a form-preserving matrix: F^{-1} m^T F."""
-    if rs.form not in _FORM_INVERSES:
-        _FORM_INVERSES[rs.form] = inverse(rs.form)
-    return matmul(matmul(_FORM_INVERSES[rs.form], mat_t(matrix)), rs.form)
-
 
 class WeylElement:
-    __slots__ = ("matrix", "length", "_image")
+    """``key``: the integer key of w(rho). ``word``: a reduced word, the
+    product s_{i1} ... s_{ik} stored as (i1, ..., ik), in the simple
+    reflections of ``_geom``, the system generating the element's group."""
 
-    def __init__(self, matrix, length, image):
-        self.matrix = matrix
-        self.length = length
-        self._image = image
+    __slots__ = ("key", "length", "word", "_geom", "_matrix")
+
+    def __init__(self, key, word, geom: KeyGeometry):
+        self.key = key
+        self.length = len(word)
+        self.word = word
+        self._geom = geom
+        self._matrix = None
+
+    @property
+    def _image(self):
+        return self.key
 
     @property
     def sign(self) -> int:
         return -1 if self.length % 2 else 1
 
+    def act_key(self, key):
+        """w on an integer key; raises ValueError if the image leaves the
+        integer lattice."""
+        out, scale = self._geom.walk(reversed(self.word), key)
+        if scale == 1:
+            return out
+        if any(x % scale for x in out):
+            raise ValueError("Weyl action leaves the key lattice")
+        return tuple(x // scale for x in out)
+
     def apply(self, w: Weight) -> Weight:
-        return Weight(matvec(self.matrix, w.coords))
+        scale = lcm(*(c.denominator for c in w.coords))
+        key, scale = self._geom.walk(reversed(self.word),
+                                     tuple(int(c * scale) for c in w.coords), scale)
+        return Weight(tuple(Fraction(x, scale) for x in key))
+
+    @property
+    def matrix(self):
+        """The exact rational matrix of w on the ambient coordinates."""
+        if self._matrix is None:
+            n = len(self.key)
+            cols = [self.apply(Weight([1 if i == j else 0 for i in range(n)])).coords
+                    for j in range(n)]
+            self._matrix = tuple(zip(*cols))
+        return self._matrix
 
     def __eq__(self, other):
-        return self._image == other._image
+        return self.key == other.key
 
     def __hash__(self):
-        return hash(self._image)
+        return hash(self.key)
 
     def __repr__(self):
         return f"WeylElement(length={self.length})"
 
 
 def reflection_matrix(rs: RootSystem, alpha: Weight):
+    """The rational matrix of s_alpha, column by column."""
     n = rs.space_dim
-    aa = rs.inner(alpha, alpha)
-    falpha = matvec(rs.form, alpha.coords)
-    return tuple(
-        tuple(
-            (Fraction(1) if i == j else Fraction(0)) - 2 * alpha.coords[i] * falpha[j] / aa
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
-def _length(rs: RootSystem, matrix, positives) -> int:
-    neg = {(-r).coords for r in positives}
-    return sum(1 for r in positives if matvec(matrix, r.coords) in neg)
+    return tuple(zip(*(rs.reflect(alpha, Weight([int(i == j) for i in range(n)])).coords
+                       for j in range(n))))
 
 
 class WeylGroup:
-    """A reflection group on the ambient space, fully enumerated.
+    """A reflection group on the ambient space, fully enumerated and
+    indexed by the keys of the rho-orbit."""
 
-    ``positives`` is the positive system the length function refers to;
-    for a subgroup generated by reflections in a subset of roots this is
-    that subset's own positive system.
-    """
-
-    def __init__(self, rs: RootSystem, elements, positives):
+    def __init__(self, rs: RootSystem, elements):
         self.rs = rs
         self.elements = elements
-        self.positives = tuple(positives)
-        self._by_image = {w._image: w for w in elements}
+        self._by_image = {w.key: w for w in elements}
 
     def __len__(self):
         return len(self.elements)
@@ -89,82 +102,66 @@ class WeylGroup:
     def __iter__(self):
         return iter(self.elements)
 
+    def __contains__(self, w: WeylElement):
+        return w.key in self._by_image
+
     def identity_element(self) -> WeylElement:
-        return next(w for w in self.elements if w.length == 0)
+        return self.elements[0]
 
     def lookup(self, matrix) -> WeylElement:
-        image = tuple(matvec(matrix, self.rs.rho.coords))
-        return self._by_image[image]
+        """The element acting by a given rational matrix."""
+        return self._by_image[scale_to_int(matvec(matrix, self.rs.rho.coords),
+                                           self.rs.denom)]
 
     def multiply(self, a: WeylElement, b: WeylElement) -> WeylElement:
-        return self.lookup(matmul(a.matrix, b.matrix))
+        return self._by_image[a.act_key(b.key)]
 
     def invert(self, a: WeylElement) -> WeylElement:
-        # elements preserve the form, so w^{-1} = F^{-1} w^T F
-        return self.lookup(inverse_orthogonal(self.rs, a.matrix))
-
-    def contains_matrix(self, matrix) -> bool:
-        return tuple(matvec(matrix, self.rs.rho.coords)) in self._by_image
+        # w^{-1}(rho) for w = s_{i1} ... s_{ik}: apply s_{i1} first
+        rho = self.elements[0].key
+        return self._by_image[a._geom.walk(a.word, rho)[0]]
 
 
-def _enumerate(rs: RootSystem, generators, positives, budget, required):
-    """BFS closure of a generating set of reflections, dedup via w(rho).
-
-    ``required`` is the expected group order, reported by the budget
-    refusal (up front when it exceeds the budget).
-    """
+def _enumerate(rs: RootSystem, gen: RootSystem, budget, what):
+    """Breadth-first walk of rs's rho-orbit under the simple reflections
+    of gen (rs itself or a subsystem), each new key recording its word.
+    Refuses up front when |W(gen)| exceeds the budget, and checks the
+    order reached against it."""
+    required = gen.weyl_order()
     if required > budget:
-        raise BudgetExceeded(
-            f"Weyl enumeration of {required} elements exceeds budget {budget}",
-            required=required, budget=budget)
-    n = rs.space_dim
-    gens = [reflection_matrix(rs, g) for g in generators]
-    regular = rs.rho
-    start = identity(n)
-    seen = {tuple(regular.coords): start}
-    frontier = [start]
-    order = [start]
+        raise BudgetExceeded(f"|{what}| = {required} exceeds the budget {budget}",
+                             required=required, budget=budget)
+    geom = gen.key_geometry()
+    letters = range(gen.rank)
+    words = {scale_to_int(rs.rho.coords, rs.denom): ()}
+    frontier = list(words)
     while frontier:
-        frontier.sort(key=lambda m: tuple(matvec(m, regular.coords)))
         new = []
-        for m in frontier:
-            for g in gens:
-                prod = matmul(g, m)
-                image = tuple(matvec(prod, regular.coords))
-                if image not in seen:
-                    seen[image] = prod
-                    new.append(prod)
-                    order.append(prod)
-                    if len(order) > budget:
-                        raise BudgetExceeded(
-                            f"Weyl enumeration exceeds budget {budget}",
-                            required=required, budget=budget)
+        for key in frontier:
+            word = words[key]
+            for i in letters:
+                image = geom.walk((i,), key)[0]
+                if image not in words:
+                    words[image] = (i,) + word
+                    new.append(image)
+        if len(words) > budget:
+            raise BudgetExceeded(f"enumerating {what} exceeds the budget {budget}",
+                                 required=required, budget=budget)
         frontier = new
-    elements = []
-    for m in order:
-        image = tuple(matvec(m, regular.coords))
-        elements.append(WeylElement(m, _length(rs, m, positives), image))
-    elements.sort(key=lambda w: (w.length, w._image))
-    return elements
+    if len(words) != required:
+        raise ConsistencyError(f"enumerated {len(words)} elements of {what},"
+                               f" expected {required}")
+    elements = [WeylElement(key, word, geom) for key, word in words.items()]
+    elements.sort(key=lambda w: (w.length, w.key))
+    return WeylGroup(rs, elements)
 
 
 def enumerate_weyl(rs: RootSystem, budget: int = DEFAULT_WEYL_BUDGET) -> WeylGroup:
     """The full Weyl group of rs, refusing politely when |W| > budget."""
     if rs._weyl_cache is not None and len(rs._weyl_cache) <= budget:
         return rs._weyl_cache
-    required = rs.weyl_order()
-    if required > budget:
-        raise BudgetExceeded(
-            f"|W({rs.descriptor()})| = {required} exceeds the budget {budget}",
-            required=required, budget=budget)
-    group = WeylGroup(rs, _enumerate(rs, rs.simple_roots, rs.positive_roots, budget,
-                                     required), rs.positive_roots)
-    if len(group) != required:
-        raise InvalidDescriptor(
-            f"enumerated {len(group)} elements of W({rs.descriptor()}),"
-            f" expected {required}")
-    rs._weyl_cache = group
-    return group
+    rs._weyl_cache = _enumerate(rs, rs, budget, f"W({rs.descriptor()})")
+    return rs._weyl_cache
 
 
 class SubsystemDatum:
@@ -176,44 +173,43 @@ class SubsystemDatum:
         self.delta0_plus = tuple(
             w if isinstance(w, Weight) else Weight(w) for w in delta0_plus)
         self.system = subsystem(rs, self.delta0_plus)
-        elements = _enumerate(rs, self.delta0_plus, self.delta0_plus, budget,
-                              self.system.weyl_order())
-        self.group = WeylGroup(rs, elements, self.delta0_plus)
-        self._plus = {r.coords for r in self.delta0_plus}
-        self._minus = {(-r).coords for r in self.delta0_plus}
+        self.group = _enumerate(rs, self.system, budget,
+                                f"W({self.system.descriptor()}) in W({rs.descriptor()})")
+        # (beta, x) for beta in Delta0+, up to a positive factor, as one
+        # integer dot product with x's key
+        geom = self.system.key_geometry()
+        self._plus_forms = tuple(geom._matvec(k) for k in geom.positive_keys)
 
     @property
     def rho0(self) -> Weight:
         return self.system.rho
-
-    def contains_plus(self, coords) -> bool:
-        return coords in self._plus
 
 
 def minimal_coset_reps(rs: RootSystem, sub: SubsystemDatum,
                        budget: int = DEFAULT_WEYL_BUDGET):
     """Minimal-length coset representatives W0 = {w : w(Delta0+) in Delta+}.
 
-    Verifies that (rep, w0) -> w0 rep^{-1} hits every element of W exactly
-    once before returning.
+    w(beta) > 0 for a simple root beta of Delta0+ exactly when
+    (beta, w^{-1}(rho)) > 0, so the representatives are the inverses of
+    the Delta0-dominant points of the rho-orbit (Dyer, "Reflection
+    subgroups of Coxeter systems", J. Algebra 1990). Verifies that
+    (rep, w0) -> w0 rep^{-1} hits every element of W exactly once before
+    returning.
     """
     group = enumerate_weyl(rs, budget)
-    plus = {r.coords for r in rs.positive_roots}
-    simples0 = sub.system.simple_roots
-    reps = [
-        w for w in group
-        if all(tuple(matvec(w.matrix, b.coords)) in plus for b in simples0)
-    ]
-    if len(reps) * len(sub.group) != len(group):
-        raise InvalidDescriptor("coset section has the wrong cardinality")
+    geom = sub.system.key_geometry()
+    dominant = [u for u in group
+                if all(geom.pairing_num(u.key, i) > 0 for i in range(sub.system.rank))]
+    if len(dominant) * len(sub.group) != len(group):
+        raise ConsistencyError("coset section has the wrong cardinality")
     seen = set()
-    for rep in reps:
-        inv = group.invert(rep)
+    for u in dominant:
         for w0 in sub.group:
-            image = tuple(matvec(matmul(w0.matrix, inv.matrix), rs.rho.coords))
-            if image in seen:
-                raise InvalidDescriptor("coset factorization is not a bijection")
-            seen.add(image)
+            seen.add(w0.act_key(u.key))  # the key of w0 rep^{-1}, rep = u^{-1}
+    if len(seen) != len(group):
+        raise ConsistencyError("coset factorization is not a bijection")
+    reps = [group.invert(u) for u in dominant]
+    reps.sort(key=lambda w: (w.length, w.key))
     return reps
 
 
@@ -221,36 +217,34 @@ def factorize(rs: RootSystem, sub: SubsystemDatum, w: WeylElement,
               budget: int = DEFAULT_WEYL_BUDGET):
     """Unique factorization w = w0 (rep)^{-1} with w0 in W0, rep minimal.
 
-    Descent: starting from u = w^{-1}, right-multiply by reflections of
-    subsystem simple roots sent to negative roots; each step repairs one
-    and the result is the minimal representative.
+    Descent: starting from the key of w(rho), reflect by subsystem simple
+    roots pairing negatively with it. Each step right-multiplies
+    w^{-1} by that reflection and repairs one root; the key reached is
+    that of rep^{-1}(rho).
     """
     group = enumerate_weyl(rs, budget)
-    plus = {r.coords for r in rs.positive_roots}
-    simples0 = sub.system.simple_roots
-    refl = [reflection_matrix(rs, b) for b in simples0]
-    u = group.invert(w).matrix
+    geom = sub.system.key_geometry()
+    key = w.key
     while True:
-        bad = next((i for i, b in enumerate(simples0)
-                    if tuple(matvec(u, b.coords)) not in plus), None)
+        bad = next((i for i in range(sub.system.rank) if geom.pairing_num(key, i) < 0),
+                   None)
         if bad is None:
             break
-        u = matmul(u, refl[bad])
-    rep = group.lookup(u)
+        key = geom.walk((bad,), key)[0]
+    rep = group.invert(group._by_image[key])
     w0 = group.multiply(w, rep)
-    if not sub.group.contains_matrix(w0.matrix):
-        raise InvalidDescriptor("descent left the reflection subgroup")
+    if w0 not in sub.group:
+        raise ConsistencyError("descent left the reflection subgroup")
     return w0, rep
 
 
 def l0_of(rs: RootSystem, sub: SubsystemDatum, w: WeylElement) -> int:
-    """l0(w) = #{alpha in Delta- : w(alpha) in Delta0+}."""
-    count = 0
-    for r in rs.positive_roots:
-        image = tuple(matvec(w.matrix, (-r).coords))
-        if sub.contains_plus(image):
-            count += 1
-    return count
+    """l0(w) = #{alpha in Delta- : w(alpha) in Delta0+}.
+
+    alpha = w^{-1}(beta) is negative exactly when (beta, w(rho)) < 0, so
+    this counts the beta in Delta0+ pairing negatively with w's key.
+    """
+    return sum(1 for f in sub._plus_forms if sum(a * b for a, b in zip(w.key, f)) < 0)
 
 
 def cunning_parity(rs: RootSystem, sub: SubsystemDatum, w: WeylElement):

@@ -212,3 +212,13 @@ def test_character_serialization_shape():
     assert data["denom"] == rs.denom
     assert all(len(pair) == 2 for pair in data["terms"])
     assert sum(c for _, c in data["terms"]) == 3
+
+
+def test_non_integral_weight_is_named_before_invariance():
+    # Spin0 of V_1 over A1 has the weights +-alpha/4: W-invariant but not
+    # integral, and the refusal says so
+    from spinchar import spin0_character
+    rs = build_root_system("A1")
+    spin0 = spin0_character(freudenthal_weights(rs, rs.weight(1)))
+    with pytest.raises(NonModuleCharacter, match="not integral"):
+        decompose(spin0)

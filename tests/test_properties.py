@@ -1,19 +1,29 @@
 """Property tests: the folding and dominant-only routes against the
-division-based Weyl character formula, on random dominant weights."""
+division-based Weyl character formula, on random dominant weights; the
+integer Weyl layer against products of reflection matrices."""
+
+from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spinchar import (
+    SubsystemDatum,
     Weight,
     build_root_system,
     decompose,
     enumerate_weyl,
+    factorize,
     freudenthal_weights,
     frobenius_schur,
     irreducible_character,
+    l0_of,
+    minimal_coset_reps,
+    outer_grading,
 )
 from spinchar.charring import _order_key, key_weight
+from spinchar.linalg import inverse
+from spinchar.weyl import reflection_matrix
 
 TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2", "A1xA1"]
 
@@ -84,3 +94,113 @@ def test_frobenius_schur_matches_division_formula(case):
     expected = sum(w.sign * doubled.coefficient(w.apply(rho) - rho)
                    for w in enumerate_weyl(rs))
     assert frobenius_schur(rs, lam) == expected
+
+
+# ---------------------------------------------------------------------------
+# the integer Weyl layer against products of reflection matrices
+
+WEYL_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "A1xA1"]
+
+
+def _matmul(m, n):
+    return tuple(tuple(sum(m[i][k] * n[k][j] for k in range(len(n)))
+                       for j in range(len(n[0]))) for i in range(len(m)))
+
+
+def _matvec(m, v):
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
+
+
+def _word_matrix(rs, generators, word):
+    """The oracle: s_{i1} ... s_{ik} as a product of rational matrices."""
+    n = rs.space_dim
+    m = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    for i in word:
+        m = _matmul(m, reflection_matrix(rs, generators[i]))
+    return m
+
+
+def _subsystem_roots(rs, kind):
+    """Long roots, short roots, or the parabolic subsystem away from node k."""
+    norms = {rs.inner(r, r) for r in rs.positive_roots}
+    if kind == "long":
+        return [r for r in rs.positive_roots if rs.inner(r, r) == max(norms)]
+    if kind == "short":
+        return [r for r in rs.positive_roots if rs.inner(r, r) == min(norms)]
+    return [r for r in rs.positive_roots if rs.root_coords(r)[kind] == 0]
+
+
+@st.composite
+def weyl_cases(draw):
+    """(ambient, subsystem datum) over the types above, plus the outer
+    E6/C4 datum on its F4 ambient."""
+    desc = draw(st.sampled_from(WEYL_TYPES + ["E6/C4"]))
+    if desc == "E6/C4":
+        sub = outer_grading("e6_sp8").sub
+        return sub.rs, sub
+    rs = build_root_system(desc)
+    kind = draw(st.sampled_from(["long", "short"] + list(range(rs.rank))))
+    return rs, SubsystemDatum(rs, _subsystem_roots(rs, kind))
+
+
+def _draw_element(data, group):
+    return group.elements[data.draw(st.integers(0, len(group) - 1))]
+
+
+def _image(rs, w):
+    return tuple(Fraction(k, rs.denom) for k in w.key)
+
+
+@PROPERTY
+@given(st.data())
+def test_key_group_operations_match_matrices(data):
+    rs, _ = data.draw(weyl_cases())
+    group = enumerate_weyl(rs)
+    a, b = _draw_element(data, group), _draw_element(data, group)
+    ma = _word_matrix(rs, rs.simple_roots, a.word)
+    mb = _word_matrix(rs, rs.simple_roots, b.word)
+    assert _matvec(ma, rs.rho.coords) == _image(rs, a)
+    assert _matvec(_matmul(ma, mb), rs.rho.coords) == _image(rs, group.multiply(a, b))
+    assert _matvec(inverse(ma), rs.rho.coords) == _image(rs, group.invert(a))
+    n = rs.space_dim
+    for i in range(n):
+        e = Weight([int(i == j) for j in range(n)])
+        assert a.apply(e).coords == _matvec(ma, e.coords)
+    coords = data.draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6),
+                                min_size=n, max_size=n))
+    assert a.apply(Weight(coords)).coords == _matvec(ma, Weight(coords).coords)
+    assert a.matrix == ma
+
+
+@PROPERTY
+@given(st.data())
+def test_length_and_l0_match_matrix_definitions(data):
+    rs, sub = data.draw(weyl_cases())
+    w = _draw_element(data, enumerate_weyl(rs))
+    m = _word_matrix(rs, rs.simple_roots, w.word)
+    positive = {r.coords for r in rs.positive_roots}
+    images = [_matvec(m, r.coords) for r in rs.positive_roots]
+    assert w.length == sum(1 for v in images if tuple(-x for x in v) in positive)
+    plus0 = {r.coords for r in sub.delta0_plus}
+    # alpha in Delta- with w(alpha) in Delta0+
+    assert l0_of(rs, sub, w) == sum(1 for v in images if tuple(-x for x in v) in plus0)
+    # subgroup elements: words in the subsystem's simple reflections
+    w0 = _draw_element(data, sub.group)
+    m0 = _word_matrix(rs, sub.system.simple_roots, w0.word)
+    assert _matvec(m0, rs.rho.coords) == _image(rs, w0)
+    images0 = [_matvec(m0, r.coords) for r in sub.delta0_plus]
+    assert w0.length == sum(1 for v in images0 if tuple(-x for x in v) in plus0)
+
+
+@PROPERTY
+@given(st.data())
+def test_factorize_round_trips(data):
+    rs, sub = data.draw(weyl_cases())
+    group = enumerate_weyl(rs)
+    w = _draw_element(data, group)
+    w0, rep = factorize(rs, sub, w)
+    assert rep in minimal_coset_reps(rs, sub)
+    assert w0 in sub.group
+    m = _matmul(_word_matrix(rs, rs.simple_roots, w0.word),
+                inverse(_word_matrix(rs, rs.simple_roots, rep.word)))
+    assert m == _word_matrix(rs, rs.simple_roots, w.word)

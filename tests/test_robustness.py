@@ -38,3 +38,21 @@ def test_subgroup_budget_refusal_reports_order():
         SubsystemDatum(rs, rs.positive_roots, budget=2)
     assert info.value.required == 8
     assert info.value.budget == 2
+
+
+def test_route_disagreement_exits_one(monkeypatch, capsys):
+    # a decomposition that lost a summand no longer matches the coset
+    # formula: a consistency failure (exit 1), not a usage error (exit 2)
+    from spinchar import gradings
+    from spinchar.charring import Decomposition
+    from spinchar.cli import main
+
+    real = gradings.decompose
+
+    def drop_one(*args, **kwargs):
+        dec = real(*args, **kwargs)
+        return Decomposition(dec.rs, dec.summands[:-1])
+
+    monkeypatch.setattr(gradings, "decompose", drop_one)
+    assert main(["show", "--grading", "A2/A1xT1"]) == 1
+    assert "disagree" in capsys.readouterr().err
