@@ -65,7 +65,6 @@ from .spinmod import (
     spin0_character,
     spin_character,
     spin_scalar,
-    weight_system_of,
 )
 from .gradings import (
     Z2Grading,

@@ -172,18 +172,20 @@ def weyl_denominator(rs: RootSystem, budget: int = DEFAULT_WEYL_BUDGET) -> Chara
     return rs._denominator_cache
 
 
-def skew_product(rs: RootSystem, roots, ambient: RootSystem = None) -> Character:
+def skew_product(rs: RootSystem, roots, ambient: RootSystem = None,
+                 term_budget: int = DEFAULT_TERM_BUDGET) -> Character:
     """Expand prod (e^{a/2} - e^{-a/2}) over the given roots."""
     ambient = ambient or rs
     out = Character.one(ambient)
     for a in roots:
         half = Fraction(1, 2) * a
         factor = Character.from_weights(ambient, [(half, 1), (-half, -1)])
-        out = out * factor
+        out = out.__mul__(factor, term_budget)
     return out
 
 
-def plus_product(rs: RootSystem, weights_with_mult, ambient: RootSystem = None) -> Character:
+def plus_product(rs: RootSystem, weights_with_mult, ambient: RootSystem = None,
+                 term_budget: int = DEFAULT_TERM_BUDGET) -> Character:
     """Expand prod (e^{mu/2} + e^{-mu/2})^{m(mu)}."""
     ambient = ambient or rs
     out = Character.one(ambient)
@@ -191,7 +193,7 @@ def plus_product(rs: RootSystem, weights_with_mult, ambient: RootSystem = None) 
         half = Fraction(1, 2) * mu
         factor = Character.from_weights(ambient, [(half, 1), (-half, 1)])
         for _ in range(m):
-            out = out * factor
+            out = out.__mul__(factor, term_budget)
     return out
 
 

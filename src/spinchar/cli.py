@@ -15,8 +15,14 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .errors import BudgetExceeded, ConsistencyError, SpinCharError
-from .charring import freudenthal_weights, decompose
-from .gradings import OUTER_FAMILIES, grading_catalog, outer_grading, spin_g1
+from .charring import DEFAULT_TERM_BUDGET, freudenthal_weights, decompose
+from .gradings import (
+    OUTER_FAMILIES,
+    OUTER_INSTANCES,
+    grading_catalog,
+    outer_grading,
+    spin_g1,
+)
 from .rootsys import build_root_system
 from .spinmod import (
     classify_coprimary,
@@ -26,6 +32,7 @@ from .spinmod import (
     spin_scalar,
     spin0_character,
 )
+from .weyl import DEFAULT_WEYL_BUDGET
 from . import verify as verify_mod
 
 EXIT_OK = 0
@@ -44,12 +51,13 @@ def _env_default(flag, fallback, cast):
 def _parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--weyl-budget", type=int,
-                        default=_env_default("weyl-budget", 10**6, int),
+                        default=_env_default("weyl-budget", DEFAULT_WEYL_BUDGET, int),
                         help="largest Weyl group order to allow; checked against"
                              " |W| from the type, without enumerating W")
     common.add_argument("--term-budget", type=int,
-                        default=_env_default("term-budget", 5 * 10**6, int),
-                        help="largest character support to hold")
+                        default=_env_default("term-budget", DEFAULT_TERM_BUDGET, int),
+                        help="largest character support to hold, the Spin0"
+                             " product's included")
     common.add_argument("--jobs", type=int, default=_env_default("jobs", 1, int),
                         help="parallel workers for suite fan-out")
     common.add_argument("--format", choices=["json", "markdown", "both"],
@@ -167,9 +175,9 @@ def cmd_verify(args):
     payload = {"suite": args.suite, "checks": records}
     extra = None
     if args.suite == "table1":
-        extra = table1_markdown()
+        extra = table1_markdown(args.weyl_budget, args.term_budget)
     if args.suite == "outer":
-        extra = table2_markdown()
+        extra = table2_markdown(args.weyl_budget, args.term_budget)
     _emit(args, payload, lambda p: _verify_markdown(p, extra))
     failed = [r for r in records if r["status"] == "fail"]
     return EXIT_FAIL if failed else EXIT_OK
@@ -191,14 +199,14 @@ def _verify_markdown(payload, extra=None):
     return "\n".join(lines)
 
 
-def table1_markdown():
-    """The free skew-invariant table, in its two-column-plus-data layout."""
+def table1_markdown(weyl_budget, term_budget):
+    """The free skew-invariant table, in its two-column-plus-data layout;
+    a row the budgets refuse reads ``skip``."""
     from .charring import WeightSystem, invariant_poincare
     lines = ["| algebra | module | dim P | Poincare polynomial |",
              "|---|---|---|---|"]
-    rs = build_root_system("A2")
-    gp = invariant_poincare(WeightSystem.adjoint(rs))
-    lines.append(f"| simple g (A2 shown) | adjoint | rk g | {gp} |")
+    rows = [("simple g (A2 shown)", "adjoint",
+             WeightSystem.adjoint(build_root_system("A2")))]
     for desc, coeffs, label in [
         ("C2", (0, 1), "sp4: V_w2"),
         ("B2", (2, 0), "so5: V_2w1"),
@@ -208,30 +216,41 @@ def table1_markdown():
         ("F4", (1, 0, 0, 0), "f4: V_w1"),
     ]:
         rs = build_root_system(desc)
-        gp = invariant_poincare(freudenthal_weights(rs, rs.weight(*coeffs)))
-        dim_p = len(gp.factored() or [])
-        lines.append(f"| {desc} | {label} | {dim_p} | {gp} |")
+        rows.append((desc, label, freudenthal_weights(rs, rs.weight(*coeffs))))
+    for name, label, ws in rows:
+        try:
+            gp = invariant_poincare(ws, weyl_budget, term_budget)
+        except BudgetExceeded:
+            gp = dim_p = "skip"
+        else:
+            dim_p = "rk g" if label == "adjoint" else len(gp.factored() or [])
+        lines.append(f"| {name} | {label} | {dim_p} | {gp} |")
     return "\n".join(lines)
 
 
-def table2_markdown():
-    """The outer-involution families with their coset-section counts."""
+def table2_markdown(weyl_budget, term_budget):
+    """The outer-involution families, each at its first instance in
+    OUTER_INSTANCES, with their coset-section counts; a row the budgets
+    refuse reads ``skip``."""
     from math import comb
     lines = ["| g | g0 | g1 | diagram g0 | diagram g1 | #W'/W0 |",
              "|---|---|---|---|---|---|"]
-    specs = [("sl_even", (2,), 2), ("so_odd_odd", (1, 1), comb(2, 1)),
-             ("e6_sp8", (), 3), ("sl_odd", (2,), 1)]
-    for family, params, expected in specs:
-        data = OUTER_FAMILIES[family](*params)
-        grading = outer_grading(family, *params)
-        sp = spin_g1(grading)
+    first = dict(reversed(OUTER_INSTANCES))
+    expected = {"sl_even": 2, "so_odd_odd": comb(2, 1), "e6_sp8": 3, "sl_odd": 1}
+    for family, build in OUTER_FAMILIES.items():
+        params = first[family]
+        data = build(*params)
+        try:
+            grading = outer_grading(family, *params, budget=weyl_budget)
+            count = len(spin_g1(grading, weyl_budget, term_budget))
+        except BudgetExceeded:
+            count = "skip"
+        if count not in ("skip", expected[family]):
+            raise AssertionError(f"{family}{params}: {count} coset summands,"
+                                 f" expected {expected[family]}")
         lines.append(
             f"| {data['g']} | {data['g0']} | isotropy module |"
-            f" {data['diagram']['g0bar']} | {data['diagram']['g1bar']} |"
-            f" {len(sp)} |")
-        if len(sp) != expected:
-            raise AssertionError(
-                f"{family}{params}: {len(sp)} coset summands, expected {expected}")
+            f" {data['diagram']['g0bar']} | {data['diagram']['g1bar']} | {count} |")
     return "\n".join(lines)
 
 

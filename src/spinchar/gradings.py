@@ -30,7 +30,14 @@ from .charring import (
     weight_key,
     weyl_dimension,
 )
-from .rootsys import RootSystem, Weight, build_root_system, special_elements
+from .rootsys import (
+    HALF,
+    RootSystem,
+    Weight,
+    build_root_system,
+    simple_types,
+    special_elements,
+)
 from .spinmod import enumerate_dominant_halves, spin0_character
 from .weyl import (
     DEFAULT_WEYL_BUDGET,
@@ -39,8 +46,6 @@ from .weyl import (
     enumerate_weyl,
     minimal_coset_reps,
 )
-
-HALF = Fraction(1, 2)
 
 
 class Z2Grading:
@@ -146,13 +151,14 @@ def inner_grading(rs: RootSystem, pivot: int,
     return grading
 
 
+def involutive_pivots(rs: RootSystem):
+    """The 1-based pivots of mark 1 or 2, where an inner grading exists."""
+    return [i for i, mark in enumerate(kac_marks(rs), start=1) if mark <= 2]
+
+
 def inner_gradings(rs: RootSystem, budget: int = DEFAULT_WEYL_BUDGET):
-    """All inner gradings of a simple system (pivots of mark 1 or 2)."""
-    out = []
-    for i, mark in enumerate(kac_marks(rs), start=1):
-        if mark <= 2:
-            out.append(inner_grading(rs, i, budget))
-    return out
+    """All inner gradings of a simple system, one per involutive pivot."""
+    return [inner_grading(rs, i, budget) for i in involutive_pivots(rs)]
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +287,13 @@ OUTER_FAMILIES = {
     "e6_sp8": _outer_e6_sp8,
     "sl_odd": _outer_sl_odd,
 }
+
+# the (family, params) instances the catalog, suites and tables build
+OUTER_INSTANCES = (
+    ("sl_even", (2,)), ("sl_even", (3,)),
+    ("so_odd_odd", (1, 1)), ("so_odd_odd", (2, 1)),
+    ("e6_sp8", ()), ("sl_odd", (2,)),
+)
 
 
 def outer_grading(family: str, *params,
@@ -425,10 +438,11 @@ def verify_tau_identity(rs: RootSystem, sub: SubsystemDatum, delta1_plus,
         k = w.act_key(rho_key)
         terms[k] = terms.get(k, 0) + tau
     lhs = Character(rs, terms)
-    rhs = skew_product(rs, [w for w in sub.delta0_plus], ambient=rs)
+    rhs = skew_product(rs, sub.delta0_plus, ambient=rs, term_budget=term_budget)
     pairs = [(w, 1) for w in delta1_plus] if delta1_plus and not isinstance(
         delta1_plus[0], tuple) else delta1_plus
-    rhs = rhs.__mul__(plus_product(rs, pairs, ambient=rs), term_budget)
+    rhs = rhs.__mul__(plus_product(rs, pairs, ambient=rs, term_budget=term_budget),
+                      term_budget)
     return lhs == rhs
 
 
@@ -531,12 +545,9 @@ def equal_rank_pair(rs: RootSystem, generators,
 def grading_catalog(max_rank: int = 4):
     """Named constructors for the gradings the library knows how to build."""
     catalog = {}
-    for fam, rank in [(f, r) for r in range(1, max_rank + 1)
-                      for f in "ABCDFG" if _valid(f, r)]:
+    for fam, rank in simple_types(max_rank):
         rs = build_root_system(fam, rank)
-        for i, mark in enumerate(kac_marks(rs), start=1):
-            if mark > 2:
-                continue
+        for i in involutive_pivots(rs):
             def make(rs=rs, i=i):
                 return inner_grading(rs, i)
             g = make()
@@ -544,22 +555,10 @@ def grading_catalog(max_rank: int = 4):
             if name in catalog:
                 name = f"{name}@alpha{i}"
             catalog[name] = make
-            if rs.type_label[0][0] == "A" and mark == 1:
-                p, q = i, rs.rank + 1 - i
-                catalog.setdefault(f"AIII({p},{q})", make)
-    outer_specs = [
-        ("sl_even", (2,)), ("sl_even", (3,)),
-        ("so_odd_odd", (1, 1)), ("so_odd_odd", (2, 1)),
-        ("e6_sp8", ()), ("sl_odd", (2,)),
-    ]
-    for family, params in outer_specs:
+            if fam == "A" and g.metadata["hermitian"]:
+                catalog.setdefault(f"AIII({i},{rank + 1 - i})", make)
+    for family, params in OUTER_INSTANCES:
         def make(family=family, params=params):
             return outer_grading(family, *params)
-        data = OUTER_FAMILIES[family](*params)
-        catalog[data["label"]] = make
+        catalog[OUTER_FAMILIES[family](*params)["label"]] = make
     return catalog
-
-
-def _valid(fam, rank):
-    from .rootsys import _VALID_RANKS
-    return fam in _VALID_RANKS and _VALID_RANKS[fam](rank)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from .errors import InvalidDescriptor
 from .linalg import (
@@ -144,6 +144,14 @@ _VALID_RANKS = {
     "F": lambda n: n == 4,
     "G": lambda n: n == 2,
 }
+
+
+def simple_types(max_rank: int):
+    """Every simple type of rank <= max_rank as (family, rank), by rank and
+    then family (D from rank 3 up)."""
+    return [(fam, rank) for rank in range(1, max_rank + 1)
+            for fam, valid in _VALID_RANKS.items() if valid(rank)]
+
 
 _POSITIVE_COUNTS = {
     "A": lambda n: n * (n + 1) // 2,
@@ -288,18 +296,17 @@ class RootSystem:
     def reflect(self, alpha: Weight, x: Weight) -> Weight:
         return x - self.pairing(x, alpha) * alpha
 
-    def dominant_representative(self, x: Weight, with_sign=False):
-        """The dominant element of W.x (and the sign of the word used)."""
-        sign = 1
-        moved = True
-        while moved:
-            moved = False
-            for a in self.simple_roots:
-                if self.pairing(x, a) < 0:
-                    x = self.reflect(a, x)
-                    sign = -sign
-                    moved = True
-        return (x, sign) if with_sign else x
+    def dominant_representative(self, x: Weight) -> Weight:
+        """The dominant element of W.x, reached by simple reflections on
+        integer coordinates (exact for any rational x)."""
+        geom = self.key_geometry()
+        scale = lcm(*(c.denominator for c in x.coords))
+        key = tuple(int(c * scale) for c in x.coords)
+        while True:
+            i = next((i for i in range(self.rank) if geom.pairing_num(key, i) < 0), None)
+            if i is None:
+                return Weight(tuple(Fraction(k, scale) for k in key))
+            key, scale = geom.walk((i,), key, scale)
 
     def weight(self, *fw_coeffs) -> Weight:
         """Weight from coefficients in the fundamental-weight basis."""

@@ -25,7 +25,7 @@ from .charring import (
     multiplicity_of,
     plus_product,
 )
-from .rootsys import RootSystem, Weight
+from .rootsys import RootSystem, Weight, build_root_system, simple_types
 from .weyl import DEFAULT_WEYL_BUDGET
 
 DEFAULT_HYPERPLANE_BUDGET = 64
@@ -68,10 +68,6 @@ def orthogonality_type(rs: RootSystem, lam: Weight,
     return {1: "orthogonal", -1: "symplectic", 0: "neither"}[fs]
 
 
-def weight_system_of(rs: RootSystem, lam: Weight) -> WeightSystem:
-    return freudenthal_weights(rs, lam)
-
-
 # ---------------------------------------------------------------------------
 # Spin characters
 
@@ -90,7 +86,7 @@ def spin0_character(ws: WeightSystem, half=None,
     total = sum(m for _, m in half)
     if 2 * total != sum(ws.nonzero.values()):
         raise InvalidDescriptor("half does not cover the nonzero weights")
-    ch = plus_product(ws.rs, half, ambient=ws.rs)
+    ch = plus_product(ws.rs, half, ambient=ws.rs, term_budget=term_budget)
     expected = 2 ** ((ws.dimension() - ws.zero_mult) // 2)
     if ch.dimension() != expected:
         raise InvalidDescriptor(
@@ -379,9 +375,11 @@ SWEEP_FILTERS = (
 )
 
 
-def _dominant_weights_up_to_height(rs: RootSystem, height_bound: int):
+def weights_up_to_height(rank: int, height_bound: int):
+    """The nonzero fundamental-weight coefficient tuples of the given length
+    with sum <= height_bound, in lexicographic order."""
     def rec(i, remaining):
-        if i == rs.rank:
+        if i == rank:
             yield ()
             return
         for c in range(remaining + 1):
@@ -457,33 +455,14 @@ def classify_candidate(rs: RootSystem, lam: Weight,
     return record
 
 
-def sweep_types(rank_bound: int):
-    """All simple types with rank <= rank_bound (D from rank 3 up)."""
-    out = []
-    for rank in range(1, rank_bound + 1):
-        out.append(("A", rank))
-        if rank >= 2:
-            out.append(("B", rank))
-            out.append(("C", rank))
-        if rank >= 3:
-            out.append(("D", rank))
-        if rank == 2:
-            out.append(("G", 2))
-        if rank == 4:
-            out.append(("F", 4))
-    return out
-
-
 def classify_coprimary(rank_bound: int, height_bound: int,
                        budget: int = DEFAULT_WEYL_BUDGET,
                        term_budget: int = DEFAULT_TERM_BUDGET) -> list:
     """Sweep all orthogonal irreducibles of bounded rank and height."""
-    from .rootsys import build_root_system
-
     records = []
-    for fam, rank in sweep_types(rank_bound):
+    for fam, rank in simple_types(rank_bound):
         rs = build_root_system(fam, rank)
-        for coeffs in _dominant_weights_up_to_height(rs, height_bound):
+        for coeffs in weights_up_to_height(rank, height_bound):
             lam = rs.weight(*coeffs)
             try:
                 records.append(classify_candidate(rs, lam, budget, term_budget))

@@ -122,3 +122,12 @@ def test_table_emitter(capsys):
     assert code == 0
     assert "| algebra | module | dim P | Poincare polynomial |" in out
     assert "(1+t^9)(1+t^17)" in out
+
+
+def test_outer_table_skips_rows_the_budget_refuses(capsys):
+    # E6/C4 lives on F4 (|W| = 1152); its row is refused, not computed
+    code, out = run_cli(capsys, "verify", "--suite", "outer",
+                        "--weyl-budget", "50")
+    assert code == 0
+    assert "| e6 | sp8 | isotropy module | f4 | little adjoint V_w1 | skip |" in out
+    assert "| sl4 | so4 | isotropy module | sp4 | little adjoint V_w2 | 2 |" in out

@@ -1,13 +1,16 @@
 """Property tests: the folding and dominant-only routes against the
 division-based Weyl character formula, on random dominant weights; the
-integer Weyl layer against products of reflection matrices."""
+integer Weyl layer against products of reflection matrices; Spin0 against
+the choice of half."""
 
 from fractions import Fraction
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from spinchar import (
+    InvalidDescriptor,
     SubsystemDatum,
     Weight,
     build_root_system,
@@ -20,6 +23,7 @@ from spinchar import (
     l0_of,
     minimal_coset_reps,
     outer_grading,
+    spin0_character,
 )
 from spinchar.charring import _order_key, key_weight
 from spinchar.linalg import inverse
@@ -204,3 +208,37 @@ def test_factorize_round_trips(data):
     m = _matmul(_word_matrix(rs, rs.simple_roots, w0.word),
                 inverse(_word_matrix(rs, rs.simple_roots, rep.word)))
     assert m == _word_matrix(rs, rs.simple_roots, w.word)
+
+
+DOMINANT_REP_TYPES = ["A2", "B2", "B3", "G2", "A1xA1"]
+
+
+@PROPERTY
+@given(st.data())
+def test_dominant_representative_is_the_dominant_orbit_point(data):
+    rs = build_root_system(data.draw(st.sampled_from(DOMINANT_REP_TYPES)))
+    coords = data.draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6),
+                                min_size=rs.space_dim, max_size=rs.space_dim))
+    x = Weight(coords)
+    dom = rs.dominant_representative(x)
+    assert rs.is_dominant(dom)
+    assert any(w.apply(x) == dom for w in enumerate_weyl(rs))
+
+
+# ---------------------------------------------------------------------------
+# Spin0 does not depend on the half of the weights it is built from
+
+
+@PROPERTY
+@given(st.data())
+def test_spin0_does_not_depend_on_the_half(data):
+    rs, lam = data.draw(dominant_weights(height_scale=2))
+    assume(not lam.is_zero())
+    dual = rs.dominant_representative(-lam)
+    ws = freudenthal_weights(rs, lam if dual == lam else lam + dual)
+    half = ws.canonical_half()
+    flips = data.draw(st.lists(st.booleans(), min_size=len(half), max_size=len(half)))
+    flipped = [(-w if flip else w, m) for (w, m), flip in zip(half, flips)]
+    assert spin0_character(ws, half=flipped) == spin0_character(ws)
+    with pytest.raises(InvalidDescriptor):
+        spin0_character(ws, half=flipped[1:])

@@ -1,5 +1,6 @@
 """Checks that cannot be lost silently: no bare asserts in the library,
-stray exceptions in a verify check, budget refusals that name their size."""
+stray exceptions in a verify check, budget refusals that name their size
+and reach every product, and one definition of each shared name."""
 
 import ast
 import pathlib
@@ -56,3 +57,100 @@ def test_route_disagreement_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(gradings, "decompose", drop_one)
     assert main(["show", "--grading", "A2/A1xT1"]) == 1
     assert "disagree" in capsys.readouterr().err
+
+
+def test_term_budget_bounds_the_spin0_product(capsys):
+    from spinchar import freudenthal_weights, spin0_character
+    from spinchar.cli import main
+
+    assert main(["spin", "--type", "F4", "--weight", "1,0,0,0",
+                 "--term-budget", "1"]) == 3
+    assert "term budget 1" in capsys.readouterr().err
+    rs = build_root_system("F4")
+    with pytest.raises(BudgetExceeded) as info:
+        spin0_character(freudenthal_weights(rs, rs.weight(1, 0, 0, 0)), term_budget=1)
+    assert info.value.required > 1
+    assert info.value.budget == 1
+
+
+def test_casimir_suite_honours_term_budget():
+    # the cached Spin of each grading is keyed by the budgets it was built under
+    verify.suite_casimir()
+    records = verify.suite_casimir(term_budget=1)
+    assert records
+    assert {r["status"] for r in records} == {"skip"}
+    assert all("budget" in r["detail"] for r in records)
+
+
+# each shared name has one home; a copy elsewhere fails here
+OWNERS = {
+    "DEFAULT_WEYL_BUDGET": "weyl.py",
+    "DEFAULT_TERM_BUDGET": "charring.py",
+    "OUTER_INSTANCES": "gradings.py",
+    "involutive_pivots": "gradings.py",
+    "simple_types": "rootsys.py",
+    "weights_up_to_height": "spinmod.py",
+}
+
+
+def _top_level_definitions():
+    defined = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                defined.setdefault(name, set()).add(path.name)
+    return defined
+
+
+def test_shared_names_are_defined_once():
+    defined = _top_level_definitions()
+    assert {name: defined.get(name) for name in OWNERS} == {
+        name: {owner} for name, owner in OWNERS.items()}
+    assert {n: m for n, m in defined.items() if len(m) > 1} == {}
+    # the valid ranks are read through simple_types, not copied out
+    readers = {path.name for path in SRC.glob("*.py")
+               if "_VALID_RANKS" in path.read_text()}
+    assert readers == {"rootsys.py"}
+
+
+def _constant_values(tree):
+    """Values of the maximal all-constant expressions in a module."""
+    values, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Constant, ast.BinOp)) and all(
+                isinstance(n, (ast.Constant, ast.BinOp, ast.operator))
+                for n in ast.walk(node)):
+            values.append(eval(compile(ast.Expression(node), "<constant>", "eval")))
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+    return values
+
+
+def test_budget_defaults_are_not_copied_as_literals():
+    from spinchar.charring import DEFAULT_TERM_BUDGET
+    from spinchar.weyl import DEFAULT_WEYL_BUDGET
+
+    for name, value in [("DEFAULT_WEYL_BUDGET", DEFAULT_WEYL_BUDGET),
+                        ("DEFAULT_TERM_BUDGET", DEFAULT_TERM_BUDGET)]:
+        holders = {path.name for path in SRC.glob("*.py")
+                   if value in _constant_values(ast.parse(path.read_text()))}
+        assert holders == {OWNERS[name]}, name
+
+
+def test_cli_budget_defaults_are_the_library_constants(monkeypatch):
+    from spinchar.charring import DEFAULT_TERM_BUDGET
+    from spinchar.cli import _parser
+    from spinchar.weyl import DEFAULT_WEYL_BUDGET
+
+    monkeypatch.delenv("SPINCHAR_WEYL_BUDGET", raising=False)
+    monkeypatch.delenv("SPINCHAR_TERM_BUDGET", raising=False)
+    args = _parser().parse_args(["spin", "--type", "A1", "--weight", "1"])
+    assert args.weyl_budget == DEFAULT_WEYL_BUDGET
+    assert args.term_budget == DEFAULT_TERM_BUDGET
