@@ -628,52 +628,21 @@ def _binomial_factor_update(graded, key, m, max_degree, term_budget):
             required=size, budget=term_budget)
 
 
-def exterior_powers(ws: WeightSystem, max_degree: int = None, method: str = "newton",
+def exterior_powers(ws: WeightSystem, max_degree: int = None,
                     term_budget: int = DEFAULT_TERM_BUDGET):
-    """Characters of the exterior powers of a module, degree-indexed.
-
-    ``newton`` uses the recursion i e_i = sum_{k<=i} (-1)^{k-1} p_k e_{i-k}
-    with exact division by i; ``product`` expands prod (1 + t e^mu)^{m(mu)}
-    degree by degree. The two must agree, and tests check that they do.
-    """
+    """Characters of the exterior powers of a module, degree-indexed,
+    from prod (1 + t e^mu)^{m(mu)} expanded degree by degree."""
     n = ws.dimension()
-    if max_degree is None:
-        max_degree = n
-    max_degree = min(max_degree, n)
+    max_degree = n if max_degree is None else min(max_degree, n)
     rs = ws.rs
-    if method == "product":
-        graded = [dict() for _ in range(max_degree + 1)]
-        graded[0][(0,) * rs.space_dim] = 1
-        if ws.zero_mult:
-            _binomial_factor_update(graded, (0,) * rs.space_dim, ws.zero_mult,
-                                    max_degree, term_budget)
-        for key, m in sorted(ws.nonzero.items()):
-            _binomial_factor_update(graded, key, m, max_degree, term_budget)
-        out = [Character(rs, g) for g in graded]
-    elif method == "newton":
-        powers = []
-        for k in range(1, max_degree + 1):
-            terms = {}
-            for key, m in ws.nonzero.items():
-                kk = tuple(k * x for x in key)
-                terms[kk] = terms.get(kk, 0) + m
-            zk = (0,) * rs.space_dim
-            terms[zk] = terms.get(zk, 0) + ws.zero_mult
-            powers.append(Character(rs, terms))
-        out = [Character.one(rs)]
-        for i in range(1, max_degree + 1):
-            acc = Character(rs, {})
-            for k in range(1, i + 1):
-                term = powers[k - 1].__mul__(out[i - k], term_budget)
-                acc = acc + term if k % 2 else acc - term
-            terms = {}
-            for key, v in acc.terms.items():
-                if v % i:
-                    raise NonModuleCharacter("exterior power recursion not divisible")
-                terms[key] = v // i
-            out.append(Character(rs, terms))
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    graded = [dict() for _ in range(max_degree + 1)]
+    graded[0][(0,) * rs.space_dim] = 1
+    if ws.zero_mult:
+        _binomial_factor_update(graded, (0,) * rs.space_dim, ws.zero_mult,
+                                max_degree, term_budget)
+    for key, m in sorted(ws.nonzero.items()):
+        _binomial_factor_update(graded, key, m, max_degree, term_budget)
+    out = [Character(rs, g) for g in graded]
     if max_degree == n:
         total = sum(ch.dimension() for ch in out)
         if total != 2**n:
@@ -683,6 +652,36 @@ def exterior_powers(ws: WeightSystem, max_degree: int = None, method: str = "new
             for i in range(n + 1):
                 if out[i].terms != out[n - i].terms:
                     raise NonModuleCharacter("exterior powers are not mirror-symmetric")
+    return out
+
+
+def _newton_exterior_powers(ws: WeightSystem, term_budget: int = DEFAULT_TERM_BUDGET):
+    """Test oracle for ``exterior_powers``: every exterior power by Newton's
+    recursion i e_i = sum_{k<=i} (-1)^{k-1} p_k e_{i-k}, dividing exactly
+    by i."""
+    rs = ws.rs
+    n = ws.dimension()
+    powers = []
+    for k in range(1, n + 1):
+        terms = {}
+        for key, m in ws.nonzero.items():
+            kk = tuple(k * x for x in key)
+            terms[kk] = terms.get(kk, 0) + m
+        zk = (0,) * rs.space_dim
+        terms[zk] = terms.get(zk, 0) + ws.zero_mult
+        powers.append(Character(rs, terms))
+    out = [Character.one(rs)]
+    for i in range(1, n + 1):
+        acc = Character(rs, {})
+        for k in range(1, i + 1):
+            term = powers[k - 1].__mul__(out[i - k], term_budget)
+            acc = acc + term if k % 2 else acc - term
+        terms = {}
+        for key, v in acc.terms.items():
+            if v % i:
+                raise NonModuleCharacter("exterior power recursion not divisible")
+            terms[key] = v // i
+        out.append(Character(rs, terms))
     return out
 
 
@@ -771,8 +770,7 @@ def invariant_poincare(ws: WeightSystem, budget: int = DEFAULT_WEYL_BUDGET,
     n = ws.dimension()
     symmetric = ws.weight_sum().is_zero()
     top = n // 2 if symmetric else n
-    powers = exterior_powers(ws, max_degree=top, method="product",
-                             term_budget=term_budget)
+    powers = exterior_powers(ws, max_degree=top, term_budget=term_budget)
     rs = ws.rs
     zero = Weight((0,) * rs.space_dim)
     coeffs = [multiplicity_of(powers[i], zero, rs, budget) for i in range(top + 1)]

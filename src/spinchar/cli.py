@@ -122,14 +122,14 @@ def cmd_spin(args):
             "orthogonality": kind,
         }
         if kind == "orthogonal":
-            dec = decompose(spin0_character(ws, term_budget=args.term_budget),
-                            rs, args.weyl_budget)
+            spin0 = spin0_character(ws, term_budget=args.term_budget)
+            dec = decompose(spin0, rs, args.weyl_budget)
             report["spin_scalar"] = spin_scalar(ws)
             report["spin0_decomposition"] = dec.to_json()
             report["coprimary"] = len(dec) == 1 and dec.is_multiplicity_free()
             report["extreme_weights"] = [
                 [str(c) for c in w.coords]
-                for w in extreme_weights(ws, check_coefficients=False)]
+                for w in extreme_weights(ws, spin0)]
         reports.append(report)
     _emit(args, {"spin": reports}, _spin_markdown)
     return EXIT_OK

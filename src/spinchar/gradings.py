@@ -513,7 +513,7 @@ def equal_rank_pair(rs: RootSystem, generators,
     dg_set = sorted(l.coords for l in lam_ws)
     dec_set = sorted(l.coords for l, _ in dec)
     halves = enumerate_dominant_halves(ws)
-    powers = exterior_powers(ws, method="product", term_budget=term_budget)
+    powers = exterior_powers(ws, term_budget=term_budget)
     zero = Weight((0,) * rs.space_dim)
     inv_dims = [multiplicity_of(p, zero, h, budget) for p in powers]
     identity_ok = verify_tau_identity(rs, sub, m_plus, budget, term_budget)

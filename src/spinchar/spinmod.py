@@ -3,15 +3,17 @@
 The reduced Spin character of a self-dual weight system is the product of
 (e^{mu/2} + e^{-mu/2}) over any half of the nonzero weights; the scalar
 2^[m(0)/2] restores the full Spin. Dominant halves are enumerated as open
-chambers of the dominant cone cut by the weight hyperplanes, with exact
-rational feasibility checks, and their half-sums are the extreme weights:
-always highest weights of the reduced Spin, each with coefficient one.
+chambers of the dominant cone cut by the weight hyperplanes: Fourier-Motzkin
+elimination on integer rows decides each chamber, and back-substitution
+through its stages gives an exact rational witness point. Their half-sums
+are the extreme weights: always highest weights of the reduced Spin, each
+with coefficient one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import BudgetExceeded, InvalidDescriptor, NotSelfDual
 from .charring import (
@@ -123,114 +125,63 @@ def spin_character(ws: WeightSystem, verify: bool = True,
 
 
 # ---------------------------------------------------------------------------
-# dominant halves via exact chamber enumeration
+# dominant halves: Fourier-Motzkin on integer rows, rational witnesses
 
 
-def _normalize_row(row):
-    """Scale a rational row to a primitive integer row (positive scaling)."""
-    den = 1
-    for x in row:
-        x = Fraction(x)
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(Fraction(x) * den) for x in row]
+def _primitive(row):
+    """The primitive integer row on the ray of an integer row (0 stays 0)."""
     g = 0
-    for x in ints:
+    for x in row:
         g = gcd(g, x)
-    if g == 0:
-        return tuple(ints)
-    return tuple(x // g for x in ints)
-
-
-def _fm_eliminate_last(system, var):
-    """One Fourier-Motzkin step on {r . x > 0}: eliminate coordinate var.
-
-    Returns the reduced system (rows of length var), or None the moment a
-    zero row (0 > 0) witnesses infeasibility.
-    """
-    pos = [r for r in system if r[var] > 0]
-    neg = [r for r in system if r[var] < 0]
-    zero = [r for r in system if r[var] == 0]
-    out, seen = [], set()
-
-    def push(row):
-        n = _normalize_row(row)
-        if all(x == 0 for x in n):
-            return False
-        if n not in seen:
-            seen.add(n)
-            out.append(n)
-        return True
-
-    for r in zero:
-        if not push(r[:var]):
-            return None
-    for p in pos:
-        for q in neg:
-            combo = [p[var] * q[j] - q[var] * p[j] for j in range(var)]
-            if not push(combo):
-                return None
-    return out
+    return tuple(x // g for x in row) if g else tuple(row)
 
 
 def _fm_stages(rows, dim):
-    """All elimination stages of {r . x > 0}, or None if infeasible."""
-    system = []
-    seen = set()
-    for r in rows:
-        n = _normalize_row(r)
-        if all(x == 0 for x in n):
-            return None
-        if n not in seen:
-            seen.add(n)
-            system.append(n)
-    stages = [system]
-    for var in range(dim - 1, 0, -1):
-        system = _fm_eliminate_last(system, var)
-        if system is None:
+    """Fourier-Motzkin elimination of {r . x > 0} over integer rows.
+
+    Stage j holds the primitive rows over the first dim - j coordinates;
+    returns the stages, or None once the system is infeasible: a zero row
+    reads 0 > 0, and eliminating the first coordinate leaves one for each
+    pair of rows of opposite sign.
+    """
+    stages = []
+    for var in range(dim - 1, -1, -1):
+        system = list(dict.fromkeys(_primitive(r) for r in rows))
+        if any(not any(r) for r in system):
             return None
         stages.append(system)
-    # one variable left: rows are (c,) with c != 0; need a sign choice,
-    # which always exists unless both signs appear
-    last = stages[-1]
-    if any(r[0] > 0 for r in last) and any(r[0] < 0 for r in last):
-        return None
-    return stages
+        neg = [q for q in system if q[var] < 0]
+        rows = [r[:var] for r in system if r[var] == 0]
+        rows += [tuple(p[var] * q[j] - q[var] * p[j] for j in range(var))
+                 for p in system if p[var] > 0 for q in neg]
+    return None if rows else stages
 
 
-def _fm_feasible(rows, dim) -> bool:
-    return _fm_stages(rows, dim) is not None
-
-
-def _fm_witness(rows, dim):
-    """An exact rational interior point of {r . x > 0}, or None."""
-    stages = _fm_stages(rows, dim)
-    if stages is None:
-        return None
+def _fm_witness(stages):
+    """An exact rational point of a feasible system, by back-substitution
+    through its stages: each coordinate in turn takes the midpoint of its
+    open interval, one step past its only bound, or 0. None unless the
+    point is strictly positive on every row of the system."""
     point = []
-    for var in range(dim):
-        system = stages[dim - 1 - var]
-        lower, upper = None, None
+    for system in reversed(stages):
+        var = len(point)
+        lower = upper = None
         for r in system:
-            c = Fraction(r[var])
-            rest = -sum(Fraction(r[j]) * point[j] for j in range(var))
-            if c > 0:
-                bound = rest / c
+            if r[var] == 0:
+                continue
+            bound = Fraction(-sum(c * x for c, x in zip(r, point))) / r[var]
+            if r[var] > 0:
                 lower = bound if lower is None else max(lower, bound)
-            elif c < 0:
-                bound = rest / c
+            else:
                 upper = bound if upper is None else min(upper, bound)
-            elif rest >= 0:
-                return None  # constraint reads 0 > nonnegative
-        if lower is None and upper is None:
-            point.append(Fraction(0))
+        if lower is None:
+            point.append(Fraction(0) if upper is None else upper - 1)
         elif upper is None:
             point.append(lower + 1)
-        elif lower is None:
-            point.append(upper - 1)
         else:
-            if lower >= upper:
-                return None
             point.append((lower + upper) / 2)
+    if any(sum(c * x for c, x in zip(r, point)) <= 0 for r in stages[0]):
+        return None
     return tuple(point)
 
 
@@ -241,20 +192,22 @@ class DominantHalf:
         self.ws = ws
         self.witness = witness
         rs = ws.rs
+        geom = rs.key_geometry()
+        scale = lcm(*(c.denominator for c in witness.coords))
+        # (key, row) is a positive multiple of (weight, witness)
+        row = geom._matvec(tuple(int(c * scale) for c in witness.coords))
         self.half = []
         for k, m in sorted(ws.nonzero.items()):
-            mu = key_weight(rs, k)
-            value = rs.inner(witness, mu)
+            value = sum(a * b for a, b in zip(k, row))
             if value == 0:
                 raise InvalidDescriptor("witness lies on a weight hyperplane")
             if value > 0:
-                self.half.append((mu, m))
+                self.half.append((key_weight(rs, k), m))
         # witness must certify a genuine half and lie in the open chamber
         if 2 * sum(m for _, m in self.half) != sum(ws.nonzero.values()):
             raise InvalidDescriptor("witness does not split the weights in half")
-        for a in rs.simple_roots:
-            if rs.inner(witness, a) <= 0:
-                raise InvalidDescriptor("witness is not strictly dominant")
+        if any(sum(a * b for a, b in zip(k, row)) <= 0 for k in geom.simple_keys):
+            raise InvalidDescriptor("witness is not strictly dominant")
 
     def extreme_weight(self) -> Weight:
         total = Weight((0,) * self.ws.rs.space_dim)
@@ -266,58 +219,48 @@ class DominantHalf:
 def enumerate_dominant_halves(ws: WeightSystem,
                               hyperplane_budget: int = DEFAULT_HYPERPLANE_BUDGET):
     """One DominantHalf per open chamber of C° minus the weight hyperplanes."""
-    rs = ws.rs
-    dim = rs.space_dim
-    directions = {}
+    geom = ws.rs.key_geometry()
+    dim = ws.rs.space_dim
+    directions = set()
     for k in ws.nonzero:
-        if all(x == 0 for x in k):
+        if not any(k):
             raise InvalidDescriptor("degenerate zero weight in the nonzero set")
-        g = 0
-        for x in k:
-            g = gcd(g, x)
-        prim = tuple(x // g for x in k)
-        if prim < tuple(-x for x in prim):
-            prim = tuple(-x for x in prim)
-        directions[prim] = True
-    directions = sorted(directions)
+        prim = _primitive(k)
+        directions.add(max(prim, tuple(-x for x in prim)))
     if len(directions) > hyperplane_budget:
         raise BudgetExceeded(
             f"{len(directions)} weight hyperplanes exceed the budget"
             f" {hyperplane_budget}", required=len(directions),
             budget=hyperplane_budget)
-    # row r encodes the functional x -> (x, v) on plain coordinates
-    def functional(v: Weight):
-        from .linalg import matvec
-        return tuple(matvec(rs.form, v.coords))
-
-    base = [functional(a) for a in rs.simple_roots]
-    hyper = [functional(key_weight(rs, k)) for k in directions]
+    # the row of v is x -> (x, v) on plain coordinates, up to a positive factor
+    hyper = [geom._matvec(k) for k in sorted(directions)]
     halves = []
 
-    def rec(i, constraints):
-        if not _fm_feasible(constraints, dim):
+    def rec(i, rows):
+        stages = _fm_stages(rows, dim)
+        if stages is None:
             return
-        if i == len(hyper):
-            witness = _fm_witness(constraints, dim)
-            if witness is None:
-                raise InvalidDescriptor("feasible region lost its witness")
-            halves.append(DominantHalf(ws, Weight(witness)))
+        if i < len(hyper):
+            rec(i + 1, rows + [hyper[i]])
+            rec(i + 1, rows + [tuple(-x for x in hyper[i])])
             return
-        row = hyper[i]
-        rec(i + 1, constraints + [row])
-        rec(i + 1, constraints + [tuple(-x for x in row)])
+        witness = _fm_witness(stages)
+        if witness is None:
+            raise InvalidDescriptor("feasible region lost its witness")
+        halves.append(DominantHalf(ws, Weight(witness)))
 
-    rec(0, list(base))
+    rec(0, list(geom.simple_w))
     halves.sort(key=lambda h: h.witness.coords)
     return halves
 
 
-def extreme_weights(ws: WeightSystem, check_coefficients: bool = True,
+def extreme_weights(ws: WeightSystem, spin0: Character = None,
                     hyperplane_budget: int = DEFAULT_HYPERPLANE_BUDGET):
     """The extreme weights: half-sums over all dominant halves, made unique.
 
     Each is a highest weight of the reduced Spin, occurring there with
-    coefficient exactly 1 (checked unless disabled).
+    coefficient exactly 1; this is checked against ``spin0``, the reduced
+    Spin character, computed at the default term budget when not given.
     """
     halves = enumerate_dominant_halves(ws, hyperplane_budget)
     seen = {}
@@ -325,13 +268,13 @@ def extreme_weights(ws: WeightSystem, check_coefficients: bool = True,
         lam = h.extreme_weight()
         seen[lam.coords] = lam
     out = [seen[c] for c in sorted(seen)]
-    if check_coefficients:
+    if spin0 is None:
         spin0 = spin0_character(ws)
-        for lam in out:
-            if spin0.coefficient(lam) != 1:
-                raise InvalidDescriptor(
-                    f"extreme weight {lam} has Spin0 coefficient"
-                    f" {spin0.coefficient(lam)}, expected 1")
+    for lam in out:
+        if spin0.coefficient(lam) != 1:
+            raise InvalidDescriptor(
+                f"extreme weight {lam} has Spin0 coefficient"
+                f" {spin0.coefficient(lam)}, expected 1")
     return out
 
 
@@ -355,7 +298,7 @@ def is_decomposably_generated(ws: WeightSystem, budget: int = DEFAULT_WEYL_BUDGE
     dec = decompose(spin0, ws.rs, budget)
     if not dec.is_multiplicity_free():
         return False
-    extremes = {w.coords for w in extreme_weights(ws, check_coefficients=False)}
+    extremes = {w.coords for w in extreme_weights(ws, spin0)}
     heads = {w.coords for w, _ in dec}
     return heads == extremes
 
@@ -391,30 +334,15 @@ def weights_up_to_height(rank: int, height_bound: int):
 
 
 def _on_root_line(rs: RootSystem, w: Weight) -> bool:
+    """Whether w is 0 or W-conjugate to a positive multiple of a root, i.e.
+    its dominant representative lies on the ray of a positive root (which
+    is then dominant too)."""
     if w.is_zero():
         return True
-    dom = rs.dominant_representative(w)
-    for root in rs.positive_roots:
-        if not rs.is_dominant(root):
-            continue
-        # dom proportional to the dominant root?
-        ratio = None
-        ok = True
-        for a, b in zip(dom.coords, root.coords):
-            if b == 0:
-                if a != 0:
-                    ok = False
-                    break
-            else:
-                r = a / b
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
-                    ok = False
-                    break
-        if ok and ratio is not None and ratio > 0:
-            return True
-    return False
+    dom = rs.dominant_representative(w).coords
+    scale = lcm(*(c.denominator for c in dom))
+    line = _primitive(tuple(int(c * scale) for c in dom))
+    return line in map(_primitive, rs.key_geometry().positive_keys)
 
 
 def classify_candidate(rs: RootSystem, lam: Weight,

@@ -18,6 +18,7 @@ from .charring import (
     DEFAULT_TERM_BUDGET,
     Character,
     WeightSystem,
+    _newton_exterior_powers,
     decompose,
     exterior_powers,
     freudenthal_weights,
@@ -669,12 +670,17 @@ def suite_classify(weyl_budget=DEFAULT_WEYL_BUDGET,
         found = classify_coprimary(rank_bound, height_bound,
                                    weyl_budget, term_budget)
         got = {(r["type"], tuple(r["weight"])) for r in found if r["coprimary"]}
-        missing = CLASSIFY_EXPECTED_3_6 - got
+        # a module the budget refused is neither missing nor found
+        skipped = {(r["type"], tuple(r["weight"])) for r in found
+                   if r["filter"] == "budget-skipped"}
+        missing = CLASSIFY_EXPECTED_3_6 - got - skipped
         extra = got - CLASSIFY_EXPECTED_3_6
         _expect(not missing and not extra,
                 f"sweep mismatch: missing {missing}, extra {extra}")
-        skipped = [r for r in found if r["filter"] == "budget-skipped"]
-        return f"{len(got)} co-primary modules, {len(skipped)} skipped"
+        detail = f"{len(got)} co-primary modules, {len(skipped)} skipped"
+        if skipped:
+            raise BudgetExceeded(detail)
+        return detail
     records.append(_run(f"classify:rank<={rank_bound}:height<={height_bound}", chk))
     return records
 
@@ -735,10 +741,10 @@ def suite_properties(weyl_budget=DEFAULT_WEYL_BUDGET,
         for kind, which in [("adjoint", "A1"), ("adjoint", "B2"),
                             ("theta_s", "C2"), ("theta_s", "G2"), ("R", 4)]:
             rs, ws = _property_module(kind, which)
-            powers = exterior_powers(ws, term_budget=term_budget)
+            powers = _newton_exterior_powers(ws, term_budget=term_budget)
             total = sum(p.dimension() for p in powers)
             _expect(total == 2 ** ws.dimension(), f"{kind} {which}: {total}")
-            prod = exterior_powers(ws, method="product", term_budget=term_budget)
+            prod = exterior_powers(ws, term_budget=term_budget)
             _expect(all(a.terms == b.terms for a, b in zip(powers, prod)),
                     "recursion and product expansions disagree")
         return "dimension sums equal 2^dim V; both routes agree"

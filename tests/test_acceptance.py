@@ -33,13 +33,18 @@ def _timed(fn, *args):
     return out, time.time() - start
 
 
-_TABLE1 = {}
+_SUITE_RECORDS = {}
+
+
+def _suite_records(suite):
+    """Run a suite once for all the tests that split its records."""
+    if suite not in _SUITE_RECORDS:
+        _SUITE_RECORDS[suite] = suite()
+    return _SUITE_RECORDS[suite]
 
 
 def _table1_records():
-    if "records" not in _TABLE1:
-        _TABLE1["records"] = verify.suite_table1()
-    return _TABLE1["records"]
+    return _suite_records(verify.suite_table1)
 
 
 def test_acceptance_01_table_rows_small():
@@ -65,13 +70,13 @@ def test_acceptance_03_rank_one_spin_series():
 
 
 def test_acceptance_04_little_adjoint():
-    records, _ = _timed(verify.suite_little_adjoint)
+    records = _suite_records(verify.suite_little_adjoint)
     main = [r for r in records if not r["id"].startswith("little-adjoint:cartan")]
     _report(4, "little adjoint: Spin0 = V_rho_s, dual route, G2 control", main)
 
 
 def test_acceptance_05_cartan_square_series():
-    records, _ = _timed(verify.suite_little_adjoint)
+    records = _suite_records(verify.suite_little_adjoint)
     squares = [r for r in records if r["id"].startswith("little-adjoint:cartan")]
     assert len(squares) == 3
     _report(5, "odd orthogonal Cartan squares: Spin0 = V_(rho+2w_n)", squares)

@@ -67,6 +67,13 @@ def test_verify_skips_are_not_failures(capsys):
     assert "SKIP" in out
 
 
+def test_classify_suite_budget_refusals_are_skips(capsys):
+    code, out = run_cli(capsys, "verify", "--suite", "classify",
+                        "--weyl-budget", "10")
+    assert code == 0
+    assert "SKIP  classify:rank<=3:height<=6 :: 9 co-primary modules, 10 skipped" in out
+
+
 def test_classify_rank_one(capsys):
     code, out = run_cli(capsys, "classify", "--rank-bound", "1",
                         "--height-bound", "8")

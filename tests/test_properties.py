@@ -1,7 +1,8 @@
 """Property tests: the folding and dominant-only routes against the
 division-based Weyl character formula, on random dominant weights; the
 integer Weyl layer against products of reflection matrices; Spin0 against
-the choice of half."""
+the choice of half; extreme weights and chamber witnesses against the
+decomposed Spin0 and Fraction pairings."""
 
 from fractions import Fraction
 
@@ -15,7 +16,9 @@ from spinchar import (
     Weight,
     build_root_system,
     decompose,
+    enumerate_dominant_halves,
     enumerate_weyl,
+    extreme_weights,
     factorize,
     freudenthal_weights,
     frobenius_schur,
@@ -24,6 +27,7 @@ from spinchar import (
     minimal_coset_reps,
     outer_grading,
     spin0_character,
+    weyl_dimension,
 )
 from spinchar.charring import _order_key, key_weight
 from spinchar.linalg import inverse
@@ -242,3 +246,21 @@ def test_spin0_does_not_depend_on_the_half(data):
     assert spin0_character(ws, half=flipped) == spin0_character(ws)
     with pytest.raises(InvalidDescriptor):
         spin0_character(ws, half=flipped[1:])
+
+
+# ---------------------------------------------------------------------------
+# extreme weights and the witnesses of their halves
+
+
+@PROPERTY
+@given(dominant_weights())
+def test_extreme_weights_are_simple_spin0_heads(case):
+    rs, lam = case
+    assume(weyl_dimension(rs, lam) <= 30)
+    assume(frobenius_schur(rs, lam) == 1)
+    ws = freudenthal_weights(rs, lam)
+    heads = dict(decompose(spin0_character(ws), rs).summands)
+    assert all(heads.get(x) == 1 for x in extreme_weights(ws))
+    for h in enumerate_dominant_halves(ws):
+        assert all(rs.pairing(h.witness, a) > 0 for a in rs.simple_roots)
+        assert all(rs.inner(h.witness, mu) > 0 for mu, _ in h.half)

@@ -82,6 +82,20 @@ def test_casimir_suite_honours_term_budget():
     assert all("budget" in r["detail"] for r in records)
 
 
+def test_classify_suite_skips_the_candidates_the_budget_refuses(monkeypatch):
+    # |W(A3)| = 24 and |W(G2)| = 12 exceed the budget: those candidates
+    # are neither missing nor found, and the record says how many
+    records = verify.suite_classify(weyl_budget=10)
+    assert [r["status"] for r in records] == ["skip"]
+    assert records[0]["detail"] == "9 co-primary modules, 10 skipped"
+    # a mismatch among the decided candidates still fails
+    monkeypatch.setattr(verify, "CLASSIFY_EXPECTED_3_6",
+                        verify.CLASSIFY_EXPECTED_3_6 | {("A1", ("6",))})
+    records = verify.suite_classify(weyl_budget=10)
+    assert records[0]["status"] == "fail"
+    assert "missing {('A1', ('6',))}" in records[0]["detail"]
+
+
 # each shared name has one home; a copy elsewhere fails here
 OWNERS = {
     "DEFAULT_WEYL_BUDGET": "weyl.py",

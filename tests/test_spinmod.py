@@ -4,6 +4,7 @@ from fractions import Fraction
 from spinchar import (
     BudgetExceeded,
     Character,
+    DominantHalf,
     InvalidDescriptor,
     NotSelfDual,
     Weight,
@@ -161,6 +162,26 @@ def test_f4_so9_extreme_weights():
         (3 * h, h, h, h),
     }
     assert {w.coords for w in ext} == expected
+
+
+def test_witness_on_a_hyperplane_is_refused():
+    rs = build_root_system("B2")
+    with pytest.raises(InvalidDescriptor, match="on a weight hyperplane"):
+        DominantHalf(WeightSystem.adjoint(rs), Weight((1, 0)))
+
+
+def test_witness_outside_the_dominant_chamber_is_refused():
+    rs = build_root_system("B2")
+    witness = Weight((Fraction(1, 2), Fraction(3, 2)))
+    with pytest.raises(InvalidDescriptor, match="not strictly dominant"):
+        DominantHalf(WeightSystem.adjoint(rs), witness)
+
+
+def test_witness_that_does_not_halve_the_weights_is_refused():
+    rs = build_root_system("A2")
+    positives = WeightSystem(rs, [(r, 1) for r in rs.positive_roots], 0)
+    with pytest.raises(InvalidDescriptor, match="split the weights in half"):
+        DominantHalf(positives, rs.rho)
 
 
 def test_hyperplane_budget_refusal():
