@@ -9,19 +9,20 @@ division that fails to be exact raises instead of rounding.
 
 Decomposition folds a W-invariant character by the dot action
 (Racah-Speiser) and Freudenthal's recursion visits dominant weights only,
-so neither enumerates W. The division-based Weyl character formula
-(``irreducible_character``, ``exact_divide``) is the independent oracle
+so neither enumerates W. ``exact_divide`` divides by root binomials
+e^{a/2} - e^{-a/2} along a-strings, exact only when each string's running
+sum ends at zero; the Weyl character formula built on it is the oracle
 the tests and verification suites compare them against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import BudgetExceeded, InvalidDescriptor, NonModuleCharacter
-from .linalg import lcm_denoms, matvec, scale_to_int
-from .rootsys import RootSystem, Weight
+from .linalg import scale_to_int
+from .rootsys import HALF, RootSystem, Weight
 from .weyl import DEFAULT_WEYL_BUDGET, WeylElement, enumerate_weyl
 
 DEFAULT_TERM_BUDGET = 5 * 10**6
@@ -161,124 +162,131 @@ class Character:
 # Weyl machinery
 
 
+def alternating_sum(rs: RootSystem, x: Weight, budget: int = DEFAULT_WEYL_BUDGET,
+                    sign=None) -> Character:
+    """sum over W of sign(w) e^{w x}, one walk over the enumerated group;
+    ``sign`` defaults to det w (the twisted identity passes tau)."""
+    key, on_rho = weight_key(rs, x), x == rs.rho  # w.key is w(rho)
+    terms = {}
+    for w in enumerate_weyl(rs, budget):
+        k = w.key if on_rho else w.act_key(key)
+        terms[k] = terms.get(k, 0) + (w.sign if sign is None else sign(w))
+    return Character(rs, terms)
+
+
 def weyl_denominator(rs: RootSystem, budget: int = DEFAULT_WEYL_BUDGET) -> Character:
-    """The alternating sum over W of e^{w rho} (cached per system)."""
-    if rs._denominator_cache is None:
-        group = enumerate_weyl(rs, budget)
-        terms = {}
-        for w in group:
-            terms[w.key] = terms.get(w.key, 0) + w.sign
-        rs._denominator_cache = Character(rs, terms)
-    return rs._denominator_cache
+    """The alternating sum over W of e^{w rho}."""
+    return alternating_sum(rs, rs.rho, budget)
+
+
+def _binomial_product(ambient: RootSystem, weights_with_mult, sign: int,
+                      term_budget: int) -> Character:
+    """prod (e^{mu/2} + sign e^{-mu/2})^{m(mu)}, one factor at a time."""
+    terms = {(0,) * ambient.space_dim: 1}
+    for mu, m in weights_with_mult:
+        half = weight_key(ambient, HALF * mu)
+        for _ in range(m):
+            out = {}
+            for k, v in terms.items():
+                up = tuple(x + y for x, y in zip(k, half))
+                down = tuple(x - y for x, y in zip(k, half))
+                out[up] = out.get(up, 0) + v
+                out[down] = out.get(down, 0) + sign * v
+            if sign < 0:
+                out = {k: v for k, v in out.items() if v}
+            if len(out) > term_budget:
+                raise BudgetExceeded(
+                    f"product support {len(out)} exceeds the term budget {term_budget}",
+                    required=len(out), budget=term_budget)
+            terms = out
+    return Character(ambient, terms)
 
 
 def skew_product(rs: RootSystem, roots, ambient: RootSystem = None,
                  term_budget: int = DEFAULT_TERM_BUDGET) -> Character:
     """Expand prod (e^{a/2} - e^{-a/2}) over the given roots."""
-    ambient = ambient or rs
-    out = Character.one(ambient)
-    for a in roots:
-        half = Fraction(1, 2) * a
-        factor = Character.from_weights(ambient, [(half, 1), (-half, -1)])
-        out = out.__mul__(factor, term_budget)
-    return out
+    return _binomial_product(ambient or rs, [(a, 1) for a in roots], -1, term_budget)
 
 
 def plus_product(rs: RootSystem, weights_with_mult, ambient: RootSystem = None,
                  term_budget: int = DEFAULT_TERM_BUDGET) -> Character:
     """Expand prod (e^{mu/2} + e^{-mu/2})^{m(mu)}."""
-    ambient = ambient or rs
-    out = Character.one(ambient)
-    for mu, m in weights_with_mult:
-        half = Fraction(1, 2) * mu
-        factor = Character.from_weights(ambient, [(half, 1), (-half, 1)])
-        for _ in range(m):
-            out = out.__mul__(factor, term_budget)
-    return out
+    return _binomial_product(ambient or rs, weights_with_mult, 1, term_budget)
 
 
-def _order_key(rs: RootSystem):
-    """Total order on keys: inner product with rho first, then lex."""
-    fr = matvec(rs.form, rs.rho.coords)
-    q = lcm_denoms([fr])
-    fri = tuple(int(x * q) for x in fr)
+def exact_divide(num: Character, roots, rs: RootSystem,
+                 term_budget: int = DEFAULT_TERM_BUDGET) -> Character:
+    """Exact division of num by prod (e^{a/2} - e^{-a/2}) over the given
+    roots of rs, one root binomial at a time.
 
-    def key(k):
-        return (sum(a * b for a, b in zip(fri, k)), k)
-
-    return key
-
-
-def exact_divide(num: Character, den: Character, order_rs: RootSystem) -> Character:
-    """Exact division in the group algebra by leading-term elimination.
-
-    The term order is (inner product with order_rs.rho, lex); a nonzero
-    remainder means the input was not divisible and raises. A lazy max-heap
-    tracks the leading term of the shrinking remainder.
+    The keys of the dividend p fall into a-strings k + Z a. The quotient q
+    by one binomial satisfies q(nu) = p(nu + a/2) + q(nu + a): a running
+    sum from the top of each string, moved down by a/2. The division is
+    exact if and only if every running sum is back at zero at the bottom
+    of its string; otherwise NonModuleCharacter names the root. Roots go
+    in descending height (a, rho), which keeps the intermediate supports
+    small; one above the term budget raises BudgetExceeded.
     """
-    import heapq
-
-    okey = _order_key(order_rs)
-    if not den.terms:
-        raise ZeroDivisionError("division by the zero character")
-    if not num.terms:
-        return Character(num.rs, {})
-    den_lead = max(den.terms, key=okey)
-    den_lead_coeff = den.terms[den_lead]
-    rem = dict(num.terms)
-    quot = {}
-    den_items = list(den.terms.items())
-    # in a group algebra the minimal terms of an exact product multiply,
-    # so every quotient shift stays at or above this floor
-    floor = (min(okey(k)[0] for k in num.terms)
-             - min(okey(k)[0] for k in den.terms))
-
-    def heap_entry(k):
-        h, _ = okey(k)
-        return (-h, tuple(-x for x in k), k)
-
-    heap = [heap_entry(k) for k in rem]
-    heapq.heapify(heap)
-    while heap:
-        _, _, lead = heapq.heappop(heap)
-        c = rem.get(lead, 0)
-        if not c:
-            continue
-        if c % den_lead_coeff:
-            raise NonModuleCharacter("division is not exact (coefficient)")
-        q = c // den_lead_coeff
-        shift = tuple(a - b for a, b in zip(lead, den_lead))
-        if okey(shift)[0] < floor:
-            raise NonModuleCharacter("division is not exact (support floor)")
-        quot[shift] = quot.get(shift, 0) + q
-        for k, v in den_items:
-            kk = tuple(a + b for a, b in zip(shift, k))
-            old = rem.get(kk, 0)
-            nv = old - q * v
-            if nv:
-                if not old:
-                    heapq.heappush(heap, heap_entry(kk))
-                rem[kk] = nv
-            else:
-                rem.pop(kk, None)
-    if any(rem.values()):
-        raise NonModuleCharacter("division left a nonzero remainder")
-    return Character(num.rs, quot)
+    roots = sorted(roots, key=lambda r: rs.inner(r, rs.rho), reverse=True)
+    steps = [(weight_key(num.rs, a), weight_key(num.rs, HALF * a)) for a in roots]
+    # Keys are packed into integers, one offset field per coordinate, so a
+    # move is one addition. No key met leaves [-bound, bound], and the
+    # fields fit the difference of two keys less a multiple of a root.
+    bound = max((abs(x) for k in num.terms for x in k), default=0)
+    bound += sum(abs(x) for _, half in steps for x in half)
+    bits = 2 * bound.bit_length() + 4
+    off, mask = 1 << (bits - 1), (1 << bits) - 1
+    pack = lambda key, o=0: sum((x + o) << (bits * t) for t, x in enumerate(key))
+    terms = {pack(k, off): c for k, c in num.terms.items()}
+    for root, (a_key, half_key) in zip(roots, steps):
+        i = next(t for t, x in enumerate(a_key) if x)
+        ai, shift, a, half = a_key[i], bits * i, pack(a_key), pack(half_key)
+        strings = {}  # per string, its place j = k_i // a_i -> coefficient
+        for k, c in terms.items():
+            j = (((k >> shift) & mask) - off) // ai
+            strings.setdefault(k - j * a - half, {})[j] = c
+        terms = {}
+        for base, col in strings.items():
+            lo, running = min(col), 0
+            for j in range(max(col), lo, -1):
+                running += col.get(j, 0)
+                if running:
+                    terms[base + j * a] = running
+            if running + col[lo]:
+                raise NonModuleCharacter(
+                    f"division by the binomial of the root {root} is not exact")
+        if len(terms) > term_budget:
+            raise BudgetExceeded(
+                f"division support {len(terms)} exceeds the term budget {term_budget}",
+                required=len(terms), budget=term_budget)
+    dim = num.rs.space_dim
+    return Character(num.rs, {
+        tuple(((k >> (bits * t)) & mask) - off for t in range(dim)): c
+        for k, c in terms.items()})
 
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
-    """Dimension of the irreducible with highest weight lam (exact product)."""
-    num = Fraction(1)
-    for a in rs.positive_roots:
-        num *= rs.inner(lam + rs.rho, a) / rs.inner(rs.rho, a)
-    if num.denominator != 1:
+    """Dimension of the irreducible with highest weight lam: the product of
+    (lam + rho, a) / (rho, a) over the positive roots, as one integer
+    product of key pairings and one exact division."""
+    geom = rs.key_geometry()
+    scale = lcm(rs.denom, *(c.denominator for c in lam.coords))
+    m = scale // rs.denom
+    shifted = [c.numerator * (scale // c.denominator) + m * r
+               for c, r in zip(lam.coords, geom.rho_key)]
+    num = 1
+    for fa in geom.positive_w:
+        num *= sum(x * y for x, y in zip(shifted, fa))
+    dim, rem = divmod(num, geom.rho_heights * m ** len(geom.positive_w))
+    if rem:
         raise InvalidDescriptor(f"Weyl dimension for {lam} not integral")
-    return int(num)
+    return dim
 
 
 def irreducible_character(rs: RootSystem, lam: Weight,
                           budget: int = DEFAULT_WEYL_BUDGET) -> Character:
-    """Weyl character formula, computed by exact division in the group algebra.
+    """Weyl character formula: the alternating sum over W of e^{w(lam + rho)},
+    divided exactly by the root binomials of the positive roots.
 
     Enumerates W; the library's own paths use ``freudenthal_weights`` and
     this stays as their independent oracle.
@@ -287,16 +295,8 @@ def irreducible_character(rs: RootSystem, lam: Weight,
         raise InvalidDescriptor(f"{lam} is not dominant")
     if not rs.is_integral(lam):
         raise InvalidDescriptor(f"{lam} is not integral")
-    if rs.rank == 0:
-        return Character.monomial(rs, lam)
-    group = enumerate_weyl(rs, budget)
-    target = weight_key(rs, lam + rs.rho)
-    terms = {}
-    for w in group:
-        k = w.act_key(target)
-        terms[k] = terms.get(k, 0) + w.sign
-    num = Character(rs, terms)
-    ch = exact_divide(num, weyl_denominator(rs, budget), rs)
+    num = alternating_sum(rs, lam + rs.rho, budget)
+    ch = exact_divide(num, rs.positive_roots, rs)
     if ch.dimension() != weyl_dimension(rs, lam):
         raise NonModuleCharacter(
             f"character of {lam} has dimension {ch.dimension()},"
@@ -445,8 +445,7 @@ def freudenthal_weights(rs: RootSystem, lam: Weight) -> WeightSystem:
     lam_k = weight_key(rs, lam)
     # per positive root: labels, form vector, scaled (alpha, alpha), key
     root_steps = []
-    for a in geom.positive_keys:
-        fa = geom._matvec(a)
+    for a, fa in zip(geom.positive_keys, geom.positive_w):
         root_steps.append((tuple(geom.labels(a)), fa, sum(x * y for x, y in zip(a, fa)), a))
 
     # dominant weights below lam, keyed by Dynkin labels
@@ -539,12 +538,10 @@ class Decomposition:
     def __init__(self, rs: RootSystem, summands):
         self.rs = rs
         self.summands = tuple(sorted(summands, key=lambda t: t[0].coords))
+        self.dimensions = tuple(weyl_dimension(rs, lam) for lam, _ in self.summands)
 
     def total_dimension(self) -> int:
-        return sum(m * weyl_dimension(self.rs, lam) for lam, m in self.summands)
-
-    def highest_weights(self):
-        return [lam for lam, _ in self.summands]
+        return sum(m * d for (_, m), d in zip(self.summands, self.dimensions))
 
     def is_multiplicity_free(self) -> bool:
         return all(m == 1 for _, m in self.summands)
@@ -554,8 +551,8 @@ class Decomposition:
             {"weight": [str(c) for c in lam.coords],
              "fw": [str(c) for c in self.rs.fw_coefficients(lam)],
              "multiplicity": m,
-             "dimension": weyl_dimension(self.rs, lam)}
-            for lam, m in self.summands
+             "dimension": d}
+            for (lam, m), d in zip(self.summands, self.dimensions)
         ]
 
     def __eq__(self, other):
@@ -767,6 +764,7 @@ def invariant_poincare(ws: WeightSystem, budget: int = DEFAULT_WEYL_BUDGET,
     i-th exterior power. When the weights sum to zero the grading is
     mirror-symmetric, so only half the degrees are expanded.
     """
+    _check_weyl_budget(ws.rs, budget)
     n = ws.dimension()
     symmetric = ws.weight_sum().is_zero()
     top = n // 2 if symmetric else n

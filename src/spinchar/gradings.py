@@ -17,18 +17,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ConsistencyError, InvalidDescriptor, NotClosed
+from .errors import ConsistencyError, InvalidDescriptor, NonModuleCharacter, NotClosed
 from .charring import (
-    Character,
     DEFAULT_TERM_BUDGET,
     WeightSystem,
+    alternating_sum,
     decompose,
+    exact_divide,
     exterior_powers,
     multiplicity_of,
     plus_product,
-    skew_product,
-    weight_key,
-    weyl_dimension,
 )
 from .rootsys import (
     HALF,
@@ -391,25 +389,27 @@ def spin_g1(grading: Z2Grading, budget: int = DEFAULT_WEYL_BUDGET,
     group = enumerate_weyl(ambient, budget)
     rho_eff = grading.rho_effective
     rho0 = grading.rho0
-    summands = []
-    seen = set()
+    lams = {}
     for rep in reps:
         inv = group.invert(rep)
         lam = inv.apply(rho_eff) - rho0
         if not grading.g0.is_dominant(lam):
             raise ConsistencyError(f"coset weight {lam} is not dominant for g0")
-        if lam.coords in seen:
+        if lam.coords in lams:
             raise ConsistencyError(f"coset weight {lam} repeats")
-        seen.add(lam.coords)
-        summands.append(SpinSummand(rep, lam, weyl_dimension(grading.g0, lam)))
+        lams[lam.coords] = (rep, lam)
     spin0 = spin0_character(grading.delta1, term_budget=term_budget)
     dec = decompose(spin0, grading.g0, budget)
-    formula = sorted(s.lam.coords for s in summands)
+    formula = sorted(lams)
     direct = sorted(lam.coords for lam, _ in dec)
     if formula != direct or not dec.is_multiplicity_free():
         raise ConsistencyError(
             f"{grading.label}: coset formula and character decomposition disagree:"
             f" {formula} vs {direct}")
+    # the routes agree, so each summand's dimension is the decomposition's
+    dims = {lam.coords: d for (lam, _), d in zip(dec.summands, dec.dimensions)}
+    summands = [SpinSummand(rep, lam, dims[coords])
+                for coords, (rep, lam) in lams.items()]
     result = SpinDecomposition(grading, summands, dec)
     expected_dim = 2 ** ((grading.delta1.dimension() - grading.delta1.zero_mult) // 2)
     if result.total_dimension() != expected_dim:
@@ -423,27 +423,23 @@ def verify_tau_identity(rs: RootSystem, sub: SubsystemDatum, delta1_plus,
                         budget: int = DEFAULT_WEYL_BUDGET,
                         term_budget: int = DEFAULT_TERM_BUDGET,
                         rho: Weight = None) -> bool:
-    """Exact two-sided expansion of the twisted denominator identity.
-
-    Left side: sum over W of tau(w) e^{w rho}. Right side: the skew product
-    over Delta0+ times the plus product over Delta1+. For partitions of a
-    restricted system, pass the restricted rho = rho0 + rho1; the default
-    is the system's own Weyl vector, which is the inner-type case.
+    """The twisted denominator identity: sum over W of tau(w) e^{w rho},
+    a full walk over W, divided exactly by the Delta0+ root binomials, must
+    equal the plus product over Delta1+ (an inexact division fails). With
+    no zero divisors in the group algebra this holds exactly when the
+    expanded identity does. For partitions of a restricted system, pass the
+    restricted rho = rho0 + rho1; the default is the system's own Weyl
+    vector, which is the inner-type case.
     """
-    rho_key = weight_key(rs, rho if rho is not None else rs.rho)
-    group = enumerate_weyl(rs, budget)
-    terms = {}
-    for w in group:
-        tau, _ = cunning_parity(rs, sub, w)
-        k = w.act_key(rho_key)
-        terms[k] = terms.get(k, 0) + tau
-    lhs = Character(rs, terms)
-    rhs = skew_product(rs, sub.delta0_plus, ambient=rs, term_budget=term_budget)
+    lhs = alternating_sum(rs, rho if rho is not None else rs.rho, budget,
+                          sign=lambda w: cunning_parity(rs, sub, w)[0])
+    try:
+        quotient = exact_divide(lhs, sub.delta0_plus, rs, term_budget)
+    except NonModuleCharacter:
+        return False
     pairs = [(w, 1) for w in delta1_plus] if delta1_plus and not isinstance(
         delta1_plus[0], tuple) else delta1_plus
-    rhs = rhs.__mul__(plus_product(rs, pairs, ambient=rs, term_budget=term_budget),
-                      term_budget)
-    return lhs == rhs
+    return quotient == plus_product(rs, pairs, ambient=rs, term_budget=term_budget)
 
 
 def casimir_check(grading: Z2Grading, spin: SpinDecomposition = None,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from .errors import InvalidDescriptor
 from .linalg import (
@@ -28,7 +28,6 @@ from .linalg import (
     lcm_denoms,
     matvec,
     scale_to_int,
-    solve,
     vadd,
     vneg,
     vscale,
@@ -262,7 +261,6 @@ class RootSystem:
         )
         self._check_invariants()
         self._weyl_cache = None
-        self._denominator_cache = None
         self._keygeom = None
 
     def key_geometry(self):
@@ -330,20 +328,23 @@ class RootSystem:
         return self._root_coords[root]
 
     def in_root_lattice(self, x: Weight) -> bool:
-        """Whether x is an integer combination of the simple roots."""
-        basis = [a.coords for a in self.simple_roots]
-        gram = tuple(tuple(self._inner_raw(a, b) for b in basis) for a in basis)
-        rhs = tuple(self._inner_raw(x.coords, a) for a in basis)
+        """Whether x is an integer combination of the simple roots: its
+        Dynkin labels p are integers, and the integer parts of its root
+        coordinates C^-T p give back x. As the simple roots are independent,
+        that fails when a coordinate is not an integer or x is off their span."""
+        geom = self.key_geometry()
         try:
-            sol = solve(gram, rhs)
+            key = scale_to_int(x.coords, self.denom)
         except ValueError:
             return False
-        if any(c.denominator != 1 for c in sol):
+        labels = geom.labels(key)
+        if labels is None:
             return False
-        recon = vzero(self.space_dim)
-        for c, a in zip(sol, basis):
-            recon = vadd(recon, vscale(c, a))
-        return recon == x.coords
+        recon = [0] * self.space_dim
+        for row, a in zip(geom.lattice_rows, geom.simple_keys):
+            c = sum(r * p for r, p in zip(row, labels)) // geom.lattice_denom
+            recon = [y + c * z for y, z in zip(recon, a)]
+        return tuple(recon) == key
 
     # -- derived structure ---------------------------------------------------
 
@@ -520,6 +521,16 @@ class KeyGeometry:
         self.simple_n = tuple(
             sum(a * b for a, b in zip(k, w))
             for k, w in zip(self.simple_keys, self.simple_w))
+        # (key, alpha) = dot(key, positive_w[j]) for the j-th positive root
+        self.positive_w = tuple(self._matvec(k) for k in self.positive_keys)
+        self.rho_heights = prod(sum(a * b for a, b in zip(self.rho_key, w))
+                                for w in self.positive_w)
+        # labels p are those of sum_i c_i alpha_i for c = C^-T p; lattice_rows
+        # is lattice_denom C^-T, cleared of denominators
+        inv = inverse(tuple(tuple(frac(x) for x in row) for row in rs.cartan_matrix))
+        self.lattice_denom = lcm_denoms(inv)
+        self.lattice_rows = tuple(zip(*(tuple(int(x * self.lattice_denom) for x in row)
+                                        for row in inv)))
 
     def _matvec(self, key):
         return tuple(sum(r * k for r, k in zip(row, key)) for row in self.form_int)

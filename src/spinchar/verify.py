@@ -18,15 +18,16 @@ from .charring import (
     DEFAULT_TERM_BUDGET,
     Character,
     WeightSystem,
+    _check_weyl_budget,
     _newton_exterior_powers,
+    alternating_sum,
     decompose,
+    exact_divide,
     exterior_powers,
     freudenthal_weights,
     invariant_poincare,
     irreducible_character,
     plus_product,
-    weight_key,
-    weyl_denominator,
     weyl_dimension,
 )
 from .gradings import (
@@ -191,19 +192,12 @@ def suite_table1(weyl_budget=DEFAULT_WEYL_BUDGET, term_budget=DEFAULT_TERM_BUDGE
 
 
 def _f4_row(weyl_budget, term_budget):
-    """The 26-dimensional row: direct Poincare computation, with the
-    squared-character identity as the documented fallback path."""
+    """The 26-dimensional row, by the direct Poincare computation."""
     rs = build_root_system("F4")
-    se = special_elements(rs)
-    ws = freudenthal_weights(rs, se.theta_s)
-    try:
-        gp = invariant_poincare(ws, weyl_budget, term_budget)
-        _expect(gp.factored() == [9, 17], f"F4 row gave {gp}")
-        return f"{gp} [direct path]"
-    except BudgetExceeded:
-        # exterior algebra = 2^{m(0)} (ch Spin0)^2, checked term by term
-        spin_character(ws, verify=True, term_budget=term_budget)
-        return "exterior algebra = 4 (ch V_{w1+w2})^2 [factored fallback path]"
+    ws = freudenthal_weights(rs, special_elements(rs).theta_s)
+    gp = invariant_poincare(ws, weyl_budget, term_budget)
+    _expect(gp.factored() == [9, 17], f"F4 row gave {gp}")
+    return f"{gp} [direct path]"
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +258,10 @@ def _dual_route_check(desc, weyl_budget, term_budget):
     se = special_elements(rs)
     dual, _ = dual_root_system(rs)
     _expect(dual.rho == rs.rho + se.rho_s, "dual rho != rho + rho_s")
-    group = enumerate_weyl(rs, weyl_budget)
-    dual_rho = weight_key(rs, dual.rho)
-    terms = {}
-    for w in group:
-        k = w.act_key(dual_rho)
-        terms[k] = terms.get(k, 0) + w.sign
-    lhs = Character(rs, terms)
+    lhs = alternating_sum(rs, dual.rho, weyl_budget)
     spin0 = plus_product(rs, [(r, 1) for r in rs.short_roots()], ambient=rs,
                          term_budget=term_budget)
-    _expect(lhs == weyl_denominator(rs, weyl_budget).__mul__(spin0, term_budget),
+    _expect(exact_divide(lhs, rs.positive_roots, rs, term_budget) == spin0,
             "dual denominator identity failed")
     _expect(spin0 == irreducible_character(rs, se.rho_s, weyl_budget),
             "product over short positives != ch V_{rho_s}")
@@ -412,24 +400,26 @@ def suite_inner(weyl_budget=DEFAULT_WEYL_BUDGET, term_budget=DEFAULT_TERM_BUDGET
 
 
 def suite_identity(weyl_budget=DEFAULT_WEYL_BUDGET,
-                   term_budget=DEFAULT_TERM_BUDGET,
-                   identity_weyl_cap=10**4):
+                   term_budget=DEFAULT_TERM_BUDGET):
     gradings, records = all_inner_gradings(weyl_budget)
     records = list(records)
+
+    def chk(grading):
+        d1p = [w for w, _ in grading.delta1.canonical_half()]
+        _expect(verify_tau_identity(grading.ambient, grading.sub, d1p,
+                                    weyl_budget, term_budget), "tau identity failed")
+        return f"|W| = {grading.ambient.weyl_order()} terms"
+
+    def e_chk(desc):
+        # refused from the type, before the grading is built
+        _check_weyl_budget(build_root_system(desc), weyl_budget)
+        grading = _inner_grading_cached(desc, 1, weyl_budget)
+        return f"{grading.label}: {chk(grading)}"
+
     for grading in gradings:
-        def chk(grading=grading):
-            d1p = [w for w, _ in grading.delta1.canonical_half()]
-            ok = verify_tau_identity(grading.ambient, grading.sub, d1p,
-                                     weyl_budget, term_budget)
-            _expect(ok, "tau identity failed")
-            return f"|W| = {grading.ambient.weyl_order()} terms"
-        records.append(_run(f"identity:{grading.label}", chk))
+        records.append(_run(f"identity:{grading.label}", lambda g=grading: chk(g)))
     for desc in ("E6", "E7", "E8"):
-        rs = build_root_system(desc)
-        records.append(_record(
-            f"identity:{desc}", "skip",
-            f"|W({desc})| = {rs.weyl_order()} exceeds the identity-suite cap"
-            f" {identity_weyl_cap}"))
+        records.append(_run(f"identity:{desc}", lambda d=desc: e_chk(d)))
     return records
 
 

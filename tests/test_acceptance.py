@@ -11,6 +11,7 @@ import time
 import pytest
 
 from spinchar import verify
+from spinchar.weyl import DEFAULT_WEYL_BUDGET
 
 
 def _report(n, title, records, allow_skips=False):
@@ -92,6 +93,13 @@ def test_acceptance_07_tau_identity():
     skips = [r for r in records if r["status"] == "skip"]
     assert all(r["id"].startswith("identity:E") for r in skips), \
         "only the E series may be skipped"
+    by_id = {r["id"]: r for r in records}
+    assert by_id["identity:E6"]["status"] == "pass", by_id["identity:E6"]
+    for desc, order in (("E7", 2903040), ("E8", 696729600)):
+        rec = by_id[f"identity:{desc}"]
+        assert rec["status"] == "skip"
+        assert str(order) in rec["detail"]
+        assert f"budget {DEFAULT_WEYL_BUDGET}" in rec["detail"]
     _report(7, "twisted denominator identity for every inner grading",
             records, allow_skips=True)
 

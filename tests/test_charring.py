@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from spinchar import (
@@ -15,7 +17,6 @@ from spinchar import (
     irreducible_character,
     multiplicity_of,
     special_elements,
-    weyl_denominator,
     weyl_dimension,
 )
 from spinchar.charring import _newton_exterior_powers, exact_divide
@@ -40,6 +41,9 @@ def test_b2_dimension_64():
     lam = rs.weight(1, 3)
     assert weyl_dimension(rs, lam) == 64
     assert irreducible_character(rs, lam).dimension() == 64
+    # a part orthogonal to the roots, off the key lattice, changes nothing
+    a1 = build_root_system("A1")
+    assert weyl_dimension(a1, a1.weight(2) + Weight((Fraction(1, 3),) * 2)) == 3
 
 
 def test_f4_spin_dimension_4096():
@@ -52,7 +56,7 @@ def test_division_remainder_raises():
     rs = build_root_system("B2")
     bogus = 3 * Character.one(rs)
     with pytest.raises(NonModuleCharacter):
-        exact_divide(bogus, weyl_denominator(rs), rs)
+        exact_divide(bogus, rs.positive_roots, rs)
 
 
 def test_nondominant_weight_rejected():

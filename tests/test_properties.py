@@ -1,6 +1,6 @@
 """Property tests: the folding and dominant-only routes against the
-division-based Weyl character formula, on random dominant weights; the
-integer Weyl layer against products of reflection matrices; Spin0 against
+division-based Weyl character formula, on random dominant weights; exact
+division against the skew product it inverts; the integer Weyl layer against products of reflection matrices; Spin0 against
 the choice of half; extreme weights and chamber witnesses against the
 decomposed Spin0 and Fraction pairings."""
 
@@ -14,6 +14,8 @@ from spinchar import (
     InvalidDescriptor,
     SubsystemDatum,
     Weight,
+    Character,
+    NonModuleCharacter,
     build_root_system,
     decompose,
     enumerate_dominant_halves,
@@ -26,10 +28,11 @@ from spinchar import (
     l0_of,
     minimal_coset_reps,
     outer_grading,
+    skew_product,
     spin0_character,
     weyl_dimension,
 )
-from spinchar.charring import _order_key, key_weight
+from spinchar.charring import exact_divide, key_weight
 from spinchar.linalg import inverse
 from spinchar.weyl import reflection_matrix
 
@@ -54,12 +57,18 @@ def dominant_weights(draw, height_scale=1):
 
 
 def greedy_decomposition(ch, rs):
-    """Oracle: peel off the irreducible of the highest remaining weight."""
-    okey = _order_key(rs)
+    """Oracle: peel off the irreducible of the highest remaining weight.
+
+    A weight of largest (mu, rho) has nothing above it by a positive root,
+    so it is a highest weight; ties are broken by key.
+    """
+    def height(k):
+        return rs.inner(key_weight(ch.rs, k), rs.rho), k
+
     rem = dict(ch.terms)
     out = []
     while rem:
-        lead = max(rem, key=okey)
+        lead = max(rem, key=height)
         mult = rem[lead]
         lam = key_weight(ch.rs, lead)
         assert mult > 0 and rs.is_dominant(lam)
@@ -102,6 +111,26 @@ def test_frobenius_schur_matches_division_formula(case):
     expected = sum(w.sign * doubled.coefficient(w.apply(rho) - rho)
                    for w in enumerate_weyl(rs))
     assert frobenius_schur(rs, lam) == expected
+
+
+@PROPERTY
+@given(st.data())
+def test_exact_divide_inverts_the_skew_product(data):
+    rs = build_root_system(data.draw(st.sampled_from(TYPES)))
+    picks = data.draw(st.lists(st.integers(0, len(rs.positive_roots) - 1),
+                               min_size=1, max_size=4, unique=True))
+    roots = [rs.positive_roots[i] for i in picks]
+    labels = st.lists(st.integers(-2, 2), min_size=rs.rank, max_size=rs.rank)
+    terms = data.draw(st.lists(st.tuples(labels, st.integers(-3, 3).filter(bool)),
+                               min_size=1, max_size=5))
+    c = Character.from_weights(rs, [(rs.weight(*p), m) for p, m in terms])
+    # the dividend is expanded by the product, independently of the division
+    dividend = skew_product(rs, roots) * c
+    assert exact_divide(dividend, roots, rs) == c
+    # a root binomial is not a unit, so one more monomial leaves a remainder
+    extra = data.draw(labels)
+    with pytest.raises(NonModuleCharacter):
+        exact_divide(dividend + Character.monomial(rs, rs.weight(*extra)), roots, rs)
 
 
 # ---------------------------------------------------------------------------

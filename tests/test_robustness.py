@@ -82,6 +82,14 @@ def test_casimir_suite_honours_term_budget():
     assert all("budget" in r["detail"] for r in records)
 
 
+def test_f4_table_row_skips_under_a_reduced_weyl_budget():
+    # no fallback path: the refusal is a skip naming |W(F4)| and the budget
+    records = {r["id"]: r for r in verify.suite_table1(weyl_budget=10)}
+    row = records["table1:f4:Vw1"]
+    assert row["status"] == "skip"
+    assert "1152" in row["detail"] and "budget 10" in row["detail"]
+
+
 def test_classify_suite_skips_the_candidates_the_budget_refuses(monkeypatch):
     # |W(A3)| = 24 and |W(G2)| = 12 exceed the budget: those candidates
     # are neither missing nor found, and the record says how many

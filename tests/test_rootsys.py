@@ -2,13 +2,14 @@ import pytest
 
 from spinchar import (
     InvalidDescriptor,
+    Weight,
     build_root_system,
     bourbaki_numbering,
     dual_root_system,
     parse_descriptor,
     special_elements,
 )
-from spinchar.rootsys import root_system_from_json
+from spinchar.rootsys import HALF, root_system_from_json, simple_types
 
 
 POSITIVE_COUNTS = [
@@ -181,11 +182,29 @@ def test_product_system():
     assert rs.inner(rs.simple_roots[0], rs.simple_roots[1]) == 0
 
 
+# a fundamental weight outside the root lattice of each type
+OUTSIDE_ROOT_LATTICE = {
+    "A1": (1,), "A2": (1, 0), "B2": (0, 1), "C2": (1, 0), "A3": (1, 0, 0),
+    "B3": (0, 0, 1), "C3": (1, 0, 0), "D3": (1, 0, 0), "A1xA1": (1, 0),
+}
+
+
 def test_root_lattice_membership():
     b2 = build_root_system("B2")
     assert b2.in_root_lattice(b2.weight(1, 0))       # the short root e1
     assert not b2.in_root_lattice(b2.weight(0, 1))   # the spinor weight
     assert b2.in_root_lattice(b2.weight(0, 2))
+    for desc in [f"{fam}{rank}" for fam, rank in simple_types(3)] + ["A1xA1"]:
+        rs = build_root_system(desc)
+        assert rs.in_root_lattice(2 * rs.rho), desc  # the sum of the positive roots
+        assert not rs.in_root_lattice(HALF * rs.fundamental_weights[0]), desc  # label 1/2
+        if desc == "G2":
+            # the weight lattice is the root lattice; (1, 1, 1) is off the
+            # sum-zero plane the roots span, with integral labels (0, 0)
+            assert rs.in_root_lattice(rs.weight(1, 0))
+            assert not rs.in_root_lattice(Weight((1, 1, 1)))
+        else:
+            assert not rs.in_root_lattice(rs.weight(*OUTSIDE_ROOT_LATTICE[desc])), desc
 
 
 def test_dominant_representative():
