@@ -90,15 +90,16 @@ def kac_marks(rs: RootSystem):
 
 
 def _parity_condition(rs: RootSystem, parity):
-    """Root sums must respect the Z/2 split: checked over all pairs."""
-    roots = {}
+    """Root sums must respect the Z/2 split: checked over all pairs, on
+    the integer root coordinates over the simple roots."""
+    index = {}
     for r in rs.positive_roots:
-        roots[r.coords] = parity(r)
-        roots[(-r).coords] = parity(r)
-    items = list(roots.items())
-    index = dict(items)
-    for c1, p1 in items:
-        for c2, p2 in items:
+        c = rs.root_coords(r)
+        index[c] = index[tuple(-x for x in c)] = parity(r)
+    # (c1, c2) and (-c1, -c2) give opposite sums of one parity, and the
+    # positive roots sit at the even places: c1 > 0 suffices
+    for c1, p1 in list(index.items())[::2]:
+        for c2, p2 in index.items():
             s = tuple(a + b for a, b in zip(c1, c2))
             if s in index and index[s] != (p1 + p2) % 2:
                 raise InvalidDescriptor("parity condition fails on a root sum")

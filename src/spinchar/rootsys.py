@@ -7,6 +7,11 @@ Subsystems cut out of a bigger system (closed or not) reuse the ambient
 space and form, which is what makes characters of a subalgebra and of the
 full algebra directly comparable.
 
+Construction is integer: the Cartan matrix comes from the form times the
+simple roots, cleared of denominators, and the closure, simple-root
+pairings and subsystems run on integer coordinates and keys. The Fraction
+``inner`` and ``pairing`` serve arbitrary pairs and are the tests' oracle.
+
 Simple-root numbering: A, B, C, D, G2 and the E family follow the Bourbaki
 order; F4 is numbered with the short roots first (alpha1, alpha2 short,
 alpha3, alpha4 long), so that the highest root is the fourth fundamental
@@ -191,39 +196,48 @@ _TO_BOURBAKI = {
 }
 
 
-def _close_positive_roots(simples, inner):
-    """Enumerate positive roots by closure from the simple roots.
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _gram_rows(form_int, keys):
+    """The rows form_int k, with the norms k . form_int k, of integer keys."""
+    rows = tuple(tuple(_dot(r, k) for r in form_int) for k in keys)
+    return rows, tuple(_dot(k, w) for k, w in zip(keys, rows))
+
+
+def _cartan(keys, rows, norms):
+    """A_ij = <alpha_i, alpha_j~> = 2 k_i . w_j / n_j, which must be an integer."""
+    pairs = [[divmod(2 * _dot(k, w), n) for w, n in zip(rows, norms)] for k in keys]
+    if any(r for row in pairs for _, r in row):
+        raise InvalidDescriptor("simple roots with a non-integral Cartan pairing")
+    return tuple(tuple(a for a, _ in row) for row in pairs)
+
+
+def _close_positive_roots(cartan):
+    """Positive roots as integer coordinates over the simple roots, by closure.
 
     beta + alpha_i is a root iff the alpha_i-string through beta does not
     stop, i.e. p - <beta, alpha_i~> > 0 where p is the largest k with
-    beta - k alpha_i already enumerated.
+    beta - k alpha_i already enumerated and <beta, alpha_i~> = sum_j c_j A_ji.
     """
-    def pairing(x, a):
-        return 2 * inner(x, a) / inner(a, a)
-
-    known = {s: [0] * len(simples) for i, s in enumerate(simples)}
-    for i, s in enumerate(simples):
-        known[s][i] = 1
-    layer = list(simples)
+    n = len(cartan)
+    layer = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    known = set(layer)
     while layer:
         new_layer = []
         for beta in layer:
-            for i, alpha in enumerate(simples):
+            for i in range(n):
                 p = 0
-                prev = vsub(beta, alpha)
-                while prev in known:
+                while beta[:i] + (beta[i] - p - 1,) + beta[i + 1:] in known:
                     p += 1
-                    prev = vsub(prev, alpha)
-                if p - pairing(beta, alpha) > 0:
-                    gamma = vadd(beta, alpha)
+                if p > sum(c * row[i] for c, row in zip(beta, cartan)):
+                    gamma = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
                     if gamma not in known:
-                        coords = list(known[beta])
-                        coords[i] += 1
-                        known[gamma] = coords
+                        known.add(gamma)
                         new_layer.append(gamma)
         layer = new_layer
-    order = sorted(known, key=lambda v: (sum(known[v]), v))
-    return order, {v: tuple(known[v]) for v in order}
+    return known
 
 
 class RootSystem:
@@ -233,7 +247,10 @@ class RootSystem:
     are Weight vectors in the ambient space, ``form`` is the exact bilinear
     form matrix, ``cartan_matrix[i][j]`` is the pairing of alpha_i with the
     coroot of alpha_j, and ``fundamental_weights`` live in the span of the
-    roots. All values are immutable after construction.
+    roots. ``simple_keys`` and ``positive_keys`` are the roots scaled by
+    ``denom`` to integers; (x, alpha_i) is x . simple_w[i] up to a positive
+    factor, and simple_n[i] = simple_keys[i] . simple_w[i]. All values are
+    immutable after construction.
     """
 
     def __init__(self, simple_roots, form, type_label=None, denom=None):
@@ -241,24 +258,38 @@ class RootSystem:
         self.space_dim = len(form)
         self.simple_roots = tuple(Weight(s) for s in simple_roots)
         self.rank = len(self.simple_roots)
+        # (x, y) = x . form_int y / form_denom
+        self.form_denom = lcm_denoms(self.form)
+        self.form_int = tuple(tuple(int(x * self.form_denom) for x in row) for row in self.form)
 
-        raw, coords = _close_positive_roots(
-            [s.coords for s in self.simple_roots], self._inner_raw)
-        self.positive_roots = tuple(Weight(v) for v in raw)
-        self._root_coords = {Weight(v): c for v, c in coords.items()}
+        d = lcm_denoms(a.coords for a in self.simple_roots)
+        keys = [scale_to_int(a.coords, d) for a in self.simple_roots]
+        rows, norms = _gram_rows(self.form_int, keys)
+        if any(n <= 0 for n in norms):
+            raise InvalidDescriptor("form is not positive on the roots")
+        self.cartan_matrix = _cartan(keys, rows, norms)
+        # fundamental weights from C^-1, whose rows KeyGeometry reuses
+        self._cartan_inv = inverse(
+            tuple(tuple(frac(x) for x in row) for row in self.cartan_matrix))
+        self.fundamental_weights = tuple(
+            _wsum([c * a for c, a in zip(row, self.simple_roots)], self.space_dim)
+            for row in self._cartan_inv)
+        # the simple roots have denominators dividing d, so the positive roots do too
+        self.denom = denom if denom is not None else 2 * lcm(
+            d, lcm_denoms(w.coords for w in self.fundamental_weights))
+        self.simple_keys = tuple(scale_to_int(a.coords, self.denom) for a in self.simple_roots)
+        self.simple_w, self.simple_n = _gram_rows(self.form_int, self.simple_keys)
 
-        self.cartan_matrix = tuple(
-            tuple(int(self.pairing(a, b)) for b in self.simple_roots)
-            for a in self.simple_roots
-        )
-        self.fundamental_weights = self._fundamental_weights()
-        self.rho = HALF * _wsum(self.positive_roots, self.space_dim)
+        coords = sorted((sum(c), tuple(_dot(c, col) for col in zip(*self.simple_keys)), c)
+                        for c in _close_positive_roots(self.cartan_matrix))
+        self.positive_keys = tuple(k for _, k, _ in coords)
+        self.positive_roots = tuple(
+            Weight(tuple(Fraction(x, self.denom) for x in k)) for k in self.positive_keys)
+        self._root_coords = {r: c for r, (_, _, c) in zip(self.positive_roots, coords)}
+        self.rho = Weight(Fraction(sum(k[t] for k in self.positive_keys), 2 * self.denom)
+                          for t in range(self.space_dim))
 
         self.type_label = tuple(type_label) if type_label else self._classify()
-        self.denom = denom if denom is not None else 2 * lcm_denoms(
-            [w.coords for w in self.fundamental_weights]
-            + [r.coords for r in self.positive_roots]
-        )
         self._check_invariants()
         self._weyl_cache = None
         self._keygeom = None
@@ -271,12 +302,8 @@ class RootSystem:
 
     # -- exact geometry ----------------------------------------------------
 
-    def _inner_raw(self, a, b):
-        fb = matvec(self.form, b)
-        return sum(x * y for x, y in zip(a, fb))
-
     def inner(self, a: Weight, b: Weight) -> Fraction:
-        return self._inner_raw(a.coords, b.coords)
+        return _dot(a.coords, matvec(self.form, b.coords))
 
     def pairing(self, x: Weight, alpha: Weight) -> Fraction:
         """<x, alpha~> = 2 (x, alpha) / (alpha, alpha)."""
@@ -286,10 +313,10 @@ class RootSystem:
         return (2 / self.inner(alpha, alpha)) * alpha
 
     def is_dominant(self, x: Weight) -> bool:
-        return all(self.pairing(x, a) >= 0 for a in self.simple_roots)
+        return all(p >= 0 for p in self.fw_coefficients(x))
 
     def is_integral(self, x: Weight) -> bool:
-        return all(self.pairing(x, a).denominator == 1 for a in self.simple_roots)
+        return all(p.denominator == 1 for p in self.fw_coefficients(x))
 
     def reflect(self, alpha: Weight, x: Weight) -> Weight:
         return x - self.pairing(x, alpha) * alpha
@@ -318,7 +345,11 @@ class RootSystem:
         return Weight(total)
 
     def fw_coefficients(self, x: Weight) -> tuple:
-        return tuple(self.pairing(x, a) for a in self.simple_roots)
+        """<x, alpha_i~> for each simple root, from the integer rows."""
+        scale = lcm(*(c.denominator for c in x.coords))
+        key = [c.numerator * (scale // c.denominator) for c in x.coords]
+        return tuple(Fraction(2 * self.denom * _dot(key, w), scale * n)
+                     for w, n in zip(self.simple_w, self.simple_n))
 
     def format_weight(self, x: Weight) -> str:
         """Render the fundamental-weight coefficients compactly."""
@@ -348,98 +379,16 @@ class RootSystem:
 
     # -- derived structure ---------------------------------------------------
 
-    def _fundamental_weights(self):
-        if self.rank == 0:
-            return ()
-        inv = inverse(tuple(tuple(frac(x) for x in row) for row in self.cartan_matrix))
-        out = []
-        for i in range(self.rank):
-            total = vzero(self.space_dim)
-            for k in range(self.rank):
-                total = vadd(total, vscale(inv[i][k], self.simple_roots[k].coords))
-            out.append(Weight(total))
-        return tuple(out)
-
     def _check_invariants(self):
-        for i, a in enumerate(self.simple_roots):
-            if self.inner(a, a) <= 0:
-                raise InvalidDescriptor("form is not positive on the roots")
-            if self.rank and self.pairing(self.rho, a) != 1:
-                raise InvalidDescriptor("rho is not the sum of the fundamental weights")
+        if self.rank and self.fw_coefficients(self.rho) != (1,) * self.rank:
+            raise InvalidDescriptor("rho is not the sum of the fundamental weights")
         for root in self.positive_roots:
             if any(c < 0 for c in self._root_coords[root]):
                 raise InvalidDescriptor("positive root with negative coordinates")
 
-    def _components(self):
-        """Connected components of the Dynkin diagram, as index lists."""
-        n = self.rank
-        adj = [[j for j in range(n) if j != i and self.cartan_matrix[i][j] != 0]
-               for i in range(n)]
-        seen, comps = set(), []
-        for i in range(n):
-            if i in seen:
-                continue
-            comp, stack = [], [i]
-            while stack:
-                k = stack.pop()
-                if k in seen:
-                    continue
-                seen.add(k)
-                comp.append(k)
-                stack.extend(adj[k])
-            comps.append(sorted(comp))
-        return comps, adj
-
     def _classify(self):
-        comps, adj = self._components()
-        label = []
-        for comp in comps:
-            label.append(self._classify_component(comp, adj))
-        return tuple(sorted(label))
-
-    def _classify_component(self, comp, adj):
-        k = len(comp)
-        norms = {i: self.inner(self.simple_roots[i], self.simple_roots[i]) for i in comp}
-        ratio = max(norms.values()) / min(norms.values())
-        degrees = {i: len([j for j in adj[i] if j in comp]) for i in comp}
-        branched = any(d >= 3 for d in degrees.values())
-        if k == 1:
-            return ("A", 1)
-        if ratio == 3:
-            return ("G", 2)
-        if ratio == 2:
-            short = min(norms.values())
-            n_short = sum(1 for i in comp if norms[i] == short)
-            if k == 4 and n_short == 2:
-                return ("F", 4)
-            if k == 2:
-                # one short, one long: B2 when the short root comes last
-                return ("B", 2) if norms[comp[-1]] == short else ("C", 2)
-            if n_short == 1:
-                return ("B", k)
-            return ("C", k)
-        if not branched:
-            return ("A", k)
-        legs = sorted(self._branch_legs(comp, adj)[1])
-        if legs[0] == 1 and legs[1] == 1:
-            return ("D", k)
-        return ("E", k)
-
-    def _branch_legs(self, comp, adj):
-        branch = next(i for i in comp if len([j for j in adj[i] if j in comp]) >= 3)
-        legs = []
-        for start in adj[branch]:
-            if start not in comp:
-                continue
-            length, prev, cur = 1, branch, start
-            while True:
-                nxt = [j for j in adj[cur] if j in comp and j != prev]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                length += 1
-            legs.append(length)
-        return branch, legs
+        comps, adj = _components(self.cartan_matrix)
+        return tuple(sorted(_classify_component(comp, adj, self.simple_n) for comp in comps))
 
     # -- distinguished elements ----------------------------------------------
 
@@ -447,9 +396,11 @@ class RootSystem:
         return len(self.type_label) == 1
 
     def highest_root(self) -> Weight:
-        cands = [r for r in self.positive_roots if self.is_dominant(r)]
-        norm = max(self.inner(r, r) for r in cands)
-        longs = [r for r in cands if self.inner(r, r) == norm]
+        """The unique dominant root of maximal norm, read off the integer rows."""
+        dominant = [(r, k) for r, k in zip(self.positive_roots, self.positive_keys)
+                    if all(_dot(k, w) >= 0 for w in self.simple_w)]
+        norms = _gram_rows(self.form_int, [k for _, k in dominant])[1]
+        longs = [r for (r, _), n in zip(dominant, norms) if n == max(norms)]
         if len(longs) != 1:
             raise InvalidDescriptor("no unique highest root; system not simple")
         return longs[0]
@@ -510,24 +461,19 @@ class KeyGeometry:
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self.denom = rs.denom
-        fq = lcm_denoms(rs.form)
-        self.form_int = tuple(tuple(int(x * fq) for x in row) for row in rs.form)
-        self.scale = fq * rs.denom * rs.denom  # (x, y) = inner_keys / scale
-        self.simple_keys = tuple(scale_to_int(a.coords, rs.denom) for a in rs.simple_roots)
-        self.positive_keys = tuple(scale_to_int(r.coords, rs.denom) for r in rs.positive_roots)
+        self.form_int = rs.form_int
+        self.scale = rs.form_denom * rs.denom * rs.denom  # (x, y) = inner_keys / scale
+        self.simple_keys, self.positive_keys = rs.simple_keys, rs.positive_keys
         self.rho_key = scale_to_int(rs.rho.coords, rs.denom)
         # pairing(x, alpha_i) = 2 dot(key, w_i) / n_i, both integers
-        self.simple_w = tuple(self._matvec(k) for k in self.simple_keys)
-        self.simple_n = tuple(
-            sum(a * b for a, b in zip(k, w))
-            for k, w in zip(self.simple_keys, self.simple_w))
+        self.simple_w, self.simple_n = rs.simple_w, rs.simple_n
         # (key, alpha) = dot(key, positive_w[j]) for the j-th positive root
         self.positive_w = tuple(self._matvec(k) for k in self.positive_keys)
         self.rho_heights = prod(sum(a * b for a, b in zip(self.rho_key, w))
                                 for w in self.positive_w)
         # labels p are those of sum_i c_i alpha_i for c = C^-T p; lattice_rows
         # is lattice_denom C^-T, cleared of denominators
-        inv = inverse(tuple(tuple(frac(x) for x in row) for row in rs.cartan_matrix))
+        inv = rs._cartan_inv
         self.lattice_denom = lcm_denoms(inv)
         self.lattice_rows = tuple(zip(*(tuple(int(x * self.lattice_denom) for x in row)
                                         for row in inv)))
@@ -619,7 +565,7 @@ def bourbaki_numbering(rs: RootSystem) -> list:
     """For each simple root, its index in Bourbaki's numbering (per factor)."""
     out = []
     offset = 0
-    comps, _ = rs._components()
+    comps, _ = _components(rs.cartan_matrix)
     for comp, (fam, r) in zip(comps, rs.type_label):
         table = _TO_BOURBAKI.get(fam, {})
         for pos, _ in enumerate(comp, start=1):
@@ -827,13 +773,74 @@ def dual_root_system(rs: RootSystem):
 # realized subsystems
 
 
-def _order_component(rs: RootSystem, comp, adj, norms):
-    """Order one Dynkin component of a realized subsystem canonically."""
+def _components(cartan):
+    """Connected components of the Dynkin diagram, as index lists."""
+    n = len(cartan)
+    adj = [[j for j in range(n) if j != i and cartan[i][j] != 0] for i in range(n)]
+    seen, comps = set(), []
+    for i in range(n):
+        if i in seen:
+            continue
+        comp, stack = [], [i]
+        while stack:
+            k = stack.pop()
+            if k in seen:
+                continue
+            seen.add(k)
+            comp.append(k)
+            stack.extend(adj[k])
+        comps.append(sorted(comp))
+    return comps, adj
+
+
+def _legs(comp, adj):
+    """The branch node of a D/E component and its legs, each walked outward."""
+    branch = next(i for i in comp if len([j for j in adj[i] if j in comp]) >= 3)
+    legs = []
+    for start in adj[branch]:
+        if start not in comp:
+            continue
+        leg, prev, cur = [start], branch, start
+        while True:
+            nxt = [j for j in adj[cur] if j in comp and j != prev]
+            if not nxt:
+                break
+            prev, cur = cur, nxt[0]
+            leg.append(cur)
+        legs.append(leg)
+    return branch, legs
+
+
+def _classify_component(comp, adj, norms):
+    """The type of one Dynkin component from the Cartan adjacency and the
+    simple-root norms (any common positive scale)."""
+    k = len(comp)
+    if k == 1:
+        return ("A", 1)
+    long, short = max(norms[i] for i in comp), min(norms[i] for i in comp)
+    if long == 3 * short:
+        return ("G", 2)
+    if long == 2 * short:
+        n_short = sum(1 for i in comp if norms[i] == short)
+        if k == 4 and n_short == 2:
+            return ("F", 4)
+        if k == 2:
+            # one short, one long: B2 when the short root comes last
+            return ("B", 2) if norms[comp[-1]] == short else ("C", 2)
+        return ("B", k) if n_short == 1 else ("C", k)
+    if not any(len([j for j in adj[i] if j in comp]) >= 3 for i in comp):
+        return ("A", k)
+    lengths = sorted(len(leg) for leg in _legs(comp, adj)[1])
+    return ("D", k) if lengths[:2] == [1, 1] else ("E", k)
+
+
+def _order_component(keys, comp, adj, norms):
+    """Order one Dynkin component of a realized subsystem canonically; ties
+    are broken by the simple roots' keys."""
     if len(comp) == 1:
         return list(comp)
     degrees = {i: len([j for j in adj[i] if j in comp]) for i in comp}
-    branch = [i for i in comp if degrees[i] >= 3]
-    if not branch:
+    if all(d < 3 for d in degrees.values()):
         ends = [i for i in comp if degrees[i] == 1]
         chains = []
         for start in ends:
@@ -843,15 +850,14 @@ def _order_component(rs: RootSystem, comp, adj, norms):
                 prev, cur = cur, nxt[0]
                 chain.append(cur)
             chains.append(chain)
-        ratio = max(norms[i] for i in comp) / min(norms[i] for i in comp)
-        short = min(norms[i] for i in comp)
+        long, short = max(norms[i] for i in comp), min(norms[i] for i in comp)
+        n_short = sum(1 for i in comp if norms[i] == short)
 
         def preference(chain):
-            key = [rs.simple_roots[i].coords for i in chain]
-            if ratio == 1:
+            key = [keys[i] for i in chain]
+            if long == short:
                 return (0, key)
-            n_short = sum(1 for i in comp if norms[i] == short)
-            if ratio == 3:                      # G2: short root first
+            if long == 3 * short:               # G2: short root first
                 return (0 if norms[chain[0]] == short else 1, key)
             if n_short == 2 and len(comp) == 4:  # F4 pattern: shorts first
                 return (0 if norms[chain[0]] == short else 1, key)
@@ -860,72 +866,59 @@ def _order_component(rs: RootSystem, comp, adj, norms):
             return (0 if norms[chain[-1]] != short else 1, key)  # C: long last
         return min(chains, key=preference)
     # branched: D/E. Walk the longest leg first, fork legs last.
-    b = branch[0]
-    legs = []
-    for start in adj[b]:
-        if start not in comp:
-            continue
-        leg, prev, cur = [start], b, start
-        while True:
-            nxt = [j for j in adj[cur] if j in comp and j != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            leg.append(cur)
-        legs.append(leg)
-    legs.sort(key=lambda leg: (-len(leg), [rs.simple_roots[i].coords for i in leg]))
-    lengths = sorted(len(l) for l in legs)
-    if lengths[:2] == [1, 1]:
+    b, legs = _legs(comp, adj)
+    legs.sort(key=lambda leg: (-len(leg), [keys[i] for i in leg]))
+    if sorted(len(leg) for leg in legs)[:2] == [1, 1]:
         # D family: long chain toward the fork, then the two short legs
-        main = legs[0]
-        ordered = list(reversed(main)) + [b]
-        tails = sorted((legs[1][0], legs[2][0]),
-                       key=lambda i: rs.simple_roots[i].coords)
-        return ordered + list(tails)
+        tails = sorted((legs[1][0], legs[2][0]), key=lambda i: keys[i])
+        return list(reversed(legs[0])) + [b] + tails
     # E family, Bourbaki style: legs of length 2, 1, and k
-    two = next(l for l in legs if len(l) == 2)
-    one = next(l for l in legs if len(l) == 1)
-    rest = next(l for l in legs if l is not two and l is not one)
+    two = next(leg for leg in legs if len(leg) == 2)
+    one = next(leg for leg in legs if len(leg) == 1)
+    rest = next(leg for leg in legs if leg is not two and leg is not one)
     return [two[1], one[0], two[0], b] + rest
 
 
 def subsystem(rs: RootSystem, positive_subset) -> RootSystem:
     """Realize a subset of positive roots (a root system in its own right,
     not necessarily closed in the ambient system) as a RootSystem sharing
-    the ambient space, form and key scaling."""
+    the ambient space, form and key scaling. The checks run on the
+    ambient integer keys."""
     pos = [w if isinstance(w, Weight) else Weight(w) for w in positive_subset]
-    pos_set = set(pos)
-    if len(pos_set) != len(pos):
+    keys = [scale_to_int(w.coords, rs.denom) for w in pos]
+    key_set = set(keys)
+    if len(key_set) != len(keys):
         raise InvalidDescriptor("duplicate roots in subsystem data")
-    full = pos_set | {-r for r in pos_set}
-    for a in pos_set:
-        for b in full:
-            img = b - rs.pairing(b, a) * a
-            if img not in full:
+    full = key_set | {tuple(-x for x in k) for k in key_set}
+    rows, norms = _gram_rows(rs.form_int, keys)
+    # s_a(-b) = -s_a(b), so reflecting the positive half suffices
+    for a, w, n, root in zip(keys, rows, norms, pos):
+        for b, other in zip(keys, pos):
+            c, r = divmod(2 * _dot(b, w), n)
+            if r or tuple(x - c * y for x, y in zip(b, a)) not in full:
                 raise InvalidDescriptor(
-                    f"subset not stable under its own reflections: s_{a}({b})")
-    simples = [
-        a for a in pos
-        if not any(a == b + c for b in pos_set for c in pos_set)
-    ]
+                    f"subset not stable under its own reflections: s_{root}({other})")
+    # S is a positive system of +-S when it is closed and misses -S (Bourbaki,
+    # Lie VI.1.7); its simple roots are then the elements that are not sums of two
+    sums = {tuple(x + y for x, y in zip(a, b)) for i, a in enumerate(keys) for b in keys[i:]}
+    if len(full) != 2 * len(keys) or (sums & full) - key_set:
+        raise InvalidDescriptor(
+            "subset is not the positive system generated by its simple roots")
+    simples = [i for i, a in enumerate(keys) if a not in sums]
     if not simples:
         return RootSystem([], rs.form, type_label=(), denom=rs.denom)
-    sub = RootSystem([a.coords for a in simples], rs.form, denom=rs.denom)
-    comps, adj = sub._components()
-    norms = {i: sub.inner(sub.simple_roots[i], sub.simple_roots[i])
-             for i in range(sub.rank)}
-    ordered = []
+    skeys = [keys[i] for i in simples]
+    snorms = [norms[i] for i in simples]
+    comps, adj = _components(_cartan(skeys, [rows[i] for i in simples], snorms))
     keyed = []
     for comp in comps:
-        order = _order_component(sub, comp, adj, norms)
-        fam_rank = sub._classify_component(comp, adj)
-        keyed.append((fam_rank, [sub.simple_roots[i].coords for i in order], order))
-    keyed.sort(key=lambda t: (t[0], t[1]))
-    for _, _, order in keyed:
-        ordered.extend(order)
-    final = RootSystem([sub.simple_roots[i].coords for i in ordered], rs.form,
-                       denom=rs.denom)
-    if set(final.positive_roots) != pos_set:
+        order = _order_component(skeys, comp, adj, snorms)
+        keyed.append((_classify_component(comp, adj, snorms),
+                      [skeys[i] for i in order], order))
+    keyed.sort(key=lambda t: t[:2])
+    final = RootSystem([pos[simples[i]].coords for _, _, order in keyed for i in order],
+                       rs.form, denom=rs.denom)
+    if set(final.positive_roots) != set(pos):
         raise InvalidDescriptor(
             "subset is not the positive system generated by its simple roots")
     return final

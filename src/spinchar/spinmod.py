@@ -401,5 +401,7 @@ def classify_coprimary(rank_bound: int, height_bound: int,
                     "coprimary": None,
                     "filter": "budget-skipped",
                     "detail": str(exc),
+                    "required": exc.required,
+                    "budget": exc.budget,
                 })
     return records

@@ -661,15 +661,19 @@ def suite_classify(weyl_budget=DEFAULT_WEYL_BUDGET,
                                    weyl_budget, term_budget)
         got = {(r["type"], tuple(r["weight"])) for r in found if r["coprimary"]}
         # a module the budget refused is neither missing nor found
-        skipped = {(r["type"], tuple(r["weight"])) for r in found
-                   if r["filter"] == "budget-skipped"}
+        refused = [r for r in found if r["filter"] == "budget-skipped"]
+        skipped = {(r["type"], tuple(r["weight"])) for r in refused}
         missing = CLASSIFY_EXPECTED_3_6 - got - skipped
         extra = got - CLASSIFY_EXPECTED_3_6
         _expect(not missing and not extra,
                 f"sweep mismatch: missing {missing}, extra {extra}")
         detail = f"{len(got)} co-primary modules, {len(skipped)} skipped"
-        if skipped:
-            raise BudgetExceeded(detail)
+        if refused:
+            worst = max(refused, key=lambda r: r["required"])
+            raise BudgetExceeded(
+                f"{detail}; the largest refusal needs {worst['required']}"
+                f" against the budget {worst['budget']}",
+                required=worst["required"], budget=worst["budget"])
         return detail
     records.append(_run(f"classify:rank<={rank_bound}:height<={height_bound}", chk))
     return records

@@ -74,6 +74,14 @@ def test_classify_suite_budget_refusals_are_skips(capsys):
     assert "SKIP  classify:rank<=3:height<=6 :: 9 co-primary modules, 10 skipped" in out
 
 
+def test_classify_suite_skip_names_the_required_size_and_the_budget(capsys):
+    # |W(B3)| = |W(C3)| = 48 is the largest refusal under a budget of 10
+    code, out = run_cli(capsys, "verify", "--suite", "classify",
+                        "--weyl-budget", "10")
+    assert code == 0
+    assert "the largest refusal needs 48 against the budget 10" in out
+
+
 def test_classify_rank_one(capsys):
     code, out = run_cli(capsys, "classify", "--rank-bound", "1",
                         "--height-bound", "8")

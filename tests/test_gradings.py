@@ -22,6 +22,8 @@ from spinchar import (
     verify_tau_identity,
 )
 from spinchar.charring import skew_product, weyl_denominator
+from spinchar.gradings import OUTER_INSTANCES
+from spinchar.rootsys import simple_types
 
 
 def test_kac_marks():
@@ -250,3 +252,62 @@ def test_hermitian_exterior_heads():
     expected = sorted((group.invert(r).apply(rs.rho) - rs.rho).coords
                       for r in reps)
     assert heads == expected
+
+
+# g0 and the ordered simple roots of its realized subsystem, for every
+# inner grading of rank <= 4 and every outer instance
+SUBSYSTEM_PINS = {
+    'A1/alpha1': ('', []),
+    'A2/alpha1': ('A1', ['(0, 1, -1)']),
+    'A2/alpha2': ('A1', ['(1, -1, 0)']),
+    'B2/alpha1': ('A1', ['(0, 1)']),
+    'B2/alpha2': ('A1xA1', ['(1, -1)', '(1, 1)']),
+    'C2/alpha1': ('A1xA1', ['(0, 2)', '(2, 0)']),
+    'C2/alpha2': ('A1', ['(1, -1)']),
+    'G2/alpha2': ('A1xA1', ['(-1, -1, 2)', '(1, -1, 0)']),
+    'A3/alpha1': ('A2', ['(0, 0, 1, -1)', '(0, 1, -1, 0)']),
+    'A3/alpha2': ('A1xA1', ['(0, 0, 1, -1)', '(1, -1, 0, 0)']),
+    'A3/alpha3': ('A2', ['(0, 1, -1, 0)', '(1, -1, 0, 0)']),
+    'B3/alpha1': ('B2', ['(0, 1, -1)', '(0, 0, 1)']),
+    'B3/alpha2': ('A1xA1xA1', ['(0, 0, 1)', '(1, -1, 0)', '(1, 1, 0)']),
+    'B3/alpha3': ('A3', ['(0, 1, -1)', '(1, -1, 0)', '(0, 1, 1)']),
+    'C3/alpha1': ('A1xB2', ['(2, 0, 0)', '(0, 0, 2)', '(0, 1, -1)']),
+    'C3/alpha2': ('A1xB2', ['(0, 0, 2)', '(0, 2, 0)', '(1, -1, 0)']),
+    'C3/alpha3': ('A2', ['(0, 1, -1)', '(1, -1, 0)']),
+    'D3/alpha1': ('A1xA1', ['(0, 1, -1)', '(0, 1, 1)']),
+    'D3/alpha2': ('A2', ['(0, 1, 1)', '(1, -1, 0)']),
+    'D3/alpha3': ('A2', ['(0, 1, -1)', '(1, -1, 0)']),
+    'A4/alpha1': ('A3', ['(0, 0, 0, 1, -1)', '(0, 0, 1, -1, 0)', '(0, 1, -1, 0, 0)']),
+    'A4/alpha2': ('A1xA2', ['(1, -1, 0, 0, 0)', '(0, 0, 0, 1, -1)', '(0, 0, 1, -1, 0)']),
+    'A4/alpha3': ('A1xA2', ['(0, 0, 0, 1, -1)', '(0, 1, -1, 0, 0)', '(1, -1, 0, 0, 0)']),
+    'A4/alpha4': ('A3', ['(0, 0, 1, -1, 0)', '(0, 1, -1, 0, 0)', '(1, -1, 0, 0, 0)']),
+    'B4/alpha1': ('B3', ['(0, 1, -1, 0)', '(0, 0, 1, -1)', '(0, 0, 0, 1)']),
+    'B4/alpha2': ('A1xA1xB2', ['(1, -1, 0, 0)', '(1, 1, 0, 0)', '(0, 0, 1, -1)', '(0, 0, 0, 1)']),
+    'B4/alpha3': ('A1xA3', ['(0, 0, 0, 1)', '(0, 1, -1, 0)', '(1, -1, 0, 0)', '(0, 1, 1, 0)']),
+    'B4/alpha4': ('D4', ['(0, 0, 1, -1)', '(0, 1, -1, 0)', '(0, 0, 1, 1)', '(1, -1, 0, 0)']),
+    'C4/alpha1': ('A1xC3', ['(2, 0, 0, 0)', '(0, 1, -1, 0)', '(0, 0, 1, -1)', '(0, 0, 0, 2)']),
+    'C4/alpha2': ('B2xB2', ['(0, 0, 0, 2)', '(0, 0, 1, -1)', '(0, 2, 0, 0)', '(1, -1, 0, 0)']),
+    'C4/alpha3': ('A1xC3', ['(0, 0, 0, 2)', '(1, -1, 0, 0)', '(0, 1, -1, 0)', '(0, 0, 2, 0)']),
+    'C4/alpha4': ('A3', ['(0, 0, 1, -1)', '(0, 1, -1, 0)', '(1, -1, 0, 0)']),
+    'D4/alpha1': ('A3', ['(0, 0, 1, -1)', '(0, 1, -1, 0)', '(0, 0, 1, 1)']),
+    'D4/alpha2': ('A1xA1xA1xA1', ['(0, 0, 1, -1)', '(0, 0, 1, 1)', '(1, -1, 0, 0)', '(1, 1, 0, 0)']),
+    'D4/alpha3': ('A3', ['(0, 0, 1, 1)', '(0, 1, -1, 0)', '(1, -1, 0, 0)']),
+    'D4/alpha4': ('A3', ['(0, 0, 1, -1)', '(0, 1, -1, 0)', '(1, -1, 0, 0)']),
+    'F4/alpha1': ('B4', ['(1, -1, 0, 0)', '(0, 1, -1, 0)', '(0, 0, 1, -1)', '(0, 0, 0, 1)']),
+    'F4/alpha4': ('A1xC3', ['(1, 1, 0, 0)', '(1/2, -1/2, -1/2, -1/2)', '(0, 0, 0, 1)', '(0, 0, 1, -1)']),
+    'SL4/SO4': ('A1xA1', ['(1, -1)', '(1, 1)']),
+    'SL6/SO6': ('A3', ['(0, 1, -1)', '(1, -1, 0)', '(0, 1, 1)']),
+    'SO6/SO3xSO3': ('A1xA1', ['(0, 1)', '(1, 0)']),
+    'SO8/SO5xSO3': ('A1xB2', ['(0, 0, 1)', '(1, -1, 0)', '(0, 1, 0)']),
+    'E6/C4': ('C4', ['(0, 1, 0, 0)', '(1/2, -1/2, -1/2, -1/2)', '(0, 0, 0, 1)', '(0, 0, 1, -1)']),
+    'SL5/SO5': ('B2', ['(1, -1)', '(0, 1)']),
+}
+
+
+def test_subsystem_realizations_are_pinned():
+    gradings = [g for fam, rank in simple_types(4)
+                for g in inner_gradings(build_root_system(fam, rank))]
+    gradings += [outer_grading(family, *params) for family, params in OUTER_INSTANCES]
+    got = {g.label: (g.g0.descriptor(), [str(a) for a in g.g0.simple_roots])
+           for g in gradings}
+    assert got == SUBSYSTEM_PINS

@@ -1,8 +1,9 @@
 """Property tests: the folding and dominant-only routes against the
 division-based Weyl character formula, on random dominant weights; exact
-division against the skew product it inverts; the integer Weyl layer against products of reflection matrices; Spin0 against
-the choice of half; extreme weights and chamber witnesses against the
-decomposed Spin0 and Fraction pairings."""
+division against the skew product it inverts; integer simple-root pairings
+against Fraction ones; the integer Weyl layer against products of reflection
+matrices; Spin0 against the choice of half; extreme weights and chamber
+witnesses against the decomposed Spin0 and Fraction pairings."""
 
 from fractions import Fraction
 
@@ -131,6 +132,34 @@ def test_exact_divide_inverts_the_skew_product(data):
     extra = data.draw(labels)
     with pytest.raises(NonModuleCharacter):
         exact_divide(dividend + Character.monomial(rs, rs.weight(*extra)), roots, rs)
+
+
+# ---------------------------------------------------------------------------
+# simple-root pairings read off the integer rows against Fraction pairings
+
+
+@st.composite
+def rational_weights(draw):
+    """Dominant weights with rational labels, or arbitrary rational
+    coordinates, which are off the root span for A and G2."""
+    rs = build_root_system(draw(st.sampled_from(TYPES)))
+    fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    if draw(st.booleans()):
+        labels = st.fractions(min_value=0, max_value=3, max_denominator=3)
+        return rs, rs.weight(*draw(st.lists(labels, min_size=rs.rank, max_size=rs.rank)))
+    return rs, Weight(draw(st.lists(fractions, min_size=rs.space_dim, max_size=rs.space_dim)))
+
+
+@PROPERTY
+@given(rational_weights())
+def test_integer_pairings_match_the_fraction_oracle(case):
+    rs, x = case
+    oracle = tuple(rs.pairing(x, a) for a in rs.simple_roots)
+    assert rs.fw_coefficients(x) == oracle
+    assert rs.is_dominant(x) == all(p >= 0 for p in oracle)
+    assert rs.is_integral(x) == all(p.denominator == 1 for p in oracle)
+    assert rs.cartan_matrix == tuple(tuple(rs.pairing(a, b) for b in rs.simple_roots)
+                                     for a in rs.simple_roots)
 
 
 # ---------------------------------------------------------------------------

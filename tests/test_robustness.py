@@ -95,7 +95,8 @@ def test_classify_suite_skips_the_candidates_the_budget_refuses(monkeypatch):
     # are neither missing nor found, and the record says how many
     records = verify.suite_classify(weyl_budget=10)
     assert [r["status"] for r in records] == ["skip"]
-    assert records[0]["detail"] == "9 co-primary modules, 10 skipped"
+    assert records[0]["detail"] == ("9 co-primary modules, 10 skipped; the largest"
+                                    " refusal needs 48 against the budget 10")
     # a mismatch among the decided candidates still fails
     monkeypatch.setattr(verify, "CLASSIFY_EXPECTED_3_6",
                         verify.CLASSIFY_EXPECTED_3_6 | {("A1", ("6",))})

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from spinchar import (
@@ -9,7 +11,7 @@ from spinchar import (
     parse_descriptor,
     special_elements,
 )
-from spinchar.rootsys import HALF, root_system_from_json, simple_types
+from spinchar.rootsys import HALF, root_system_from_json, simple_types, subsystem
 
 
 POSITIVE_COUNTS = [
@@ -224,3 +226,42 @@ def test_json_round_trip():
     assert back.type_label == rs.type_label
     assert [w.coords for w in back.fundamental_weights] == [
         w.coords for w in rs.fundamental_weights]
+
+
+CLOSURE_TYPES = [f"{fam}{rank}" for fam, rank in simple_types(8)] + ["A1xA1", "A1xB2", "G2xA2"]
+
+
+@pytest.mark.parametrize("desc", CLOSURE_TYPES)
+def test_closure_against_fraction_reflections(desc):
+    rs = build_root_system(desc)
+    roots = set(rs.positive_roots) | {-r for r in rs.positive_roots}
+    for a in rs.simple_roots:
+        # s_a(-r) = -s_a(r), so the positive roots decide stability
+        assert {rs.reflect(a, r) for r in rs.positive_roots} <= roots
+    # |Delta+| is the sum of the exponents
+    assert len(rs.positive_roots) == sum(rs.exponents())
+    dominant = [r for r in rs.positive_roots
+                if all(rs.pairing(r, a) >= 0 for a in rs.simple_roots)]
+    top = max(rs.inner(r, r) for r in dominant)
+    longest = [r for r in dominant if rs.inner(r, r) == top]
+    if rs.is_simple():
+        assert longest == [rs.highest_root()]
+    else:
+        with pytest.raises(InvalidDescriptor):
+            rs.highest_root()
+
+
+def test_subsystem_refusals():
+    a2 = build_root_system("A2")
+    a1, a2_ = a2.simple_roots
+    # +-S is all of A2, but S is not closed: no positive system
+    with pytest.raises(InvalidDescriptor, match="not the positive system"):
+        subsystem(a2, [a1, a2_, -(a1 + a2_)])
+    g2 = build_root_system("G2")
+    with pytest.raises(InvalidDescriptor, match="not stable under its own reflections"):
+        subsystem(g2, g2.simple_roots)
+    # <b, e1~> = 1/2 and <e1, b~> = 8/17 for b = (1/4, 1): both reflections
+    # would fix the other root if the coefficients were rounded
+    b2 = build_root_system("B2")
+    with pytest.raises(InvalidDescriptor, match="not stable under its own reflections"):
+        subsystem(b2, [Weight((1, 0)), Weight((Fraction(1, 4), 1))])
