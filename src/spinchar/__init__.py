@@ -56,6 +56,7 @@ from .charring import (
 from .spinmod import (
     DominantHalf,
     classify_coprimary,
+    dominant_spin0,
     enumerate_dominant_halves,
     extreme_weights,
     frobenius_schur,
@@ -63,6 +64,7 @@ from .spinmod import (
     is_decomposably_generated,
     orthogonality_type,
     spin0_character,
+    spin0_decomposition,
     spin_character,
     spin_scalar,
 )

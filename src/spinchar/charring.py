@@ -179,39 +179,77 @@ def weyl_denominator(rs: RootSystem, budget: int = DEFAULT_WEYL_BUDGET) -> Chara
     return alternating_sum(rs, rs.rho, budget)
 
 
-def _binomial_product(ambient: RootSystem, weights_with_mult, sign: int,
-                      term_budget: int) -> Character:
-    """prod (e^{mu/2} + sign e^{-mu/2})^{m(mu)}, one factor at a time."""
-    terms = {(0,) * ambient.space_dim: 1}
-    for mu, m in weights_with_mult:
-        half = weight_key(ambient, HALF * mu)
+def _binomial_product(rs: RootSystem, factors, term_budget: int,
+                      floor: int = None) -> dict:
+    """prod (e^{v/2} + s e^{-v/2})^m over (key v, m, s) factors, as
+    {key of the exponent: coefficient}, one binomial at a time.
+
+    States are packed into one integer, one offset field per coordinate,
+    so a move is one addition. With a ``floor``, only the terms whose
+    doubled Dynkin labels (those of rs) are all >= floor are wanted:
+    factors go in descending m * sum |labels|, and a partial sum is dropped
+    once some doubled label, plus the remaining factors' |labels|, falls
+    below the floor. Each state carries that slack in one field per label,
+    above a guard bit; a move only lowers it, so the prune is one test of
+    the guard bits. More states than the term budget raise BudgetExceeded.
+    """
+    geom, dim, n = rs.key_geometry(), rs.space_dim, 0 if floor is None else rs.rank
+    items = []
+    for v, m, s in factors:
+        labels = geom.labels(v) if n else []
+        if labels is None:
+            raise NonModuleCharacter(
+                f"weight {key_weight(rs, v)} is not integral for {rs.descriptor()}")
+        if any(x % 2 for x in v):
+            raise InvalidDescriptor(f"half of {key_weight(rs, v)} is off the key lattice")
+        items.append((m * sum(map(abs, labels)), labels, tuple(x // 2 for x in v), m, s))
+    items.sort(key=lambda t: -t[0])
+    reach = [sum(m * abs(p[i]) for _, p, _, m, _ in items) for i in range(n)]
+    if any(r < floor for r in reach):
+        return {}
+    # no field leaves [off - 2 bound, off + bound], inside [0, 2 off)
+    bound = max(reach + [sum(m * abs(h[t]) for _, _, h, m, _ in items) for t in range(dim)])
+    bits = (2 * bound).bit_length() + 1
+    off, mask = 1 << (bits - 1), (1 << bits) - 1
+    pack = lambda fields: sum(x << (bits * t) for t, x in enumerate(fields))
+    guard = pack([off] * len(reach))
+    terms = {pack([off + r - floor for r in reach] + [off] * dim): 1}
+    signed = False
+    for _, labels, half, m, s in items:
+        up = pack([p - abs(p) for p in labels] + list(half))
+        down = pack([-p - abs(p) for p in labels] + [-x for x in half])
+        signed = signed or s < 0
         for _ in range(m):
             out = {}
-            for k, v in terms.items():
-                up = tuple(x + y for x, y in zip(k, half))
-                down = tuple(x - y for x, y in zip(k, half))
-                out[up] = out.get(up, 0) + v
-                out[down] = out.get(down, 0) + sign * v
-            if sign < 0:
-                out = {k: v for k, v in out.items() if v}
-            if len(out) > term_budget:
+            for k, c in terms.items():
+                a, b = k + up, k + down
+                if a & guard == guard:
+                    out[a] = out.get(a, 0) + c
+                if b & guard == guard:
+                    out[b] = out.get(b, 0) + s * c
+            terms = {k: c for k, c in out.items() if c} if signed else out
+            if len(terms) > term_budget:
                 raise BudgetExceeded(
-                    f"product support {len(out)} exceeds the term budget {term_budget}",
-                    required=len(out), budget=term_budget)
-            terms = out
-    return Character(ambient, terms)
+                    f"product support {len(terms)} exceeds the term budget {term_budget}",
+                    required=len(terms), budget=term_budget)
+    return {tuple(((k >> (bits * t)) & mask) - off for t in range(n, n + dim)): c
+            for k, c in terms.items()}
 
 
 def skew_product(rs: RootSystem, roots, ambient: RootSystem = None,
                  term_budget: int = DEFAULT_TERM_BUDGET) -> Character:
     """Expand prod (e^{a/2} - e^{-a/2}) over the given roots."""
-    return _binomial_product(ambient or rs, [(a, 1) for a in roots], -1, term_budget)
+    ambient = ambient or rs
+    factors = [(weight_key(ambient, a), 1, -1) for a in roots]
+    return Character(ambient, _binomial_product(ambient, factors, term_budget))
 
 
 def plus_product(rs: RootSystem, weights_with_mult, ambient: RootSystem = None,
                  term_budget: int = DEFAULT_TERM_BUDGET) -> Character:
     """Expand prod (e^{mu/2} + e^{-mu/2})^{m(mu)}."""
-    return _binomial_product(ambient or rs, weights_with_mult, 1, term_budget)
+    ambient = ambient or rs
+    factors = [(weight_key(ambient, mu), m, 1) for mu, m in weights_with_mult]
+    return Character(ambient, _binomial_product(ambient, factors, term_budget))
 
 
 def exact_divide(num: Character, roots, rs: RootSystem,
@@ -397,13 +435,13 @@ class WeightSystem:
             terms[(0,) * self.rs.space_dim] = self.zero_mult
         return Character(self.rs, terms)
 
+    def canonical_half_keys(self):
+        """One key from each +-pair (lexicographically positive side)."""
+        return [(k, m) for k, m in sorted(self.nonzero.items()) if k > tuple(-x for x in k)]
+
     def canonical_half(self):
-        """One weight from each +-pair (lexicographically positive side)."""
-        half = []
-        for k, m in sorted(self.nonzero.items()):
-            if k > tuple(-x for x in k):
-                half.append((key_weight(self.rs, k), m))
-        return half
+        """The canonical half as (weight, multiplicity) pairs."""
+        return [(key_weight(self.rs, k), m) for k, m in self.canonical_half_keys()]
 
     def direct_sum(self, other: "WeightSystem") -> "WeightSystem":
         if other.rs is not self.rs:

@@ -15,7 +15,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .errors import BudgetExceeded, ConsistencyError, SpinCharError
-from .charring import DEFAULT_TERM_BUDGET, freudenthal_weights, decompose
+from .charring import DEFAULT_TERM_BUDGET, freudenthal_weights
 from .gradings import (
     OUTER_FAMILIES,
     OUTER_INSTANCES,
@@ -30,7 +30,7 @@ from .spinmod import (
     orthogonality_type,
     self_dual,
     spin_scalar,
-    spin0_character,
+    spin0_decomposition,
 )
 from .weyl import DEFAULT_WEYL_BUDGET
 from . import verify as verify_mod
@@ -48,7 +48,19 @@ def _env_default(flag, fallback, cast):
     return cast(value)
 
 
+_PARSERS = {}
+
+
 def _parser():
+    """The argument parser, built once per distinct SPINCHAR_* environment
+    (its defaults read those variables)."""
+    env = tuple(sorted((k, v) for k, v in os.environ.items() if k.startswith("SPINCHAR_")))
+    if env not in _PARSERS:
+        _PARSERS[env] = _build_parser()
+    return _PARSERS[env]
+
+
+def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--weyl-budget", type=int,
                         default=_env_default("weyl-budget", DEFAULT_WEYL_BUDGET, int),
@@ -56,8 +68,8 @@ def _parser():
                              " |W| from the type, without enumerating W")
     common.add_argument("--term-budget", type=int,
                         default=_env_default("term-budget", DEFAULT_TERM_BUDGET, int),
-                        help="largest character support to hold, the Spin0"
-                             " product's included")
+                        help="largest character support to hold, and the"
+                             " most states a pruned Spin0 product may hold")
     common.add_argument("--jobs", type=int, default=_env_default("jobs", 1, int),
                         help="parallel workers for suite fan-out")
     common.add_argument("--format", choices=["json", "markdown", "both"],
@@ -122,14 +134,13 @@ def cmd_spin(args):
             "orthogonality": kind,
         }
         if kind == "orthogonal":
-            spin0 = spin0_character(ws, term_budget=args.term_budget)
-            dec = decompose(spin0, rs, args.weyl_budget)
+            dec = spin0_decomposition(ws, args.weyl_budget, args.term_budget)
             report["spin_scalar"] = spin_scalar(ws)
             report["spin0_decomposition"] = dec.to_json()
             report["coprimary"] = len(dec) == 1 and dec.is_multiplicity_free()
             report["extreme_weights"] = [
                 [str(c) for c in w.coords]
-                for w in extreme_weights(ws, spin0)]
+                for w in extreme_weights(ws, term_budget=args.term_budget)]
         reports.append(report)
     _emit(args, {"spin": reports}, _spin_markdown)
     return EXIT_OK

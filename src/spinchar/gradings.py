@@ -9,7 +9,8 @@ then take place.
 
 For every grading, Spin(g1) is computed twice: from the closed formula
 (highest weights w^{-1} rho - rho0 over the minimal coset section) and by
-decomposing the reduced Spin character of the isotropy weights. The two
+decomposing the reduced Spin character of the isotropy weights, read off
+the dominant part of its product with the Weyl denominator of g0. The two
 routes must agree exactly.
 """
 
@@ -22,7 +23,6 @@ from .charring import (
     DEFAULT_TERM_BUDGET,
     WeightSystem,
     alternating_sum,
-    decompose,
     exact_divide,
     exterior_powers,
     multiplicity_of,
@@ -36,7 +36,7 @@ from .rootsys import (
     simple_types,
     special_elements,
 )
-from .spinmod import enumerate_dominant_halves, spin0_character
+from .spinmod import enumerate_dominant_halves, spin0_decomposition
 from .weyl import (
     DEFAULT_WEYL_BUDGET,
     SubsystemDatum,
@@ -384,7 +384,8 @@ class SpinDecomposition:
 def spin_g1(grading: Z2Grading, budget: int = DEFAULT_WEYL_BUDGET,
             term_budget: int = DEFAULT_TERM_BUDGET) -> SpinDecomposition:
     """Spin of the isotropy module, by the coset formula and by decomposing
-    the reduced Spin character; a mismatch raises."""
+    the reduced Spin character (its product with the Weyl denominator of
+    g0, pruned to the strictly dominant chamber); a mismatch raises."""
     ambient = grading.ambient
     reps = minimal_coset_reps(ambient, grading.sub, budget)
     group = enumerate_weyl(ambient, budget)
@@ -399,8 +400,7 @@ def spin_g1(grading: Z2Grading, budget: int = DEFAULT_WEYL_BUDGET,
         if lam.coords in lams:
             raise ConsistencyError(f"coset weight {lam} repeats")
         lams[lam.coords] = (rep, lam)
-    spin0 = spin0_character(grading.delta1, term_budget=term_budget)
-    dec = decompose(spin0, grading.g0, budget)
+    dec = spin0_decomposition(grading.delta1, budget, term_budget)
     formula = sorted(lams)
     direct = sorted(lam.coords for lam, _ in dec)
     if formula != direct or not dec.is_multiplicity_free():
@@ -505,8 +505,7 @@ def equal_rank_pair(rs: RootSystem, generators,
         inv = group.invert(rep)
         lam = inv.apply(rs.rho) - h.rho
         lam_ws.append(lam)
-    spin0 = spin0_character(ws, term_budget=term_budget)
-    dec = decompose(spin0, h, budget)
+    dec = spin0_decomposition(ws, budget, term_budget)
     dg_set = sorted(l.coords for l in lam_ws)
     dec_set = sorted(l.coords for l, _ in dec)
     halves = enumerate_dominant_halves(ws)

@@ -269,8 +269,11 @@ class RootSystem:
             raise InvalidDescriptor("form is not positive on the roots")
         self.cartan_matrix = _cartan(keys, rows, norms)
         # fundamental weights from C^-1, whose rows KeyGeometry reuses
-        self._cartan_inv = inverse(
-            tuple(tuple(frac(x) for x in row) for row in self.cartan_matrix))
+        try:
+            self._cartan_inv = inverse(
+                tuple(tuple(frac(x) for x in row) for row in self.cartan_matrix))
+        except ValueError:  # a singular Cartan matrix
+            raise InvalidDescriptor("simple roots are linearly dependent") from None
         self.fundamental_weights = tuple(
             _wsum([c * a for c, a in zip(row, self.simple_roots)], self.space_dim)
             for row in self._cartan_inv)

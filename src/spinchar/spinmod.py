@@ -2,32 +2,36 @@
 
 The reduced Spin character of a self-dual weight system is the product of
 (e^{mu/2} + e^{-mu/2}) over any half of the nonzero weights; the scalar
-2^[m(0)/2] restores the full Spin. Dominant halves are enumerated as open
-chambers of the dominant cone cut by the weight hyperplanes: Fourier-Motzkin
-elimination on integer rows decides each chamber, and back-substitution
-through its stages gives an exact rational witness point. Their half-sums
-are the extreme weights: always highest weights of the reduced Spin, each
-with coefficient one.
+2^[m(0)/2] restores the full Spin. It is decomposed without expanding it:
+by the Weyl character formula, Spin0 times the Weyl denominator
+prod_{a>0} (e^{a/2} - e^{-a/2}) is sum m_lam A_{lam+rho}, so its strictly
+dominant part is sum m_lam e^{lam+rho}, and a product pruned to that
+chamber yields the multiplicities. Dominant halves are enumerated as open
+chambers of the dominant cone cut by the weight hyperplanes:
+Fourier-Motzkin elimination on integer rows decides each chamber, and
+integer back-substitution through its stages gives a witness point. Their
+half-sums are the extreme weights: always highest weights of the reduced
+Spin, each with coefficient one.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import BudgetExceeded, InvalidDescriptor, NotSelfDual
+from .errors import BudgetExceeded, InvalidDescriptor, NonModuleCharacter, NotSelfDual
 from .charring import (
     Character,
     DEFAULT_TERM_BUDGET,
+    Decomposition,
     WeightSystem,
+    _binomial_product,
     _check_weyl_budget,
-    decompose,
     freudenthal_weights,
     key_weight,
     multiplicity_of,
-    plus_product,
+    weight_key,
 )
-from .rootsys import RootSystem, Weight, build_root_system, simple_types
+from .rootsys import RootSystem, Weight, _dot, build_root_system, simple_types
 from .weyl import DEFAULT_WEYL_BUDGET
 
 DEFAULT_HYPERPLANE_BUDGET = 64
@@ -74,26 +78,69 @@ def orthogonality_type(rs: RootSystem, lam: Weight,
 # Spin characters
 
 
+def _half_factors(ws: WeightSystem, half=None):
+    """(key, m, +1) product factors over a half of the nonzero weights, the
+    canonical one by default, after checking that the system is self-dual
+    and that the half covers it."""
+    if not ws.is_self_dual():
+        raise NotSelfDual("weight system is not self-dual")
+    keys = ws.canonical_half_keys() if half is None else [
+        (weight_key(ws.rs, mu), m) for mu, m in half]
+    if 2 * sum(m for _, m in keys) != sum(ws.nonzero.values()):
+        raise InvalidDescriptor("half does not cover the nonzero weights")
+    return [(k, m, 1) for k, m in keys]
+
+
 def spin0_character(ws: WeightSystem, half=None,
                     term_budget: int = DEFAULT_TERM_BUDGET) -> Character:
     """Character of the reduced Spin: prod (e^{mu/2}+e^{-mu/2})^{m(mu)}.
 
     The result does not depend on the chosen half; callers may pass one to
-    exercise exactly that independence.
+    exercise exactly that independence. The library decomposes Spin0
+    through ``spin0_decomposition``; the full product stays for the
+    identities that need it and as that route's oracle.
     """
-    if not ws.is_self_dual():
-        raise NotSelfDual("weight system is not self-dual")
-    if half is None:
-        half = ws.canonical_half()
-    total = sum(m for _, m in half)
-    if 2 * total != sum(ws.nonzero.values()):
-        raise InvalidDescriptor("half does not cover the nonzero weights")
-    ch = plus_product(ws.rs, half, ambient=ws.rs, term_budget=term_budget)
+    ch = Character(ws.rs, _binomial_product(ws.rs, _half_factors(ws, half), term_budget))
     expected = 2 ** ((ws.dimension() - ws.zero_mult) // 2)
     if ch.dimension() != expected:
-        raise InvalidDescriptor(
-            f"reduced Spin dimension {ch.dimension()}, expected {expected}")
+        raise InvalidDescriptor(f"reduced Spin dimension {ch.dimension()}, expected {expected}")
     return ch
+
+
+def spin0_decomposition(ws: WeightSystem, budget: int = DEFAULT_WEYL_BUDGET,
+                        term_budget: int = DEFAULT_TERM_BUDGET) -> Decomposition:
+    """The reduced Spin as a sum of irreducibles, from its product with
+    the Weyl denominator pruned to the strictly dominant chamber.
+
+    Spin0 * prod_{a>0} (e^{a/2} - e^{-a/2}) = sum m_lam A_{lam+rho}, so the
+    terms whose doubled labels are all >= 2 are exactly m_lam e^{lam+rho}.
+    Each lam must be integral with m_lam > 0 and the summands must fill
+    2^{(dim - m(0))/2}, else NonModuleCharacter; the budget is checked
+    against |W| from the type, and the term budget bounds the states.
+    """
+    rs = ws.rs
+    _check_weyl_budget(rs, budget)
+    geom = rs.key_geometry()
+    factors = _half_factors(ws) + [(a, 1, -1) for a in geom.positive_keys]
+    summands = []
+    for k, m in _binomial_product(rs, factors, term_budget, floor=2).items():
+        lam = tuple(x - r for x, r in zip(k, geom.rho_key))
+        if geom.labels(lam) is None or m < 0:
+            raise NonModuleCharacter(
+                f"Spin0 has {m} x V_{rs.format_weight(key_weight(rs, lam))};"
+                " not a module")
+        summands.append((key_weight(rs, lam), m))
+    dec, expected = Decomposition(rs, summands), 2 ** ((ws.dimension() - ws.zero_mult) // 2)
+    if dec.total_dimension() != expected:
+        raise NonModuleCharacter(f"summands have total dimension {dec.total_dimension()},"
+                                 f" the reduced Spin has dimension {expected}")
+    return dec
+
+
+def dominant_spin0(ws: WeightSystem, term_budget: int = DEFAULT_TERM_BUDGET) -> Character:
+    """The dominant terms of the reduced Spin character, from the half's
+    product pruned to doubled labels >= 0."""
+    return Character(ws.rs, _binomial_product(ws.rs, _half_factors(ws), term_budget, floor=0))
 
 
 def spin_scalar(ws: WeightSystem) -> int:
@@ -125,7 +172,7 @@ def spin_character(ws: WeightSystem, verify: bool = True,
 
 
 # ---------------------------------------------------------------------------
-# dominant halves: Fourier-Motzkin on integer rows, rational witnesses
+# dominant halves: Fourier-Motzkin on integer rows, integer witnesses
 
 
 def _primitive(row):
@@ -158,35 +205,33 @@ def _fm_stages(rows, dim):
 
 
 def _fm_witness(stages):
-    """An exact rational point of a feasible system, by back-substitution
-    through its stages: each coordinate in turn takes the midpoint of its
-    open interval, one step past its only bound, or 0. None unless the
-    point is strictly positive on every row of the system."""
+    """An integer point of a feasible system, by back-substitution through
+    its stages. The system is homogeneous, so the point so far is scaled
+    until every bound on the next coordinate is an even integer; that
+    coordinate then takes the midpoint of its open interval, one step past
+    its only bound, or 0. None unless the point is strictly positive on
+    every row of the system."""
     point = []
     for system in reversed(stages):
         var = len(point)
-        lower = upper = None
-        for r in system:
-            if r[var] == 0:
-                continue
-            bound = Fraction(-sum(c * x for c, x in zip(r, point))) / r[var]
-            if r[var] > 0:
-                lower = bound if lower is None else max(lower, bound)
-            else:
-                upper = bound if upper is None else min(upper, bound)
+        scale = 2 * lcm(*(abs(r[var]) for r in system if r[var]))
+        point = [scale * x for x in point]
+        bounds = [(r[var] > 0, -_dot(r, point) // r[var]) for r in system if r[var]]
+        lower = max((b for pos, b in bounds if pos), default=None)
+        upper = min((b for pos, b in bounds if not pos), default=None)
         if lower is None:
-            point.append(Fraction(0) if upper is None else upper - 1)
-        elif upper is None:
-            point.append(lower + 1)
+            x = 0 if upper is None else upper - 1
         else:
-            point.append((lower + upper) / 2)
-    if any(sum(c * x for c, x in zip(r, point)) <= 0 for r in stages[0]):
+            x = lower + 1 if upper is None else (lower + upper) // 2
+        point = list(_primitive(point + [x]))
+    if any(_dot(r, point) <= 0 for r in stages[0]):
         return None
     return tuple(point)
 
 
 class DominantHalf:
-    """A half of the nonzero weights cut out by a regular dominant witness."""
+    """A half of the nonzero weights cut out by a regular dominant witness;
+    ``keys`` holds its (key, multiplicity) pairs, ``half`` their weights."""
 
     def __init__(self, ws: WeightSystem, witness: Weight):
         self.ws = ws
@@ -196,24 +241,24 @@ class DominantHalf:
         scale = lcm(*(c.denominator for c in witness.coords))
         # (key, row) is a positive multiple of (weight, witness)
         row = geom._matvec(tuple(int(c * scale) for c in witness.coords))
-        self.half = []
+        self.keys = []
         for k, m in sorted(ws.nonzero.items()):
-            value = sum(a * b for a, b in zip(k, row))
+            value = _dot(k, row)
             if value == 0:
                 raise InvalidDescriptor("witness lies on a weight hyperplane")
             if value > 0:
-                self.half.append((key_weight(rs, k), m))
+                self.keys.append((k, m))
+        self.half = [(key_weight(rs, k), m) for k, m in self.keys]
         # witness must certify a genuine half and lie in the open chamber
-        if 2 * sum(m for _, m in self.half) != sum(ws.nonzero.values()):
+        if 2 * sum(m for _, m in self.keys) != sum(ws.nonzero.values()):
             raise InvalidDescriptor("witness does not split the weights in half")
-        if any(sum(a * b for a, b in zip(k, row)) <= 0 for k in geom.simple_keys):
+        if any(_dot(k, row) <= 0 for k in geom.simple_keys):
             raise InvalidDescriptor("witness is not strictly dominant")
 
     def extreme_weight(self) -> Weight:
-        total = Weight((0,) * self.ws.rs.space_dim)
-        for mu, m in self.half:
-            total = total + m * Fraction(1, 2) * mu
-        return total
+        """Half the sum of the half: one integer sum of its keys."""
+        return key_weight(self.ws.rs, tuple(
+            sum(m * k[t] for k, m in self.keys) // 2 for t in range(self.ws.rs.space_dim)))
 
 
 def enumerate_dominant_halves(ws: WeightSystem,
@@ -236,31 +281,34 @@ def enumerate_dominant_halves(ws: WeightSystem,
     hyper = [geom._matvec(k) for k in sorted(directions)]
     halves = []
 
-    def rec(i, rows):
-        stages = _fm_stages(rows, dim)
-        if stages is None:
-            return
-        if i < len(hyper):
-            rec(i + 1, rows + [hyper[i]])
-            rec(i + 1, rows + [tuple(-x for x in hyper[i])])
-            return
-        witness = _fm_witness(stages)
-        if witness is None:
+    def rec(i, rows, witness):
+        # a region whose side holds the parent's witness inherits it
+        if witness is None or _dot(rows[-1], witness) <= 0:
+            stages = _fm_stages(rows, dim)
+            if stages is None:
+                return
+            witness = _fm_witness(stages)
+        if witness is None or any(_dot(r, witness) <= 0 for r in rows):
             raise InvalidDescriptor("feasible region lost its witness")
-        halves.append(DominantHalf(ws, Weight(witness)))
+        if i < len(hyper):
+            rec(i + 1, rows + [hyper[i]], witness)
+            rec(i + 1, rows + [tuple(-x for x in hyper[i])], witness)
+        else:
+            halves.append(DominantHalf(ws, Weight(witness)))
 
-    rec(0, list(geom.simple_w))
+    rec(0, list(geom.simple_w), None)
     halves.sort(key=lambda h: h.witness.coords)
     return halves
 
 
 def extreme_weights(ws: WeightSystem, spin0: Character = None,
-                    hyperplane_budget: int = DEFAULT_HYPERPLANE_BUDGET):
+                    hyperplane_budget: int = DEFAULT_HYPERPLANE_BUDGET,
+                    term_budget: int = DEFAULT_TERM_BUDGET):
     """The extreme weights: half-sums over all dominant halves, made unique.
 
     Each is a highest weight of the reduced Spin, occurring there with
     coefficient exactly 1; this is checked against ``spin0``, the reduced
-    Spin character, computed at the default term budget when not given.
+    Spin character, or when it is not given against ``dominant_spin0``.
     """
     halves = enumerate_dominant_halves(ws, hyperplane_budget)
     seen = {}
@@ -269,7 +317,7 @@ def extreme_weights(ws: WeightSystem, spin0: Character = None,
         seen[lam.coords] = lam
     out = [seen[c] for c in sorted(seen)]
     if spin0 is None:
-        spin0 = spin0_character(ws)
+        spin0 = dominant_spin0(ws, term_budget)
     for lam in out:
         if spin0.coefficient(lam) != 1:
             raise InvalidDescriptor(
@@ -285,8 +333,7 @@ def extreme_weights(ws: WeightSystem, spin0: Character = None,
 def is_coprimary(ws: WeightSystem, budget: int = DEFAULT_WEYL_BUDGET,
                  term_budget: int = DEFAULT_TERM_BUDGET):
     """Whether the reduced Spin is irreducible; returns (flag, witness)."""
-    spin0 = spin0_character(ws, term_budget=term_budget)
-    dec = decompose(spin0, ws.rs, budget)
+    dec = spin0_decomposition(ws, budget, term_budget)
     flag = len(dec) == 1 and dec.is_multiplicity_free()
     return flag, dec
 
@@ -294,11 +341,10 @@ def is_coprimary(ws: WeightSystem, budget: int = DEFAULT_WEYL_BUDGET,
 def is_decomposably_generated(ws: WeightSystem, budget: int = DEFAULT_WEYL_BUDGET,
                               term_budget: int = DEFAULT_TERM_BUDGET) -> bool:
     """Whether every highest weight of the reduced Spin is extreme."""
-    spin0 = spin0_character(ws, term_budget=term_budget)
-    dec = decompose(spin0, ws.rs, budget)
+    dec = spin0_decomposition(ws, budget, term_budget)
     if not dec.is_multiplicity_free():
         return False
-    extremes = {w.coords for w in extreme_weights(ws, spin0)}
+    extremes = {w.coords for w in extreme_weights(ws, term_budget=term_budget)}
     heads = {w.coords for w, _ in dec}
     return heads == extremes
 
@@ -370,7 +416,7 @@ def classify_candidate(rs: RootSystem, lam: Weight,
         if not _on_root_line(rs, key_weight(rs, k)):
             record["filter"] = "weights-off-root-lines"
             return record
-    if frobenius_schur(rs, lam, budget) != 1:
+    if frobenius_schur(rs, lam, budget, ws) != 1:
         record["filter"] = "symplectic"
         return record
     flag, dec = is_coprimary(ws, budget, term_budget)

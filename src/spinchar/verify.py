@@ -53,6 +53,7 @@ from .spinmod import (
     is_coprimary,
     classify_coprimary,
     spin0_character,
+    spin0_decomposition,
     spin_character,
     weights_up_to_height,
 )
@@ -612,8 +613,7 @@ def suite_spin_series(weyl_budget=DEFAULT_WEYL_BUDGET,
         # computed inside the checks, so a budget refusal is a skip
         if d not in heads_by_d:
             ws = freudenthal_weights(rs, rs.weight(2 * d))
-            spin0 = spin0_character(ws, term_budget=term_budget)
-            dec = decompose(spin0, rs, weyl_budget)
+            dec = spin0_decomposition(ws, weyl_budget, term_budget)
             _expect(all(m == 1 for _, m in dec), f"R_{2*d}: multiplicity > 1")
             heads_by_d[d] = sorted(
                 (int(rs.fw_coefficients(l)[0]) for l, _ in dec), reverse=True)

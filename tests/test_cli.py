@@ -124,6 +124,20 @@ def test_env_override(capsys, monkeypatch):
     json.loads(out)
 
 
+def test_env_change_between_calls_rebuilds_the_defaults(capsys, monkeypatch):
+    # parsers are kept per SPINCHAR_* environment, so a change still shows
+    argv = ("spin", "--type", "A1", "--weight", "2")
+    monkeypatch.setenv("SPINCHAR_FORMAT", "json")
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["spin"]
+    monkeypatch.setenv("SPINCHAR_FORMAT", "markdown")
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and out.startswith("| type | weight |")
+    monkeypatch.setenv("SPINCHAR_FORMAT", "json")
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["spin"]
+
+
 def test_family_and_rank_flags(capsys):
     code, out = run_cli(capsys, "spin", "--type", "B", "--rank", "2",
                         "--weight", "0,2")

@@ -2,8 +2,9 @@
 division-based Weyl character formula, on random dominant weights; exact
 division against the skew product it inverts; integer simple-root pairings
 against Fraction ones; the integer Weyl layer against products of reflection
-matrices; Spin0 against the choice of half; extreme weights and chamber
-witnesses against the decomposed Spin0 and Fraction pairings."""
+matrices; Spin0 against the choice of half; the pruned Spin0 products
+against the full one; extreme weights and chamber witnesses against the
+decomposed Spin0 and Fraction pairings."""
 
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from spinchar import (
     NonModuleCharacter,
     build_root_system,
     decompose,
+    dominant_spin0,
     enumerate_dominant_halves,
     enumerate_weyl,
     extreme_weights,
@@ -31,6 +33,7 @@ from spinchar import (
     outer_grading,
     skew_product,
     spin0_character,
+    spin0_decomposition,
     weyl_dimension,
 )
 from spinchar.charring import exact_divide, key_weight
@@ -304,6 +307,29 @@ def test_spin0_does_not_depend_on_the_half(data):
     assert spin0_character(ws, half=flipped) == spin0_character(ws)
     with pytest.raises(InvalidDescriptor):
         spin0_character(ws, half=flipped[1:])
+
+
+# ---------------------------------------------------------------------------
+# Spin0 decomposed from its product with the Weyl denominator
+
+
+@PROPERTY
+@given(dominant_weights())
+def test_spin0_decomposition_is_the_decomposed_full_product(case):
+    rs, lam = case
+    dual = rs.dominant_representative(-lam)
+    ws = freudenthal_weights(rs, lam if dual == lam else lam + dual)
+    assume(ws.dimension() <= 40)
+    full = spin0_character(ws)
+    assert dominant_spin0(ws).terms == {
+        k: c for k, c in full.terms.items() if rs.is_dominant(key_weight(rs, k))}
+    try:
+        expected = decompose(full, rs)
+    except NonModuleCharacter:
+        with pytest.raises(NonModuleCharacter):
+            spin0_decomposition(ws)
+    else:
+        assert spin0_decomposition(ws) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -48,15 +48,30 @@ def test_route_disagreement_exits_one(monkeypatch, capsys):
     from spinchar.charring import Decomposition
     from spinchar.cli import main
 
-    real = gradings.decompose
+    real = gradings.spin0_decomposition
 
     def drop_one(*args, **kwargs):
         dec = real(*args, **kwargs)
         return Decomposition(dec.rs, dec.summands[:-1])
 
-    monkeypatch.setattr(gradings, "decompose", drop_one)
+    monkeypatch.setattr(gradings, "spin0_decomposition", drop_one)
     assert main(["show", "--grading", "A2/A1xT1"]) == 1
     assert "disagree" in capsys.readouterr().err
+
+
+def test_spin_and_show_never_expand_the_full_spin0(monkeypatch, capsys):
+    from spinchar import cli, gradings, spinmod
+    from spinchar.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full Spin0 product was expanded")
+
+    for module in (spinmod, gradings, cli, verify):
+        if hasattr(module, "spin0_character"):
+            monkeypatch.setattr(module, "spin0_character", refuse)
+    assert main(["spin", "--type", "B4", "--weight", "2,0,0,0"]) == 0
+    assert main(["show", "--grading", "F4/B4"]) == 0
+    capsys.readouterr()
 
 
 def test_term_budget_bounds_the_spin0_product(capsys):

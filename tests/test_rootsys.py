@@ -228,6 +228,14 @@ def test_json_round_trip():
         w.coords for w in rs.fundamental_weights]
 
 
+def test_dependent_simple_roots_are_an_invalid_descriptor():
+    # A2 plus a third simple root alpha1 + alpha2: the Cartan matrix is singular
+    data = build_root_system("A2").to_json()
+    data["simple_roots"] = data["simple_roots"] + [["1", "0", "-1"]]
+    with pytest.raises(InvalidDescriptor, match="linearly dependent"):
+        root_system_from_json(data)
+
+
 CLOSURE_TYPES = [f"{fam}{rank}" for fam, rank in simple_types(8)] + ["A1xA1", "A1xB2", "G2xA2"]
 
 

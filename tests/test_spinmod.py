@@ -6,24 +6,34 @@ from spinchar import (
     Character,
     DominantHalf,
     InvalidDescriptor,
+    NonModuleCharacter,
     NotSelfDual,
     Weight,
     WeightSystem,
     build_root_system,
+    decompose,
+    dominant_spin0,
     enumerate_dominant_halves,
     extreme_weights,
     frobenius_schur,
     freudenthal_weights,
+    inner_grading,
+    inner_gradings,
     irreducible_character,
     is_coprimary,
     is_decomposably_generated,
     multiplicity_of,
     orthogonality_type,
+    outer_grading,
     special_elements,
     spin0_character,
+    spin0_decomposition,
     spin_character,
     spin_scalar,
 )
+from spinchar.charring import key_weight
+from spinchar.gradings import OUTER_INSTANCES
+from spinchar.rootsys import simple_types
 from spinchar.spinmod import classify_candidate, classify_coprimary
 
 
@@ -261,3 +271,76 @@ def test_classify_filters():
     rec = classify_candidate(c3, c3.weight(1, 0, 0))
     assert rec["filter"] in ("zero-weight", "symplectic",
                              "highest-weight-off-root-line")
+
+
+# ---------------------------------------------------------------------------
+# the Spin0 * Delta route against the decomposed full product
+
+
+def _oracle(ws):
+    return decompose(spin0_character(ws), ws.rs)
+
+
+SPIN0_MODULES = [("A1", (n,)) for n in range(2, 41, 2)] + [
+    ("B4", (2, 0, 0, 0)), ("F4", (1, 0, 0, 0)), ("C4", (0, 1, 0, 0))]
+
+
+@pytest.mark.parametrize("desc,coeffs", SPIN0_MODULES)
+def test_spin0_decomposition_matches_the_decomposed_product(desc, coeffs):
+    rs = build_root_system(desc)
+    ws = freudenthal_weights(rs, rs.weight(*coeffs))
+    assert spin0_decomposition(ws) == _oracle(ws)
+
+
+def test_spin0_decomposition_matches_on_every_grading():
+    gradings = [g for fam, rank in simple_types(4)
+                for g in inner_gradings(build_root_system(fam, rank))]
+    gradings += [outer_grading(family, *params) for family, params in OUTER_INSTANCES]
+    for g in gradings:
+        assert spin0_decomposition(g.delta1) == _oracle(g.delta1), g.label
+
+
+def test_dominant_spin0_is_the_dominant_part_of_spin0():
+    for desc, coeffs in [("B4", (2, 0, 0, 0)), ("F4", (1, 0, 0, 0)), ("G2", (1, 0))]:
+        rs = build_root_system(desc)
+        ws = freudenthal_weights(rs, rs.weight(*coeffs))
+        full = spin0_character(ws)
+        assert dominant_spin0(ws).terms == {
+            k: c for k, c in full.terms.items() if rs.is_dominant(key_weight(rs, k))}
+    grading = inner_grading(build_root_system("A2"), 1)  # the centre survives
+    full = spin0_character(grading.delta1)
+    assert dominant_spin0(grading.delta1).terms == {
+        k: c for k, c in full.terms.items()
+        if grading.g0.is_dominant(key_weight(grading.g0, k))}
+
+
+def test_spin0_routes_refuse_a_term_budget_of_one():
+    rs = build_root_system("F4")
+    ws = freudenthal_weights(rs, rs.weight(1, 0, 0, 0))
+    for route in (spin0_decomposition, lambda ws, term_budget: dominant_spin0(
+            ws, term_budget=term_budget)):
+        with pytest.raises(BudgetExceeded) as info:
+            route(ws, term_budget=1)
+        assert info.value.required > 1
+        assert info.value.budget == 1
+
+
+def test_spin0_decomposition_keeps_the_weyl_budget_and_self_duality():
+    rs = build_root_system("F4")
+    ws = freudenthal_weights(rs, rs.weight(1, 0, 0, 0))
+    with pytest.raises(BudgetExceeded) as info:
+        spin0_decomposition(ws, budget=100)
+    assert (info.value.required, info.value.budget) == (1152, 100)
+    a2 = build_root_system("A2")
+    with pytest.raises(NotSelfDual):
+        spin0_decomposition(freudenthal_weights(a2, a2.weight(1, 0)))
+
+
+def test_spin0_decomposition_refuses_a_non_integral_summand():
+    # the 2-dim module of A1 is symplectic: its Spin0 is e^{w/2} + e^{-w/2}
+    rs = build_root_system("A1")
+    ws = freudenthal_weights(rs, rs.weight(1))
+    with pytest.raises(NonModuleCharacter):
+        _oracle(ws)
+    with pytest.raises(NonModuleCharacter, match="not a module"):
+        spin0_decomposition(ws)
