@@ -23,7 +23,7 @@ from math import comb, lcm
 from .errors import BudgetExceeded, InvalidDescriptor, NonModuleCharacter
 from .linalg import scale_to_int
 from .rootsys import HALF, RootSystem, Weight
-from .weyl import DEFAULT_WEYL_BUDGET, WeylElement, enumerate_weyl
+from .weyl import DEFAULT_WEYL_BUDGET, enumerate_weyl
 
 DEFAULT_TERM_BUDGET = 5 * 10**6
 
@@ -69,9 +69,6 @@ class Character:
 
     def dimension(self) -> int:
         return sum(self.terms.values())
-
-    def support(self):
-        return [key_weight(self.rs, k) for k in sorted(self.terms)]
 
     def _compatible(self, other):
         if self.rs.space_dim != other.rs.space_dim or self.rs.denom != other.rs.denom:
@@ -125,25 +122,17 @@ class Character:
         """e^mu -> e^{n mu}."""
         return Character(self.rs, {tuple(n * x for x in k): v for k, v in self.terms.items()})
 
-    def apply(self, w: WeylElement):
-        return Character(self.rs, {w.act_key(k): v for k, v in self.terms.items()})
-
     def is_invariant(self, rs: RootSystem = None) -> bool:
         """W-invariance, checked on the simple reflections of rs."""
         rs = rs or self.rs
-        geom = rs.key_geometry()
-        if geom.denom != self.rs.denom:
+        if rs.denom != self.rs.denom:
             raise InvalidDescriptor("characters live in different coordinate lattices")
-        for i in range(len(geom.simple_keys)):
-            n = geom.simple_n[i]
-            a = geom.simple_keys[i]
-            for k, v in self.terms.items():
-                num = geom.pairing_num(k, i)
-                if num % n:
-                    return False
-                c = num // n
-                image = tuple(x - c * y for x, y in zip(k, a))
-                if self.terms.get(image, 0) != v:
+        for k, v in self.terms.items():
+            labels = rs.labels(k)
+            if labels is None:
+                return False
+            for p, a in zip(labels, rs.simple_keys):
+                if self.terms.get(tuple(x - p * y for x, y in zip(k, a)), 0) != v:
                     return False
         return True
 
@@ -193,10 +182,10 @@ def _binomial_product(rs: RootSystem, factors, term_budget: int,
     above a guard bit; a move only lowers it, so the prune is one test of
     the guard bits. More states than the term budget raise BudgetExceeded.
     """
-    geom, dim, n = rs.key_geometry(), rs.space_dim, 0 if floor is None else rs.rank
+    dim, n = rs.space_dim, 0 if floor is None else rs.rank
     items = []
     for v, m, s in factors:
-        labels = geom.labels(v) if n else []
+        labels = rs.labels(v) if n else []
         if labels is None:
             raise NonModuleCharacter(
                 f"weight {key_weight(rs, v)} is not integral for {rs.descriptor()}")
@@ -307,15 +296,14 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     """Dimension of the irreducible with highest weight lam: the product of
     (lam + rho, a) / (rho, a) over the positive roots, as one integer
     product of key pairings and one exact division."""
-    geom = rs.key_geometry()
     scale = lcm(rs.denom, *(c.denominator for c in lam.coords))
     m = scale // rs.denom
     shifted = [c.numerator * (scale // c.denominator) + m * r
-               for c, r in zip(lam.coords, geom.rho_key)]
+               for c, r in zip(lam.coords, rs.rho_key)]
     num = 1
-    for fa in geom.positive_w:
+    for fa in rs.positive_w:
         num *= sum(x * y for x, y in zip(shifted, fa))
-    dim, rem = divmod(num, geom.rho_heights * m ** len(geom.positive_w))
+    dim, rem = divmod(num, rs.rho_heights * m ** len(rs.positive_w))
     if rem:
         raise InvalidDescriptor(f"Weyl dimension for {lam} not integral")
     return dim
@@ -363,15 +351,14 @@ def _racah_speiser(ch: Character, rs: RootSystem, budget: int) -> dict:
     only); it costs O(|support| rank) reflections and never enumerates W.
     """
     _check_weyl_budget(rs, budget)
-    geom = rs.key_geometry()
-    rho = geom.rho_key
+    rho = rs.rho_key
     out = {}
     for k, c in ch.terms.items():
-        labels = geom.labels(k)
+        labels = rs.labels(k)
         if labels is None:
             raise NonModuleCharacter(
                 f"weight {key_weight(ch.rs, k)} is not integral for {rs.descriptor()}")
-        nu_labels, nu, sign = geom.to_dominant(
+        nu_labels, nu, sign = rs.to_dominant(
             [p + 1 for p in labels], tuple(a + b for a, b in zip(k, rho)))
         if 0 in nu_labels:
             continue
@@ -478,16 +465,15 @@ def freudenthal_weights(rs: RootSystem, lam: Weight) -> WeightSystem:
     if rs.rank == 0:
         return WeightSystem(rs, [(lam, 1)] if not lam.is_zero() else [],
                             1 if lam.is_zero() else 0)
-    geom = rs.key_geometry()
-    rho_k = geom.rho_key
+    rho_k = rs.rho_key
     lam_k = weight_key(rs, lam)
     # per positive root: labels, form vector, scaled (alpha, alpha), key
     root_steps = []
-    for a, fa in zip(geom.positive_keys, geom.positive_w):
-        root_steps.append((tuple(geom.labels(a)), fa, sum(x * y for x, y in zip(a, fa)), a))
+    for a, fa in zip(rs.positive_keys, rs.positive_w):
+        root_steps.append((tuple(rs.labels(a)), fa, sum(x * y for x, y in zip(a, fa)), a))
 
     # dominant weights below lam, keyed by Dynkin labels
-    top_labels = tuple(geom.labels(lam_k))
+    top_labels = tuple(rs.labels(lam_k))
     keys = {top_labels: lam_k}
     frontier = [top_labels]
     while frontier:
@@ -503,9 +489,9 @@ def freudenthal_weights(rs: RootSystem, lam: Weight) -> WeightSystem:
 
     def shifted_norm(k):
         s = tuple(a + b for a, b in zip(k, rho_k))
-        return geom.inner_keys(s, s)
+        return rs.inner_keys(s, s)
 
-    rho_w = geom._matvec(rho_k)
+    rho_w = rs._matvec(rho_k)
     # every dominant representative of mu + k alpha lies strictly above mu
     order = sorted(keys, key=lambda p: (-sum(a * b for a, b in zip(rho_w, keys[p])), p))
     dominant_of = {}
@@ -513,14 +499,14 @@ def freudenthal_weights(rs: RootSystem, lam: Weight) -> WeightSystem:
     def dominant_labels(p):
         d = dominant_of.get(p)
         if d is None:
-            d = dominant_of[p] = geom.to_dominant(p)[0]
+            d = dominant_of[p] = rs.to_dominant(p)[0]
         return d
 
     top = shifted_norm(lam_k)
     mult = {top_labels: 1}
     for p in order[1:]:
         mu = keys[p]
-        denom = top - shifted_norm(mu)  # scaled by geom.scale, like the sums below
+        denom = top - shifted_norm(mu)  # in key units, like the sums below
         if denom <= 0:
             raise NonModuleCharacter(
                 f"Freudenthal denominator {denom} on the dominant weight"
@@ -552,7 +538,7 @@ def freudenthal_weights(rs: RootSystem, lam: Weight) -> WeightSystem:
     total_dim = 0
     zero_key = (0,) * rs.space_dim
     for p, m in mult.items():
-        orbit = geom.dominant_orbit(keys[p], list(p))
+        orbit = rs.dominant_orbit(keys[p], list(p))
         total_dim += m * len(orbit)
         for k in orbit:
             if k == zero_key:

@@ -438,8 +438,7 @@ def verify_tau_identity(rs: RootSystem, sub: SubsystemDatum, delta1_plus,
         quotient = exact_divide(lhs, sub.delta0_plus, rs, term_budget)
     except NonModuleCharacter:
         return False
-    pairs = [(w, 1) for w in delta1_plus] if delta1_plus and not isinstance(
-        delta1_plus[0], tuple) else delta1_plus
+    pairs = [(w, 1) for w in delta1_plus]
     return quotient == plus_product(rs, pairs, ambient=rs, term_budget=term_budget)
 
 

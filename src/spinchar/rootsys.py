@@ -9,8 +9,11 @@ full algebra directly comparable.
 
 Construction is integer: the Cartan matrix comes from the form times the
 simple roots, cleared of denominators, and the closure, simple-root
-pairings and subsystems run on integer coordinates and keys. The Fraction
-``inner`` and ``pairing`` serve arbitrary pairs and are the tests' oracle.
+pairings and subsystems run on integer coordinates and keys. Each system
+also carries the integer geometry on keys that the Weyl, character and
+Spin layers share: Dynkin labels, simple reflections, moves into the
+dominant chamber and dominant orbits. The Fraction ``inner``, ``pairing``
+and ``reflect`` serve arbitrary pairs and are the tests' oracle.
 
 Simple-root numbering: A, B, C, D, G2 and the E family follow the Bourbaki
 order; F4 is numbered with the short roots first (alpha1, alpha2 short,
@@ -247,10 +250,12 @@ class RootSystem:
     are Weight vectors in the ambient space, ``form`` is the exact bilinear
     form matrix, ``cartan_matrix[i][j]`` is the pairing of alpha_i with the
     coroot of alpha_j, and ``fundamental_weights`` live in the span of the
-    roots. ``simple_keys`` and ``positive_keys`` are the roots scaled by
-    ``denom`` to integers; (x, alpha_i) is x . simple_w[i] up to a positive
-    factor, and simple_n[i] = simple_keys[i] . simple_w[i]. All values are
-    immutable after construction.
+    roots. ``simple_keys``, ``positive_keys`` and ``rho_key`` are vectors
+    scaled by ``denom`` to integers ("keys"), and the integer methods below
+    work on them: (x, alpha_i) is x . simple_w[i] and (x, beta_j) is
+    x . positive_w[j], both up to one positive factor, and
+    simple_n[i] = simple_keys[i] . simple_w[i]. All values are immutable
+    after construction.
     """
 
     def __init__(self, simple_roots, form, type_label=None, denom=None):
@@ -268,15 +273,18 @@ class RootSystem:
         if any(n <= 0 for n in norms):
             raise InvalidDescriptor("form is not positive on the roots")
         self.cartan_matrix = _cartan(keys, rows, norms)
-        # fundamental weights from C^-1, whose rows KeyGeometry reuses
+        # fundamental weights from C^-1; labels p are those of sum_i c_i alpha_i
+        # for c = C^-T p, and lattice_rows is lattice_denom C^-T in integers
         try:
-            self._cartan_inv = inverse(
-                tuple(tuple(frac(x) for x in row) for row in self.cartan_matrix))
+            inv = inverse(tuple(tuple(frac(x) for x in row) for row in self.cartan_matrix))
         except ValueError:  # a singular Cartan matrix
             raise InvalidDescriptor("simple roots are linearly dependent") from None
         self.fundamental_weights = tuple(
             _wsum([c * a for c, a in zip(row, self.simple_roots)], self.space_dim)
-            for row in self._cartan_inv)
+            for row in inv)
+        self.lattice_denom = lcm_denoms(inv)
+        self.lattice_rows = tuple(zip(*(tuple(int(x * self.lattice_denom) for x in row)
+                                        for row in inv)))
         # the simple roots have denominators dividing d, so the positive roots do too
         self.denom = denom if denom is not None else 2 * lcm(
             d, lcm_denoms(w.coords for w in self.fundamental_weights))
@@ -286,22 +294,19 @@ class RootSystem:
         coords = sorted((sum(c), tuple(_dot(c, col) for col in zip(*self.simple_keys)), c)
                         for c in _close_positive_roots(self.cartan_matrix))
         self.positive_keys = tuple(k for _, k, _ in coords)
+        self.positive_w = tuple(self._matvec(k) for k in self.positive_keys)
         self.positive_roots = tuple(
             Weight(tuple(Fraction(x, self.denom) for x in k)) for k in self.positive_keys)
         self._root_coords = {r: c for r, (_, _, c) in zip(self.positive_roots, coords)}
         self.rho = Weight(Fraction(sum(k[t] for k in self.positive_keys), 2 * self.denom)
                           for t in range(self.space_dim))
+        self.rho_key = scale_to_int(self.rho.coords, self.denom)
+        # the product of the heights (rho, beta) over beta > 0, in key units
+        self.rho_heights = prod(_dot(self.rho_key, w) for w in self.positive_w)
 
         self.type_label = tuple(type_label) if type_label else self._classify()
         self._check_invariants()
         self._weyl_cache = None
-        self._keygeom = None
-
-    def key_geometry(self):
-        """Compiled integer-arithmetic view of the key lattice (cached)."""
-        if self._keygeom is None:
-            self._keygeom = KeyGeometry(self)
-        return self._keygeom
 
     # -- exact geometry ----------------------------------------------------
 
@@ -327,14 +332,13 @@ class RootSystem:
     def dominant_representative(self, x: Weight) -> Weight:
         """The dominant element of W.x, reached by simple reflections on
         integer coordinates (exact for any rational x)."""
-        geom = self.key_geometry()
         scale = lcm(*(c.denominator for c in x.coords))
         key = tuple(int(c * scale) for c in x.coords)
         while True:
-            i = next((i for i in range(self.rank) if geom.pairing_num(key, i) < 0), None)
+            i = next((i for i in range(self.rank) if self.pairing_num(key, i) < 0), None)
             if i is None:
                 return Weight(tuple(Fraction(k, scale) for k in key))
-            key, scale = geom.walk((i,), key, scale)
+            key, scale = self.walk((i,), key, scale)
 
     def weight(self, *fw_coeffs) -> Weight:
         """Weight from coefficients in the fundamental-weight basis."""
@@ -366,19 +370,104 @@ class RootSystem:
         Dynkin labels p are integers, and the integer parts of its root
         coordinates C^-T p give back x. As the simple roots are independent,
         that fails when a coordinate is not an integer or x is off their span."""
-        geom = self.key_geometry()
         try:
             key = scale_to_int(x.coords, self.denom)
         except ValueError:
             return False
-        labels = geom.labels(key)
+        labels = self.labels(key)
         if labels is None:
             return False
         recon = [0] * self.space_dim
-        for row, a in zip(geom.lattice_rows, geom.simple_keys):
-            c = sum(r * p for r, p in zip(row, labels)) // geom.lattice_denom
+        for row, a in zip(self.lattice_rows, self.simple_keys):
+            c = sum(r * p for r, p in zip(row, labels)) // self.lattice_denom
             recon = [y + c * z for y, z in zip(recon, a)]
         return tuple(recon) == key
+
+    # -- integer geometry on keys ---------------------------------------------
+    # Inner products come back scaled by the positive integer
+    # form_denom * denom^2, harmless for the comparisons and exact divisions
+    # they feed.
+
+    def _matvec(self, key):
+        return tuple(_dot(row, key) for row in self.form_int)
+
+    def inner_keys(self, k1, k2) -> int:
+        return _dot(k1, self._matvec(k2))
+
+    def pairing_num(self, key, i) -> int:
+        """Numerator of <key, alpha_i~> over simple_n[i]/2."""
+        return 2 * sum(a * b for a, b in zip(key, self.simple_w[i]))
+
+    def walk(self, letters, key, scale=1):
+        """Apply s_i for i in letters, first letter first, to key / scale.
+
+        s_i(k) = k - <k, alpha_i~> alpha_i at any scale of k; where the
+        coefficient is not an integer the vector is rescaled, so any
+        rational vector works. Returns (key, scale).
+        """
+        for i in letters:
+            num = self.pairing_num(key, i)
+            n = self.simple_n[i]
+            g = n // gcd(num, n)
+            if g > 1:
+                key = tuple(g * x for x in key)
+                scale *= g
+                num *= g
+            c = num // n
+            if c:
+                key = tuple(x - c * y for x, y in zip(key, self.simple_keys[i]))
+        return key, scale
+
+    # Dynkin labels <key, alpha_i~> turn a simple reflection into integer
+    # row operations: s_i moves the key by -p_i alpha_i and the labels by
+    # -p_i times row i of the Cartan matrix.
+
+    def labels(self, key):
+        """The Dynkin labels of key, or None if one is not an integer."""
+        out = []
+        for i, n in enumerate(self.simple_n):
+            num = self.pairing_num(key, i)
+            if num % n:
+                return None
+            out.append(num // n)
+        return out
+
+    def to_dominant(self, labels, key=None):
+        """Move integral labels, and the key they belong to if one is
+        given, into the dominant chamber by simple reflections; returns
+        (labels, key, sign of the word used)."""
+        cartan = self.cartan_matrix
+        sign = 1
+        while True:
+            i = next((i for i, p in enumerate(labels) if p < 0), None)
+            if i is None:
+                return tuple(labels), key, sign
+            p = labels[i]
+            labels = [q - p * c for q, c in zip(labels, cartan[i])]
+            if key is not None:
+                key = tuple(x - p * y for x, y in zip(key, self.simple_keys[i]))
+            sign = -sign
+
+    def dominant_orbit(self, key, labels):
+        """The Weyl orbit of a dominant integral key.
+
+        Every orbit point is reached from the dominant one by reflections
+        s_i applied where the label p_i is positive, each step going down.
+        """
+        cartan = self.cartan_matrix
+        orbit = {key}
+        frontier = [(key, labels)]
+        while frontier:
+            nxt = []
+            for k, p in frontier:
+                for i, pi in enumerate(p):
+                    if pi > 0:
+                        v = tuple(x - pi * y for x, y in zip(k, self.simple_keys[i]))
+                        if v not in orbit:
+                            orbit.add(v)
+                            nxt.append((v, [q - pi * c for q, c in zip(p, cartan[i])]))
+            frontier = nxt
+        return orbit
 
     # -- derived structure ---------------------------------------------------
 
@@ -452,116 +541,6 @@ class RootSystem:
 
     def __repr__(self):
         return f"RootSystem({self.descriptor()})"
-
-
-class KeyGeometry:
-    """Integer-only geometry on denom-scaled coordinate keys.
-
-    Inner products come back scaled by a fixed positive integer, which is
-    harmless for the comparisons and exact divisions they feed.
-    """
-
-    def __init__(self, rs: RootSystem):
-        self.rs = rs
-        self.denom = rs.denom
-        self.form_int = rs.form_int
-        self.scale = rs.form_denom * rs.denom * rs.denom  # (x, y) = inner_keys / scale
-        self.simple_keys, self.positive_keys = rs.simple_keys, rs.positive_keys
-        self.rho_key = scale_to_int(rs.rho.coords, rs.denom)
-        # pairing(x, alpha_i) = 2 dot(key, w_i) / n_i, both integers
-        self.simple_w, self.simple_n = rs.simple_w, rs.simple_n
-        # (key, alpha) = dot(key, positive_w[j]) for the j-th positive root
-        self.positive_w = tuple(self._matvec(k) for k in self.positive_keys)
-        self.rho_heights = prod(sum(a * b for a, b in zip(self.rho_key, w))
-                                for w in self.positive_w)
-        # labels p are those of sum_i c_i alpha_i for c = C^-T p; lattice_rows
-        # is lattice_denom C^-T, cleared of denominators
-        inv = rs._cartan_inv
-        self.lattice_denom = lcm_denoms(inv)
-        self.lattice_rows = tuple(zip(*(tuple(int(x * self.lattice_denom) for x in row)
-                                        for row in inv)))
-
-    def _matvec(self, key):
-        return tuple(sum(r * k for r, k in zip(row, key)) for row in self.form_int)
-
-    def inner_keys(self, k1, k2) -> int:
-        w = self._matvec(k2)
-        return sum(a * b for a, b in zip(k1, w))
-
-    def pairing_num(self, key, i) -> int:
-        """Numerator of <key, alpha_i~> over simple_n[i]/2."""
-        return 2 * sum(a * b for a, b in zip(key, self.simple_w[i]))
-
-    def walk(self, letters, key, scale=1):
-        """Apply s_i for i in letters, first letter first, to key / scale.
-
-        s_i(k) = k - <k, alpha_i~> alpha_i at any scale of k; where the
-        coefficient is not an integer the vector is rescaled, so any
-        rational vector works. Returns (key, scale).
-        """
-        for i in letters:
-            num = self.pairing_num(key, i)
-            n = self.simple_n[i]
-            g = n // gcd(num, n)
-            if g > 1:
-                key = tuple(g * x for x in key)
-                scale *= g
-                num *= g
-            c = num // n
-            if c:
-                key = tuple(x - c * y for x, y in zip(key, self.simple_keys[i]))
-        return key, scale
-
-    # Dynkin labels <key, alpha_i~> turn a simple reflection into integer
-    # row operations: s_i moves the key by -p_i alpha_i and the labels by
-    # -p_i times row i of the Cartan matrix.
-
-    def labels(self, key):
-        """The Dynkin labels of key, or None if one is not an integer."""
-        out = []
-        for i, n in enumerate(self.simple_n):
-            num = self.pairing_num(key, i)
-            if num % n:
-                return None
-            out.append(num // n)
-        return out
-
-    def to_dominant(self, labels, key=None):
-        """Move integral labels, and the key they belong to if one is
-        given, into the dominant chamber by simple reflections; returns
-        (labels, key, sign of the word used)."""
-        cartan = self.rs.cartan_matrix
-        sign = 1
-        while True:
-            i = next((i for i, p in enumerate(labels) if p < 0), None)
-            if i is None:
-                return tuple(labels), key, sign
-            p = labels[i]
-            labels = [q - p * c for q, c in zip(labels, cartan[i])]
-            if key is not None:
-                key = tuple(x - p * y for x, y in zip(key, self.simple_keys[i]))
-            sign = -sign
-
-    def dominant_orbit(self, key, labels):
-        """The Weyl orbit of a dominant integral key.
-
-        Every orbit point is reached from the dominant one by reflections
-        s_i applied where the label p_i is positive, each step going down.
-        """
-        cartan = self.rs.cartan_matrix
-        orbit = {key}
-        frontier = [(key, labels)]
-        while frontier:
-            nxt = []
-            for k, p in frontier:
-                for i, pi in enumerate(p):
-                    if pi > 0:
-                        v = tuple(x - pi * y for x, y in zip(k, self.simple_keys[i]))
-                        if v not in orbit:
-                            orbit.add(v)
-                            nxt.append((v, [q - pi * c for q, c in zip(p, cartan[i])]))
-            frontier = nxt
-        return orbit
 
 
 def bourbaki_numbering(rs: RootSystem) -> list:
@@ -721,19 +700,6 @@ class SpecialElements:
         if self.rho_s != expected:
             raise InvalidDescriptor("rho_s != sum of short fundamental weights")
         self.coxeter_number = int(rs.pairing(rs.rho, self.theta_s)) + 1
-
-    def as_dict(self):
-        rs = self.rs
-        return {
-            "theta": rs.fw_coefficients(self.theta),
-            "theta_s": rs.fw_coefficients(self.theta_s),
-            "rho": rs.fw_coefficients(self.rho),
-            "rho_s": rs.fw_coefficients(self.rho_s),
-            "rho_l": rs.fw_coefficients(self.rho_l),
-            "coxeter_number": self.coxeter_number,
-            "simple_short": self.simple_short,
-            "simple_long": self.simple_long,
-        }
 
 
 def special_elements(rs: RootSystem) -> SpecialElements:

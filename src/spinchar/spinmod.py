@@ -56,8 +56,11 @@ def frobenius_schur(rs: RootSystem, lam: Weight,
     from Racah-Speiser folding. For a self-dual lam the budget is checked
     against |W| up front, computed from the type without enumerating W.
     A caller that already holds lam's Freudenthal weight system passes it
-    as ``weights``, and self-duality is then read off its symmetry.
+    as ``weights``, and self-duality is then read off its symmetry. A lam
+    that is not dominant integral has no module and raises InvalidDescriptor.
     """
+    if not rs.is_dominant(lam) or not rs.is_integral(lam):
+        raise InvalidDescriptor(f"{lam} is not dominant integral")
     if not (self_dual(rs, lam) if weights is None else weights.is_self_dual()):
         return 0
     _check_weyl_budget(rs, budget)
@@ -120,12 +123,11 @@ def spin0_decomposition(ws: WeightSystem, budget: int = DEFAULT_WEYL_BUDGET,
     """
     rs = ws.rs
     _check_weyl_budget(rs, budget)
-    geom = rs.key_geometry()
-    factors = _half_factors(ws) + [(a, 1, -1) for a in geom.positive_keys]
+    factors = _half_factors(ws) + [(a, 1, -1) for a in rs.positive_keys]
     summands = []
     for k, m in _binomial_product(rs, factors, term_budget, floor=2).items():
-        lam = tuple(x - r for x, r in zip(k, geom.rho_key))
-        if geom.labels(lam) is None or m < 0:
+        lam = tuple(x - r for x, r in zip(k, rs.rho_key))
+        if rs.labels(lam) is None or m < 0:
             raise NonModuleCharacter(
                 f"Spin0 has {m} x V_{rs.format_weight(key_weight(rs, lam))};"
                 " not a module")
@@ -237,10 +239,9 @@ class DominantHalf:
         self.ws = ws
         self.witness = witness
         rs = ws.rs
-        geom = rs.key_geometry()
         scale = lcm(*(c.denominator for c in witness.coords))
         # (key, row) is a positive multiple of (weight, witness)
-        row = geom._matvec(tuple(int(c * scale) for c in witness.coords))
+        row = rs._matvec(tuple(int(c * scale) for c in witness.coords))
         self.keys = []
         for k, m in sorted(ws.nonzero.items()):
             value = _dot(k, row)
@@ -252,7 +253,7 @@ class DominantHalf:
         # witness must certify a genuine half and lie in the open chamber
         if 2 * sum(m for _, m in self.keys) != sum(ws.nonzero.values()):
             raise InvalidDescriptor("witness does not split the weights in half")
-        if any(_dot(k, row) <= 0 for k in geom.simple_keys):
+        if any(_dot(k, row) <= 0 for k in rs.simple_keys):
             raise InvalidDescriptor("witness is not strictly dominant")
 
     def extreme_weight(self) -> Weight:
@@ -264,8 +265,7 @@ class DominantHalf:
 def enumerate_dominant_halves(ws: WeightSystem,
                               hyperplane_budget: int = DEFAULT_HYPERPLANE_BUDGET):
     """One DominantHalf per open chamber of C° minus the weight hyperplanes."""
-    geom = ws.rs.key_geometry()
-    dim = ws.rs.space_dim
+    rs, dim = ws.rs, ws.rs.space_dim
     directions = set()
     for k in ws.nonzero:
         if not any(k):
@@ -278,7 +278,7 @@ def enumerate_dominant_halves(ws: WeightSystem,
             f" {hyperplane_budget}", required=len(directions),
             budget=hyperplane_budget)
     # the row of v is x -> (x, v) on plain coordinates, up to a positive factor
-    hyper = [geom._matvec(k) for k in sorted(directions)]
+    hyper = [rs._matvec(k) for k in sorted(directions)]
     halves = []
 
     def rec(i, rows, witness):
@@ -296,7 +296,7 @@ def enumerate_dominant_halves(ws: WeightSystem,
         else:
             halves.append(DominantHalf(ws, Weight(witness)))
 
-    rec(0, list(geom.simple_w), None)
+    rec(0, list(rs.simple_w), None)
     halves.sort(key=lambda h: h.witness.coords)
     return halves
 
@@ -388,7 +388,7 @@ def _on_root_line(rs: RootSystem, w: Weight) -> bool:
     dom = rs.dominant_representative(w).coords
     scale = lcm(*(c.denominator for c in dom))
     line = _primitive(tuple(int(c * scale) for c in dom))
-    return line in map(_primitive, rs.key_geometry().positive_keys)
+    return line in map(_primitive, rs.positive_keys)
 
 
 def classify_candidate(rs: RootSystem, lam: Weight,

@@ -5,8 +5,8 @@ system's ``denom``) together with a reduced word in the simple reflections
 that generate its group. Since rho is regular, w -> w(rho) is injective,
 and a breadth-first walk of the rho-orbit reaches every element at a depth
 equal to its length. Products, inverses and actions walk the word by the
-integer reflections of ``KeyGeometry``; an element's rational matrix is
-derived only when asked for. Enumeration order is deterministic: by
+integer reflections of the generating ``RootSystem``; an element's rational
+matrix is derived only when asked for. Enumeration order is deterministic: by
 length, ties broken by key.
 """
 
@@ -17,7 +17,7 @@ from math import lcm
 
 from .errors import BudgetExceeded, ConsistencyError
 from .linalg import matvec, scale_to_int
-from .rootsys import KeyGeometry, RootSystem, Weight, subsystem
+from .rootsys import RootSystem, Weight, subsystem
 
 DEFAULT_WEYL_BUDGET = 10**6
 
@@ -25,15 +25,15 @@ DEFAULT_WEYL_BUDGET = 10**6
 class WeylElement:
     """``key``: the integer key of w(rho). ``word``: a reduced word, the
     product s_{i1} ... s_{ik} stored as (i1, ..., ik), in the simple
-    reflections of ``_geom``, the system generating the element's group."""
+    reflections of ``_system``, the system generating the element's group."""
 
-    __slots__ = ("key", "length", "word", "_geom", "_matrix")
+    __slots__ = ("key", "length", "word", "_system", "_matrix")
 
-    def __init__(self, key, word, geom: KeyGeometry):
+    def __init__(self, key, word, system: RootSystem):
         self.key = key
         self.length = len(word)
         self.word = word
-        self._geom = geom
+        self._system = system
         self._matrix = None
 
     @property
@@ -47,7 +47,7 @@ class WeylElement:
     def act_key(self, key):
         """w on an integer key; raises ValueError if the image leaves the
         integer lattice."""
-        out, scale = self._geom.walk(reversed(self.word), key)
+        out, scale = self._system.walk(reversed(self.word), key)
         if scale == 1:
             return out
         if any(x % scale for x in out):
@@ -56,8 +56,8 @@ class WeylElement:
 
     def apply(self, w: Weight) -> Weight:
         scale = lcm(*(c.denominator for c in w.coords))
-        key, scale = self._geom.walk(reversed(self.word),
-                                     tuple(int(c * scale) for c in w.coords), scale)
+        key, scale = self._system.walk(reversed(self.word),
+                                       tuple(int(c * scale) for c in w.coords), scale)
         return Weight(tuple(Fraction(x, scale) for x in key))
 
     @property
@@ -119,7 +119,7 @@ class WeylGroup:
     def invert(self, a: WeylElement) -> WeylElement:
         # w^{-1}(rho) for w = s_{i1} ... s_{ik}: apply s_{i1} first
         rho = self.elements[0].key
-        return self._by_image[a._geom.walk(a.word, rho)[0]]
+        return self._by_image[a._system.walk(a.word, rho)[0]]
 
 
 def _enumerate(rs: RootSystem, gen: RootSystem, budget, what):
@@ -131,16 +131,15 @@ def _enumerate(rs: RootSystem, gen: RootSystem, budget, what):
     if required > budget:
         raise BudgetExceeded(f"|{what}| = {required} exceeds the budget {budget}",
                              required=required, budget=budget)
-    geom = gen.key_geometry()
     letters = range(gen.rank)
-    words = {scale_to_int(rs.rho.coords, rs.denom): ()}
+    words = {rs.rho_key: ()}
     frontier = list(words)
     while frontier:
         new = []
         for key in frontier:
             word = words[key]
             for i in letters:
-                image = geom.walk((i,), key)[0]
+                image = gen.walk((i,), key)[0]
                 if image not in words:
                     words[image] = (i,) + word
                     new.append(image)
@@ -151,7 +150,7 @@ def _enumerate(rs: RootSystem, gen: RootSystem, budget, what):
     if len(words) != required:
         raise ConsistencyError(f"enumerated {len(words)} elements of {what},"
                                f" expected {required}")
-    elements = [WeylElement(key, word, geom) for key, word in words.items()]
+    elements = [WeylElement(key, word, gen) for key, word in words.items()]
     elements.sort(key=lambda w: (w.length, w.key))
     return WeylGroup(rs, elements)
 
@@ -175,10 +174,6 @@ class SubsystemDatum:
         self.system = subsystem(rs, self.delta0_plus)
         self.group = _enumerate(rs, self.system, budget,
                                 f"W({self.system.descriptor()}) in W({rs.descriptor()})")
-        # (beta, x) for beta in Delta0+, up to a positive factor, as one
-        # integer dot product with x's key
-        geom = self.system.key_geometry()
-        self._plus_forms = tuple(geom._matvec(k) for k in geom.positive_keys)
 
     @property
     def rho0(self) -> Weight:
@@ -197,9 +192,8 @@ def minimal_coset_reps(rs: RootSystem, sub: SubsystemDatum,
     returning.
     """
     group = enumerate_weyl(rs, budget)
-    geom = sub.system.key_geometry()
-    dominant = [u for u in group
-                if all(geom.pairing_num(u.key, i) > 0 for i in range(sub.system.rank))]
+    gen = sub.system
+    dominant = [u for u in group if all(gen.pairing_num(u.key, i) > 0 for i in range(gen.rank))]
     if len(dominant) * len(sub.group) != len(group):
         raise ConsistencyError("coset section has the wrong cardinality")
     seen = set()
@@ -223,14 +217,12 @@ def factorize(rs: RootSystem, sub: SubsystemDatum, w: WeylElement,
     that of rep^{-1}(rho).
     """
     group = enumerate_weyl(rs, budget)
-    geom = sub.system.key_geometry()
-    key = w.key
+    gen, key = sub.system, w.key
     while True:
-        bad = next((i for i in range(sub.system.rank) if geom.pairing_num(key, i) < 0),
-                   None)
+        bad = next((i for i in range(gen.rank) if gen.pairing_num(key, i) < 0), None)
         if bad is None:
             break
-        key = geom.walk((bad,), key)[0]
+        key = gen.walk((bad,), key)[0]
     rep = group.invert(group._by_image[key])
     w0 = group.multiply(w, rep)
     if w0 not in sub.group:
@@ -244,7 +236,7 @@ def l0_of(rs: RootSystem, sub: SubsystemDatum, w: WeylElement) -> int:
     alpha = w^{-1}(beta) is negative exactly when (beta, w(rho)) < 0, so
     this counts the beta in Delta0+ pairing negatively with w's key.
     """
-    return sum(1 for f in sub._plus_forms if sum(a * b for a, b in zip(w.key, f)) < 0)
+    return sum(1 for f in sub.system.positive_w if sum(a * b for a, b in zip(w.key, f)) < 0)
 
 
 def cunning_parity(rs: RootSystem, sub: SubsystemDatum, w: WeylElement):

@@ -47,6 +47,12 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+def test_weight_without_a_module_is_a_usage_error(capsys):
+    assert main(["spin", "--type", "A1", "--weight=-2"]) == 2
+    assert main(["spin", "--type", "A2", "--weight", "1/2,0"]) == 2
+    assert "not dominant integral" in capsys.readouterr().err
+
+
 def test_budget_refusal_exit_code(capsys):
     code = main(["spin", "--type", "F4", "--weight", "1,0,0,0",
                  "--weyl-budget", "100"])

@@ -1,0 +1,27 @@
+"""CLI output pinned byte for byte: each file under tests/golden is the
+stdout of the command next to it, so a refactor of the geometry cannot
+change an answer or its formatting silently. After a deliberate change of
+output, regenerate a file with ``spinchar <args> > tests/golden/<file>``."""
+
+from pathlib import Path
+
+import pytest
+
+from spinchar.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "show_F4_B4.json": ["show", "--grading", "F4/B4", "--format", "json"],
+    "spin_F4_1_0_0_0.json": ["spin", "--type", "F4", "--weight", "1,0,0,0", "--format", "json"],
+    "spin_B4_2_0_0_0.json": ["spin", "--type", "B4", "--weight", "2,0,0,0", "--format", "json"],
+    "spin_G2_1_0.json": ["spin", "--type", "G2", "--weight", "1,0", "--format", "json"],
+    "spin_A1xB2_2_1_0.json": ["spin", "--type", "A1xB2", "--weight", "2,1,0",
+                              "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(capsys, name):
+    assert main(CASES[name]) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()

@@ -1,12 +1,14 @@
 """Property tests: the folding and dominant-only routes against the
 division-based Weyl character formula, on random dominant weights; exact
 division against the skew product it inverts; integer simple-root pairings
-against Fraction ones; the integer Weyl layer against products of reflection
-matrices; Spin0 against the choice of half; the pruned Spin0 products
-against the full one; extreme weights and chamber witnesses against the
-decomposed Spin0 and Fraction pairings."""
+against Fraction ones; the integer key primitives of RootSystem against
+Fraction reflections and the enumerated group; the integer Weyl layer
+against products of reflection matrices; Spin0 against the choice of half;
+the pruned Spin0 products against the full one; extreme weights and
+chamber witnesses against the decomposed Spin0 and Fraction pairings."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -36,7 +38,7 @@ from spinchar import (
     spin0_decomposition,
     weyl_dimension,
 )
-from spinchar.charring import exact_divide, key_weight
+from spinchar.charring import exact_divide, key_weight, weight_key
 from spinchar.linalg import inverse
 from spinchar.weyl import reflection_matrix
 
@@ -163,6 +165,67 @@ def test_integer_pairings_match_the_fraction_oracle(case):
     assert rs.is_integral(x) == all(p.denominator == 1 for p in oracle)
     assert rs.cartan_matrix == tuple(tuple(rs.pairing(a, b) for b in rs.simple_roots)
                                      for a in rs.simple_roots)
+
+
+# ---------------------------------------------------------------------------
+# the integer key primitives against Fraction reflections and enumerated W
+
+
+@PROPERTY
+@given(rational_weights())
+def test_labels_match_fw_coefficients(case):
+    # a key at m times the denom scale has m times the labels, when integral
+    rs, x = case
+    m = lcm(*((c * rs.denom).denominator for c in x.coords))
+    key = tuple(int(c * rs.denom * m) for c in x.coords)
+    expected = [m * p for p in rs.fw_coefficients(x)]
+    assert rs.labels(key) == (expected if all(p.denominator == 1 for p in expected)
+                              else None)
+
+
+@st.composite
+def integral_weights(draw):
+    rs = build_root_system(draw(st.sampled_from(TYPES)))
+    labels = draw(st.lists(st.integers(-3, 3), min_size=rs.rank, max_size=rs.rank))
+    return rs, rs.weight(*labels)
+
+
+@PROPERTY
+@given(integral_weights())
+def test_to_dominant_matches_dominant_representative(case):
+    rs, x = case
+    key = weight_key(rs, x)
+    labels, dom_key, sign = rs.to_dominant(rs.labels(key), key)
+    dom = rs.dominant_representative(x)
+    assert labels == rs.fw_coefficients(dom) and dom_key == weight_key(rs, dom)
+    assert rs.to_dominant(list(labels), dom_key) == (labels, dom_key, 1)
+    # the steps taken form a w with w(x) = dom, so their parity is det w;
+    # w is unique when dom is regular
+    signs = {w.sign for w in enumerate_weyl(rs) if w.act_key(key) == dom_key}
+    assert sign in signs
+    if 0 not in labels:
+        assert signs == {sign}
+
+
+@PROPERTY
+@given(dominant_weights())
+def test_dominant_orbit_matches_the_enumerated_group(case):
+    rs, lam = case
+    key = weight_key(rs, lam)
+    assert rs.dominant_orbit(key, rs.labels(key)) == {
+        w.act_key(key) for w in enumerate_weyl(rs)}
+
+
+@PROPERTY
+@given(st.data())
+def test_walk_matches_fraction_reflections(data):
+    rs, x = data.draw(rational_weights())
+    word = data.draw(st.lists(st.integers(0, rs.rank - 1), max_size=6))
+    scale = lcm(*(c.denominator for c in x.coords))
+    key, scale = rs.walk(word, tuple(int(c * scale) for c in x.coords), scale)
+    for i in word:
+        x = rs.reflect(rs.simple_roots[i], x)
+    assert Weight(tuple(Fraction(k, scale) for k in key)) == x
 
 
 # ---------------------------------------------------------------------------

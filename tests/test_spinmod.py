@@ -47,6 +47,16 @@ def test_orthogonality_types():
     assert orthogonality_type(a2, a2.weight(1, 0)) == "neither"
 
 
+def test_orthogonality_refuses_weights_without_a_module():
+    # a highest weight must be dominant integral, self-dual or not
+    a1, a2 = build_root_system("A1"), build_root_system("A2")
+    for rs, lam in [(a1, a1.weight(-2)), (a2, a2.weight(Fraction(1, 2), 0))]:
+        with pytest.raises(InvalidDescriptor):
+            frobenius_schur(rs, lam)
+        with pytest.raises(InvalidDescriptor):
+            orthogonality_type(rs, lam)
+
+
 def test_frobenius_schur_agrees_with_square_split():
     # dual route: dim(S^2 V)^g - dim(L^2 V)^g from the squared character
     cases = [("B2", (1, 0)), ("C2", (1, 0)), ("A2", (1, 1)), ("A1", (2,))]
