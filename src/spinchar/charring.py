@@ -21,8 +21,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .errors import BudgetExceeded, InvalidDescriptor, NonModuleCharacter
-from .linalg import scale_to_int
-from .rootsys import HALF, RootSystem, Weight
+from .rootsys import HALF, RootSystem, Weight, scale_to_int
 from .weyl import DEFAULT_WEYL_BUDGET, enumerate_weyl
 
 DEFAULT_TERM_BUDGET = 5 * 10**6
@@ -225,20 +224,18 @@ def _binomial_product(rs: RootSystem, factors, term_budget: int,
             for k, c in terms.items()}
 
 
-def skew_product(rs: RootSystem, roots, ambient: RootSystem = None,
+def skew_product(rs: RootSystem, roots,
                  term_budget: int = DEFAULT_TERM_BUDGET) -> Character:
     """Expand prod (e^{a/2} - e^{-a/2}) over the given roots."""
-    ambient = ambient or rs
-    factors = [(weight_key(ambient, a), 1, -1) for a in roots]
-    return Character(ambient, _binomial_product(ambient, factors, term_budget))
+    factors = [(weight_key(rs, a), 1, -1) for a in roots]
+    return Character(rs, _binomial_product(rs, factors, term_budget))
 
 
-def plus_product(rs: RootSystem, weights_with_mult, ambient: RootSystem = None,
+def plus_product(rs: RootSystem, weights_with_mult,
                  term_budget: int = DEFAULT_TERM_BUDGET) -> Character:
     """Expand prod (e^{mu/2} + e^{-mu/2})^{m(mu)}."""
-    ambient = ambient or rs
-    factors = [(weight_key(ambient, mu), m, 1) for mu, m in weights_with_mult]
-    return Character(ambient, _binomial_product(ambient, factors, term_budget))
+    factors = [(weight_key(rs, mu), m, 1) for mu, m in weights_with_mult]
+    return Character(rs, _binomial_product(rs, factors, term_budget))
 
 
 def exact_divide(num: Character, roots, rs: RootSystem,
@@ -402,9 +399,6 @@ class WeightSystem:
 
     def dimension(self) -> int:
         return self.zero_mult + sum(self.nonzero.values())
-
-    def weights(self):
-        return [(key_weight(self.rs, k), m) for k, m in sorted(self.nonzero.items())]
 
     def weight_sum(self) -> Weight:
         total = (0,) * self.rs.space_dim

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 
 from .errors import BudgetExceeded, ConsistencyError, SpinCharError
 from .charring import DEFAULT_TERM_BUDGET, freudenthal_weights
@@ -116,8 +117,11 @@ def _parse_weight(rs, text):
     if len(parts) != rs.rank:
         raise SpinCharError(
             f"weight {text!r} has {len(parts)} coefficients, rank is {rs.rank}")
-    from fractions import Fraction
-    return rs.weight(*[Fraction(s) for s in parts])
+    try:
+        coeffs = [Fraction(s) for s in parts]
+    except (ValueError, ZeroDivisionError):
+        raise SpinCharError(f"weight {text!r} is not a list of rational numbers") from None
+    return rs.weight(*coeffs)
 
 
 def cmd_spin(args):

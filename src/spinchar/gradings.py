@@ -72,9 +72,6 @@ class Z2Grading:
     def rho0(self) -> Weight:
         return self.g0.rho
 
-    def delta1_plus(self):
-        return self.delta1.canonical_half()
-
     def __repr__(self):
         return f"Z2Grading({self.label}, {self.kind})"
 
@@ -371,9 +368,6 @@ class SpinDecomposition:
     def total_dimension(self):
         return sum(s.dimension for s in self.summands)
 
-    def weights(self):
-        return sorted(s.lam.coords for s in self.summands)
-
     def is_multiplicity_free(self):
         return self.decomposition.is_multiplicity_free()
 
@@ -439,7 +433,7 @@ def verify_tau_identity(rs: RootSystem, sub: SubsystemDatum, delta1_plus,
     except NonModuleCharacter:
         return False
     pairs = [(w, 1) for w in delta1_plus]
-    return quotient == plus_product(rs, pairs, ambient=rs, term_budget=term_budget)
+    return quotient == plus_product(rs, pairs, term_budget=term_budget)
 
 
 def casimir_check(grading: Z2Grading, spin: SpinDecomposition = None,

@@ -15,6 +15,11 @@ Spin layers share: Dynkin labels, simple reflections, moves into the
 dominant chamber and dominant orbits. The Fraction ``inner``, ``pairing``
 and ``reflect`` serve arbitrary pairs and are the tests' oracle.
 
+The module also holds the library's exact helpers: ``Weight`` does its own
+vector arithmetic and clears its own denominators (``Weight.scaled``),
+``scale_to_int`` maps a vector to keys at a given scale, and one
+Gauss-Jordan elimination inverts each system's Cartan matrix.
+
 Simple-root numbering: A, B, C, D, G2 and the E family follow the Bourbaki
 order; F4 is numbered with the short roots first (alpha1, alpha2 short,
 alpha3, alpha4 long), so that the highest root is the fourth fundamental
@@ -29,21 +34,23 @@ from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 
 from .errors import InvalidDescriptor
-from .linalg import (
-    block_diag,
-    frac,
-    inverse,
-    lcm_denoms,
-    matvec,
-    scale_to_int,
-    vadd,
-    vneg,
-    vscale,
-    vsub,
-    vzero,
-)
 
 HALF = Fraction(1, 2)
+
+
+def frac(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def scale_to_int(v, scale: int) -> tuple:
+    """The integers scale * v, for a rational vector v in (1/scale) Z^n."""
+    out = []
+    for x in v:
+        y = frac(x) * scale
+        if y.denominator != 1:
+            raise ValueError(f"vector {v} does not lie in (1/{scale})Z^n")
+        out.append(int(y))
+    return tuple(out)
 
 
 class Weight:
@@ -55,16 +62,23 @@ class Weight:
         self.coords = tuple(frac(x) for x in coords)
 
     def __add__(self, other):
-        return Weight(vadd(self.coords, other.coords))
+        return Weight(x + y for x, y in zip(self.coords, other.coords, strict=True))
 
     def __sub__(self, other):
-        return Weight(vsub(self.coords, other.coords))
+        return Weight(x - y for x, y in zip(self.coords, other.coords, strict=True))
 
     def __neg__(self):
-        return Weight(vneg(self.coords))
+        return Weight(-x for x in self.coords)
 
     def __rmul__(self, c):
-        return Weight(vscale(c, self.coords))
+        c = frac(c)
+        return Weight(c * x for x in self.coords)
+
+    def scaled(self):
+        """(key, scale): the least positive integer scale that clears the
+        denominators, and the integer coordinates scale * self."""
+        scale = lcm(*(c.denominator for c in self.coords))
+        return tuple(c.numerator * (scale // c.denominator) for c in self.coords), scale
 
     def __eq__(self, other):
         return isinstance(other, Weight) and self.coords == other.coords
@@ -83,10 +97,7 @@ class Weight:
 
 
 def _wsum(weights, dim):
-    total = vzero(dim)
-    for w in weights:
-        total = vadd(total, w.coords)
-    return Weight(total)
+    return sum(weights, Weight((0,) * dim))
 
 
 def format_coeffs(coeffs) -> str:
@@ -106,16 +117,15 @@ def _eps(n, *pairs):
 
 
 def _simple_roots_classical(family: str, rank: int, dim: int):
-    e = lambda i, c=1: _eps(dim, (i, c))
-    chain = [vsub(e(i), e(i + 1)) for i in range(rank - 1)]
+    chain = [_eps(dim, (i, 1), (i + 1, -1)) for i in range(rank - 1)]
     if family == "A":
-        return [vsub(e(i), e(i + 1)) for i in range(rank)]
+        return chain + [_eps(dim, (rank - 1, 1), (rank, -1))]
     if family == "B":
-        return chain + [e(rank - 1)]
+        return chain + [_eps(dim, (rank - 1, 1))]
     if family == "C":
-        return chain + [e(rank - 1, 2)]
+        return chain + [_eps(dim, (rank - 1, 2))]
     if family == "D":
-        return chain + [vadd(e(rank - 2), e(rank - 1))]
+        return chain + [_eps(dim, (rank - 2, 1), (rank - 1, 1))]
     raise InvalidDescriptor(f"unknown family {family}")
 
 
@@ -209,6 +219,30 @@ def _gram_rows(form_int, keys):
     return rows, tuple(_dot(k, w) for k, w in zip(keys, rows))
 
 
+def _denominator(rows):
+    """The least common denominator of a rational matrix."""
+    return lcm(*(x.denominator for row in rows for x in row))
+
+
+def _inverse(cartan):
+    """The exact inverse of an integer Cartan matrix, by Gauss-Jordan."""
+    n = len(cartan)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(cartan)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            raise InvalidDescriptor("simple roots are linearly dependent")
+        a[col], a[pivot] = a[pivot], a[col]
+        p = a[col][col]
+        a[col] = [x / p for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
 def _cartan(keys, rows, norms):
     """A_ij = <alpha_i, alpha_j~> = 2 k_i . w_j / n_j, which must be an integer."""
     pairs = [[divmod(2 * _dot(k, w), n) for w, n in zip(rows, norms)] for k in keys]
@@ -264,10 +298,10 @@ class RootSystem:
         self.simple_roots = tuple(Weight(s) for s in simple_roots)
         self.rank = len(self.simple_roots)
         # (x, y) = x . form_int y / form_denom
-        self.form_denom = lcm_denoms(self.form)
+        self.form_denom = _denominator(self.form)
         self.form_int = tuple(tuple(int(x * self.form_denom) for x in row) for row in self.form)
 
-        d = lcm_denoms(a.coords for a in self.simple_roots)
+        d = _denominator(a.coords for a in self.simple_roots)
         keys = [scale_to_int(a.coords, d) for a in self.simple_roots]
         rows, norms = _gram_rows(self.form_int, keys)
         if any(n <= 0 for n in norms):
@@ -275,19 +309,16 @@ class RootSystem:
         self.cartan_matrix = _cartan(keys, rows, norms)
         # fundamental weights from C^-1; labels p are those of sum_i c_i alpha_i
         # for c = C^-T p, and lattice_rows is lattice_denom C^-T in integers
-        try:
-            inv = inverse(tuple(tuple(frac(x) for x in row) for row in self.cartan_matrix))
-        except ValueError:  # a singular Cartan matrix
-            raise InvalidDescriptor("simple roots are linearly dependent") from None
+        inv = _inverse(self.cartan_matrix)
         self.fundamental_weights = tuple(
             _wsum([c * a for c, a in zip(row, self.simple_roots)], self.space_dim)
             for row in inv)
-        self.lattice_denom = lcm_denoms(inv)
+        self.lattice_denom = _denominator(inv)
         self.lattice_rows = tuple(zip(*(tuple(int(x * self.lattice_denom) for x in row)
                                         for row in inv)))
         # the simple roots have denominators dividing d, so the positive roots do too
         self.denom = denom if denom is not None else 2 * lcm(
-            d, lcm_denoms(w.coords for w in self.fundamental_weights))
+            d, *(w.scaled()[1] for w in self.fundamental_weights))
         self.simple_keys = tuple(scale_to_int(a.coords, self.denom) for a in self.simple_roots)
         self.simple_w, self.simple_n = _gram_rows(self.form_int, self.simple_keys)
 
@@ -311,14 +342,11 @@ class RootSystem:
     # -- exact geometry ----------------------------------------------------
 
     def inner(self, a: Weight, b: Weight) -> Fraction:
-        return _dot(a.coords, matvec(self.form, b.coords))
+        return sum(x * _dot(row, b.coords) for x, row in zip(a.coords, self.form))
 
     def pairing(self, x: Weight, alpha: Weight) -> Fraction:
         """<x, alpha~> = 2 (x, alpha) / (alpha, alpha)."""
         return 2 * self.inner(x, alpha) / self.inner(alpha, alpha)
-
-    def coroot(self, alpha: Weight) -> Weight:
-        return (2 / self.inner(alpha, alpha)) * alpha
 
     def is_dominant(self, x: Weight) -> bool:
         return all(p >= 0 for p in self.fw_coefficients(x))
@@ -332,8 +360,7 @@ class RootSystem:
     def dominant_representative(self, x: Weight) -> Weight:
         """The dominant element of W.x, reached by simple reflections on
         integer coordinates (exact for any rational x)."""
-        scale = lcm(*(c.denominator for c in x.coords))
-        key = tuple(int(c * scale) for c in x.coords)
+        key, scale = x.scaled()
         while True:
             i = next((i for i in range(self.rank) if self.pairing_num(key, i) < 0), None)
             if i is None:
@@ -345,16 +372,14 @@ class RootSystem:
         if len(fw_coeffs) == 1 and isinstance(fw_coeffs[0], (list, tuple)):
             fw_coeffs = fw_coeffs[0]
         if len(fw_coeffs) != self.rank:
-            raise ValueError(f"expected {self.rank} coefficients")
-        total = vzero(self.space_dim)
-        for c, w in zip(fw_coeffs, self.fundamental_weights):
-            total = vadd(total, vscale(c, w.coords))
-        return Weight(total)
+            raise InvalidDescriptor(
+                f"expected {self.rank} coefficients, got {len(fw_coeffs)}")
+        return _wsum([c * w for c, w in zip(fw_coeffs, self.fundamental_weights)],
+                     self.space_dim)
 
     def fw_coefficients(self, x: Weight) -> tuple:
         """<x, alpha_i~> for each simple root, from the integer rows."""
-        scale = lcm(*(c.denominator for c in x.coords))
-        key = [c.numerator * (scale // c.denominator) for c in x.coords]
+        key, scale = x.scaled()
         return tuple(Fraction(2 * self.denom * _dot(key, w), scale * n)
                      for w, n in zip(self.simple_w, self.simple_n))
 
@@ -650,13 +675,13 @@ def _build_uncached(factors) -> RootSystem:
     systems = [_build_simple(fam, r) for fam, r in factors]
     if len(systems) == 1:
         return systems[0]
-    form = block_diag([s.form for s in systems])
-    simples = []
-    offset = 0
+    # pad each factor's form rows and simple roots into its own block
+    form, simples, offset = [], [], 0
     total = sum(s.space_dim for s in systems)
     for s in systems:
-        for a in s.simple_roots:
-            simples.append(vzero(offset) + a.coords + vzero(total - offset - s.space_dim))
+        before, after = (0,) * offset, (0,) * (total - offset - s.space_dim)
+        form += [before + row + after for row in s.form]
+        simples += [before + a.coords + after for a in s.simple_roots]
         offset += s.space_dim
     return RootSystem(simples, form, type_label=[t for s in systems for t in s.type_label])
 
@@ -690,7 +715,7 @@ class SpecialElements:
         else:
             # single length: every root counted long
             self.theta_s = self.theta
-            self.rho_s = Weight(vzero(dim))
+            self.rho_s = Weight((0,) * dim)
             self.rho_l = rs.rho
             self.simple_short = ()
         self.simple_long = tuple(

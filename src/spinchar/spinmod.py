@@ -239,9 +239,8 @@ class DominantHalf:
         self.ws = ws
         self.witness = witness
         rs = ws.rs
-        scale = lcm(*(c.denominator for c in witness.coords))
         # (key, row) is a positive multiple of (weight, witness)
-        row = rs._matvec(tuple(int(c * scale) for c in witness.coords))
+        row = rs._matvec(witness.scaled()[0])
         self.keys = []
         for k, m in sorted(ws.nonzero.items()):
             value = _dot(k, row)
@@ -301,14 +300,13 @@ def enumerate_dominant_halves(ws: WeightSystem,
     return halves
 
 
-def extreme_weights(ws: WeightSystem, spin0: Character = None,
+def extreme_weights(ws: WeightSystem,
                     hyperplane_budget: int = DEFAULT_HYPERPLANE_BUDGET,
                     term_budget: int = DEFAULT_TERM_BUDGET):
     """The extreme weights: half-sums over all dominant halves, made unique.
 
     Each is a highest weight of the reduced Spin, occurring there with
-    coefficient exactly 1; this is checked against ``spin0``, the reduced
-    Spin character, or when it is not given against ``dominant_spin0``.
+    coefficient exactly 1; this is checked against ``dominant_spin0``.
     """
     halves = enumerate_dominant_halves(ws, hyperplane_budget)
     seen = {}
@@ -316,8 +314,7 @@ def extreme_weights(ws: WeightSystem, spin0: Character = None,
         lam = h.extreme_weight()
         seen[lam.coords] = lam
     out = [seen[c] for c in sorted(seen)]
-    if spin0 is None:
-        spin0 = dominant_spin0(ws, term_budget)
+    spin0 = dominant_spin0(ws, term_budget)
     for lam in out:
         if spin0.coefficient(lam) != 1:
             raise InvalidDescriptor(
@@ -385,9 +382,7 @@ def _on_root_line(rs: RootSystem, w: Weight) -> bool:
     is then dominant too)."""
     if w.is_zero():
         return True
-    dom = rs.dominant_representative(w).coords
-    scale = lcm(*(c.denominator for c in dom))
-    line = _primitive(tuple(int(c * scale) for c in dom))
+    line = _primitive(rs.dominant_representative(w).scaled()[0])
     return line in map(_primitive, rs.positive_keys)
 
 

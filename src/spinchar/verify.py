@@ -260,7 +260,7 @@ def _dual_route_check(desc, weyl_budget, term_budget):
     dual, _ = dual_root_system(rs)
     _expect(dual.rho == rs.rho + se.rho_s, "dual rho != rho + rho_s")
     lhs = alternating_sum(rs, dual.rho, weyl_budget)
-    spin0 = plus_product(rs, [(r, 1) for r in rs.short_roots()], ambient=rs,
+    spin0 = plus_product(rs, [(r, 1) for r in rs.short_roots()],
                          term_budget=term_budget)
     _expect(exact_divide(lhs, rs.positive_roots, rs, term_budget) == spin0,
             "dual denominator identity failed")
@@ -808,15 +808,3 @@ SUITES = {
     "classify": suite_classify,
     "properties": suite_properties,
 }
-
-
-def run_suite(name, weyl_budget=DEFAULT_WEYL_BUDGET,
-              term_budget=DEFAULT_TERM_BUDGET):
-    if name == "all":
-        records = []
-        for key in SUITES:
-            records.extend(SUITES[key](weyl_budget, term_budget))
-        return sorted(records, key=lambda r: r["id"])
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return sorted(SUITES[name](weyl_budget, term_budget), key=lambda r: r["id"])

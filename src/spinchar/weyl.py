@@ -13,11 +13,9 @@ length, ties broken by key.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .errors import BudgetExceeded, ConsistencyError
-from .linalg import matvec, scale_to_int
-from .rootsys import RootSystem, Weight, subsystem
+from .rootsys import RootSystem, Weight, _dot, scale_to_int, subsystem
 
 DEFAULT_WEYL_BUDGET = 10**6
 
@@ -55,9 +53,7 @@ class WeylElement:
         return tuple(x // scale for x in out)
 
     def apply(self, w: Weight) -> Weight:
-        scale = lcm(*(c.denominator for c in w.coords))
-        key, scale = self._system.walk(reversed(self.word),
-                                       tuple(int(c * scale) for c in w.coords), scale)
+        key, scale = self._system.walk(reversed(self.word), *w.scaled())
         return Weight(tuple(Fraction(x, scale) for x in key))
 
     @property
@@ -110,8 +106,8 @@ class WeylGroup:
 
     def lookup(self, matrix) -> WeylElement:
         """The element acting by a given rational matrix."""
-        return self._by_image[scale_to_int(matvec(matrix, self.rs.rho.coords),
-                                           self.rs.denom)]
+        rho = self.rs.rho.coords
+        return self._by_image[scale_to_int([_dot(row, rho) for row in matrix], self.rs.denom)]
 
     def multiply(self, a: WeylElement, b: WeylElement) -> WeylElement:
         return self._by_image[a.act_key(b.key)]
@@ -174,10 +170,6 @@ class SubsystemDatum:
         self.system = subsystem(rs, self.delta0_plus)
         self.group = _enumerate(rs, self.system, budget,
                                 f"W({self.system.descriptor()}) in W({rs.descriptor()})")
-
-    @property
-    def rho0(self) -> Weight:
-        return self.system.rho
 
 
 def minimal_coset_reps(rs: RootSystem, sub: SubsystemDatum,

@@ -199,7 +199,7 @@ def test_little_adjoint_product_identity():
         se = special_elements(rs)
         from spinchar import plus_product
         lhs = irreducible_character(rs, se.rho_s)
-        rhs = plus_product(rs, [(r, 1) for r in rs.short_roots()], ambient=rs)
+        rhs = plus_product(rs, [(r, 1) for r in rs.short_roots()])
         assert lhs == rhs
 
 

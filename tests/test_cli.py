@@ -53,6 +53,14 @@ def test_weight_without_a_module_is_a_usage_error(capsys):
     assert "not dominant integral" in capsys.readouterr().err
 
 
+def test_malformed_weight_is_a_usage_error(capsys):
+    # a coefficient that is not a rational number is the caller's mistake,
+    # not a failed check: exit 2 with an error line, no traceback
+    for bad in ("1,x", "1/0,0"):
+        assert main(["spin", "--type", "B2", "--weight", bad]) == 2
+        assert f"error: weight {bad!r}" in capsys.readouterr().err
+
+
 def test_budget_refusal_exit_code(capsys):
     code = main(["spin", "--type", "F4", "--weight", "1,0,0,0",
                  "--weyl-budget", "100"])

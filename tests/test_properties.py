@@ -5,7 +5,9 @@ against Fraction ones; the integer key primitives of RootSystem against
 Fraction reflections and the enumerated group; the integer Weyl layer
 against products of reflection matrices; Spin0 against the choice of half;
 the pruned Spin0 products against the full one; extreme weights and
-chamber witnesses against the decomposed Spin0 and Fraction pairings."""
+chamber witnesses against the decomposed Spin0 and Fraction pairings;
+fundamental weights and lattice rows against the coroots and the Cartan
+matrix; Weight arithmetic against coordinatewise Fractions."""
 
 from fractions import Fraction
 from math import lcm
@@ -22,6 +24,7 @@ from spinchar import (
     NonModuleCharacter,
     build_root_system,
     decompose,
+    dual_root_system,
     dominant_spin0,
     enumerate_dominant_halves,
     enumerate_weyl,
@@ -29,6 +32,7 @@ from spinchar import (
     factorize,
     freudenthal_weights,
     frobenius_schur,
+    inner_grading,
     irreducible_character,
     l0_of,
     minimal_coset_reps,
@@ -39,7 +43,8 @@ from spinchar import (
     weyl_dimension,
 )
 from spinchar.charring import exact_divide, key_weight, weight_key
-from spinchar.linalg import inverse
+from spinchar.gradings import OUTER_INSTANCES, involutive_pivots
+from spinchar.rootsys import simple_types
 from spinchar.weyl import reflection_matrix
 
 TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2", "A1xA1"]
@@ -168,6 +173,79 @@ def test_integer_pairings_match_the_fraction_oracle(case):
 
 
 # ---------------------------------------------------------------------------
+# the exact Cartan inverse: fundamental weights dual to the coroots
+
+
+def _systems(kind, name):
+    if kind == "type":
+        return [build_root_system(name)]
+    if kind == "inner":
+        rs = build_root_system(name)
+        return [inner_grading(rs, i).g0 for i in involutive_pivots(rs)]
+    if kind == "outer":
+        family, params = name
+        return [outer_grading(family, *params).g0]
+    return [dual_root_system(build_root_system(name))[0]]
+
+
+DUALITY_CASES = (
+    [("type", f"{fam}{rank}") for fam, rank in simple_types(8)]
+    + [("type", d) for d in ("A1xA1", "A1xB2", "G2xA2")]
+    + [("inner", f"{fam}{rank}") for fam, rank in simple_types(4)]
+    + [("outer", instance) for instance in OUTER_INSTANCES]
+    + [("dual", d) for d in ("B3", "C3", "F4", "G2")])
+
+
+@pytest.mark.parametrize("kind, name", DUALITY_CASES)
+def test_fundamental_weights_are_dual_to_the_coroots(kind, name):
+    for rs in _systems(kind, name):
+        n = rs.rank
+        unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        assert [tuple(rs.pairing(w, a) for a in rs.simple_roots)
+                for w in rs.fundamental_weights] == unit
+        assert [rs.fw_coefficients(w) for w in rs.fundamental_weights] == unit
+        # root coordinates c = C^-T p of labels p: the lattice rows are
+        # lattice_denom C^-T, so they times C^T give lattice_denom I
+        c = rs.cartan_matrix
+        assert [tuple(Fraction(sum(x * y for x, y in zip(row, c[k])), rs.lattice_denom)
+                      for k in range(n)) for row in rs.lattice_rows] == unit
+
+
+# ---------------------------------------------------------------------------
+# Weight arithmetic against coordinatewise Fractions
+
+
+def _fraction_lists(n):
+    return st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=12),
+                    min_size=n, max_size=n)
+
+
+@PROPERTY
+@given(st.data())
+def test_weight_arithmetic_is_coordinatewise(data):
+    n = data.draw(st.integers(1, 8))
+    a, b = data.draw(_fraction_lists(n)), data.draw(_fraction_lists(n))
+    c = data.draw(st.one_of(st.integers(-5, 5), st.fractions(max_denominator=12)))
+    x, y = Weight(a), Weight(b)
+    assert (x + y).coords == tuple(p + q for p, q in zip(a, b))
+    assert (x - y).coords == tuple(p - q for p, q in zip(a, b))
+    assert (-x).coords == tuple(-p for p in a)
+    assert (c * x).coords == tuple(c * p for p in a)
+    assert all(type(p) is Fraction for w in (x + y, x - y, -x, c * x) for p in w.coords)
+    with pytest.raises(ValueError):
+        x + Weight(b + [0])
+
+
+@PROPERTY
+@given(st.integers(1, 8).flatmap(_fraction_lists))
+def test_scaled_is_the_least_integral_scale(coords):
+    key, scale = Weight(coords).scaled()
+    assert scale > 0 and all(type(k) is int for k in key)
+    assert Weight(Fraction(k, scale) for k in key) == Weight(coords)
+    assert not any(all((p * s).denominator == 1 for p in coords) for s in range(1, scale))
+
+
+# ---------------------------------------------------------------------------
 # the integer key primitives against Fraction reflections and enumerated W
 
 
@@ -293,7 +371,9 @@ def test_key_group_operations_match_matrices(data):
     mb = _word_matrix(rs, rs.simple_roots, b.word)
     assert _matvec(ma, rs.rho.coords) == _image(rs, a)
     assert _matvec(_matmul(ma, mb), rs.rho.coords) == _image(rs, group.multiply(a, b))
-    assert _matvec(inverse(ma), rs.rho.coords) == _image(rs, group.invert(a))
+    # s_ik ... s_i1 = w^{-1}: the reflections along the reversed word
+    inv = _word_matrix(rs, rs.simple_roots, reversed(a.word))
+    assert _matvec(inv, rs.rho.coords) == _image(rs, group.invert(a))
     n = rs.space_dim
     for i in range(n):
         e = Weight([int(i == j) for j in range(n)])
@@ -334,7 +414,7 @@ def test_factorize_round_trips(data):
     assert rep in minimal_coset_reps(rs, sub)
     assert w0 in sub.group
     m = _matmul(_word_matrix(rs, rs.simple_roots, w0.word),
-                inverse(_word_matrix(rs, rs.simple_roots, rep.word)))
+                _word_matrix(rs, rs.simple_roots, reversed(rep.word)))
     assert m == _word_matrix(rs, rs.simple_roots, w.word)
 
 

@@ -236,6 +236,12 @@ def test_dependent_simple_roots_are_an_invalid_descriptor():
         root_system_from_json(data)
 
 
+def test_wrong_number_of_weight_coefficients_is_an_invalid_descriptor():
+    rs = build_root_system("B2")
+    with pytest.raises(InvalidDescriptor, match="expected 2 coefficients, got 3"):
+        rs.weight(1, 0, 0)
+
+
 CLOSURE_TYPES = [f"{fam}{rank}" for fam, rank in simple_types(8)] + ["A1xA1", "A1xB2", "G2xA2"]
 
 
