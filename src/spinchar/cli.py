@@ -42,11 +42,23 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _env_default(flag, fallback, cast):
-    value = os.environ.get("SPINCHAR_" + flag.upper().replace("-", "_"))
-    if value is None:
-        return fallback
-    return cast(value)
+def _env(action):
+    """Give an option the default its SPINCHAR_* variable sets, checked
+    with the option's own type and choices (argparse checks neither on a
+    default); a bad value is a usage error."""
+    name = "SPINCHAR_" + action.dest.upper()
+    value = os.environ.get(name)
+    if value is not None:
+        try:
+            value = (action.type or str)(value)
+        except ValueError:
+            raise SpinCharError(f"{name}={value!r} is not a valid"
+                                f" {action.type.__name__}") from None
+        if action.choices is not None and value not in action.choices:
+            raise SpinCharError(f"{name}={value!r} is not one of"
+                                f" {', '.join(action.choices)}")
+        action.default = value
+    return action
 
 
 _PARSERS = {}
@@ -63,18 +75,16 @@ def _parser():
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--weyl-budget", type=int,
-                        default=_env_default("weyl-budget", DEFAULT_WEYL_BUDGET, int),
-                        help="largest Weyl group order to allow; checked against"
-                             " |W| from the type, without enumerating W")
-    common.add_argument("--term-budget", type=int,
-                        default=_env_default("term-budget", DEFAULT_TERM_BUDGET, int),
-                        help="largest character support to hold, and the"
-                             " most states a pruned Spin0 product may hold")
-    common.add_argument("--jobs", type=int, default=_env_default("jobs", 1, int),
-                        help="parallel workers for suite fan-out")
-    common.add_argument("--format", choices=["json", "markdown", "both"],
-                        default=_env_default("format", "markdown", str))
+    _env(common.add_argument("--weyl-budget", type=int, default=DEFAULT_WEYL_BUDGET,
+                             help="largest Weyl group order to allow; checked against"
+                                  " |W| from the type, without enumerating W"))
+    _env(common.add_argument("--term-budget", type=int, default=DEFAULT_TERM_BUDGET,
+                             help="largest character support to hold, and the"
+                                  " most states a pruned Spin0 product may hold"))
+    _env(common.add_argument("--jobs", type=int, default=1,
+                             help="parallel workers for suite fan-out"))
+    _env(common.add_argument("--format", choices=["json", "markdown", "both"],
+                             default="markdown"))
     p = argparse.ArgumentParser(
         prog="spinchar",
         description="Exact Spin decompositions of orthogonal modules")
@@ -95,10 +105,8 @@ def _build_parser():
 
     cls = sub.add_parser("classify", parents=[common],
                          help="sweep for co-primary modules")
-    cls.add_argument("--rank-bound", type=int,
-                     default=_env_default("rank-bound", 3, int))
-    cls.add_argument("--height-bound", type=int,
-                     default=_env_default("height-bound", 6, int))
+    _env(cls.add_argument("--rank-bound", type=int, default=3))
+    _env(cls.add_argument("--height-bound", type=int, default=6))
 
     show = sub.add_parser("show", parents=[common],
                           help="dump root-system or grading data")
@@ -352,12 +360,11 @@ def _emit(args, payload, markdown_fn):
 
 
 def main(argv=None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
         if args.command == "spin":
             return cmd_spin(args)
         if args.command == "verify":

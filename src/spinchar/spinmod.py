@@ -7,11 +7,14 @@ by the Weyl character formula, Spin0 times the Weyl denominator
 prod_{a>0} (e^{a/2} - e^{-a/2}) is sum m_lam A_{lam+rho}, so its strictly
 dominant part is sum m_lam e^{lam+rho}, and a product pruned to that
 chamber yields the multiplicities. Dominant halves are enumerated as open
-chambers of the dominant cone cut by the weight hyperplanes:
-Fourier-Motzkin elimination on integer rows decides each chamber, and
-integer back-substitution through its stages gives a witness point. Their
-half-sums are the extreme weights: always highest weights of the reduced
-Spin, each with coefficient one.
+chambers of the dominant cone cut by the weight hyperplanes, skipping
+those that miss it: by Farkas, the hyperplane of mu = sum c_i alpha_i with
+no two c_i of opposite sign (the hyperplane budget still counts them).
+The split starts from rho; a region that loses its parent's witness is
+decided by Fourier-Motzkin elimination on integer rows, and integer
+back-substitution through its stages gives a new one. The half-sums of the
+halves are the extreme weights: always highest weights of the reduced Spin,
+each with coefficient one.
 """
 
 from __future__ import annotations
@@ -179,9 +182,7 @@ def spin_character(ws: WeightSystem, verify: bool = True,
 
 def _primitive(row):
     """The primitive integer row on the ray of an integer row (0 stays 0)."""
-    g = 0
-    for x in row:
-        g = gcd(g, x)
+    g = gcd(*row)
     return tuple(x // g for x in row) if g else tuple(row)
 
 
@@ -248,12 +249,15 @@ class DominantHalf:
                 raise InvalidDescriptor("witness lies on a weight hyperplane")
             if value > 0:
                 self.keys.append((k, m))
-        self.half = [(key_weight(rs, k), m) for k, m in self.keys]
         # witness must certify a genuine half and lie in the open chamber
         if 2 * sum(m for _, m in self.keys) != sum(ws.nonzero.values()):
             raise InvalidDescriptor("witness does not split the weights in half")
         if any(_dot(k, row) <= 0 for k in rs.simple_keys):
             raise InvalidDescriptor("witness is not strictly dominant")
+
+    @property
+    def half(self):
+        return [(key_weight(self.ws.rs, k), m) for k, m in self.keys]
 
     def extreme_weight(self) -> Weight:
         """Half the sum of the half: one integer sum of its keys."""
@@ -261,41 +265,67 @@ class DominantHalf:
             sum(m * k[t] for k, m in self.keys) // 2 for t in range(self.ws.rs.space_dim)))
 
 
+def _cuts_the_cone(rs: RootSystem, key) -> bool:
+    """Whether the hyperplane (key, x) = 0 meets the open dominant region
+    {x : (x, alpha_i) > 0}. By Farkas it misses it exactly when key is
+    sum c_i alpha_i with no two c_i of opposite sign. The c_i, times
+    lattice_denom, come from the Dynkin labels through lattice_rows, as in
+    ``in_root_lattice``, and must give back the key: a key with a part off
+    the span of the roots (a centre of g0) always cuts."""
+    labels = rs.labels(key)
+    if labels is None:
+        return True
+    c = [_dot(row, labels) for row in rs.lattice_rows]
+    recon = [0] * rs.space_dim
+    for ci, a in zip(c, rs.simple_keys):
+        recon = [y + ci * z for y, z in zip(recon, a)]
+    return recon != [rs.lattice_denom * x for x in key] or min(c) < 0 < max(c)
+
+
 def enumerate_dominant_halves(ws: WeightSystem,
                               hyperplane_budget: int = DEFAULT_HYPERPLANE_BUDGET):
-    """One DominantHalf per open chamber of C° minus the weight hyperplanes."""
+    """One DominantHalf per open chamber of C° minus the weight hyperplanes.
+
+    The budget counts every distinct weight direction, but only those
+    whose hyperplane cuts C° split it. The split starts from the witness
+    rho; at rank 0, rho = 0 lies on every hyperplane, so the first split
+    runs Fourier-Motzkin elimination.
+    """
     rs, dim = ws.rs, ws.rs.space_dim
-    directions = set()
+    directions = {}
     for k in ws.nonzero:
         if not any(k):
             raise InvalidDescriptor("degenerate zero weight in the nonzero set")
         prim = _primitive(k)
-        directions.add(max(prim, tuple(-x for x in prim)))
+        directions.setdefault(max(prim, tuple(-x for x in prim)), k)
     if len(directions) > hyperplane_budget:
         raise BudgetExceeded(
             f"{len(directions)} weight hyperplanes exceed the budget"
             f" {hyperplane_budget}", required=len(directions),
             budget=hyperplane_budget)
     # the row of v is x -> (x, v) on plain coordinates, up to a positive factor
-    hyper = [rs._matvec(k) for k in sorted(directions)]
+    hyper = [rs._matvec(d) for d, k in sorted(directions.items())
+             if _cuts_the_cone(rs, k)]
     halves = []
 
     def rec(i, rows, witness):
-        # a region whose side holds the parent's witness inherits it
-        if witness is None or _dot(rows[-1], witness) <= 0:
-            stages = _fm_stages(rows, dim)
-            if stages is None:
-                return
-            witness = _fm_witness(stages)
-        if witness is None or any(_dot(r, witness) <= 0 for r in rows):
-            raise InvalidDescriptor("feasible region lost its witness")
-        if i < len(hyper):
-            rec(i + 1, rows + [hyper[i]], witness)
-            rec(i + 1, rows + [tuple(-x for x in hyper[i])], witness)
-        else:
+        if i == len(hyper):
             halves.append(DominantHalf(ws, Weight(witness)))
+            return
+        for row in (hyper[i], tuple(-x for x in hyper[i])):
+            sub = rows + [row]
+            # a region whose side holds the parent's witness inherits it
+            w = witness
+            if _dot(row, w) <= 0:
+                stages = _fm_stages(sub, dim)
+                if stages is None:
+                    continue
+                w = _fm_witness(stages)
+            if w is None or any(_dot(r, w) <= 0 for r in sub):
+                raise InvalidDescriptor("feasible region lost its witness")
+            rec(i + 1, sub, w)
 
-    rec(0, list(rs.simple_w), None)
+    rec(0, list(rs.simple_w), rs.rho_key)
     halves.sort(key=lambda h: h.witness.coords)
     return halves
 

@@ -152,6 +152,32 @@ def test_env_change_between_calls_rebuilds_the_defaults(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["spin"]
 
 
+def test_malformed_env_integer_is_a_usage_error(capsys, monkeypatch):
+    # a SPINCHAR_* value is checked like its flag: an error line naming the
+    # variable and exit 2, not a ValueError traceback
+    argv = {"SPINCHAR_WEYL_BUDGET": ["spin", "--type", "A1", "--weight", "2"],
+            "SPINCHAR_TERM_BUDGET": ["spin", "--type", "A1", "--weight", "2"],
+            "SPINCHAR_JOBS": ["spin", "--type", "A1", "--weight", "2"],
+            "SPINCHAR_RANK_BOUND": ["classify", "--height-bound", "1"],
+            "SPINCHAR_HEIGHT_BOUND": ["classify", "--rank-bound", "1"]}
+    for name, args in argv.items():
+        monkeypatch.setenv(name, "abc")
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {name}='abc'")
+        monkeypatch.delenv(name)
+
+
+def test_env_format_outside_the_choices_is_a_usage_error(capsys, monkeypatch):
+    # argparse checks no default against choices; the environment is
+    monkeypatch.setenv("SPINCHAR_FORMAT", "xml")
+    assert main(["spin", "--type", "A1", "--weight", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: SPINCHAR_FORMAT='xml'")
+
+
 def test_family_and_rank_flags(capsys):
     code, out = run_cli(capsys, "spin", "--type", "B", "--rank", "2",
                         "--weight", "0,2")

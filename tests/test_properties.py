@@ -6,11 +6,15 @@ Fraction reflections and the enumerated group; the integer Weyl layer
 against products of reflection matrices; Spin0 against the choice of half;
 the pruned Spin0 products against the full one; extreme weights and
 chamber witnesses against the decomposed Spin0 and Fraction pairings;
-fundamental weights and lattice rows against the coroots and the Cartan
-matrix; Weight arithmetic against coordinatewise Fractions."""
+dominant halves against every feasible sign vector of the weight
+hyperplanes; fundamental weights and lattice rows against the coroots and
+the Cartan matrix; Weight arithmetic against coordinatewise Fractions."""
 
+import sys
 from fractions import Fraction
+from itertools import product
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -33,6 +37,7 @@ from spinchar import (
     freudenthal_weights,
     frobenius_schur,
     inner_grading,
+    inner_gradings,
     irreducible_character,
     l0_of,
     minimal_coset_reps,
@@ -45,6 +50,7 @@ from spinchar import (
 from spinchar.charring import exact_divide, key_weight, weight_key
 from spinchar.gradings import OUTER_INSTANCES, involutive_pivots
 from spinchar.rootsys import simple_types
+from spinchar.spinmod import _fm_stages, _primitive
 from spinchar.weyl import reflection_matrix
 
 TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2", "A1xA1"]
@@ -491,3 +497,71 @@ def test_extreme_weights_are_simple_spin0_heads(case):
     for h in enumerate_dominant_halves(ws):
         assert all(rs.pairing(h.witness, a) > 0 for a in rs.simple_roots)
         assert all(rs.inner(h.witness, mu) > 0 for mu, _ in h.half)
+
+
+def _halves_by_sign_vectors(ws):
+    """Oracle: the half of each sign vector over all distinct weight
+    directions, unfiltered, whose open region with the simple rows
+    Fourier-Motzkin finds feasible; None above 10 directions, as it runs
+    2^directions eliminations."""
+    rs = ws.rs
+    side = {}
+    for k in ws.nonzero:
+        p = _primitive(k)
+        d = max(p, tuple(-x for x in p))
+        side[k] = (d, 1 if p == d else -1)
+    dirs = sorted({d for d, _ in side.values()})
+    if len(dirs) > 10:
+        return None
+    halves = []
+    for signs in product((1, -1), repeat=len(dirs)):
+        sign = dict(zip(dirs, signs))
+        rows = list(rs.simple_w) + [rs._matvec(tuple(s * x for x in d))
+                                    for d, s in sign.items()]
+        if _fm_stages(rows, rs.space_dim) is not None:
+            halves.append(frozenset((k, m) for k, m in ws.nonzero.items()
+                                    if side[k][1] == sign[side[k][0]]))
+    return halves
+
+
+def _matches_sign_vectors(ws, label):
+    """Whether the oracle ran; if so, the halves and extreme weights agree."""
+    halves = _halves_by_sign_vectors(ws)
+    if halves is None:
+        return False
+    got = enumerate_dominant_halves(ws)
+    assert len(got) == len(halves), label
+    assert {frozenset(h.keys) for h in got} == set(halves), label
+    rs = ws.rs
+    sums = {tuple(sum(m * k[t] for k, m in h) // 2 for t in range(rs.space_dim))
+            for h in halves}
+    assert [w.coords for w in extreme_weights(ws)] == \
+        sorted(key_weight(rs, k).coords for k in sums), label
+    return True
+
+
+def _spin_query_modules():
+    """The distinct modules of the spin-queries benchmark's job list."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import spin_jobs
+    return sorted({(job["type"], tuple(job["weight"])) for job in spin_jobs(21)})
+
+
+def test_halves_of_the_spin_queries_are_the_feasible_sign_vectors():
+    modules = _spin_query_modules()
+    covered = 0
+    for desc, coeffs in modules:
+        rs = build_root_system(desc)
+        covered += _matches_sign_vectors(freudenthal_weights(rs, rs.weight(*coeffs)),
+                                         f"{desc} {coeffs}")
+    # 66 of the 69 have at most 10 directions: B4 V_2w1 has 16, and
+    # C4 V_w2 and F4 V_w1 have 12
+    assert covered >= 60
+
+
+def test_halves_of_the_inner_gradings_are_the_feasible_sign_vectors():
+    left_out = [g.label for fam, rank in simple_types(4)
+                for g in inner_gradings(build_root_system(fam, rank))
+                if not _matches_sign_vectors(g.delta1, g.label)]
+    # 14 directions: 2^14 eliminations would take seconds
+    assert left_out == ["F4/alpha4"]

@@ -31,10 +31,11 @@ from spinchar import (
     spin_character,
     spin_scalar,
 )
-from spinchar.charring import key_weight
+from spinchar import spinmod
+from spinchar.charring import key_weight, weight_key
 from spinchar.gradings import OUTER_INSTANCES
 from spinchar.rootsys import simple_types
-from spinchar.spinmod import classify_candidate, classify_coprimary
+from spinchar.spinmod import _cuts_the_cone, classify_candidate, classify_coprimary
 
 
 def test_orthogonality_types():
@@ -182,6 +183,37 @@ def test_f4_so9_extreme_weights():
         (3 * h, h, h, h),
     }
     assert {w.coords for w in ext} == expected
+
+
+def test_root_hyperplanes_miss_the_dominant_cone(monkeypatch):
+    # a root has root coordinates of one sign, so no root hyperplane cuts
+    # the cone and rho is the only witness: no elimination runs
+    rs = build_root_system("B2")
+    ws = WeightSystem.adjoint(rs)
+    assert not any(_cuts_the_cone(rs, k) for k in ws.nonzero)
+
+    def no_elimination(rows, dim):
+        raise AssertionError("Fourier-Motzkin ran")
+    monkeypatch.setattr(spinmod, "_fm_stages", no_elimination)
+    assert len(enumerate_dominant_halves(ws)) == 1
+    assert extreme_weights(ws) == [rs.rho]
+
+
+def test_mixed_sign_root_coordinates_cut_the_dominant_cone():
+    rs = build_root_system("A2")
+    a1, a2 = rs.simple_roots
+    assert _cuts_the_cone(rs, weight_key(rs, a1 - a2))
+    assert _cuts_the_cone(rs, weight_key(rs, rs.weight(1, -1)))
+    assert not _cuts_the_cone(rs, weight_key(rs, rs.weight(1, 0)))
+
+
+def test_weights_off_the_span_of_the_roots_cut_the_dominant_cone():
+    # a Hermitian g0 has a centre, and every delta1 weight has a part on it
+    for desc in ("A1", "B2", "C3"):
+        rs = build_root_system(desc)
+        for grading in inner_gradings(rs):
+            if grading.metadata["hermitian"]:
+                assert all(_cuts_the_cone(grading.g0, k) for k in grading.delta1.nonzero)
 
 
 def test_witness_on_a_hyperplane_is_refused():
