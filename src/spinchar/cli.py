@@ -76,8 +76,8 @@ def _parser():
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     _env(common.add_argument("--weyl-budget", type=int, default=DEFAULT_WEYL_BUDGET,
-                             help="largest Weyl group order to allow; checked against"
-                                  " |W| from the type, without enumerating W"))
+                             help="most points to walk: |W|, |W|/|W0| for a coset"
+                                  " section, |W0| for g0; read off the types"))
     _env(common.add_argument("--term-budget", type=int, default=DEFAULT_TERM_BUDGET,
                              help="largest character support to hold, and the"
                                   " most states a pruned Spin0 product may hold"))
@@ -264,7 +264,7 @@ def table2_markdown(weyl_budget, term_budget):
         params = first[family]
         data = build(*params)
         try:
-            grading = outer_grading(family, *params, budget=weyl_budget)
+            grading = outer_grading(family, *params)
             count = len(spin_g1(grading, weyl_budget, term_budget))
         except BudgetExceeded:
             count = "skip"
@@ -333,17 +333,16 @@ def cmd_show(args):
         identity_ok = verify_tau_identity(
             grading.ambient, grading.sub, d1p, args.weyl_budget,
             args.term_budget, rho=grading.rho_effective)
+        summands = [s.to_json(grading) for s in sp.summands]
         payload["grading"] = {
             "label": grading.label,
             "kind": grading.kind,
             "g0": grading.g0.descriptor(),
-            "summands": [s.to_json(grading) for s in sp.summands],
+            "summands": summands,
             "multiplicity_free": sp.is_multiplicity_free(),
             "identity_ok": identity_ok,
             "casimir_value": str(casimir_check(grading, sp)),
-            "coset_section": [
-                [[str(x) for x in row] for row in s.rep.matrix]
-                for s in sp.summands],
+            "coset_section": [s["w_action"] for s in summands],
         }
     _emit(args, payload, lambda p: json.dumps(p, indent=2, sort_keys=True))
     return EXIT_OK
@@ -353,10 +352,16 @@ def cmd_show(args):
 
 
 def _emit(args, payload, markdown_fn):
-    if args.format in ("json", "both"):
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.format in ("markdown", "both"):
-        print(markdown_fn(payload))
+    try:
+        if args.format in ("json", "both"):
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        if args.format in ("markdown", "both"):
+            print(markdown_fn(payload))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early; send what is left, and the
+        # interpreter's flush at exit, to devnull so neither raises again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def main(argv=None) -> int:

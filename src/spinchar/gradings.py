@@ -37,13 +37,7 @@ from .rootsys import (
     special_elements,
 )
 from .spinmod import enumerate_dominant_halves, spin0_decomposition
-from .weyl import (
-    DEFAULT_WEYL_BUDGET,
-    SubsystemDatum,
-    cunning_parity,
-    enumerate_weyl,
-    minimal_coset_reps,
-)
+from .weyl import DEFAULT_WEYL_BUDGET, SubsystemDatum, cunning_parity, minimal_coset_reps
 
 
 class Z2Grading:
@@ -57,12 +51,11 @@ class Z2Grading:
     """
 
     def __init__(self, kind, label, ambient, delta0_plus, delta1_pairs,
-                 zero_mult, rho_effective, metadata=None,
-                 budget=DEFAULT_WEYL_BUDGET):
+                 zero_mult, rho_effective, metadata=None):
         self.kind = kind
         self.label = label
         self.ambient = ambient
-        self.sub = SubsystemDatum(ambient, delta0_plus, budget)
+        self.sub = SubsystemDatum(ambient, delta0_plus)
         self.g0 = self.sub.system
         self.delta1 = WeightSystem(self.g0, delta1_pairs, zero_mult)
         self.rho_effective = rho_effective
@@ -102,8 +95,7 @@ def _parity_condition(rs: RootSystem, parity):
                 raise InvalidDescriptor("parity condition fails on a root sum")
 
 
-def inner_grading(rs: RootSystem, pivot: int,
-                  budget: int = DEFAULT_WEYL_BUDGET) -> Z2Grading:
+def inner_grading(rs: RootSystem, pivot: int) -> Z2Grading:
     """The inner grading splitting roots by coefficient parity at a pivot.
 
     ``pivot`` is 1-based. Marks 1 and 2 are the only involutive cases; a
@@ -135,7 +127,6 @@ def inner_grading(rs: RootSystem, pivot: int,
         zero_mult=0,
         rho_effective=rs.rho,
         metadata={"pivot": pivot, "mark": int(mark)},
-        budget=budget,
     )
     span_rank = grading.g0.rank
     if mark == 2 and span_rank != rs.rank:
@@ -152,9 +143,9 @@ def involutive_pivots(rs: RootSystem):
     return [i for i, mark in enumerate(kac_marks(rs), start=1) if mark <= 2]
 
 
-def inner_gradings(rs: RootSystem, budget: int = DEFAULT_WEYL_BUDGET):
+def inner_gradings(rs: RootSystem):
     """All inner gradings of a simple system, one per involutive pivot."""
-    return [inner_grading(rs, i, budget) for i in involutive_pivots(rs)]
+    return [inner_grading(rs, i) for i in involutive_pivots(rs)]
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +283,7 @@ OUTER_INSTANCES = (
 )
 
 
-def outer_grading(family: str, *params,
-                  budget: int = DEFAULT_WEYL_BUDGET) -> Z2Grading:
+def outer_grading(family: str, *params) -> Z2Grading:
     """Build one of the four outer families from its restricted-root data.
 
     The data is validated against the root-count bookkeeping
@@ -322,7 +312,6 @@ def outer_grading(family: str, *params,
         rho_effective=rho_eff,  # recomputed below as rho0 + rho1
         metadata={"family": family, "params": params, "g": data["g"],
                   "g0": data["g0"], "diagram": data["diagram"]},
-        budget=budget,
     )
     # rho1 = half-sum of a half of Delta1, multiplicities included
     total = Weight((0,) * ambient.space_dim)
@@ -344,7 +333,7 @@ def outer_grading(family: str, *params,
 
 class SpinSummand:
     def __init__(self, rep, lam, dimension):
-        self.rep = rep          # WeylElement of the ambient group (or None)
+        self.rep = rep          # minimal coset representative, an ambient WeylElement
         self.lam = lam          # highest weight, ambient coordinates
         self.dimension = dimension
 
@@ -354,8 +343,7 @@ class SpinSummand:
             "lambda": [str(c) for c in self.lam.coords],
             "fw": [str(c) for c in g0.fw_coefficients(self.lam)],
             "dimension": self.dimension,
-            "w_action": None if self.rep is None else
-                [[str(x) for x in row] for row in self.rep.matrix],
+            "w_action": [[str(x) for x in row] for row in self.rep.matrix],
         }
 
 
@@ -380,15 +368,9 @@ def spin_g1(grading: Z2Grading, budget: int = DEFAULT_WEYL_BUDGET,
     """Spin of the isotropy module, by the coset formula and by decomposing
     the reduced Spin character (its product with the Weyl denominator of
     g0, pruned to the strictly dominant chamber); a mismatch raises."""
-    ambient = grading.ambient
-    reps = minimal_coset_reps(ambient, grading.sub, budget)
-    group = enumerate_weyl(ambient, budget)
-    rho_eff = grading.rho_effective
-    rho0 = grading.rho0
     lams = {}
-    for rep in reps:
-        inv = group.invert(rep)
-        lam = inv.apply(rho_eff) - rho0
+    for rep in minimal_coset_reps(grading.ambient, grading.sub, budget):
+        lam = rep.apply_inverse(grading.rho_effective) - grading.rho0
         if not grading.g0.is_dominant(lam):
             raise ConsistencyError(f"coset weight {lam} is not dominant for g0")
         if lam.coords in lams:
@@ -482,7 +464,7 @@ def equal_rank_pair(rs: RootSystem, generators,
             s = tuple(x + y for x, y in zip(a, b))
             if s in all_roots and s not in full_h:
                 raise NotClosed(f"subsystem not closed: {a} + {b}")
-    sub = SubsystemDatum(rs, delta_h_plus, budget)
+    sub = SubsystemDatum(rs, delta_h_plus)
     if sub.system.rank != rs.rank:
         raise InvalidDescriptor("subsystem is not full rank")
     h = sub.system
@@ -490,14 +472,8 @@ def equal_rank_pair(rs: RootSystem, generators,
     m_pairs = [(r, 1) for r in m_plus] + [(-r, 1) for r in m_plus]
     ws = WeightSystem(h, m_pairs, 0)
 
-    group = enumerate_weyl(rs, budget)
-    reps = minimal_coset_reps(rs, sub, budget)
-    n_wh = len(reps)
-    lam_ws = []
-    for rep in reps:
-        inv = group.invert(rep)
-        lam = inv.apply(rs.rho) - h.rho
-        lam_ws.append(lam)
+    lam_ws = [rep.apply_inverse(rs.rho) - h.rho for rep in minimal_coset_reps(rs, sub, budget)]
+    n_wh = len(lam_ws)
     dec = spin0_decomposition(ws, budget, term_budget)
     dg_set = sorted(l.coords for l in lam_ws)
     dec_set = sorted(l.coords for l, _ in dec)

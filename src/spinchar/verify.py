@@ -96,7 +96,7 @@ def _expect(condition, message):
 
 # ---------------------------------------------------------------------------
 # inner gradings and their Spin, shared by the inner / identity / casimir
-# suites; cached by (type, pivot) and by the budgets they were built under
+# suites; gradings cached by (type, pivot), their Spin also by the budgets
 
 _INNER_CACHE = {}
 _SPIN_CACHE = {}
@@ -104,11 +104,10 @@ _SPIN_CACHE = {}
 INNER_SWEEP = [f"{fam}{rank}" for fam, rank in simple_types(4)]
 
 
-def _inner_grading_cached(desc, pivot, weyl_budget):
-    key = (desc, pivot, weyl_budget)
-    if key not in _INNER_CACHE:
-        _INNER_CACHE[key] = inner_grading(build_root_system(desc), pivot, weyl_budget)
-    return _INNER_CACHE[key]
+def _inner_grading_cached(desc, pivot):
+    if (desc, pivot) not in _INNER_CACHE:
+        _INNER_CACHE[desc, pivot] = inner_grading(build_root_system(desc), pivot)
+    return _INNER_CACHE[desc, pivot]
 
 
 def _spin_cached(grading, weyl_budget, term_budget):
@@ -131,8 +130,7 @@ def all_inner_gradings(weyl_budget=DEFAULT_WEYL_BUDGET):
                 f"|W({desc})| = {rs.weyl_order()} exceeds the budget"
                 f" {weyl_budget}"))
             continue
-        out += [_inner_grading_cached(desc, i, weyl_budget)
-                for i in involutive_pivots(rs)]
+        out += [_inner_grading_cached(desc, i) for i in involutive_pivots(rs)]
     return out, skips
 
 
@@ -335,9 +333,8 @@ def suite_inner(weyl_budget=DEFAULT_WEYL_BUDGET, term_budget=DEFAULT_TERM_BUDGET
     for grading in gradings:
         def chk(grading=grading):
             sp = _spin_cached(grading, weyl_budget, term_budget)
-            group = enumerate_weyl(grading.ambient, weyl_budget)
             _expect(sp.is_multiplicity_free(), "not multiplicity free")
-            _expect(len(sp) * len(grading.sub.group) == len(group),
+            _expect(len(sp) * grading.g0.weyl_order() == grading.ambient.weyl_order(),
                     "summand count != #W / #W0")
             dim_g1 = grading.delta1.dimension()
             _expect(sp.total_dimension() == 2 ** (dim_g1 // 2),
@@ -349,7 +346,7 @@ def suite_inner(weyl_budget=DEFAULT_WEYL_BUDGET, term_budget=DEFAULT_TERM_BUDGET
         records.append(_run(f"inner:{grading.label}", chk))
     for n in (2, 3, 4):
         def chk(n=n):
-            grading = _inner_grading_cached(f"B{n}", n, weyl_budget)
+            grading = _inner_grading_cached(f"B{n}", n)
             _expect(grading.g0.descriptor() in ("A1xA1", "A3", "D4"),
                     f"B{n} even-part type {grading.g0.descriptor()}")
             sp = _spin_cached(grading, weyl_budget, term_budget)
@@ -362,7 +359,7 @@ def suite_inner(weyl_budget=DEFAULT_WEYL_BUDGET, term_budget=DEFAULT_TERM_BUDGET
         records.append(_run(f"inner:so{2*n+1}/so{2*n}:spinors", chk))
 
     def f4_chk():
-        grading = _inner_grading_cached("F4", 1, weyl_budget)
+        grading = _inner_grading_cached("F4", 1)
         _expect(grading.g0.descriptor() == "B4", "F4 pivot-1 even part not B4")
         sp = _spin_cached(grading, weyl_budget, term_budget)
         got = {(tuple(int(c) for c in grading.g0.fw_coefficients(s.lam)), s.dimension)
@@ -375,7 +372,7 @@ def suite_inner(weyl_budget=DEFAULT_WEYL_BUDGET, term_budget=DEFAULT_TERM_BUDGET
     records.append(_run("inner:f4/so9:weights", f4_chk))
 
     def hermitian_chk():
-        grading = _inner_grading_cached("A2", 1, weyl_budget)
+        grading = _inner_grading_cached("A2", 1)
         rs = grading.ambient
         wminus = [-w for w, _ in grading.delta1.canonical_half()]
         ext = Character.one(rs)
@@ -385,10 +382,8 @@ def suite_inner(weyl_budget=DEFAULT_WEYL_BUDGET, term_budget=DEFAULT_TERM_BUDGET
                               term_budget)
         dec = decompose(ext, grading.g0, weyl_budget)
         heads = sorted(l.coords for l, _ in dec)
-        group = enumerate_weyl(rs, weyl_budget)
-        reps = minimal_coset_reps(rs, grading.sub, weyl_budget)
-        expected = sorted((group.invert(r).apply(rs.rho) - rs.rho).coords
-                          for r in reps)
+        expected = sorted((r.apply_inverse(rs.rho) - rs.rho).coords
+                          for r in minimal_coset_reps(rs, grading.sub, weyl_budget))
         _expect(heads == expected,
                 "exterior algebra heads != shifted coset images")
         return f"{len(heads)} heads match"
@@ -414,7 +409,7 @@ def suite_identity(weyl_budget=DEFAULT_WEYL_BUDGET,
     def e_chk(desc):
         # refused from the type, before the grading is built
         _check_weyl_budget(build_root_system(desc), weyl_budget)
-        grading = _inner_grading_cached(desc, 1, weyl_budget)
+        grading = _inner_grading_cached(desc, 1)
         return f"{grading.label}: {chk(grading)}"
 
     for grading in gradings:
@@ -488,7 +483,7 @@ def suite_outer(weyl_budget=DEFAULT_WEYL_BUDGET, term_budget=DEFAULT_TERM_BUDGET
     records = []
     for family, params in OUTER_INSTANCES:
         def chk(family=family, params=params):
-            grading = outer_grading(family, *params, budget=weyl_budget)
+            grading = outer_grading(family, *params)
             sp = spin_g1(grading, weyl_budget, term_budget)
             detail = OUTER_CHECKS[family](grading, sp, *params)
             casimir_check(grading, sp)
@@ -501,7 +496,7 @@ def suite_outer(weyl_budget=DEFAULT_WEYL_BUDGET, term_budget=DEFAULT_TERM_BUDGET
         # and its dual-system image satisfy the twisted identity, with the
         # restricted rho = rho0 + rho1 on the left side of each
         for n in (2, 3):
-            grading = outer_grading("sl_even", n, budget=weyl_budget)
+            grading = outer_grading("sl_even", n)
             cn = grading.ambient
             d1p = [w for w, _ in grading.delta1.canonical_half()]
             _expect(verify_tau_identity(cn, grading.sub, d1p,
@@ -510,7 +505,7 @@ def suite_outer(weyl_budget=DEFAULT_WEYL_BUDGET, term_budget=DEFAULT_TERM_BUDGET
                     f"restricted identity failed for n={n}")
             dual, mapping = dual_root_system(cn)
             dual_sub_plus = [mapping[r] for r in grading.sub.delta0_plus]
-            dual_sub = SubsystemDatum(dual, dual_sub_plus, weyl_budget)
+            dual_sub = SubsystemDatum(dual, dual_sub_plus)
             long_d1 = [r for r in cn.positive_roots if cn.inner(r, r) == 2]
             _expect(dual.rho == grading.rho_effective,
                     "dual Weyl vector != restricted rho")
@@ -542,7 +537,7 @@ def suite_casimir(weyl_budget=DEFAULT_WEYL_BUDGET, term_budget=DEFAULT_TERM_BUDG
         records.append(_run(f"casimir:{grading.label}", chk))
     for family, params in OUTER_INSTANCES:
         def chk(family=family, params=params):
-            grading = outer_grading(family, *params, budget=weyl_budget)
+            grading = outer_grading(family, *params)
             sp = spin_g1(grading, weyl_budget, term_budget)
             value = casimir_check(grading, sp, weyl_budget)
             return f"eigenvalue {value}"
@@ -771,21 +766,22 @@ def suite_properties(weyl_budget=DEFAULT_WEYL_BUDGET,
         cases.append((c3, [r for r in c3.positive_roots if c3.inner(r, r) == 2]))
         cases.append((c3, [r for r in c3.positive_roots if c3.inner(r, r) == 1]))
         f4 = build_root_system("F4")
-        cases.append((f4, list(_inner_grading_cached("F4", 1, weyl_budget)
-                               .sub.delta0_plus)))
+        cases.append((f4, list(_inner_grading_cached("F4", 1).sub.delta0_plus)))
         cases.append((f4, [r for r in f4.positive_roots if f4.inner(r, r) == 2]))
-        e6data = outer_grading("e6_sp8", budget=weyl_budget)
-        cases.append((f4, list(e6data.sub.delta0_plus)))
+        cases.append((f4, list(outer_grading("e6_sp8").sub.delta0_plus)))
         checked = 0
         for rs, delta0 in cases:
-            sub = SubsystemDatum(rs, delta0, weyl_budget)
+            sub = SubsystemDatum(rs, delta0)
             group = enumerate_weyl(rs, weyl_budget)
             reps = minimal_coset_reps(rs, sub, weyl_budget)
             _expect(len(reps) * len(sub.group) == len(group), "cardinality")
+            factored = set()
             for w in group:
                 w0, rep = factorize(rs, sub, w, weyl_budget)
-                recomposed = group.multiply(w0, group.invert(rep))
-                _expect(recomposed == w, "factorization does not recompose")
+                _expect(group.multiply(w0, group.invert(rep)) == w,
+                        "factorization does not recompose")
+                factored.add(rep.key)
+            _expect(factored == {r.key for r in reps}, "walked section != factorized reps")
             checked += 1
         return f"{checked} subsystem choices, exhaustive round trips"
     records.append(_run("properties:coset-factorization", coset_round_trip))

@@ -7,12 +7,14 @@ and a breadth-first walk of the rho-orbit reaches every element at a depth
 equal to its length. Products, inverses and actions walk the word by the
 integer reflections of the generating ``RootSystem``; an element's rational
 matrix is derived only when asked for. Enumeration order is deterministic: by
-length, ties broken by key.
+length, ties broken by key. A minimal coset section is walked on its own
+|W|/|W0| points without W, and W0 is enumerated only when an oracle reads it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import BudgetExceeded, ConsistencyError
 from .rootsys import RootSystem, Weight, _dot, scale_to_int, subsystem
@@ -35,10 +37,6 @@ class WeylElement:
         self._matrix = None
 
     @property
-    def _image(self):
-        return self.key
-
-    @property
     def sign(self) -> int:
         return -1 if self.length % 2 else 1
 
@@ -54,6 +52,11 @@ class WeylElement:
 
     def apply(self, w: Weight) -> Weight:
         key, scale = self._system.walk(reversed(self.word), *w.scaled())
+        return Weight(tuple(Fraction(x, scale) for x in key))
+
+    def apply_inverse(self, w: Weight) -> Weight:
+        """w^{-1} on a weight: the word read first letter first."""
+        key, scale = self._system.walk(self.word, *w.scaled())
         return Weight(tuple(Fraction(x, scale) for x in key))
 
     @property
@@ -160,43 +163,75 @@ def enumerate_weyl(rs: RootSystem, budget: int = DEFAULT_WEYL_BUDGET) -> WeylGro
 
 
 class SubsystemDatum:
-    """A subset of positive roots forming a root system of its own, with
-    its reflection subgroup enumerated inside the ambient Weyl group."""
+    """A subset of positive roots forming a root system of its own; ``group``,
+    its reflection subgroup inside the ambient W, is enumerated on first read."""
 
-    def __init__(self, rs: RootSystem, delta0_plus, budget: int = DEFAULT_WEYL_BUDGET):
+    def __init__(self, rs: RootSystem, delta0_plus):
         self.rs = rs
         self.delta0_plus = tuple(
             w if isinstance(w, Weight) else Weight(w) for w in delta0_plus)
         self.system = subsystem(rs, self.delta0_plus)
-        self.group = _enumerate(rs, self.system, budget,
-                                f"W({self.system.descriptor()}) in W({rs.descriptor()})")
+
+    @cached_property
+    def group(self) -> WeylGroup:
+        return _enumerate(self.rs, self.system, DEFAULT_WEYL_BUDGET,
+                          f"W({self.system.descriptor()}) in W({self.rs.descriptor()})")
+
+
+def _descend(gen: RootSystem, key):
+    """Descend key to gen's dominant chamber; returns it and the letters used."""
+    letters = []
+    while True:
+        i = next((i for i in range(gen.rank) if gen.pairing_num(key, i) < 0), None)
+        if i is None:
+            return key, letters
+        key = gen.walk((i,), key)[0]
+        letters.append(i)
+
+
+def _spell(rs: RootSystem, key) -> WeylElement:
+    """The u with u^{-1}(rho) = key: descending key to rho by s_{i1}, ..., s_{ik}
+    spells u^{-1} = s_{i1} ... s_{ik}, reduced, so u is that word reversed."""
+    letters = _descend(rs, key)[1]
+    return WeylElement(rs.walk(letters, rs.rho_key)[0], tuple(reversed(letters)), rs)
 
 
 def minimal_coset_reps(rs: RootSystem, sub: SubsystemDatum,
                        budget: int = DEFAULT_WEYL_BUDGET):
-    """Minimal-length coset representatives W0 = {w : w(Delta0+) in Delta+}.
+    """Minimal-length coset representatives W0 = {w : w(Delta0+) in Delta+},
+    sorted by (length, key); the budget bounds their number |W|/|W0|.
 
     w(beta) > 0 for a simple root beta of Delta0+ exactly when
-    (beta, w^{-1}(rho)) > 0, so the representatives are the inverses of
-    the Delta0-dominant points of the rho-orbit (Dyer, "Reflection
-    subgroups of Coxeter systems", J. Algebra 1990). Verifies that
-    (rep, w0) -> w0 rep^{-1} hits every element of W exactly once before
-    returning.
+    (beta, w^{-1}(rho)) > 0, so the points w^{-1}(rho) are the Delta0-dominant
+    points of the rho-orbit (Dyer, "Reflection subgroups of Coxeter systems",
+    J. Algebra 1990). They are walked from rho without W: at x = u(rho), a
+    positive root gamma with <x, gamma~> = p = +-1 is +-u(alpha_i), so
+    x - p gamma = u s_i(rho), which Delta0-simple reflections move back to the
+    Delta0-dominant chamber. As rho is regular, |W|/|W0| distinct points, both
+    orders read off the types, are the whole section; each is spelled by
+    descending it to rho.
     """
-    group = enumerate_weyl(rs, budget)
     gen = sub.system
-    dominant = [u for u in group if all(gen.pairing_num(u.key, i) > 0 for i in range(gen.rank))]
-    if len(dominant) * len(sub.group) != len(group):
-        raise ConsistencyError("coset section has the wrong cardinality")
-    seen = set()
-    for u in dominant:
-        for w0 in sub.group:
-            seen.add(w0.act_key(u.key))  # the key of w0 rep^{-1}, rep = u^{-1}
-    if len(seen) != len(group):
-        raise ConsistencyError("coset factorization is not a bijection")
-    reps = [group.invert(u) for u in dominant]
-    reps.sort(key=lambda w: (w.length, w.key))
-    return reps
+    required = rs.weyl_order() // gen.weyl_order()
+    if required > budget:
+        raise BudgetExceeded(
+            f"|W({rs.descriptor()})|/|W({gen.descriptor()})| = {required}"
+            f" exceeds the budget {budget}", required=required, budget=budget)
+    walls = [(k, w, _dot(k, w)) for k, w in zip(rs.positive_keys, rs.positive_w)]
+    seen, frontier = {rs.rho_key}, [rs.rho_key]
+    while frontier and len(seen) < required:
+        x = frontier.pop()
+        for k, w, n in walls:
+            p = 2 * _dot(x, w)
+            if p in (n, -n):
+                y = _descend(gen, tuple(a - p // n * b for a, b in zip(x, k)))[0]
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+    if len(seen) != required:
+        raise ConsistencyError(f"coset section walk reached {len(seen)} points,"
+                               f" expected |W|/|W0| = {required}")
+    return sorted((_spell(rs, x) for x in seen), key=lambda w: (w.length, w.key))
 
 
 def factorize(rs: RootSystem, sub: SubsystemDatum, w: WeylElement,
@@ -204,18 +239,12 @@ def factorize(rs: RootSystem, sub: SubsystemDatum, w: WeylElement,
     """Unique factorization w = w0 (rep)^{-1} with w0 in W0, rep minimal.
 
     Descent: starting from the key of w(rho), reflect by subsystem simple
-    roots pairing negatively with it. Each step right-multiplies
-    w^{-1} by that reflection and repairs one root; the key reached is
-    that of rep^{-1}(rho).
+    roots pairing negatively with it. Each step right-multiplies w^{-1} by
+    that reflection and repairs one root; the key reached is rep^{-1}(rho),
+    which spells rep. An oracle: it walks all of W and W0.
     """
     group = enumerate_weyl(rs, budget)
-    gen, key = sub.system, w.key
-    while True:
-        bad = next((i for i in range(gen.rank) if gen.pairing_num(key, i) < 0), None)
-        if bad is None:
-            break
-        key = gen.walk((bad,), key)[0]
-    rep = group.invert(group._by_image[key])
+    rep = _spell(rs, _descend(sub.system, w.key)[0])
     w0 = group.multiply(w, rep)
     if w0 not in sub.group:
         raise ConsistencyError("descent left the reflection subgroup")

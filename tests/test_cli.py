@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 from spinchar.cli import main
 
@@ -200,3 +204,19 @@ def test_outer_table_skips_rows_the_budget_refuses(capsys):
     assert code == 0
     assert "| e6 | sp8 | isotropy module | f4 | little adjoint V_w1 | skip |" in out
     assert "| sl4 | so4 | isotropy module | sp4 | little adjoint V_w2 | 2 |" in out
+
+
+def test_output_into_a_pipe_closed_early_is_not_an_error():
+    # ~140 KB of JSON overfills the pipe, so the reader's close is seen
+    # mid-write: no traceback, and the command's own exit code stands
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "spinchar.cli", "spin", "--type", "A1",
+            "--format", "json"] + ["--weight", "2"] * 300
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in err and "Error" not in err

@@ -12,6 +12,7 @@ from spinchar import (
     decompose,
     enumerate_weyl,
     equal_rank_pair,
+    factorize,
     grading_catalog,
     inner_grading,
     inner_gradings,
@@ -311,3 +312,45 @@ def test_subsystem_realizations_are_pinned():
     got = {g.label: (g.g0.descriptor(), [str(a) for a in g.g0.simple_roots])
            for g in gradings}
     assert got == SUBSYSTEM_PINS
+
+
+def test_walked_sections_are_the_factorized_representatives():
+    # the oracle walks all of W: every element's factorization names its
+    # coset representative, and the enumerated element with the same key
+    # has the same length and matrix as the spelled one
+    for name, make in sorted(grading_catalog().items()):
+        grading = make()
+        rs = grading.ambient
+        group = enumerate_weyl(rs)
+        reps = minimal_coset_reps(rs, grading.sub)
+        factored = {factorize(rs, grading.sub, w)[1] for w in group}
+        expected = sorted(factored, key=lambda r: (r.length, r.key))
+        assert [(r.key, r.length, r.matrix) for r in reps] == \
+            [(r.key, r.length, r.matrix) for r in expected], name
+        enumerated = {w.key: w for w in group}
+        assert [(r.length, r.matrix) for r in reps] == \
+            [(enumerated[r.key].length, enumerated[r.key].matrix) for r in reps], name
+
+
+E_SECTIONS = {"E6": [27, 36, 36, 36, 27], "E7": [63, 72, 63, 56], "E8": [135, 120]}
+
+
+@pytest.mark.parametrize("desc", sorted(E_SECTIONS))
+def test_exceptional_sections_walk_neither_w_nor_w0(monkeypatch, desc):
+    rs = build_root_system(desc)
+    monkeypatch.setattr(rs, "_weyl_cache", None)
+    gradings = inner_gradings(rs)
+    assert [len(minimal_coset_reps(rs, g.sub)) for g in gradings] == E_SECTIONS[desc]
+    assert rs._weyl_cache is None
+    assert all("group" not in g.sub.__dict__ for g in gradings)
+
+
+def test_e6_spin_and_casimir_without_a_weyl_walk(monkeypatch):
+    rs = build_root_system("E6")
+    monkeypatch.setattr(rs, "_weyl_cache", None)
+    for grading in inner_gradings(rs):
+        sp = spin_g1(grading)
+        assert len(sp) == rs.weyl_order() // grading.g0.weyl_order()
+        casimir_check(grading, sp)
+        assert "group" not in grading.sub.__dict__
+    assert rs._weyl_cache is None

@@ -7,7 +7,7 @@ import pathlib
 
 import pytest
 
-from spinchar import BudgetExceeded, SubsystemDatum, build_root_system
+from spinchar import BudgetExceeded, build_root_system
 from spinchar import verify
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "spinchar"
@@ -33,11 +33,15 @@ def test_unexpected_exception_becomes_fail_record():
     assert "key lattice" in record["detail"]
 
 
-def test_subgroup_budget_refusal_reports_order():
-    rs = build_root_system("B2")
+def test_coset_section_budget_refusal_reports_its_size():
+    # the budget bounds the section walked, |W(F4)|/|W(B4)| = 3
+    from spinchar import inner_grading, minimal_coset_reps
+
+    rs = build_root_system("F4")
+    sub = inner_grading(rs, 1).sub
     with pytest.raises(BudgetExceeded) as info:
-        SubsystemDatum(rs, rs.positive_roots, budget=2)
-    assert info.value.required == 8
+        minimal_coset_reps(rs, sub, budget=2)
+    assert info.value.required == 3
     assert info.value.budget == 2
 
 
@@ -180,6 +184,35 @@ def test_budget_defaults_are_not_copied_as_literals():
         holders = {path.name for path in SRC.glob("*.py")
                    if value in _constant_values(ast.parse(path.read_text()))}
         assert holders == {OWNERS[name]}, name
+
+
+# W is walked in full only where the walk is the point: the alternating
+# sums (tau identity, Weyl denominator, Weyl-formula oracle) and the
+# factorization oracles
+W_WALKERS = {("charring.py", "alternating_sum"), ("weyl.py", "factorize"),
+             ("verify.py", "coset_round_trip")}
+
+
+def _callers(name):
+    """(module, innermost enclosing function) of every call to ``name``."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = (where[0], node.name)
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None)):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), (path.name, None))
+    return found
+
+
+def test_weyl_group_is_enumerated_only_where_the_walk_is_the_point():
+    assert _callers("enumerate_weyl") == W_WALKERS
 
 
 def test_cli_budget_defaults_are_the_library_constants(monkeypatch):

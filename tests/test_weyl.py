@@ -47,9 +47,9 @@ def test_budget_refusal_names_requirement():
 
 def test_deterministic_enumeration_order():
     rs = build_root_system("B2")
-    a = [w._image for w in enumerate_weyl(rs)]
+    a = [w.key for w in enumerate_weyl(rs)]
     rs._weyl_cache = None
-    b = [w._image for w in enumerate_weyl(rs)]
+    b = [w.key for w in enumerate_weyl(rs)]
     assert a == b
 
 
