@@ -441,14 +441,37 @@ class WeightSystem:
         return f"WeightSystem(dim {self.dimension()}, m(0)={self.zero_mult})"
 
 
+def dominant_weights(rs: RootSystem, lam_key) -> dict:
+    """The dominant weights of V_lam for a dominant integral key, as
+    {Dynkin labels: key}, lam first.
+
+    They are the dominant weights below lam, reached from lam by chains of
+    dominant weights that differ by positive roots (Stembridge), and each
+    has positive multiplicity, so the walk on labels finds them without
+    Freudenthal's recursion.
+    """
+    top = tuple(rs.labels(lam_key))
+    keys = {top: lam_key}
+    frontier = [top]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            k = keys[p]
+            for la, a in zip(rs.positive_labels, rs.positive_keys):
+                q = tuple(x - y for x, y in zip(p, la))
+                if min(q) >= 0 and q not in keys:
+                    keys[q] = tuple(x - y for x, y in zip(k, a))
+                    nxt.append(q)
+        frontier = nxt
+    return keys
+
+
 def freudenthal_weights(rs: RootSystem, lam: Weight) -> WeightSystem:
     """Full weight multiset of the irreducible V_lam via Freudenthal's
     recursion, cross-checked against the Weyl dimension formula.
 
-    The recursion visits dominant weights only (Moody-Patera). These are
-    the dominant weights below lam, reached from lam by chains of dominant
-    weights that differ by positive roots (Stembridge), and each has
-    positive multiplicity. Inside lam + Q a weight is fixed by its Dynkin
+    The recursion visits dominant weights only (Moody-Patera), those of
+    ``dominant_weights``. Inside lam + Q a weight is fixed by its Dynkin
     labels. An alpha-string ends where its dominant representative leaves
     that set, since strings of weights are unbroken. The dominant
     multiplicities are then spread over their orbits; W is never
@@ -461,25 +484,11 @@ def freudenthal_weights(rs: RootSystem, lam: Weight) -> WeightSystem:
                             1 if lam.is_zero() else 0)
     rho_k = rs.rho_key
     lam_k = weight_key(rs, lam)
-    # per positive root: labels, form vector, scaled (alpha, alpha), key
-    root_steps = []
-    for a, fa in zip(rs.positive_keys, rs.positive_w):
-        root_steps.append((tuple(rs.labels(a)), fa, sum(x * y for x, y in zip(a, fa)), a))
-
-    # dominant weights below lam, keyed by Dynkin labels
-    top_labels = tuple(rs.labels(lam_k))
-    keys = {top_labels: lam_k}
-    frontier = [top_labels]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            k = keys[p]
-            for la, _, _, a in root_steps:
-                q = tuple(x - y for x, y in zip(p, la))
-                if min(q) >= 0 and q not in keys:
-                    keys[q] = tuple(x - y for x, y in zip(k, a))
-                    nxt.append(q)
-        frontier = nxt
+    # per positive root: labels, form vector, scaled (alpha, alpha)
+    root_steps = [(la, fa, sum(x * y for x, y in zip(a, fa))) for la, fa, a
+                  in zip(rs.positive_labels, rs.positive_w, rs.positive_keys)]
+    keys = dominant_weights(rs, lam_k)
+    top_labels = next(iter(keys))
 
     def shifted_norm(k):
         s = tuple(a + b for a, b in zip(k, rho_k))
@@ -506,7 +515,7 @@ def freudenthal_weights(rs: RootSystem, lam: Weight) -> WeightSystem:
                 f"Freudenthal denominator {denom} on the dominant weight"
                 f" {key_weight(rs, mu)}")
         total = 0
-        for la, fa, step, _ in root_steps:
+        for la, fa, step in root_steps:
             ip = sum(x * y for x, y in zip(mu, fa))
             q = p
             while True:

@@ -42,6 +42,13 @@ def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def clear_denominators(values) -> tuple:
+    """(ints, scale): the least positive integer scale that clears the
+    denominators of int or Fraction values, and the integers scale * values."""
+    scale = lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (scale // x.denominator) for x in values), scale
+
+
 def scale_to_int(v, scale: int) -> tuple:
     """The integers scale * v, for a rational vector v in (1/scale) Z^n."""
     out = []
@@ -77,8 +84,7 @@ class Weight:
     def scaled(self):
         """(key, scale): the least positive integer scale that clears the
         denominators, and the integer coordinates scale * self."""
-        scale = lcm(*(c.denominator for c in self.coords))
-        return tuple(c.numerator * (scale // c.denominator) for c in self.coords), scale
+        return clear_denominators(self.coords)
 
     def __eq__(self, other):
         return isinstance(other, Weight) and self.coords == other.coords
@@ -287,9 +293,9 @@ class RootSystem:
     roots. ``simple_keys``, ``positive_keys`` and ``rho_key`` are vectors
     scaled by ``denom`` to integers ("keys"), and the integer methods below
     work on them: (x, alpha_i) is x . simple_w[i] and (x, beta_j) is
-    x . positive_w[j], both up to one positive factor, and
-    simple_n[i] = simple_keys[i] . simple_w[i]. All values are immutable
-    after construction.
+    x . positive_w[j], both up to one positive factor,
+    simple_n[i] = simple_keys[i] . simple_w[i], and positive_labels[j] holds
+    the Dynkin labels of beta_j. All values are immutable after construction.
     """
 
     def __init__(self, simple_roots, form, type_label=None, denom=None):
@@ -316,9 +322,13 @@ class RootSystem:
         self.lattice_denom = _denominator(inv)
         self.lattice_rows = tuple(zip(*(tuple(int(x * self.lattice_denom) for x in row)
                                         for row in inv)))
+        # integer fundamental-weight keys at their own common scale: a
+        # subsystem shares its ambient's denom, which need not clear them
+        self._fw_scale = lcm(*(w.scaled()[1] for w in self.fundamental_weights))
+        self._fw_keys = tuple(scale_to_int(w.coords, self._fw_scale)
+                              for w in self.fundamental_weights)
         # the simple roots have denominators dividing d, so the positive roots do too
-        self.denom = denom if denom is not None else 2 * lcm(
-            d, *(w.scaled()[1] for w in self.fundamental_weights))
+        self.denom = denom if denom is not None else 2 * lcm(d, self._fw_scale)
         self.simple_keys = tuple(scale_to_int(a.coords, self.denom) for a in self.simple_roots)
         self.simple_w, self.simple_n = _gram_rows(self.form_int, self.simple_keys)
 
@@ -326,6 +336,7 @@ class RootSystem:
                         for c in _close_positive_roots(self.cartan_matrix))
         self.positive_keys = tuple(k for _, k, _ in coords)
         self.positive_w = tuple(self._matvec(k) for k in self.positive_keys)
+        self.positive_labels = tuple(tuple(self.labels(k)) for k in self.positive_keys)
         self.positive_roots = tuple(
             Weight(tuple(Fraction(x, self.denom) for x in k)) for k in self.positive_keys)
         self._root_coords = {r: c for r, (_, _, c) in zip(self.positive_roots, coords)}
@@ -359,7 +370,8 @@ class RootSystem:
 
     def dominant_representative(self, x: Weight) -> Weight:
         """The dominant element of W.x, reached by simple reflections on
-        integer coordinates (exact for any rational x)."""
+        integer coordinates (exact for any rational x). The library moves
+        Dynkin labels with ``to_dominant``; this stays as the tests' oracle."""
         key, scale = x.scaled()
         while True:
             i = next((i for i in range(self.rank) if self.pairing_num(key, i) < 0), None)
@@ -368,14 +380,18 @@ class RootSystem:
             key, scale = self.walk((i,), key, scale)
 
     def weight(self, *fw_coeffs) -> Weight:
-        """Weight from coefficients in the fundamental-weight basis."""
+        """Weight from coefficients in the fundamental-weight basis: the
+        coefficients, cleared of denominators, sum the integer
+        fundamental-weight keys, and the sum is divided once."""
         if len(fw_coeffs) == 1 and isinstance(fw_coeffs[0], (list, tuple)):
             fw_coeffs = fw_coeffs[0]
         if len(fw_coeffs) != self.rank:
             raise InvalidDescriptor(
                 f"expected {self.rank} coefficients, got {len(fw_coeffs)}")
-        return _wsum([c * w for c, w in zip(fw_coeffs, self.fundamental_weights)],
-                     self.space_dim)
+        coeffs, scale = clear_denominators([frac(c) for c in fw_coeffs])
+        scale *= self._fw_scale
+        return Weight(Fraction(sum(c * k[t] for c, k in zip(coeffs, self._fw_keys)), scale)
+                      for t in range(self.space_dim))
 
     def fw_coefficients(self, x: Weight) -> tuple:
         """<x, alpha_i~> for each simple root, from the integer rows."""

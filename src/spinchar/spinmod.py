@@ -29,12 +29,14 @@ from .charring import (
     WeightSystem,
     _binomial_product,
     _check_weyl_budget,
+    dominant_weights,
     freudenthal_weights,
     key_weight,
     multiplicity_of,
     weight_key,
 )
-from .rootsys import RootSystem, Weight, _dot, build_root_system, simple_types
+from .rootsys import (
+    RootSystem, Weight, _dot, build_root_system, clear_denominators, simple_types)
 from .weyl import DEFAULT_WEYL_BUDGET
 
 DEFAULT_HYPERPLANE_BUDGET = 64
@@ -45,8 +47,15 @@ DEFAULT_HYPERPLANE_BUDGET = 64
 
 
 def self_dual(rs: RootSystem, lam: Weight) -> bool:
-    """A highest weight is self-dual iff -lam is Weyl-conjugate to lam."""
-    return rs.dominant_representative(-lam) == lam
+    """A highest weight is self-dual iff -lam is Weyl-conjugate to lam.
+
+    W moves only the part of lam in the span of the roots, which its Dynkin
+    labels fix, so the labels, cleared of denominators, must be those of the
+    dominant point of their negatives, and the rest of lam must be zero.
+    """
+    labels = rs.fw_coefficients(lam)
+    ints = clear_denominators(labels)[0]
+    return rs.to_dominant([-p for p in ints])[0] == ints and rs.weight(labels) == lam
 
 
 def frobenius_schur(rs: RootSystem, lam: Weight,
@@ -406,23 +415,24 @@ def weights_up_to_height(rank: int, height_bound: int):
             yield coeffs
 
 
-def _on_root_line(rs: RootSystem, w: Weight) -> bool:
-    """Whether w is 0 or W-conjugate to a positive multiple of a root, i.e.
-    its dominant representative lies on the ray of a positive root (which
-    is then dominant too)."""
-    if w.is_zero():
-        return True
-    line = _primitive(rs.dominant_representative(w).scaled()[0])
-    return line in map(_primitive, rs.positive_keys)
-
-
 def classify_candidate(rs: RootSystem, lam: Weight,
                        budget: int = DEFAULT_WEYL_BUDGET,
                        term_budget: int = DEFAULT_TERM_BUDGET) -> dict:
-    """Run one candidate through the co-primary filters, cheapest first."""
+    """Run one candidate through the co-primary filters, cheapest first.
+
+    Whether every weight of V_lam is 0 or W-conjugate to a positive
+    multiple of a root is Weyl-invariant, so it is decided on the dominant
+    weights, found without Freudenthal's recursion: each must be 0 or lie
+    on the ray of a positive root (which is then dominant too). Freudenthal
+    and the Frobenius-Schur test run only for candidates that pass. A lam
+    that is not dominant integral has no module and raises InvalidDescriptor.
+    """
+    labels = rs.fw_coefficients(lam)
+    if any(p < 0 or p.denominator != 1 for p in labels):
+        raise InvalidDescriptor(f"{lam} is not dominant integral")
     record = {
         "type": rs.descriptor(),
-        "weight": [str(c) for c in rs.fw_coefficients(lam)],
+        "weight": [str(c) for c in labels],
         "coprimary": False,
         "filter": None,
         "spin0": None,
@@ -433,14 +443,19 @@ def classify_candidate(rs: RootSystem, lam: Weight,
     if not rs.in_root_lattice(lam):
         record["filter"] = "zero-weight"
         return record
-    if not _on_root_line(rs, lam):
+    lines = {_primitive(k) for k in rs.positive_keys}
+
+    def on_a_root_line(k):
+        return not any(k) or _primitive(k) in lines
+
+    key = weight_key(rs, lam)
+    if not on_a_root_line(key):
         record["filter"] = "highest-weight-off-root-line"
         return record
+    if not all(map(on_a_root_line, dominant_weights(rs, key).values())):
+        record["filter"] = "weights-off-root-lines"
+        return record
     ws = freudenthal_weights(rs, lam)
-    for k in ws.nonzero:
-        if not _on_root_line(rs, key_weight(rs, k)):
-            record["filter"] = "weights-off-root-lines"
-            return record
     if frobenius_schur(rs, lam, budget, ws) != 1:
         record["filter"] = "symplectic"
         return record

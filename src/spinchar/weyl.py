@@ -204,10 +204,14 @@ def minimal_coset_reps(rs: RootSystem, sub: SubsystemDatum,
     w(beta) > 0 for a simple root beta of Delta0+ exactly when
     (beta, w^{-1}(rho)) > 0, so the points w^{-1}(rho) are the Delta0-dominant
     points of the rho-orbit (Dyer, "Reflection subgroups of Coxeter systems",
-    J. Algebra 1990). They are walked from rho without W: at x = u(rho), a
-    positive root gamma with <x, gamma~> = p = +-1 is +-u(alpha_i), so
-    x - p gamma = u s_i(rho), which Delta0-simple reflections move back to the
-    Delta0-dominant chamber. As rho is regular, |W|/|W0| distinct points, both
+    J. Algebra 1990). They are walked from rho without W, by up-steps: at
+    x = u(rho), a positive root gamma with <x, gamma~> = 1 is u(alpha_i) with
+    l(u s_i) = l(u) + 1, and x - gamma = u s_i(rho). By induction on length,
+    up-steps through Delta0-dominant points reach every point: if u(rho) is
+    one and s_i a right descent of u, so is u s_i(rho). Were
+    (beta, u s_i(rho)) < 0 for some beta in Delta0+, s_i would send
+    u^{-1}(beta) > 0 below zero, so u^{-1}(beta) = alpha_i and
+    beta = u(alpha_i) < 0. As rho is regular, |W|/|W0| distinct points, both
     orders read off the types, are the whole section; each is spelled by
     descending it to rho.
     """
@@ -222,10 +226,9 @@ def minimal_coset_reps(rs: RootSystem, sub: SubsystemDatum,
     while frontier and len(seen) < required:
         x = frontier.pop()
         for k, w, n in walls:
-            p = 2 * _dot(x, w)
-            if p in (n, -n):
-                y = _descend(gen, tuple(a - p // n * b for a, b in zip(x, k)))[0]
-                if y not in seen:
+            if 2 * _dot(x, w) == n:
+                y = tuple(a - b for a, b in zip(x, k))
+                if y not in seen and all(_dot(y, f) > 0 for f in gen.simple_w):
                     seen.add(y)
                     frontier.append(y)
     if len(seen) != required:

@@ -57,6 +57,12 @@ def test_weight_without_a_module_is_a_usage_error(capsys):
     assert "not dominant integral" in capsys.readouterr().err
 
 
+def test_half_a_fundamental_weight_is_a_usage_error(capsys):
+    # the self-duality test takes any rational weight; the module check refuses it
+    assert main(["spin", "--type", "B2", "--weight", "1/2,0"]) == 2
+    assert "not dominant integral" in capsys.readouterr().err
+
+
 def test_malformed_weight_is_a_usage_error(capsys):
     # a coefficient that is not a rational number is the caller's mistake,
     # not a failed check: exit 2 with an error line, no traceback

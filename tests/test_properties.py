@@ -8,7 +8,9 @@ the pruned Spin0 products against the full one; extreme weights and
 chamber witnesses against the decomposed Spin0 and Fraction pairings;
 dominant halves against every feasible sign vector of the weight
 hyperplanes; fundamental weights and lattice rows against the coroots and
-the Cartan matrix; Weight arithmetic against coordinatewise Fractions."""
+the Cartan matrix; Weight arithmetic against coordinatewise Fractions;
+RootSystem.weight against the Fraction sum of fundamental weights, and
+self_dual against the dominant representative of -lam."""
 
 import sys
 from fractions import Fraction
@@ -36,6 +38,7 @@ from spinchar import (
     factorize,
     freudenthal_weights,
     frobenius_schur,
+    grading_catalog,
     inner_grading,
     inner_gradings,
     irreducible_character,
@@ -49,8 +52,8 @@ from spinchar import (
 )
 from spinchar.charring import exact_divide, key_weight, weight_key
 from spinchar.gradings import OUTER_INSTANCES, involutive_pivots
-from spinchar.rootsys import simple_types
-from spinchar.spinmod import _fm_stages, _primitive
+from spinchar.rootsys import _wsum, simple_types
+from spinchar.spinmod import _fm_stages, _primitive, self_dual
 from spinchar.weyl import reflection_matrix
 
 TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2", "A1xA1"]
@@ -249,6 +252,40 @@ def test_scaled_is_the_least_integral_scale(coords):
     assert scale > 0 and all(type(k) is int for k in key)
     assert Weight(Fraction(k, scale) for k in key) == Weight(coords)
     assert not any(all((p * s).denominator == 1 for p in coords) for s in range(1, scale))
+
+
+WEIGHT_SYSTEMS = (
+    [(f"{fam}{rank}", lambda fam=fam, rank=rank: build_root_system(fam, rank))
+     for fam, rank in simple_types(4)]
+    + [(d, lambda d=d: build_root_system(d)) for d in ("A1xB2", "G2xA2")]
+    # a subsystem shares its ambient's denom, which need not clear its
+    # fundamental weights
+    + [(f"g0 of {name}", lambda make=make: make().g0)
+       for name, make in sorted(grading_catalog().items())])
+
+
+@pytest.mark.parametrize("system", [make for _, make in WEIGHT_SYSTEMS],
+                         ids=[name for name, _ in WEIGHT_SYSTEMS])
+def test_weight_sums_the_fraction_fundamental_weights(system):
+    rs = system()
+    n = rs.rank
+    cases = [[1 - i % 3 for i in range(n)],
+             [Fraction((-1) ** i * (i + 1), i + 2) for i in range(n)],
+             [Fraction(2 * i + 1, 3) if i % 2 else i for i in range(n)]]
+    cases += [[int(i == j) for j in range(n)] for i in range(n)]
+    for coeffs in cases:
+        oracle = _wsum([c * w for c, w in zip(coeffs, rs.fundamental_weights)],
+                       rs.space_dim)
+        assert rs.weight(*coeffs) == oracle
+        assert all(type(c) is Fraction for c in rs.weight(coeffs).coords)
+
+
+@PROPERTY
+@given(rational_weights())
+def test_self_dual_is_minus_lambda_conjugate_to_lambda(case):
+    # the oracle reflects Fraction weights; off the root span only 0 is self-dual
+    rs, x = case
+    assert self_dual(rs, x) == (rs.dominant_representative(-x) == x)
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,77 @@ def test_classify_filters():
                              "highest-weight-off-root-line")
 
 
+def _classify_oracle(rs, lam):
+    """The classify route that expands V_lam first: Freudenthal's full
+    weight system, then the dominant representative of every weight
+    checked against the root lines, all through Fraction weights."""
+    record = {"type": rs.descriptor(), "weight": [str(c) for c in rs.fw_coefficients(lam)],
+              "coprimary": False, "filter": None, "spin0": None}
+
+    def on_root_line(w):
+        if w.is_zero():
+            return True
+        line = spinmod._primitive(rs.dominant_representative(w).scaled()[0])
+        return line in map(spinmod._primitive, rs.positive_keys)
+
+    if rs.dominant_representative(-lam) != lam:
+        record["filter"] = "not-self-dual"
+    elif not rs.in_root_lattice(lam):
+        record["filter"] = "zero-weight"
+    elif not on_root_line(lam):
+        record["filter"] = "highest-weight-off-root-line"
+    else:
+        ws = freudenthal_weights(rs, lam)
+        if not all(on_root_line(key_weight(rs, k)) for k in ws.nonzero):
+            record["filter"] = "weights-off-root-lines"
+        elif frobenius_schur(rs, lam, weights=ws) != 1:
+            record["filter"] = "symplectic"
+        else:
+            flag, dec = is_coprimary(ws)
+            record.update(spin0=dec.to_json(), coprimary=flag,
+                          filter="coprimary" if flag else "spin0-reducible")
+    return record
+
+
+def test_classify_matches_the_route_through_every_weight():
+    # candidate by candidate, so that a wrong filter fails before it reaches
+    # the Spin0 product of a large module
+    seen = []
+    for fam, rank in simple_types(3):
+        rs = build_root_system(fam, rank)
+        for coeffs in spinmod.weights_up_to_height(rank, 8):
+            lam = rs.weight(*coeffs)
+            oracle = _classify_oracle(rs, lam)
+            assert classify_candidate(rs, lam) == oracle, oracle
+            seen.append(oracle["filter"])
+    assert len(seen) == 840
+    # no candidate of this sweep stops at the symplectic filter
+    assert set(seen) == set(spinmod.SWEEP_FILTERS) - {"symplectic"}
+
+
+def test_classify_rejects_weights_off_root_lines_before_freudenthal(monkeypatch):
+    calls = []
+    original = spinmod.freudenthal_weights
+
+    def counted(rs, lam):
+        calls.append(lam)
+        return original(rs, lam)
+
+    monkeypatch.setattr(spinmod, "freudenthal_weights", counted)
+    b2 = build_root_system("B2")
+    assert classify_candidate(b2, b2.weight(0, 4))["filter"] == "weights-off-root-lines"
+    assert calls == []
+    assert classify_candidate(b2, b2.weight(0, 2))["filter"] == "coprimary"
+    assert calls == [b2.weight(0, 2)]
+
+
+def test_classify_refuses_weights_without_a_module():
+    b2 = build_root_system("B2")
+    for lam in (b2.weight(1, -1), b2.weight(Fraction(1, 2), 0)):
+        with pytest.raises(InvalidDescriptor, match="not dominant integral"):
+            classify_candidate(b2, lam)
+
+
 # ---------------------------------------------------------------------------
 # the Spin0 * Delta route against the decomposed full product
 
