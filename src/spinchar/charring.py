@@ -336,7 +336,7 @@ def _check_weyl_budget(rs: RootSystem, budget: int):
             required=required, budget=budget)
 
 
-def _racah_speiser(ch: Character, rs: RootSystem, budget: int) -> dict:
+def _racah_speiser(ch: Character, rs: RootSystem) -> dict:
     """Irreducible multiplicities of a W-invariant character, keyed by the
     highest weight's key, by Racah-Speiser folding.
 
@@ -347,7 +347,6 @@ def _racah_speiser(ch: Character, rs: RootSystem, budget: int) -> dict:
     checked in that order (the invariance check reflects integral weights
     only); it costs O(|support| rank) reflections and never enumerates W.
     """
-    _check_weyl_budget(rs, budget)
     rho = rs.rho_key
     out = {}
     for k, c in ch.terms.items():
@@ -366,12 +365,10 @@ def _racah_speiser(ch: Character, rs: RootSystem, budget: int) -> dict:
     return {k: m for k, m in out.items() if m}
 
 
-def multiplicity_of(ch: Character, lam: Weight, rs: RootSystem = None,
-                    budget: int = DEFAULT_WEYL_BUDGET) -> int:
+def multiplicity_of(ch: Character, lam: Weight, rs: RootSystem = None) -> int:
     """Multiplicity of the irreducible V_lam in the W-invariant character ch,
-    by Racah-Speiser folding. The budget is checked against |W| computed
-    from the type, without enumerating W."""
-    folded = _racah_speiser(ch, rs or ch.rs, budget)
+    by Racah-Speiser folding."""
+    folded = _racah_speiser(ch, rs or ch.rs)
     try:
         return folded.get(weight_key(ch.rs, lam), 0)
     except ValueError:
@@ -596,19 +593,17 @@ class Decomposition:
         return "Decomposition(" + " + ".join(parts) + ")"
 
 
-def decompose(ch: Character, rs: RootSystem = None,
-              budget: int = DEFAULT_WEYL_BUDGET) -> Decomposition:
+def decompose(ch: Character, rs: RootSystem = None) -> Decomposition:
     """Decomposition of a W-invariant character into irreducibles.
 
     All multiplicities come from one Racah-Speiser fold over the support
-    (see ``_racah_speiser``); the budget is checked against |W| computed
-    from the type, without enumerating W. Fails loudly on a character that
+    (see ``_racah_speiser``). Fails loudly on a character that
     is not W-invariant, on a negative multiplicity, and when the summand
     dimensions do not add up to the character's dimension.
     """
     rs = rs or ch.rs
     summands = []
-    for k, m in _racah_speiser(ch, rs, budget).items():
+    for k, m in _racah_speiser(ch, rs).items():
         lam = key_weight(ch.rs, k)
         if m < 0:
             raise NonModuleCharacter(
@@ -789,7 +784,8 @@ def invariant_poincare(ws: WeightSystem, budget: int = DEFAULT_WEYL_BUDGET,
 
     Coefficient i is the multiplicity of the zero weight module inside the
     i-th exterior power. When the weights sum to zero the grading is
-    mirror-symmetric, so only half the degrees are expanded.
+    mirror-symmetric, so only half the degrees are expanded. The budget is
+    checked against |W| from the type up front.
     """
     _check_weyl_budget(ws.rs, budget)
     n = ws.dimension()
@@ -798,7 +794,7 @@ def invariant_poincare(ws: WeightSystem, budget: int = DEFAULT_WEYL_BUDGET,
     powers = exterior_powers(ws, max_degree=top, term_budget=term_budget)
     rs = ws.rs
     zero = Weight((0,) * rs.space_dim)
-    coeffs = [multiplicity_of(powers[i], zero, rs, budget) for i in range(top + 1)]
+    coeffs = [multiplicity_of(powers[i], zero, rs) for i in range(top + 1)]
     if symmetric:
         mirrored = [0] * (n + 1)
         for i in range(top + 1):

@@ -17,19 +17,12 @@ from fractions import Fraction
 
 from .errors import BudgetExceeded, ConsistencyError, SpinCharError
 from .charring import DEFAULT_TERM_BUDGET, freudenthal_weights
-from .gradings import (
-    OUTER_FAMILIES,
-    OUTER_INSTANCES,
-    grading_catalog,
-    outer_grading,
-    spin_g1,
-)
+from .gradings import grading_catalog, spin_g1
 from .rootsys import build_root_system
 from .spinmod import (
     classify_coprimary,
     extreme_weights,
     orthogonality_type,
-    self_dual,
     spin_scalar,
     spin0_decomposition,
 )
@@ -137,15 +130,14 @@ def cmd_spin(args):
     reports = []
     for text in args.weight:
         lam = _parse_weight(rs, text)
-        # one weight system serves the orthogonality test and Spin0
-        ws = freudenthal_weights(rs, lam) if self_dual(rs, lam) else None
-        kind = orthogonality_type(rs, lam, args.weyl_budget, ws)
+        kind = orthogonality_type(rs, lam)
         report = {
             "type": rs.descriptor(),
             "weight": [str(c) for c in rs.fw_coefficients(lam)],
             "orthogonality": kind,
         }
         if kind == "orthogonal":
+            ws = freudenthal_weights(rs, lam)
             dec = spin0_decomposition(ws, args.weyl_budget, args.term_budget)
             report["spin_scalar"] = spin_scalar(ws)
             report["spin0_decomposition"] = dec.to_json()
@@ -196,12 +188,10 @@ def cmd_verify(args):
             records.extend(_run_one_suite(n, args.weyl_budget, args.term_budget))
     records.sort(key=lambda r: r["id"])
     payload = {"suite": args.suite, "checks": records}
-    extra = None
-    if args.suite == "table1":
-        extra = table1_markdown(args.weyl_budget, args.term_budget)
-    if args.suite == "outer":
-        extra = table2_markdown(args.weyl_budget, args.term_budget)
-    _emit(args, payload, lambda p: _verify_markdown(p, extra))
+    # a table is built only for markdown output, from the suite's memo
+    table = verify_mod.TABLES.get(args.suite)
+    _emit(args, payload, lambda p: _verify_markdown(
+        p, table and table(args.weyl_budget, args.term_budget)))
     failed = [r for r in records if r["status"] == "fail"]
     return EXIT_FAIL if failed else EXIT_OK
 
@@ -219,61 +209,6 @@ def _verify_markdown(payload, extra=None):
     if extra:
         lines.append("")
         lines.append(extra)
-    return "\n".join(lines)
-
-
-def table1_markdown(weyl_budget, term_budget):
-    """The free skew-invariant table, in its two-column-plus-data layout;
-    a row the budgets refuse reads ``skip``."""
-    from .charring import WeightSystem, invariant_poincare
-    lines = ["| algebra | module | dim P | Poincare polynomial |",
-             "|---|---|---|---|"]
-    rows = [("simple g (A2 shown)", "adjoint",
-             WeightSystem.adjoint(build_root_system("A2")))]
-    for desc, coeffs, label in [
-        ("C2", (0, 1), "sp4: V_w2"),
-        ("B2", (2, 0), "so5: V_2w1"),
-        ("A1", (4,), "sl2: V_4w"),
-        ("B2", (1, 0), "so5: V_w1"),
-        ("A1xA1", (1, 1), "V_w x V_w'"),
-        ("F4", (1, 0, 0, 0), "f4: V_w1"),
-    ]:
-        rs = build_root_system(desc)
-        rows.append((desc, label, freudenthal_weights(rs, rs.weight(*coeffs))))
-    for name, label, ws in rows:
-        try:
-            gp = invariant_poincare(ws, weyl_budget, term_budget)
-        except BudgetExceeded:
-            gp = dim_p = "skip"
-        else:
-            dim_p = "rk g" if label == "adjoint" else len(gp.factored() or [])
-        lines.append(f"| {name} | {label} | {dim_p} | {gp} |")
-    return "\n".join(lines)
-
-
-def table2_markdown(weyl_budget, term_budget):
-    """The outer-involution families, each at its first instance in
-    OUTER_INSTANCES, with their coset-section counts; a row the budgets
-    refuse reads ``skip``."""
-    from math import comb
-    lines = ["| g | g0 | g1 | diagram g0 | diagram g1 | #W'/W0 |",
-             "|---|---|---|---|---|---|"]
-    first = dict(reversed(OUTER_INSTANCES))
-    expected = {"sl_even": 2, "so_odd_odd": comb(2, 1), "e6_sp8": 3, "sl_odd": 1}
-    for family, build in OUTER_FAMILIES.items():
-        params = first[family]
-        data = build(*params)
-        try:
-            grading = outer_grading(family, *params)
-            count = len(spin_g1(grading, weyl_budget, term_budget))
-        except BudgetExceeded:
-            count = "skip"
-        if count not in ("skip", expected[family]):
-            raise AssertionError(f"{family}{params}: {count} coset summands,"
-                                 f" expected {expected[family]}")
-        lines.append(
-            f"| {data['g']} | {data['g0']} | isotropy module |"
-            f" {data['diagram']['g0bar']} | {data['diagram']['g1bar']} | {count} |")
     return "\n".join(lines)
 
 

@@ -418,13 +418,12 @@ def verify_tau_identity(rs: RootSystem, sub: SubsystemDatum, delta1_plus,
     return quotient == plus_product(rs, pairs, term_budget=term_budget)
 
 
-def casimir_check(grading: Z2Grading, spin: SpinDecomposition = None,
-                  budget: int = DEFAULT_WEYL_BUDGET) -> Fraction:
+def casimir_check(grading: Z2Grading, spin: SpinDecomposition = None) -> Fraction:
     """The quadratic Casimir of g0 acts on every Spin summand by the same
     scalar (rho, rho) - (rho0, rho0); returns that value after checking."""
     ambient = grading.ambient
     if spin is None:
-        spin = spin_g1(grading, budget)
+        spin = spin_g1(grading)
     rho_eff = grading.rho_effective
     rho0 = grading.rho0
     expected = ambient.inner(rho_eff, rho_eff) - ambient.inner(rho0, rho0)
@@ -480,7 +479,7 @@ def equal_rank_pair(rs: RootSystem, generators,
     halves = enumerate_dominant_halves(ws)
     powers = exterior_powers(ws, term_budget=term_budget)
     zero = Weight((0,) * rs.space_dim)
-    inv_dims = [multiplicity_of(p, zero, h, budget) for p in powers]
+    inv_dims = [multiplicity_of(p, zero, h) for p in powers]
     identity_ok = verify_tau_identity(rs, sub, m_plus, budget, term_budget)
     casimir_expected = rs.inner(rs.rho, rs.rho) - rs.inner(h.rho, h.rho)
     casimir_values = sorted({rs.inner(l + 2 * h.rho, l) for l in lam_ws})

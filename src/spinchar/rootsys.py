@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
+from math import gcd, lcm, prod
 
 from .errors import InvalidDescriptor
 
@@ -176,27 +176,8 @@ def simple_types(max_rank: int):
             for fam, valid in _VALID_RANKS.items() if valid(rank)]
 
 
-_POSITIVE_COUNTS = {
-    "A": lambda n: n * (n + 1) // 2,
-    "B": lambda n: n * n,
-    "C": lambda n: n * n,
-    "D": lambda n: n * (n - 1),
-    "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
-    "F": lambda n: 24,
-    "G": lambda n: 6,
-}
-
-_WEYL_ORDERS = {
-    "A": lambda n: factorial(n + 1),
-    "B": lambda n: 2**n * factorial(n),
-    "C": lambda n: 2**n * factorial(n),
-    "D": lambda n: 2 ** (n - 1) * factorial(n) if n > 1 else 2,
-    "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
-    "F": lambda n: 1152,
-    "G": lambda n: 12,
-}
-
-# exponents m_1 <= ... <= m_rank of each simple family
+# exponents m_1 <= ... <= m_rank of each simple family; |W| = prod (m_i + 1)
+# and the number of positive roots is sum m_i
 EXPONENTS = {
     "A": lambda n: list(range(1, n + 1)),
     "B": lambda n: list(range(1, 2 * n, 2)),
@@ -552,10 +533,7 @@ class RootSystem:
         return tuple(r for r in self.positive_roots if r not in shorts)
 
     def weyl_order(self) -> int:
-        n = 1
-        for fam, r in self.type_label:
-            n *= _WEYL_ORDERS[fam](r)
-        return n
+        return prod(m + 1 for m in self.exponents())
 
     def exponents(self):
         out = []
@@ -621,7 +599,7 @@ def _build_simple(family: str, rank: int) -> RootSystem:
         tuple(scale if i == j else Fraction(0) for j in range(dim)) for i in range(dim)
     )
     rs = RootSystem(simples, form, type_label=[(family, rank)])
-    expected = _POSITIVE_COUNTS[family](rank)
+    expected = sum(EXPONENTS[family](rank))
     if len(rs.positive_roots) != expected:
         raise InvalidDescriptor(
             f"closure enumeration for {family}{rank} gave {len(rs.positive_roots)}"

@@ -1,5 +1,9 @@
 """Spin and reduced Spin of orthogonal modules.
 
+A self-dual V_lam is orthogonal or symplectic by the sign
+(-1)^<lam, 2 rho~>, one integer pairing per positive root; no character
+is formed to decide it.
+
 The reduced Spin character of a self-dual weight system is the product of
 (e^{mu/2} + e^{-mu/2}) over any half of the nonzero weights; the scalar
 2^[m(0)/2] restores the full Spin. It is decomposed without expanding it:
@@ -32,7 +36,6 @@ from .charring import (
     dominant_weights,
     freudenthal_weights,
     key_weight,
-    multiplicity_of,
     weight_key,
 )
 from .rootsys import (
@@ -58,35 +61,29 @@ def self_dual(rs: RootSystem, lam: Weight) -> bool:
     return rs.to_dominant([-p for p in ints])[0] == ints and rs.weight(labels) == lam
 
 
-def frobenius_schur(rs: RootSystem, lam: Weight,
-                    budget: int = DEFAULT_WEYL_BUDGET, weights=None) -> int:
+def frobenius_schur(rs: RootSystem, lam: Weight) -> int:
     """+1 orthogonal, -1 symplectic, 0 not self-dual.
 
-    Computed as the multiplicity of the trivial module in the character
-    with every weight doubled, which equals dim(S^2 V)^g - dim(L^2 V)^g:
-    the weights come from Freudenthal's recursion and the multiplicity
-    from Racah-Speiser folding. For a self-dual lam the budget is checked
-    against |W| up front, computed from the type without enumerating W.
-    A caller that already holds lam's Freudenthal weight system passes it
-    as ``weights``, and self-duality is then read off its symmetry. A lam
-    that is not dominant integral has no module and raises InvalidDescriptor.
+    exp(2 pi i rho~) is central, with rho~ half the sum of the positive
+    coroots, and acts on a self-dual V_lam by the sign of its invariant
+    form (Bourbaki, Lie VIII, 7.5): (-1)^<lam, 2 rho~>, where
+    <lam, 2 rho~> = sum_{beta>0} <lam, beta~> is one integer pairing
+    2 (lam, beta) / (beta, beta) per positive root. A lam that is not
+    dominant integral has no module and raises InvalidDescriptor.
     """
     if not rs.is_dominant(lam) or not rs.is_integral(lam):
         raise InvalidDescriptor(f"{lam} is not dominant integral")
-    if not (self_dual(rs, lam) if weights is None else weights.is_self_dual()):
+    if not self_dual(rs, lam):
         return 0
-    _check_weyl_budget(rs, budget)
-    if weights is None:
-        weights = freudenthal_weights(rs, lam)
-    ch = weights.character()
-    zero = Weight((0,) * rs.space_dim)
-    return multiplicity_of(ch.stretch(2), zero, rs, budget)
+    # <lam, beta~> = 2 (lam, beta) / (beta, beta), lam read at its own scale
+    key, scale = lam.scaled()
+    total = sum(2 * rs.denom * _dot(key, w) // (scale * _dot(b, w))
+                for b, w in zip(rs.positive_keys, rs.positive_w))
+    return -1 if total % 2 else 1
 
 
-def orthogonality_type(rs: RootSystem, lam: Weight,
-                       budget: int = DEFAULT_WEYL_BUDGET, weights=None) -> str:
-    fs = frobenius_schur(rs, lam, budget, weights)
-    return {1: "orthogonal", -1: "symplectic", 0: "neither"}[fs]
+def orthogonality_type(rs: RootSystem, lam: Weight) -> str:
+    return {1: "orthogonal", -1: "symplectic", 0: "neither"}[frobenius_schur(rs, lam)]
 
 
 # ---------------------------------------------------------------------------
@@ -161,27 +158,24 @@ def spin_scalar(ws: WeightSystem) -> int:
     return 2 ** (ws.zero_mult // 2)
 
 
-def spin_character(ws: WeightSystem, verify: bool = True,
-                   term_budget: int = DEFAULT_TERM_BUDGET) -> Character:
-    """Full Spin character, 2^[m(0)/2] times the reduced one.
-
-    With ``verify`` the exterior-algebra identity
-    ch Lambda(V) = 2^{m(0)} (ch Spin0)^2 is checked term by term.
+def spin_character(ws: WeightSystem, term_budget: int = DEFAULT_TERM_BUDGET) -> Character:
+    """Full Spin character, 2^[m(0)/2] times the reduced one, after
+    checking the exterior-algebra identity ch Lambda(V) = 2^{m(0)} (ch Spin0)^2
+    term by term.
     """
     spin0 = spin0_character(ws, term_budget=term_budget)
-    if verify:
-        rs = ws.rs
-        ext = Character.one(rs)
-        if ws.zero_mult:
-            ext = 2**ws.zero_mult * ext
-        for k, m in sorted(ws.nonzero.items()):
-            mu = key_weight(rs, k)
-            factor = Character.from_weights(rs, [(Weight((0,) * rs.space_dim), 1), (mu, 1)])
-            for _ in range(m):
-                ext = ext.__mul__(factor, term_budget)
-        square = 2**ws.zero_mult * spin0.__mul__(spin0, term_budget)
-        if ext != square:
-            raise InvalidDescriptor("exterior algebra != 2^{m(0)} Spin0^2")
+    rs = ws.rs
+    ext = Character.one(rs)
+    if ws.zero_mult:
+        ext = 2**ws.zero_mult * ext
+    for k, m in sorted(ws.nonzero.items()):
+        mu = key_weight(rs, k)
+        factor = Character.from_weights(rs, [(Weight((0,) * rs.space_dim), 1), (mu, 1)])
+        for _ in range(m):
+            ext = ext.__mul__(factor, term_budget)
+    square = 2**ws.zero_mult * spin0.__mul__(spin0, term_budget)
+    if ext != square:
+        raise InvalidDescriptor("exterior algebra != 2^{m(0)} Spin0^2")
     return spin_scalar(ws) * spin0
 
 
@@ -339,15 +333,13 @@ def enumerate_dominant_halves(ws: WeightSystem,
     return halves
 
 
-def extreme_weights(ws: WeightSystem,
-                    hyperplane_budget: int = DEFAULT_HYPERPLANE_BUDGET,
-                    term_budget: int = DEFAULT_TERM_BUDGET):
+def extreme_weights(ws: WeightSystem, term_budget: int = DEFAULT_TERM_BUDGET):
     """The extreme weights: half-sums over all dominant halves, made unique.
 
     Each is a highest weight of the reduced Spin, occurring there with
     coefficient exactly 1; this is checked against ``dominant_spin0``.
     """
-    halves = enumerate_dominant_halves(ws, hyperplane_budget)
+    halves = enumerate_dominant_halves(ws)
     seen = {}
     for h in halves:
         lam = h.extreme_weight()
@@ -423,8 +415,11 @@ def classify_candidate(rs: RootSystem, lam: Weight,
     Whether every weight of V_lam is 0 or W-conjugate to a positive
     multiple of a root is Weyl-invariant, so it is decided on the dominant
     weights, found without Freudenthal's recursion: each must be 0 or lie
-    on the ray of a positive root (which is then dominant too). Freudenthal
-    and the Frobenius-Schur test run only for candidates that pass. A lam
+    on the ray of a positive root (which is then dominant too). The
+    Frobenius-Schur sign is read off the labels, and Freudenthal runs only
+    for an orthogonal lam. After the root-lattice filter the symplectic one
+    cannot fire, as <alpha_i, 2 rho~> = 2 makes <lam, 2 rho~> even on the
+    root lattice; it stays as the check of the paper's orthogonality. A lam
     that is not dominant integral has no module and raises InvalidDescriptor.
     """
     labels = rs.fw_coefficients(lam)
@@ -455,10 +450,10 @@ def classify_candidate(rs: RootSystem, lam: Weight,
     if not all(map(on_a_root_line, dominant_weights(rs, key).values())):
         record["filter"] = "weights-off-root-lines"
         return record
-    ws = freudenthal_weights(rs, lam)
-    if frobenius_schur(rs, lam, budget, ws) != 1:
+    if frobenius_schur(rs, lam) != 1:
         record["filter"] = "symplectic"
         return record
+    ws = freudenthal_weights(rs, lam)
     flag, dec = is_coprimary(ws, budget, term_budget)
     record["spin0"] = dec.to_json()
     if flag:

@@ -138,35 +138,50 @@ def all_inner_gradings(weyl_budget=DEFAULT_WEYL_BUDGET):
 # suite: table1
 
 
-TABLE1_ADJOINT_TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2"]
+# (descriptor, table label or None); the table shows one adjoint row
+TABLE1_ADJOINT_TYPES = [("A1", None), ("A2", "adjoint"), ("A3", None), ("B2", None),
+                        ("B3", None), ("C2", None), ("C3", None), ("D3", None),
+                        ("G2", None)]
 
 TABLE1_ROWS = [
-    # (id, descriptor, fw coefficients, expected (1+t^k) exponents)
-    ("sp4:Vw2", "C2", (0, 1), [5]),
-    ("sp6:Vw2", "C3", (0, 1, 0), [5, 9]),
-    ("so5:V2w1", "B2", (2, 0), [5, 9]),
-    ("so7:V2w1", "B3", (2, 0, 0), [5, 9, 13]),
-    ("sl2:V4w", "A1", (4,), [5]),
-    ("so5:Vw1", "B2", (1, 0), [5]),
-    ("so6:Vw1", "D3", (1, 0, 0), [6]),
-    ("so7:Vw1", "B3", (1, 0, 0), [7]),
-    ("so8:Vw1", "D4", (1, 0, 0, 0), [8]),
-    ("sl2+sl2:VwxVw", "A1xA1", (1, 1), [4]),
+    # (id, descriptor, fw coefficients, expected (1+t^k) exponents, table label)
+    ("sp4:Vw2", "C2", (0, 1), [5], "sp4: V_w2"),
+    ("sp6:Vw2", "C3", (0, 1, 0), [5, 9], None),
+    ("so5:V2w1", "B2", (2, 0), [5, 9], "so5: V_2w1"),
+    ("so7:V2w1", "B3", (2, 0, 0), [5, 9, 13], None),
+    ("sl2:V4w", "A1", (4,), [5], "sl2: V_4w"),
+    ("so5:Vw1", "B2", (1, 0), [5], "so5: V_w1"),
+    ("so6:Vw1", "D3", (1, 0, 0), [6], None),
+    ("so7:Vw1", "B3", (1, 0, 0), [7], None),
+    ("so8:Vw1", "D4", (1, 0, 0, 0), [8], None),
+    ("sl2+sl2:VwxVw", "A1xA1", (1, 1), [4], "V_w x V_w'"),
 ]
 
+# the 26-dimensional row: V_w1 = V_theta_s of F4
+TABLE1_F4 = ("F4", (1, 0, 0, 0), "f4: V_w1")
 
-def _table1_module(desc, coeffs):
-    rs = build_root_system(desc)
-    return rs, freudenthal_weights(rs, rs.weight(*coeffs))
+# invariant_poincare per process, keyed by (descriptor, fw coefficients or
+# None for the adjoint module, weyl_budget, term_budget)
+_POINCARE_CACHE = {}
+
+
+def _poincare_cached(desc, coeffs, weyl_budget, term_budget):
+    """(weight system, invariant Poincare polynomial) of the module."""
+    key = (desc, coeffs, weyl_budget, term_budget)
+    if key not in _POINCARE_CACHE:
+        rs = build_root_system(desc)
+        ws = (WeightSystem.adjoint(rs) if coeffs is None
+              else freudenthal_weights(rs, rs.weight(*coeffs)))
+        _POINCARE_CACHE[key] = ws, invariant_poincare(ws, weyl_budget, term_budget)
+    return _POINCARE_CACHE[key]
 
 
 def suite_table1(weyl_budget=DEFAULT_WEYL_BUDGET, term_budget=DEFAULT_TERM_BUDGET):
     records = []
-    for desc in TABLE1_ADJOINT_TYPES:
+    for desc, _ in TABLE1_ADJOINT_TYPES:
         def chk(desc=desc):
-            rs = build_root_system(desc)
-            ws = WeightSystem.adjoint(rs)
-            gp = invariant_poincare(ws, weyl_budget, term_budget)
+            ws, gp = _poincare_cached(desc, None, weyl_budget, term_budget)
+            rs = ws.rs
             expected = sorted(2 * m + 1 for m in rs.exponents())
             _expect(gp.factored() == expected,
                     f"{desc} adjoint invariants {gp}, expected exponents {expected}")
@@ -174,10 +189,9 @@ def suite_table1(weyl_budget=DEFAULT_WEYL_BUDGET, term_budget=DEFAULT_TERM_BUDGE
                     f"{desc} adjoint invariant dimension below 2^m(0)")
             return str(gp)
         records.append(_run(f"table1:adjoint:{desc}", chk))
-    for check_id, desc, coeffs, exps in TABLE1_ROWS:
+    for check_id, desc, coeffs, exps, _ in TABLE1_ROWS:
         def chk(desc=desc, coeffs=coeffs, exps=exps):
-            rs, ws = _table1_module(desc, coeffs)
-            gp = invariant_poincare(ws, weyl_budget, term_budget)
+            ws, gp = _poincare_cached(desc, coeffs, weyl_budget, term_budget)
             _expect(gp.factored() == exps, f"{desc} {coeffs}: {gp}, expected {exps}")
             _expect(gp.dimension() >= 2 ** ws.zero_mult, "below 2^m(0)")
             if ws.dimension() != 4:
@@ -192,11 +206,31 @@ def suite_table1(weyl_budget=DEFAULT_WEYL_BUDGET, term_budget=DEFAULT_TERM_BUDGE
 
 def _f4_row(weyl_budget, term_budget):
     """The 26-dimensional row, by the direct Poincare computation."""
-    rs = build_root_system("F4")
-    ws = freudenthal_weights(rs, special_elements(rs).theta_s)
-    gp = invariant_poincare(ws, weyl_budget, term_budget)
+    desc, coeffs, _ = TABLE1_F4
+    gp = _poincare_cached(desc, coeffs, weyl_budget, term_budget)[1]
     _expect(gp.factored() == [9, 17], f"F4 row gave {gp}")
     return f"{gp} [direct path]"
+
+
+def table1_markdown(weyl_budget, term_budget):
+    """The free skew-invariant table, in its two-column-plus-data layout,
+    from the rows the table1 suite computes; a row the budgets refuse reads
+    ``skip``."""
+    rows = [(desc, None, label) for desc, label in TABLE1_ADJOINT_TYPES if label]
+    rows += [(desc, coeffs, label) for _, desc, coeffs, _, label in TABLE1_ROWS if label]
+    rows.append(TABLE1_F4)
+    lines = ["| algebra | module | dim P | Poincare polynomial |",
+             "|---|---|---|---|"]
+    for desc, coeffs, label in rows:
+        name = f"simple g ({desc} shown)" if coeffs is None else desc
+        try:
+            gp = _poincare_cached(desc, coeffs, weyl_budget, term_budget)[1]
+        except BudgetExceeded:
+            gp = dim_p = "skip"
+        else:
+            dim_p = "rk g" if coeffs is None else len(gp.factored() or [])
+        lines.append(f"| {name} | {label} | {dim_p} | {gp} |")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +280,7 @@ def _little_adjoint_check(desc, weyl_budget, term_budget):
     _expect(dim_spin == weyl_dimension(rs, se.rho_s),
             "2^{(dim-m0)/2} != dim V_{rho_s}")
     # the squared form: exterior algebra = 2^{#short simples} (ch V_rho_s)^2
-    spin_character(ws, verify=True, term_budget=term_budget)
+    spin_character(ws, term_budget=term_budget)
     return f"Spin0 = V_rho_s, dim {dim_spin}"
 
 
@@ -316,7 +350,7 @@ def _cartan_square_check(n, weyl_budget, term_budget):
         # exterior algebra = 2^n (ch V_{rho+2w_n})^2, checked term by term;
         # at n=4 the square has ~5*10^7 raw products, so only the Spin0
         # route above is run there
-        spin_character(ws, verify=True, term_budget=term_budget)
+        spin_character(ws, term_budget=term_budget)
     return f"Spin0 = V_(rho+2w_n), dim {dim_spin}"
 
 
@@ -380,7 +414,7 @@ def suite_inner(weyl_budget=DEFAULT_WEYL_BUDGET, term_budget=DEFAULT_TERM_BUDGET
         for mu in wminus:
             ext = ext.__mul__(Character.from_weights(rs, [(zero, 1), (mu, 1)]),
                               term_budget)
-        dec = decompose(ext, grading.g0, weyl_budget)
+        dec = decompose(ext, grading.g0)
         heads = sorted(l.coords for l, _ in dec)
         expected = sorted((r.apply_inverse(rs.rho) - rs.rho).coords
                           for r in minimal_coset_reps(rs, grading.sub, weyl_budget))
@@ -478,13 +512,25 @@ def _check_sl_odd(grading, sp, n):
 OUTER_CHECKS = {"sl_even": _check_sl_even, "so_odd_odd": _check_so_odd_odd,
                 "e6_sp8": _check_e6_sp8, "sl_odd": _check_sl_odd}
 
+# outer gradings and their Spin per process, keyed by
+# (family, params, weyl_budget, term_budget)
+_OUTER_CACHE = {}
+
+
+def _outer_cached(family, params, weyl_budget, term_budget):
+    """(grading, spin_g1 of it) for one outer instance."""
+    key = (family, params, weyl_budget, term_budget)
+    if key not in _OUTER_CACHE:
+        grading = outer_grading(family, *params)
+        _OUTER_CACHE[key] = grading, spin_g1(grading, weyl_budget, term_budget)
+    return _OUTER_CACHE[key]
+
 
 def suite_outer(weyl_budget=DEFAULT_WEYL_BUDGET, term_budget=DEFAULT_TERM_BUDGET):
     records = []
     for family, params in OUTER_INSTANCES:
         def chk(family=family, params=params):
-            grading = outer_grading(family, *params)
-            sp = spin_g1(grading, weyl_budget, term_budget)
+            grading, sp = _outer_cached(family, params, weyl_budget, term_budget)
             detail = OUTER_CHECKS[family](grading, sp, *params)
             casimir_check(grading, sp)
             return detail
@@ -518,6 +564,26 @@ def suite_outer(weyl_budget=DEFAULT_WEYL_BUDGET, term_budget=DEFAULT_TERM_BUDGET
     return records
 
 
+def table2_markdown(weyl_budget, term_budget):
+    """The outer-involution families, each at its first instance in
+    OUTER_INSTANCES, with the summand counts the outer suite computes; a
+    row the budgets refuse reads ``skip``."""
+    lines = ["| g | g0 | g1 | diagram g0 | diagram g1 | #W'/W0 |",
+             "|---|---|---|---|---|---|"]
+    first = dict(reversed(OUTER_INSTANCES))
+    for family, build in OUTER_FAMILIES.items():
+        params = first[family]
+        data = build(*params)
+        try:
+            count = len(_outer_cached(family, params, weyl_budget, term_budget)[1])
+        except BudgetExceeded:
+            count = "skip"
+        lines.append(
+            f"| {data['g']} | {data['g0']} | isotropy module |"
+            f" {data['diagram']['g0bar']} | {data['diagram']['g1bar']} | {count} |")
+    return "\n".join(lines)
+
+
 # ---------------------------------------------------------------------------
 # suite: casimir
 
@@ -528,7 +594,7 @@ def suite_casimir(weyl_budget=DEFAULT_WEYL_BUDGET, term_budget=DEFAULT_TERM_BUDG
     for grading in gradings:
         def chk(grading=grading):
             sp = _spin_cached(grading, weyl_budget, term_budget)
-            value = casimir_check(grading, sp, weyl_budget)
+            value = casimir_check(grading, sp)
             rho, rho0 = grading.rho_effective, grading.rho0
             rs = grading.ambient
             _expect(value == rs.inner(rho, rho) - rs.inner(rho0, rho0),
@@ -537,9 +603,8 @@ def suite_casimir(weyl_budget=DEFAULT_WEYL_BUDGET, term_budget=DEFAULT_TERM_BUDG
         records.append(_run(f"casimir:{grading.label}", chk))
     for family, params in OUTER_INSTANCES:
         def chk(family=family, params=params):
-            grading = outer_grading(family, *params)
-            sp = spin_g1(grading, weyl_budget, term_budget)
-            value = casimir_check(grading, sp, weyl_budget)
+            grading, sp = _outer_cached(family, params, weyl_budget, term_budget)
+            value = casimir_check(grading, sp)
             return f"eigenvalue {value}"
         records.append(_run(f"casimir:outer:{family}{params}", chk))
     return records
@@ -647,13 +712,11 @@ CLASSIFY_EXPECTED_3_6 = {
 
 
 def suite_classify(weyl_budget=DEFAULT_WEYL_BUDGET,
-                   term_budget=DEFAULT_TERM_BUDGET,
-                   rank_bound=3, height_bound=6):
+                   term_budget=DEFAULT_TERM_BUDGET):
     records = []
 
     def chk():
-        found = classify_coprimary(rank_bound, height_bound,
-                                   weyl_budget, term_budget)
+        found = classify_coprimary(3, 6, weyl_budget, term_budget)
         got = {(r["type"], tuple(r["weight"])) for r in found if r["coprimary"]}
         # a module the budget refused is neither missing nor found
         refused = [r for r in found if r["filter"] == "budget-skipped"]
@@ -670,7 +733,7 @@ def suite_classify(weyl_budget=DEFAULT_WEYL_BUDGET,
                 f" against the budget {worst['budget']}",
                 required=worst["required"], budget=worst["budget"])
         return detail
-    records.append(_run(f"classify:rank<={rank_bound}:height<={height_bound}", chk))
+    records.append(_run("classify:rank<=3:height<=6", chk))
     return records
 
 
@@ -701,10 +764,11 @@ def _property_module(kind, which):
 
 
 RANDOM_HEIGHT_CAPS = {1: 10, 2: 6, 3: 4, 4: 2}
+RANDOM_SAMPLES = 50
 
 
 def suite_properties(weyl_budget=DEFAULT_WEYL_BUDGET,
-                     term_budget=DEFAULT_TERM_BUDGET, samples=50):
+                     term_budget=DEFAULT_TERM_BUDGET):
     records = []
 
     def half_independence():
@@ -747,7 +811,7 @@ def suite_properties(weyl_budget=DEFAULT_WEYL_BUDGET,
             rs = build_root_system(fam, rank)
             cap = RANDOM_HEIGHT_CAPS[rank]
             pool = sorted(weights_up_to_height(rank, cap))
-            picks = {tuple(pool[rng.randrange(len(pool))]) for _ in range(samples)}
+            picks = {tuple(pool[rng.randrange(len(pool))]) for _ in range(RANDOM_SAMPLES)}
             for coeffs in sorted(picks):
                 lam = rs.weight(*coeffs)
                 ch = irreducible_character(rs, lam, weyl_budget)
@@ -791,6 +855,8 @@ def suite_properties(weyl_budget=DEFAULT_WEYL_BUDGET,
 # ---------------------------------------------------------------------------
 # registry
 
+
+TABLES = {"table1": table1_markdown, "outer": table2_markdown}
 
 SUITES = {
     "table1": suite_table1,

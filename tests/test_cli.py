@@ -4,7 +4,9 @@ import pathlib
 import subprocess
 import sys
 
+from spinchar import cli, verify
 from spinchar.cli import main
+from spinchar.gradings import OUTER_INSTANCES
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +77,45 @@ def test_budget_refusal_exit_code(capsys):
     code = main(["spin", "--type", "F4", "--weight", "1,0,0,0",
                  "--weyl-budget", "100"])
     assert code == 3
+
+
+def test_symplectic_queries_need_no_weyl_budget(capsys):
+    # the sign is read off the labels, so |W| above the budget refuses
+    # nothing that walks nothing; an orthogonal module still needs Spin0
+    for desc, weight in [("E7", "0,0,0,0,0,0,1"), ("C8", "1,0,0,0,0,0,0,0")]:
+        code, out = run_cli(capsys, "spin", "--type", desc, "--weight", weight)
+        assert code == 0
+        assert "| symplectic |" in out
+    assert main(["spin", "--type", "B8", "--weight", "1,0,0,0,0,0,0,0"]) == 3
+    assert "|W(B8)| = 10321920" in capsys.readouterr().err
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_spin_runs_freudenthal_only_for_orthogonal_modules(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, cli, "freudenthal_weights")
+    code, out = run_cli(capsys, "spin", "--type", "C3", "--weight", "1,0,0")
+    assert code == 0 and "| symplectic |" in out
+    assert calls == []
+
+
+def test_tables_reuse_the_suite_computations(capsys, monkeypatch):
+    # each table is built from its suite's memo, one computation per module
+    monkeypatch.setattr(verify, "_POINCARE_CACHE", {})
+    monkeypatch.setattr(verify, "_OUTER_CACHE", {})
+    poincare = _count_calls(monkeypatch, verify, "invariant_poincare")
+    code, out = run_cli(capsys, "verify", "--suite", "table1")
+    assert code == 0 and "| F4 | f4: V_w1 | 2 | (1+t^9)(1+t^17) |" in out
+    assert len(poincare) == 20
+    spin = _count_calls(monkeypatch, verify, "spin_g1")
+    code, out = run_cli(capsys, "verify", "--suite", "outer")
+    assert code == 0 and "| e6 | sp8 | isotropy module |" in out
+    assert len(spin) == len(OUTER_INSTANCES)
 
 
 def test_verify_suite_exit_zero(capsys):

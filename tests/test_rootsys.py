@@ -12,6 +12,7 @@ from spinchar import (
     special_elements,
 )
 from spinchar.rootsys import HALF, root_system_from_json, simple_types, subsystem
+from spinchar.weyl import enumerate_weyl
 
 
 POSITIVE_COUNTS = [
@@ -25,6 +26,18 @@ POSITIVE_COUNTS = [
 def test_positive_root_counts(desc, count):
     rs = build_root_system(desc)
     assert len(rs.positive_roots) == count
+
+
+@pytest.mark.parametrize("fam,rank", simple_types(4))
+def test_weyl_order_from_exponents_counts_the_group(fam, rank):
+    # |W| = prod (m_i + 1) over the exponents, against the enumerated group
+    rs = build_root_system(fam, rank)
+    assert rs.weyl_order() == len(enumerate_weyl(rs))
+
+
+def test_exceptional_weyl_orders():
+    orders = {desc: build_root_system(desc).weyl_order() for desc in ("E6", "E7", "E8")}
+    assert orders == {"E6": 51840, "E7": 2903040, "E8": 696729600}
 
 
 RANK_LE_6 = (["A%d" % n for n in range(1, 7)] + ["B%d" % n for n in range(2, 7)]

@@ -33,7 +33,7 @@ from spinchar import (
 )
 from spinchar import spinmod
 from spinchar.charring import key_weight, weight_key
-from spinchar.gradings import OUTER_INSTANCES
+from spinchar.gradings import OUTER_INSTANCES, grading_catalog
 from spinchar.rootsys import simple_types
 from spinchar.spinmod import _cuts_the_cone, classify_candidate, classify_coprimary
 
@@ -77,6 +77,42 @@ def test_frobenius_schur_agrees_with_square_split():
 
 def decompose_free_multiplicity(ch, rs, lam):
     return multiplicity_of(ch, lam, rs)
+
+
+def _character_route(rs, lam):
+    """dim(S^2 V)^g - dim(L^2 V)^g: the trivial multiplicity in the
+    character with every weight doubled, 0 for a module that is not
+    self-dual."""
+    ch = freudenthal_weights(rs, lam).character()
+    return multiplicity_of(ch.stretch(2), Weight((0,) * rs.space_dim), rs)
+
+
+def test_frobenius_schur_parity_equals_the_character_route():
+    # the sign (-1)^<lam, 2 rho~> against the Freudenthal + Racah-Speiser
+    # route: simple types, products, and every catalog g0 (centres and
+    # rank 0 included). A g0 keeps its ambient's key scale, so Freudenthal
+    # cannot hold a g0 weight off the ambient lattice (in the A2, A3 and
+    # A1xA2 of Hermitian gradings); such a weight must read 0, and the
+    # Fraction orbit oracle must find it not self-dual.
+    heights = {1: 10, 2: 5, 3: 3, 4: 2}
+    cases = [(build_root_system(fam, rank), heights[rank])
+             for fam, rank in simple_types(4)]
+    cases += [(build_root_system("A1xB2"), 3), (build_root_system("G2xA2"), 2)]
+    cases += [(make().g0, 2) for make in grading_catalog().values()]
+    assert any(rs.rank == 0 for rs, _ in cases)
+    signs = set()
+    for rs, height in cases:
+        for coeffs in [(0,) * rs.rank, *spinmod.weights_up_to_height(rs.rank, height)]:
+            lam = rs.weight(*coeffs)
+            fs = frobenius_schur(rs, lam)
+            try:
+                weight_key(rs, lam)
+            except ValueError:
+                assert fs == 0 and rs.dominant_representative(-lam) != lam
+                continue
+            assert fs == _character_route(rs, lam), (rs.descriptor(), coeffs)
+            signs.add(fs)
+    assert signs == {-1, 0, 1}
 
 
 def test_spin0_of_adjoint_is_rho_module():
@@ -124,7 +160,7 @@ def test_spin0_multiplies_over_direct_sums():
 def test_spin_character_verifies_exterior_identity():
     rs = build_root_system("B2")
     ws = WeightSystem.adjoint(rs)
-    spin = spin_character(ws, verify=True)
+    spin = spin_character(ws)
     assert spin.dimension() == 2 ** (ws.zero_mult // 2) * 2 ** (
         (ws.dimension() - ws.zero_mult) // 2)
 
@@ -338,7 +374,7 @@ def _classify_oracle(rs, lam):
         ws = freudenthal_weights(rs, lam)
         if not all(on_root_line(key_weight(rs, k)) for k in ws.nonzero):
             record["filter"] = "weights-off-root-lines"
-        elif frobenius_schur(rs, lam, weights=ws) != 1:
+        elif frobenius_schur(rs, lam) != 1:
             record["filter"] = "symplectic"
         else:
             flag, dec = is_coprimary(ws)
