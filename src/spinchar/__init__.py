@@ -56,7 +56,6 @@ from .charring import (
 from .spinmod import (
     DominantHalf,
     classify_coprimary,
-    dominant_spin0,
     enumerate_dominant_halves,
     extreme_weights,
     frobenius_schur,

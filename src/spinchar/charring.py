@@ -476,11 +476,15 @@ def freudenthal_weights(rs: RootSystem, lam: Weight) -> WeightSystem:
     """
     if not rs.is_dominant(lam) or not rs.is_integral(lam):
         raise InvalidDescriptor(f"{lam} is not dominant integral")
+    try:
+        lam_k = weight_key(rs, lam)
+    except ValueError:  # a g0 keeps its ambient's key scale
+        raise InvalidDescriptor(f"{lam} is off the key lattice (1/{rs.denom})Z^n"
+                                f" of {rs.descriptor()}") from None
     if rs.rank == 0:
         return WeightSystem(rs, [(lam, 1)] if not lam.is_zero() else [],
                             1 if lam.is_zero() else 0)
     rho_k = rs.rho_key
-    lam_k = weight_key(rs, lam)
     # per positive root: labels, form vector, scaled (alpha, alpha)
     root_steps = [(la, fa, sum(x * y for x, y in zip(a, fa))) for la, fa, a
                   in zip(rs.positive_labels, rs.positive_w, rs.positive_keys)]

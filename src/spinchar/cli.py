@@ -22,9 +22,9 @@ from .rootsys import build_root_system
 from .spinmod import (
     classify_coprimary,
     extreme_weights,
+    is_coprimary,
     orthogonality_type,
     spin_scalar,
-    spin0_decomposition,
 )
 from .weyl import DEFAULT_WEYL_BUDGET
 from . import verify as verify_mod
@@ -138,13 +138,12 @@ def cmd_spin(args):
         }
         if kind == "orthogonal":
             ws = freudenthal_weights(rs, lam)
-            dec = spin0_decomposition(ws, args.weyl_budget, args.term_budget)
+            flag, dec = is_coprimary(ws, args.weyl_budget, args.term_budget)
             report["spin_scalar"] = spin_scalar(ws)
             report["spin0_decomposition"] = dec.to_json()
-            report["coprimary"] = len(dec) == 1 and dec.is_multiplicity_free()
+            report["coprimary"] = flag
             report["extreme_weights"] = [
-                [str(c) for c in w.coords]
-                for w in extreme_weights(ws, term_budget=args.term_budget)]
+                [str(c) for c in w.coords] for w in extreme_weights(ws, dec)]
         reports.append(report)
     _emit(args, {"spin": reports}, _spin_markdown)
     return EXIT_OK

@@ -24,8 +24,7 @@ from .charring import (
     WeightSystem,
     alternating_sum,
     exact_divide,
-    exterior_powers,
-    multiplicity_of,
+    invariant_poincare,
     plus_product,
 )
 from .rootsys import (
@@ -477,9 +476,7 @@ def equal_rank_pair(rs: RootSystem, generators,
     dg_set = sorted(l.coords for l in lam_ws)
     dec_set = sorted(l.coords for l, _ in dec)
     halves = enumerate_dominant_halves(ws)
-    powers = exterior_powers(ws, term_budget=term_budget)
-    zero = Weight((0,) * rs.space_dim)
-    inv_dims = [multiplicity_of(p, zero, h) for p in powers]
+    inv_dims = invariant_poincare(ws, budget, term_budget).coefficients
     identity_ok = verify_tau_identity(rs, sub, m_plus, budget, term_budget)
     casimir_expected = rs.inner(rs.rho, rs.rho) - rs.inner(h.rho, h.rho)
     casimir_values = sorted({rs.inner(l + 2 * h.rho, l) for l in lam_ws})

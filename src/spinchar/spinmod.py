@@ -18,14 +18,16 @@ The split starts from rho; a region that loses its parent's witness is
 decided by Fourier-Motzkin elimination on integer rows, and integer
 back-substitution through its stages gives a new one. The half-sums of the
 halves are the extreme weights: always highest weights of the reduced Spin,
-each with coefficient one.
+each a summand of multiplicity one in its decomposition, which is where
+they are certified (see ``extreme_weights``).
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from .errors import BudgetExceeded, InvalidDescriptor, NonModuleCharacter, NotSelfDual
+from .errors import (BudgetExceeded, ConsistencyError, InvalidDescriptor,
+                     NonModuleCharacter, NotSelfDual)
 from .charring import (
     Character,
     DEFAULT_TERM_BUDGET,
@@ -115,7 +117,7 @@ def spin0_character(ws: WeightSystem, half=None,
     ch = Character(ws.rs, _binomial_product(ws.rs, _half_factors(ws, half), term_budget))
     expected = 2 ** ((ws.dimension() - ws.zero_mult) // 2)
     if ch.dimension() != expected:
-        raise InvalidDescriptor(f"reduced Spin dimension {ch.dimension()}, expected {expected}")
+        raise ConsistencyError(f"reduced Spin dimension {ch.dimension()}, expected {expected}")
     return ch
 
 
@@ -148,12 +150,6 @@ def spin0_decomposition(ws: WeightSystem, budget: int = DEFAULT_WEYL_BUDGET,
     return dec
 
 
-def dominant_spin0(ws: WeightSystem, term_budget: int = DEFAULT_TERM_BUDGET) -> Character:
-    """The dominant terms of the reduced Spin character, from the half's
-    product pruned to doubled labels >= 0."""
-    return Character(ws.rs, _binomial_product(ws.rs, _half_factors(ws), term_budget, floor=0))
-
-
 def spin_scalar(ws: WeightSystem) -> int:
     return 2 ** (ws.zero_mult // 2)
 
@@ -175,7 +171,7 @@ def spin_character(ws: WeightSystem, term_budget: int = DEFAULT_TERM_BUDGET) -> 
             ext = ext.__mul__(factor, term_budget)
     square = 2**ws.zero_mult * spin0.__mul__(spin0, term_budget)
     if ext != square:
-        raise InvalidDescriptor("exterior algebra != 2^{m(0)} Spin0^2")
+        raise ConsistencyError("exterior algebra != 2^{m(0)} Spin0^2")
     return spin_scalar(ws) * spin0
 
 
@@ -215,8 +211,7 @@ def _fm_witness(stages):
     its stages. The system is homogeneous, so the point so far is scaled
     until every bound on the next coordinate is an even integer; that
     coordinate then takes the midpoint of its open interval, one step past
-    its only bound, or 0. None unless the point is strictly positive on
-    every row of the system."""
+    its only bound, or 0; the caller tests the point on every row."""
     point = []
     for system in reversed(stages):
         var = len(point)
@@ -230,8 +225,6 @@ def _fm_witness(stages):
         else:
             x = lower + 1 if upper is None else (lower + upper) // 2
         point = list(_primitive(point + [x]))
-    if any(_dot(r, point) <= 0 for r in stages[0]):
-        return None
     return tuple(point)
 
 
@@ -324,8 +317,8 @@ def enumerate_dominant_halves(ws: WeightSystem,
                 if stages is None:
                     continue
                 w = _fm_witness(stages)
-            if w is None or any(_dot(r, w) <= 0 for r in sub):
-                raise InvalidDescriptor("feasible region lost its witness")
+            if any(_dot(r, w) <= 0 for r in sub):
+                raise ConsistencyError("feasible region lost its witness")
             rec(i + 1, sub, w)
 
     rec(0, list(rs.simple_w), rs.rho_key)
@@ -333,24 +326,31 @@ def enumerate_dominant_halves(ws: WeightSystem,
     return halves
 
 
-def extreme_weights(ws: WeightSystem, term_budget: int = DEFAULT_TERM_BUDGET):
-    """The extreme weights: half-sums over all dominant halves, made unique.
+def extreme_weights(ws: WeightSystem, dec: Decomposition):
+    """The extreme weights: half-sums over all dominant halves, made unique,
+    each certified as a summand of multiplicity one in ``dec``, the
+    decomposition of the reduced Spin of ``ws``.
 
-    Each is a highest weight of the reduced Spin, occurring there with
-    coefficient exactly 1; this is checked against ``dominant_spin0``.
+    Let H be a dominant half, cut out by a strictly dominant witness x.
+    Then lam = (1/2) sum H is the unique maximiser of (., x) over the
+    weights of Spin0, since any other signed half-sum loses some |(mu, x)|;
+    its Spin0 coefficient is 1. A summand V_nu with nu != lam that had lam
+    as a weight would give nu - lam a nonzero sum of positive roots, so
+    (nu, x) > (lam, x), impossible for nu, itself a weight of Spin0. So the
+    Spin0 coefficient of e^lam is its multiplicity in ``dec``, and anything
+    but 1 there raises ConsistencyError.
     """
-    halves = enumerate_dominant_halves(ws)
     seen = {}
-    for h in halves:
+    for h in enumerate_dominant_halves(ws):
         lam = h.extreme_weight()
         seen[lam.coords] = lam
     out = [seen[c] for c in sorted(seen)]
-    spin0 = dominant_spin0(ws, term_budget)
+    mults = {lam.coords: m for lam, m in dec}
     for lam in out:
-        if spin0.coefficient(lam) != 1:
-            raise InvalidDescriptor(
-                f"extreme weight {lam} has Spin0 coefficient"
-                f" {spin0.coefficient(lam)}, expected 1")
+        if mults.get(lam.coords, 0) != 1:
+            raise ConsistencyError(
+                f"extreme weight {lam} has multiplicity"
+                f" {mults.get(lam.coords, 0)} in the Spin0 decomposition, expected 1")
     return out
 
 
@@ -372,7 +372,7 @@ def is_decomposably_generated(ws: WeightSystem, budget: int = DEFAULT_WEYL_BUDGE
     dec = spin0_decomposition(ws, budget, term_budget)
     if not dec.is_multiplicity_free():
         return False
-    extremes = {w.coords for w in extreme_weights(ws, term_budget=term_budget)}
+    extremes = {w.coords for w in extreme_weights(ws, dec)}
     heads = {w.coords for w, _ in dec}
     return heads == extremes
 

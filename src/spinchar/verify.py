@@ -11,6 +11,7 @@ import os
 import random
 import traceback
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .errors import BudgetExceeded, SpinCharError
@@ -96,26 +97,20 @@ def _expect(condition, message):
 
 # ---------------------------------------------------------------------------
 # inner gradings and their Spin, shared by the inner / identity / casimir
-# suites; gradings cached by (type, pivot), their Spin also by the budgets
-
-_INNER_CACHE = {}
-_SPIN_CACHE = {}
+# suites. Every memo here is a functools.cache on value keys, budgets
+# included; a refusal raises, so it is never memoised.
 
 INNER_SWEEP = [f"{fam}{rank}" for fam, rank in simple_types(4)]
 
 
+@cache
 def _inner_grading_cached(desc, pivot):
-    if (desc, pivot) not in _INNER_CACHE:
-        _INNER_CACHE[desc, pivot] = inner_grading(build_root_system(desc), pivot)
-    return _INNER_CACHE[desc, pivot]
+    return inner_grading(build_root_system(desc), pivot)
 
 
-def _spin_cached(grading, weyl_budget, term_budget):
-    key = (grading.ambient.descriptor(), grading.metadata["pivot"],
-           weyl_budget, term_budget)
-    if key not in _SPIN_CACHE:
-        _SPIN_CACHE[key] = spin_g1(grading, weyl_budget, term_budget)
-    return _SPIN_CACHE[key]
+@cache
+def _spin_cached(desc, pivot, weyl_budget, term_budget):
+    return spin_g1(_inner_grading_cached(desc, pivot), weyl_budget, term_budget)
 
 
 def all_inner_gradings(weyl_budget=DEFAULT_WEYL_BUDGET):
@@ -160,20 +155,15 @@ TABLE1_ROWS = [
 # the 26-dimensional row: V_w1 = V_theta_s of F4
 TABLE1_F4 = ("F4", (1, 0, 0, 0), "f4: V_w1")
 
-# invariant_poincare per process, keyed by (descriptor, fw coefficients or
-# None for the adjoint module, weyl_budget, term_budget)
-_POINCARE_CACHE = {}
 
-
+@cache
 def _poincare_cached(desc, coeffs, weyl_budget, term_budget):
-    """(weight system, invariant Poincare polynomial) of the module."""
-    key = (desc, coeffs, weyl_budget, term_budget)
-    if key not in _POINCARE_CACHE:
-        rs = build_root_system(desc)
-        ws = (WeightSystem.adjoint(rs) if coeffs is None
-              else freudenthal_weights(rs, rs.weight(*coeffs)))
-        _POINCARE_CACHE[key] = ws, invariant_poincare(ws, weyl_budget, term_budget)
-    return _POINCARE_CACHE[key]
+    """(weight system, invariant Poincare polynomial) of the module; coeffs
+    are its fw coefficients, or None for the adjoint module."""
+    rs = build_root_system(desc)
+    ws = (WeightSystem.adjoint(rs) if coeffs is None
+          else freudenthal_weights(rs, rs.weight(*coeffs)))
+    return ws, invariant_poincare(ws, weyl_budget, term_budget)
 
 
 def suite_table1(weyl_budget=DEFAULT_WEYL_BUDGET, term_budget=DEFAULT_TERM_BUDGET):
@@ -366,7 +356,8 @@ def suite_inner(weyl_budget=DEFAULT_WEYL_BUDGET, term_budget=DEFAULT_TERM_BUDGET
     records = list(records)
     for grading in gradings:
         def chk(grading=grading):
-            sp = _spin_cached(grading, weyl_budget, term_budget)
+            sp = _spin_cached(grading.ambient.descriptor(), grading.metadata["pivot"],
+                              weyl_budget, term_budget)
             _expect(sp.is_multiplicity_free(), "not multiplicity free")
             _expect(len(sp) * grading.g0.weyl_order() == grading.ambient.weyl_order(),
                     "summand count != #W / #W0")
@@ -383,7 +374,7 @@ def suite_inner(weyl_budget=DEFAULT_WEYL_BUDGET, term_budget=DEFAULT_TERM_BUDGET
             grading = _inner_grading_cached(f"B{n}", n)
             _expect(grading.g0.descriptor() in ("A1xA1", "A3", "D4"),
                     f"B{n} even-part type {grading.g0.descriptor()}")
-            sp = _spin_cached(grading, weyl_budget, term_budget)
+            sp = _spin_cached(f"B{n}", n, weyl_budget, term_budget)
             halves = {tuple(Fraction(c) for c in s.lam.coords) for s in sp.summands}
             expected = set()
             for sign in (1, -1):
@@ -395,7 +386,7 @@ def suite_inner(weyl_budget=DEFAULT_WEYL_BUDGET, term_budget=DEFAULT_TERM_BUDGET
     def f4_chk():
         grading = _inner_grading_cached("F4", 1)
         _expect(grading.g0.descriptor() == "B4", "F4 pivot-1 even part not B4")
-        sp = _spin_cached(grading, weyl_budget, term_budget)
+        sp = _spin_cached("F4", 1, weyl_budget, term_budget)
         got = {(tuple(int(c) for c in grading.g0.fw_coefficients(s.lam)), s.dimension)
                for s in sp.summands}
         _expect(got == F4_B4_EXPECTED, f"F4/B4 summands {got}")
@@ -512,18 +503,12 @@ def _check_sl_odd(grading, sp, n):
 OUTER_CHECKS = {"sl_even": _check_sl_even, "so_odd_odd": _check_so_odd_odd,
                 "e6_sp8": _check_e6_sp8, "sl_odd": _check_sl_odd}
 
-# outer gradings and their Spin per process, keyed by
-# (family, params, weyl_budget, term_budget)
-_OUTER_CACHE = {}
 
-
+@cache
 def _outer_cached(family, params, weyl_budget, term_budget):
     """(grading, spin_g1 of it) for one outer instance."""
-    key = (family, params, weyl_budget, term_budget)
-    if key not in _OUTER_CACHE:
-        grading = outer_grading(family, *params)
-        _OUTER_CACHE[key] = grading, spin_g1(grading, weyl_budget, term_budget)
-    return _OUTER_CACHE[key]
+    grading = outer_grading(family, *params)
+    return grading, spin_g1(grading, weyl_budget, term_budget)
 
 
 def suite_outer(weyl_budget=DEFAULT_WEYL_BUDGET, term_budget=DEFAULT_TERM_BUDGET):
@@ -593,7 +578,8 @@ def suite_casimir(weyl_budget=DEFAULT_WEYL_BUDGET, term_budget=DEFAULT_TERM_BUDG
     records = list(records)
     for grading in gradings:
         def chk(grading=grading):
-            sp = _spin_cached(grading, weyl_budget, term_budget)
+            sp = _spin_cached(grading.ambient.descriptor(), grading.metadata["pivot"],
+                              weyl_budget, term_budget)
             value = casimir_check(grading, sp)
             rho, rho0 = grading.rho_effective, grading.rho0
             rs = grading.ambient

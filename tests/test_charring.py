@@ -66,6 +66,29 @@ def test_nondominant_weight_rejected():
         irreducible_character(rs, -rs.weight(1, 0))
 
 
+def test_freudenthal_names_a_weight_off_the_key_lattice():
+    # a g0 keeps its ambient's key scale, which need not clear its own
+    # fundamental weights: the A2 of A3/A2xT1 at scale 8 cannot hold w1
+    from spinchar import InvalidDescriptor, grading_catalog
+    from spinchar.charring import weight_key
+    from spinchar.spinmod import weights_up_to_height
+    g0 = grading_catalog()["A3/A2xT1"]().g0
+    with pytest.raises(InvalidDescriptor, match=r"\(1/8\)Z\^n of A2"):
+        freudenthal_weights(g0, g0.weight(1, 0))
+    off = 0
+    for make in grading_catalog().values():
+        rs = make().g0
+        for coeffs in weights_up_to_height(rs.rank, 2):
+            lam = rs.weight(*coeffs)
+            try:
+                weight_key(rs, lam)
+            except ValueError:
+                off += 1
+                with pytest.raises(InvalidDescriptor, match=f"1/{rs.denom}"):
+                    freudenthal_weights(rs, lam)
+    assert off == 72
+
+
 def test_freudenthal_adjoint_structure():
     rs = build_root_system("B2")
     ws = freudenthal_weights(rs, rs.weight(0, 2))

@@ -4,7 +4,8 @@ import pathlib
 import subprocess
 import sys
 
-from spinchar import cli, verify
+from spinchar import cli, spinmod, verify
+from spinchar.charring import Decomposition
 from spinchar.cli import main
 from spinchar.gradings import OUTER_INSTANCES
 
@@ -104,10 +105,39 @@ def test_spin_runs_freudenthal_only_for_orthogonal_modules(capsys, monkeypatch):
     assert calls == []
 
 
+def test_spin_expands_spin0_once(capsys, monkeypatch):
+    # the extreme weights are certified against the printed decomposition
+    floors = []
+    real = spinmod._binomial_product
+    monkeypatch.setattr(spinmod, "_binomial_product",
+                        lambda *a, **kw: floors.append(kw.get("floor")) or real(*a, **kw))
+    code, out = run_cli(capsys, "spin", "--type", "F4", "--weight", "1,0,0,0")
+    assert code == 0 and "| yes |" in out
+    assert floors == [2]
+
+
+def test_an_extreme_weight_off_the_decomposition_exits_1(capsys, monkeypatch):
+    real = spinmod.spin0_decomposition
+    monkeypatch.setattr(spinmod, "spin0_decomposition", lambda ws, *a: Decomposition(
+        ws.rs, [(lam, 2 * m) for lam, m in real(ws, *a)]))
+    assert main(["spin", "--type", "A1", "--weight", "4"]) == 1
+    assert "extreme weight" in capsys.readouterr().err
+
+
+def test_a_lost_witness_exits_1(capsys, monkeypatch):
+    # the hyperplanes of A2 V_(2,2) cut the dominant cone, so the split
+    # runs Fourier-Motzkin; a witness off its region is a library bug
+    real = spinmod._fm_witness
+    monkeypatch.setattr(spinmod, "_fm_witness",
+                        lambda stages: tuple(-x for x in real(stages)))
+    assert main(["spin", "--type", "A2", "--weight", "2,2"]) == 1
+    assert "lost its witness" in capsys.readouterr().err
+
+
 def test_tables_reuse_the_suite_computations(capsys, monkeypatch):
     # each table is built from its suite's memo, one computation per module
-    monkeypatch.setattr(verify, "_POINCARE_CACHE", {})
-    monkeypatch.setattr(verify, "_OUTER_CACHE", {})
+    verify._poincare_cached.cache_clear()
+    verify._outer_cached.cache_clear()
     poincare = _count_calls(monkeypatch, verify, "invariant_poincare")
     code, out = run_cli(capsys, "verify", "--suite", "table1")
     assert code == 0 and "| F4 | f4: V_w1 | 2 | (1+t^9)(1+t^17) |" in out

@@ -4,6 +4,8 @@ from fractions import Fraction
 from spinchar import (
     BudgetExceeded,
     Character,
+    ConsistencyError,
+    Decomposition,
     DominantHalf,
     InvalidDescriptor,
     NonModuleCharacter,
@@ -12,7 +14,6 @@ from spinchar import (
     WeightSystem,
     build_root_system,
     decompose,
-    dominant_spin0,
     enumerate_dominant_halves,
     extreme_weights,
     frobenius_schur,
@@ -183,7 +184,7 @@ def test_unique_half_when_weights_on_root_lines():
     ws = freudenthal_weights(rs, rs.weight(4))
     halves = enumerate_dominant_halves(ws)
     assert len(halves) == 1
-    ext = extreme_weights(ws)
+    ext = extreme_weights(ws, spin0_decomposition(ws))
     assert len(ext) == 1
     # the half-sum (2 eps + 4 eps)/2 is the highest weight of R3
     assert ext[0] == Fraction(3, 2) * rs.simple_roots[0]
@@ -192,7 +193,7 @@ def test_unique_half_when_weights_on_root_lines():
 def test_adjoint_extreme_weight_is_rho():
     rs = build_root_system("B2")
     ws = WeightSystem.adjoint(rs)
-    assert extreme_weights(ws) == [rs.rho]
+    assert extreme_weights(ws, spin0_decomposition(ws)) == [rs.rho]
 
 
 def test_halves_of_the_even_split_module():
@@ -201,7 +202,7 @@ def test_halves_of_the_even_split_module():
     grading = inner_grading(build_root_system("B3"), 3)
     halves = enumerate_dominant_halves(grading.delta1)
     assert len(halves) == 2
-    ext = extreme_weights(grading.delta1)
+    ext = extreme_weights(grading.delta1, spin0_decomposition(grading.delta1))
     h = Fraction(1, 2)
     assert sorted(w.coords for w in ext) == [(h, h, -h), (h, h, h)]
 
@@ -211,7 +212,7 @@ def test_f4_so9_extreme_weights():
     grading = inner_grading(build_root_system("F4"), 1)
     halves = enumerate_dominant_halves(grading.delta1)
     assert len(halves) == 3
-    ext = extreme_weights(grading.delta1)
+    ext = extreme_weights(grading.delta1, spin0_decomposition(grading.delta1))
     h = Fraction(1, 2)
     expected = {
         (Fraction(2), Fraction(0), Fraction(0), Fraction(0)),
@@ -232,7 +233,39 @@ def test_root_hyperplanes_miss_the_dominant_cone(monkeypatch):
         raise AssertionError("Fourier-Motzkin ran")
     monkeypatch.setattr(spinmod, "_fm_stages", no_elimination)
     assert len(enumerate_dominant_halves(ws)) == 1
-    assert extreme_weights(ws) == [rs.rho]
+    assert extreme_weights(ws, spin0_decomposition(ws)) == [rs.rho]
+
+
+def test_extreme_weights_are_certified_against_the_decomposition():
+    # an extreme head dropped, or with multiplicity 2, is a disagreement
+    rs = build_root_system("A1")
+    ws = freudenthal_weights(rs, rs.weight(8))
+    dec = spin0_decomposition(ws)
+    (head,) = extreme_weights(ws, dec)
+    others = [(lam, m) for lam, m in dec if lam != head]
+    assert others
+    for summands in (others, others + [(head, 2)]):
+        with pytest.raises(ConsistencyError, match="expected 1"):
+            extreme_weights(ws, Decomposition(rs, summands))
+
+
+def test_reduced_spin_dimension_check_is_a_consistency_error(monkeypatch):
+    rs = build_root_system("A1")
+    ws = freudenthal_weights(rs, rs.weight(4))
+    real = spinmod._binomial_product
+    monkeypatch.setattr(spinmod, "_binomial_product",
+                        lambda *a, **kw: dict(list(real(*a, **kw).items())[1:]))
+    with pytest.raises(ConsistencyError, match="reduced Spin dimension"):
+        spin0_character(ws)
+
+
+def test_exterior_algebra_check_is_a_consistency_error(monkeypatch):
+    rs = build_root_system("A1")
+    ws = freudenthal_weights(rs, rs.weight(4))
+    real = spinmod.spin0_character
+    monkeypatch.setattr(spinmod, "spin0_character", lambda ws, **kw: 2 * real(ws, **kw))
+    with pytest.raises(ConsistencyError, match="exterior algebra"):
+        spin_character(ws)
 
 
 def test_mixed_sign_root_coordinates_cut_the_dominant_cone():
@@ -449,29 +482,13 @@ def test_spin0_decomposition_matches_on_every_grading():
         assert spin0_decomposition(g.delta1) == _oracle(g.delta1), g.label
 
 
-def test_dominant_spin0_is_the_dominant_part_of_spin0():
-    for desc, coeffs in [("B4", (2, 0, 0, 0)), ("F4", (1, 0, 0, 0)), ("G2", (1, 0))]:
-        rs = build_root_system(desc)
-        ws = freudenthal_weights(rs, rs.weight(*coeffs))
-        full = spin0_character(ws)
-        assert dominant_spin0(ws).terms == {
-            k: c for k, c in full.terms.items() if rs.is_dominant(key_weight(rs, k))}
-    grading = inner_grading(build_root_system("A2"), 1)  # the centre survives
-    full = spin0_character(grading.delta1)
-    assert dominant_spin0(grading.delta1).terms == {
-        k: c for k, c in full.terms.items()
-        if grading.g0.is_dominant(key_weight(grading.g0, k))}
-
-
 def test_spin0_routes_refuse_a_term_budget_of_one():
     rs = build_root_system("F4")
     ws = freudenthal_weights(rs, rs.weight(1, 0, 0, 0))
-    for route in (spin0_decomposition, lambda ws, term_budget: dominant_spin0(
-            ws, term_budget=term_budget)):
-        with pytest.raises(BudgetExceeded) as info:
-            route(ws, term_budget=1)
-        assert info.value.required > 1
-        assert info.value.budget == 1
+    with pytest.raises(BudgetExceeded) as info:
+        spin0_decomposition(ws, term_budget=1)
+    assert info.value.required > 1
+    assert info.value.budget == 1
 
 
 def test_spin0_decomposition_keeps_the_weyl_budget_and_self_duality():
