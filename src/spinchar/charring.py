@@ -315,9 +315,9 @@ def irreducible_character(rs: RootSystem, lam: Weight,
     this stays as their independent oracle.
     """
     if not rs.is_dominant(lam):
-        raise InvalidDescriptor(f"{lam} is not dominant")
+        raise InvalidDescriptor(f"{rs.format_weight(lam)} is not dominant")
     if not rs.is_integral(lam):
-        raise InvalidDescriptor(f"{lam} is not integral")
+        raise InvalidDescriptor(f"{rs.format_weight(lam)} is not integral")
     num = alternating_sum(rs, lam + rs.rho, budget)
     ch = exact_divide(num, rs.positive_roots, rs)
     if ch.dimension() != weyl_dimension(rs, lam):
@@ -475,7 +475,7 @@ def freudenthal_weights(rs: RootSystem, lam: Weight) -> WeightSystem:
     enumerated.
     """
     if not rs.is_dominant(lam) or not rs.is_integral(lam):
-        raise InvalidDescriptor(f"{lam} is not dominant integral")
+        raise InvalidDescriptor(f"{rs.format_weight(lam)} is not dominant integral")
     try:
         lam_k = weight_key(rs, lam)
     except ValueError:  # a g0 keeps its ambient's key scale

@@ -11,13 +11,20 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .errors import BudgetExceeded, ConsistencyError, SpinCharError
 from .charring import DEFAULT_TERM_BUDGET, freudenthal_weights
-from .gradings import grading_catalog, spin_g1
+from .gradings import (
+    casimir_check,
+    grading_catalog,
+    inner_grading,
+    spin_g1,
+    verify_tau_identity,
+)
 from .rootsys import build_root_system
 from .spinmod import (
     classify_coprimary,
@@ -105,7 +112,8 @@ def _build_parser():
                           help="dump root-system or grading data")
     show.add_argument("--type", default=None, help="root-system descriptor")
     show.add_argument("--grading", default=None,
-                      help='catalog name, e.g. "F4/B4", "E6/C4"')
+                      help='<type>/alpha<k> (any rank) or a catalog name,'
+                           ' e.g. "E6/alpha2", "F4/B4", "E6/C4"')
     return p
 
 
@@ -248,6 +256,20 @@ def _classify_markdown(payload):
 # show command
 
 
+def _named_grading(name):
+    """The grading a verify record names, <type>/alpha<k>, built on
+    demand at any rank; or one of the catalog's names."""
+    match = re.fullmatch(r"(\w+)/alpha(\d+)", name)
+    if match:
+        return inner_grading(build_root_system(match[1]), int(match[2]))
+    catalog = grading_catalog()
+    if name not in catalog:
+        raise SpinCharError(
+            f"unknown grading {name!r}; known: <type>/alpha<k>,"
+            f" {', '.join(sorted(catalog))}")
+    return catalog[name]()
+
+
 def cmd_show(args):
     if args.type is None and args.grading is None:
         raise SpinCharError("show needs --type or --grading")
@@ -255,14 +277,8 @@ def cmd_show(args):
     if args.type:
         payload["root_system"] = build_root_system(args.type).to_json()
     if args.grading:
-        catalog = grading_catalog()
-        if args.grading not in catalog:
-            raise SpinCharError(
-                f"unknown grading {args.grading!r}; known:"
-                f" {', '.join(sorted(catalog))}")
-        grading = catalog[args.grading]()
+        grading = _named_grading(args.grading)
         sp = spin_g1(grading, args.weyl_budget, args.term_budget)
-        from .gradings import casimir_check, verify_tau_identity
         d1p = [w for w, _ in grading.delta1.canonical_half()]
         identity_ok = verify_tau_identity(
             grading.ambient, grading.sub, d1p, args.weyl_budget,

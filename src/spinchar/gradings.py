@@ -1,11 +1,15 @@
 """Symmetric-pair gradings and Spin of the isotropy module.
 
-Inner gradings split the roots by parity of the coefficient at a pivot
-simple root (possible exactly when the pivot's coefficient in the highest
-root is 1 or 2). Outer gradings are data: each of the four families below
-carries its restricted-root system, realized in the standard coordinates
-of the associated diagram subalgebra, where all the character computations
-then take place.
+Every grading comes from one parity split. An involution is sigma
+exp(pi i ad h), with sigma a diagram automorphism and h a coweight of the
+folded algebra g0bar = g^sigma; g splits as g0bar + g1bar, g1bar the
+sigma = -1 part, and g0 = (g0bar)_even + (g1bar)_odd, with parity taken at
+h. Inner gradings have sigma = 1, so g1bar = 0 and h is the coweight of a
+pivot simple root (an involution exactly when the pivot's coefficient in
+the highest root is 1 or 2). Each of the four outer families is one table
+row: its folded type, its g1bar (the little adjoint V_theta_s, or V_2w1
+for A_2n) and its pivot. The character computations then take place in
+the coordinates of g0bar.
 
 For every grading, Spin(g1) is computed twice: from the closed formula
 (highest weights w^{-1} rho - rho0 over the minimal coset section) and by
@@ -17,6 +21,7 @@ routes must agree exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ConsistencyError, InvalidDescriptor, NonModuleCharacter, NotClosed
 from .charring import (
@@ -24,11 +29,13 @@ from .charring import (
     WeightSystem,
     alternating_sum,
     exact_divide,
+    freudenthal_weights,
     invariant_poincare,
+    key_weight,
     plus_product,
 )
 from .rootsys import (
-    HALF,
+    EXPONENTS,
     RootSystem,
     Weight,
     build_root_system,
@@ -43,20 +50,26 @@ class Z2Grading:
     """A symmetric-pair datum on a common Cartan coordinate space.
 
     ``ambient``: the root system whose Weyl group drives the coset section
-    (the full algebra for inner type, the associated diagram subalgebra in
-    the restricted coordinates for outer type). ``sub`` realizes the
-    positive roots of g0 there; ``delta1`` is the weight system of g1 over
-    the realized g0.
+    (the full algebra for inner type, the folded algebra for outer type).
+    ``sub`` realizes the positive roots of g0 there; ``delta1`` is the
+    weight system of g1 over the realized g0. ``rho_effective`` defaults
+    to rho0 + rho1, rho1 the half-sum of the canonical half of Delta1 with
+    multiplicities.
     """
 
     def __init__(self, kind, label, ambient, delta0_plus, delta1_pairs,
-                 zero_mult, rho_effective, metadata=None):
+                 zero_mult, rho_effective=None, metadata=None):
         self.kind = kind
         self.label = label
         self.ambient = ambient
         self.sub = SubsystemDatum(ambient, delta0_plus)
         self.g0 = self.sub.system
         self.delta1 = WeightSystem(self.g0, delta1_pairs, zero_mult)
+        if rho_effective is None:
+            half = self.delta1.canonical_half_keys()
+            rho_effective = self.rho0 + Weight(
+                Fraction(sum(m * k[t] for k, m in half), 2 * ambient.denom)
+                for t in range(ambient.space_dim))
         self.rho_effective = rho_effective
         self.metadata = metadata or {}
 
@@ -69,6 +82,52 @@ class Z2Grading:
 
 
 # ---------------------------------------------------------------------------
+# the parity split
+
+
+def parity_split(ambient: RootSystem, pivot=None, odd_module=None):
+    """The two eigenspaces of sigma exp(pi i ad h) on ambient + odd_module.
+
+    ``ambient`` is the folded algebra g^sigma and ``odd_module`` the
+    weight system of its -1 eigenspace under sigma (None for an inner
+    grading, where sigma = 1); h is the pivot's fundamental coweight, or
+    0 when ``pivot`` is None, so a root or weight has the parity of its
+    coefficient at the pivot (Kac, Infinite-dimensional Lie algebras,
+    8.6). g0 is the even part of ambient plus the odd part of odd_module
+    and g1 the rest, odd_module's zero weights included.
+
+    Returns (Delta0+, Delta1 as (key, multiplicity) pairs, m(0)); an odd
+    weight of odd_module that is not a root of g0 raises.
+    """
+    def odd(key):
+        if pivot is None:
+            return False
+        c = ambient.lattice_coords(key)
+        if c is None or c[pivot - 1] % ambient.lattice_denom:
+            raise InvalidDescriptor(
+                f"{key_weight(ambient, key)} has no parity at alpha{pivot}")
+        return c[pivot - 1] // ambient.lattice_denom % 2 == 1
+
+    roots = dict(zip(ambient.positive_keys, ambient.positive_roots))
+    parity = {k: odd(k) for k in roots}
+    delta0_plus = [r for k, r in roots.items() if not parity[k]]
+    odd_roots = [k for k in roots if parity[k]]
+    delta1_pairs = [(k, 1) for k in odd_roots] + [
+        (tuple(-x for x in k), 1) for k in odd_roots]
+    if odd_module is None:
+        return delta0_plus, delta1_pairs, 0
+    for k, m in odd_module.nonzero.items():
+        if not odd(k):
+            delta1_pairs.append((k, m))
+        elif m != 1 or not (k in roots or tuple(-x for x in k) in roots):
+            raise InvalidDescriptor(
+                f"odd weight {key_weight(ambient, k)} is not a root of g0")
+        elif k in roots:
+            delta0_plus.append(roots[k])
+    return delta0_plus, delta1_pairs, odd_module.zero_mult
+
+
+# ---------------------------------------------------------------------------
 # inner gradings
 
 
@@ -78,13 +137,13 @@ def kac_marks(rs: RootSystem):
     return rs.root_coords(theta)
 
 
-def _parity_condition(rs: RootSystem, parity):
+def _parity_condition(rs: RootSystem, pivot: int):
     """Root sums must respect the Z/2 split: checked over all pairs, on
     the integer root coordinates over the simple roots."""
     index = {}
     for r in rs.positive_roots:
         c = rs.root_coords(r)
-        index[c] = index[tuple(-x for x in c)] = parity(r)
+        index[c] = index[tuple(-x for x in c)] = c[pivot - 1] % 2
     # (c1, c2) and (-c1, -c2) give opposite sums of one parity, and the
     # positive roots sit at the even places: c1 > 0 suffices
     for c1, p1 in list(index.items())[::2]:
@@ -109,21 +168,15 @@ def inner_grading(rs: RootSystem, pivot: int) -> Z2Grading:
     if mark > 2:
         raise InvalidDescriptor(
             f"pivot {pivot} has mark {mark}; no involution there")
-
-    def parity(root: Weight) -> int:
-        return rs.root_coords(root)[pivot - 1] % 2
-
-    _parity_condition(rs, parity)
-    delta0_plus = [r for r in rs.positive_roots if parity(r) == 0]
-    delta1_plus = [r for r in rs.positive_roots if parity(r) == 1]
-    delta1_pairs = [(r, 1) for r in delta1_plus] + [(-r, 1) for r in delta1_plus]
+    _parity_condition(rs, pivot)
+    delta0_plus, delta1_pairs, zero_mult = parity_split(rs, pivot)
     grading = Z2Grading(
         kind="inner",
         label=f"{rs.descriptor()}/alpha{pivot}",
         ambient=rs,
         delta0_plus=delta0_plus,
         delta1_pairs=delta1_pairs,
-        zero_mult=0,
+        zero_mult=zero_mult,
         rho_effective=rs.rho,
         metadata={"pivot": pivot, "mark": int(mark)},
     )
@@ -148,130 +201,40 @@ def inner_gradings(rs: RootSystem):
 
 
 # ---------------------------------------------------------------------------
-# outer gradings (restricted-root data per family)
+# outer gradings: one table row per family
 
 
-def _eps_weight(dim, *pairs) -> Weight:
-    v = [Fraction(0)] * dim
-    for i, c in pairs:
-        v[i] = Fraction(c)
-    return Weight(v)
+class OuterRow(NamedTuple):
+    label: str
+    g: str
+    g0: str
+    g_type: tuple       # (family, rank) of g
+    folded: tuple       # (family, rank) of the folded algebra g0bar = g^sigma
+    pivot: int | None   # None for h = 0
+    g1bar: str          # the highest weight of g1bar, a key of G1BAR
+    diagram: dict
 
 
-def _outer_sl_even(n: int):
-    """(sl_{2n}, so_{2n}): restricted roots in the standard sp_{2n} space."""
-    if n < 2:
-        raise InvalidDescriptor("sl_even family needs n >= 2")
-    ambient = build_root_system("C", n)
-    delta0_plus = [r for r in ambient.positive_roots
-                   if ambient.inner(r, r) == 1]  # the D_n part {e_i +- e_j}
-    delta1_pairs = [(r, 1) for r in ambient.positive_roots]
-    delta1_pairs += [(-r, 1) for r in ambient.positive_roots]
-    return {
-        "label": f"SL{2*n}/SO{2*n}",
-        "g": f"sl{2*n}", "g0": f"so{2*n}",
-        "ambient": ambient,
-        "delta0_plus": delta0_plus,
-        "delta1_pairs": delta1_pairs,
-        "zero_mult": n - 1,
-        "count_roots_g": 2 * n * (2 * n - 1),
-        "diagram": {"g0bar": f"sp{2*n}", "g1bar": "little adjoint V_w2"},
-    }
+# the highest weight of the little adjoint g1bar, or of V_2w1 for A_2n
+G1BAR = {
+    "theta_s": lambda se: se.theta_s,
+    "2w1": lambda se: 2 * se.rs.fundamental_weights[0],
+}
 
-
-def _outer_so_odd_odd(n: int, m: int):
-    """(so_{2n+2m+2}, so_{2n+1} + so_{2m+1}) in the standard B_{n+m} space."""
-    if n < 1 or m < 1:
-        raise InvalidDescriptor("so_odd_odd family needs n, m >= 1")
-    ambient = build_root_system("B", n + m)
-    dim = ambient.space_dim
-    first = range(n)
-    second = range(n, n + m)
-    delta0_plus = []
-    for block in (first, second):
-        idx = list(block)
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                delta0_plus.append(_eps_weight(dim, (idx[a], 1), (idx[b], 1)))
-                delta0_plus.append(_eps_weight(dim, (idx[a], 1), (idx[b], -1)))
-            delta0_plus.append(_eps_weight(dim, (idx[a], 1)))
-    delta1_half = []
-    for i in first:
-        for k in second:
-            for s in (1, -1):
-                delta1_half.append(_eps_weight(dim, (i, 1), (k, s)))
-    for i in first:
-        delta1_half.append(_eps_weight(dim, (i, 1)))
-    for k in second:
-        delta1_half.append(_eps_weight(dim, (k, 1)))
-    delta1_pairs = [(w, 1) for w in delta1_half] + [(-w, 1) for w in delta1_half]
-    return {
-        "label": f"SO{2*n+2*m+2}/SO{2*n+1}xSO{2*m+1}",
-        "g": f"so{2*n+2*m+2}", "g0": f"so{2*n+1}+so{2*m+1}",
-        "ambient": ambient,
-        "delta0_plus": delta0_plus,
-        "delta1_pairs": delta1_pairs,
-        "zero_mult": 1,
-        "count_roots_g": 2 * (n + m + 1) * (n + m),
-        "diagram": {"g0bar": f"so{2*(n+m)+1}", "g1bar": "little adjoint V_w1"},
-    }
-
-
-def _outer_e6_sp8():
-    """(e6, sp8): restricted roots in the standard F4 coordinates."""
-    ambient = build_root_system("F", 4)
-    dim = 4
-    long_in_h = []
-    for (i, j) in ((0, 1), (2, 3)):
-        for s in (1, -1):
-            long_in_h.append(_eps_weight(dim, (i, 1), (j, s)))
-    shorts_plus = [r for r in ambient.positive_roots if ambient.inner(r, r) == 1]
-    delta0_plus = shorts_plus + long_in_h
-    long_in_h_set = {w.coords for w in long_in_h} | {(-w).coords for w in long_in_h}
-    delta1_half = list(shorts_plus)
-    for r in ambient.positive_roots:
-        if ambient.inner(r, r) == 2 and r.coords not in long_in_h_set:
-            delta1_half.append(r)
-    delta1_pairs = [(w, 1) for w in delta1_half] + [(-w, 1) for w in delta1_half]
-    return {
-        "label": "E6/C4",
-        "g": "e6", "g0": "sp8",
-        "ambient": ambient,
-        "delta0_plus": delta0_plus,
-        "delta1_pairs": delta1_pairs,
-        "zero_mult": 2,
-        "count_roots_g": 72,
-        "diagram": {"g0bar": "f4", "g1bar": "little adjoint V_w1"},
-    }
-
-
-def _outer_sl_odd(n: int):
-    """(sl_{2n+1}, so_{2n+1}): the isolated diagram case, W' = {id}."""
-    if n < 2:
-        raise InvalidDescriptor("sl_odd family needs n >= 2 in this realization")
-    ambient = build_root_system("B", n)
-    se = special_elements(ambient)
-    delta0_plus = list(ambient.positive_roots)
-    delta1_half = list(ambient.positive_roots)
-    delta1_half += [2 * r for r in se.rs.short_roots()]
-    delta1_pairs = [(w, 1) for w in delta1_half] + [(-w, 1) for w in delta1_half]
-    return {
-        "label": f"SL{2*n+1}/SO{2*n+1}",
-        "g": f"sl{2*n+1}", "g0": f"so{2*n+1}",
-        "ambient": ambient,
-        "delta0_plus": delta0_plus,
-        "delta1_pairs": delta1_pairs,
-        "zero_mult": n,
-        "count_roots_g": 2 * n * (2 * n + 1),
-        "diagram": {"g0bar": f"so{2*n+1}", "g1bar": "V_{2w1}"},
-    }
-
-
-OUTER_FAMILIES = {
-    "sl_even": _outer_sl_even,
-    "so_odd_odd": _outer_so_odd_odd,
-    "e6_sp8": _outer_e6_sp8,
-    "sl_odd": _outer_sl_odd,
+OUTER_TABLE = {
+    "sl_even": lambda n: OuterRow(
+        f"SL{2*n}/SO{2*n}", f"sl{2*n}", f"so{2*n}", ("A", 2 * n - 1), ("C", n), n,
+        "theta_s", {"g0bar": f"sp{2*n}", "g1bar": "little adjoint V_w2"}),
+    "so_odd_odd": lambda n, m: OuterRow(
+        f"SO{2*n+2*m+2}/SO{2*n+1}xSO{2*m+1}", f"so{2*n+2*m+2}",
+        f"so{2*n+1}+so{2*m+1}", ("D", n + m + 1), ("B", n + m), n,
+        "theta_s", {"g0bar": f"so{2*(n+m)+1}", "g1bar": "little adjoint V_w1"}),
+    "e6_sp8": lambda: OuterRow(
+        "E6/C4", "e6", "sp8", ("E", 6), ("F", 4), 4,
+        "theta_s", {"g0bar": "f4", "g1bar": "little adjoint V_w1"}),
+    "sl_odd": lambda n: OuterRow(
+        f"SL{2*n+1}/SO{2*n+1}", f"sl{2*n+1}", f"so{2*n+1}", ("A", 2 * n), ("B", n), None,
+        "2w1", {"g0bar": f"so{2*n+1}", "g1bar": "V_{2w1}"}),
 }
 
 # the (family, params) instances the catalog, suites and tables build
@@ -282,47 +245,49 @@ OUTER_INSTANCES = (
 )
 
 
-def outer_grading(family: str, *params) -> Z2Grading:
-    """Build one of the four outer families from its restricted-root data.
-
-    The data is validated against the root-count bookkeeping
-    #Delta = #Delta0 + #Delta1, the relation rho = rho0 + rho1 in the
-    restricted space, and the zero multiplicity rk g - rk g0.
-    """
-    if family not in OUTER_FAMILIES:
+def outer_row(family: str, *params) -> OuterRow:
+    """The table row of one outer family at its parameters."""
+    if family not in OUTER_TABLE:
         raise InvalidDescriptor(f"unknown outer family {family!r}")
-    data = OUTER_FAMILIES[family](*params)
-    ambient = data["ambient"]
-    n_delta0 = 2 * len(data["delta0_plus"])
-    n_delta1 = len(data["delta1_pairs"])
-    if n_delta0 + n_delta1 != data["count_roots_g"]:
-        raise InvalidDescriptor(
-            f"{data['label']}: #Delta0 + #Delta1 = {n_delta0}+{n_delta1}"
-            f" != #Delta = {data['count_roots_g']}")
+    if family == "so_odd_odd" and min(params) < 1:
+        # pivot n + m would fold to SO(2n+2m+2)/SO(2n+2m+1) instead
+        raise InvalidDescriptor("so_odd_odd family needs n, m >= 1")
+    return OUTER_TABLE[family](*params)
+
+
+def outer_grading(family: str, *params) -> Z2Grading:
+    """One outer family, split by parity from its folded algebra and g1bar.
+
+    The split is checked against dim g0 + dim g1 = dim g, read off the
+    type of g, and for the little adjoint against
+    rho0 + rho1 = rho(g0bar) + rho_s(g0bar) in the folded coordinates.
+    For V_2w1 the restricted roots are of type BC, and rho0 + rho1 is
+    taken as it comes.
+    """
+    row = outer_row(family, *params)
+    ambient = build_root_system(*row.folded)
     se = special_elements(ambient)
-    rho_eff = ambient.rho + se.rho_s if family != "sl_odd" else None
+    g1bar = freudenthal_weights(ambient, G1BAR[row.g1bar](se))
+    delta0_plus, delta1_pairs, zero_mult = parity_split(ambient, row.pivot, g1bar)
+    fam, rank = row.g_type
+    dim_g = rank + 2 * sum(EXPONENTS[fam](rank))
+    dim = ambient.rank + 2 * len(delta0_plus) + sum(m for _, m in delta1_pairs) + zero_mult
+    if dim != dim_g:
+        raise InvalidDescriptor(
+            f"{row.label}: dim g0 + dim g1 = {dim} != dim {row.g} = {dim_g}")
     grading = Z2Grading(
         kind="outer",
-        label=data["label"],
+        label=row.label,
         ambient=ambient,
-        delta0_plus=data["delta0_plus"],
-        delta1_pairs=data["delta1_pairs"],
-        zero_mult=data["zero_mult"],
-        rho_effective=rho_eff,  # recomputed below as rho0 + rho1
-        metadata={"family": family, "params": params, "g": data["g"],
-                  "g0": data["g0"], "diagram": data["diagram"]},
+        delta0_plus=delta0_plus,
+        delta1_pairs=delta1_pairs,
+        zero_mult=zero_mult,
+        metadata={"family": family, "params": params, "g": row.g,
+                  "g0": row.g0, "diagram": row.diagram},
     )
-    # rho1 = half-sum of a half of Delta1, multiplicities included
-    total = Weight((0,) * ambient.space_dim)
-    for w, m in grading.delta1.canonical_half():
-        total = total + Fraction(m) * w
-    rho1 = HALF * total
-    rho01 = grading.rho0 + rho1
-    if grading.rho_effective is None:
-        grading.rho_effective = rho01
-    elif grading.rho_effective != rho01:
+    if row.g1bar == "theta_s" and grading.rho_effective != ambient.rho + se.rho_s:
         raise InvalidDescriptor(
-            f"{data['label']}: rho0 + rho1 != rho(g0bar) + rho_s(g0bar)")
+            f"{row.label}: rho0 + rho1 != rho(g0bar) + rho_s(g0bar)")
     return grading
 
 
@@ -521,5 +486,5 @@ def grading_catalog(max_rank: int = 4):
     for family, params in OUTER_INSTANCES:
         def make(family=family, params=params):
             return outer_grading(family, *params)
-        catalog[OUTER_FAMILIES[family](*params)["label"]] = make
+        catalog[outer_row(family, *params).label] = make
     return catalog

@@ -388,22 +388,27 @@ class RootSystem:
         return self._root_coords[root]
 
     def in_root_lattice(self, x: Weight) -> bool:
-        """Whether x is an integer combination of the simple roots: its
-        Dynkin labels p are integers, and the integer parts of its root
-        coordinates C^-T p give back x. As the simple roots are independent,
-        that fails when a coordinate is not an integer or x is off their span."""
-        try:
-            key = scale_to_int(x.coords, self.denom)
-        except ValueError:
+        """Whether x is an integer combination of the simple roots, which
+        lie in (1/denom) Z^n."""
+        key, scale = x.scaled()
+        if self.denom % scale:
             return False
+        c = self.lattice_coords(tuple(k * (self.denom // scale) for k in key))
+        return c is not None and not any(ci % self.lattice_denom for ci in c)
+
+    def lattice_coords(self, key):
+        """The coordinates of key over the simple roots, times lattice_denom:
+        the integers lattice_rows p from its Dynkin labels p. None when a
+        label is not an integer, or when the coordinates do not give back
+        key because it has a part off the span of the roots."""
         labels = self.labels(key)
         if labels is None:
-            return False
+            return None
+        c = [_dot(row, labels) for row in self.lattice_rows]
         recon = [0] * self.space_dim
-        for row, a in zip(self.lattice_rows, self.simple_keys):
-            c = sum(r * p for r, p in zip(row, labels)) // self.lattice_denom
-            recon = [y + c * z for y, z in zip(recon, a)]
-        return tuple(recon) == key
+        for ci, a in zip(c, self.simple_keys):
+            recon = [y + ci * z for y, z in zip(recon, a)]
+        return c if recon == [self.lattice_denom * x for x in key] else None
 
     # -- integer geometry on keys ---------------------------------------------
     # Inner products come back scaled by the positive integer
@@ -522,11 +527,11 @@ class RootSystem:
     def short_roots(self):
         if not self.is_simple():
             raise InvalidDescriptor("short/long split needs a simple system")
-        norms = {self.inner(r, r) for r in self.positive_roots}
-        if len(norms) == 1:
+        norms = [_dot(k, w) for k, w in zip(self.positive_keys, self.positive_w)]
+        if len(set(norms)) == 1:
             return ()
         short = min(norms)
-        return tuple(r for r in self.positive_roots if self.inner(r, r) == short)
+        return tuple(r for r, n in zip(self.positive_roots, norms) if n == short)
 
     def long_roots(self):
         shorts = set(self.short_roots())

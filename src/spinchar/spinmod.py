@@ -74,7 +74,7 @@ def frobenius_schur(rs: RootSystem, lam: Weight) -> int:
     dominant integral has no module and raises InvalidDescriptor.
     """
     if not rs.is_dominant(lam) or not rs.is_integral(lam):
-        raise InvalidDescriptor(f"{lam} is not dominant integral")
+        raise InvalidDescriptor(f"{rs.format_weight(lam)} is not dominant integral")
     if not self_dual(rs, lam):
         return 0
     # <lam, beta~> = 2 (lam, beta) / (beta, beta), lam read at its own scale
@@ -264,18 +264,11 @@ class DominantHalf:
 def _cuts_the_cone(rs: RootSystem, key) -> bool:
     """Whether the hyperplane (key, x) = 0 meets the open dominant region
     {x : (x, alpha_i) > 0}. By Farkas it misses it exactly when key is
-    sum c_i alpha_i with no two c_i of opposite sign. The c_i, times
-    lattice_denom, come from the Dynkin labels through lattice_rows, as in
-    ``in_root_lattice``, and must give back the key: a key with a part off
-    the span of the roots (a centre of g0) always cuts."""
-    labels = rs.labels(key)
-    if labels is None:
-        return True
-    c = [_dot(row, labels) for row in rs.lattice_rows]
-    recon = [0] * rs.space_dim
-    for ci, a in zip(c, rs.simple_keys):
-        recon = [y + ci * z for y, z in zip(recon, a)]
-    return recon != [rs.lattice_denom * x for x in key] or min(c) < 0 < max(c)
+    sum c_i alpha_i with no two c_i of opposite sign, the c_i read off
+    ``lattice_coords``; a key with a part off the span of the roots (a
+    centre of g0) always cuts."""
+    c = rs.lattice_coords(key)
+    return c is None or min(c) < 0 < max(c)
 
 
 def enumerate_dominant_halves(ws: WeightSystem,
@@ -424,7 +417,7 @@ def classify_candidate(rs: RootSystem, lam: Weight,
     """
     labels = rs.fw_coefficients(lam)
     if any(p < 0 or p.denominator != 1 for p in labels):
-        raise InvalidDescriptor(f"{lam} is not dominant integral")
+        raise InvalidDescriptor(f"{rs.format_weight(lam)} is not dominant integral")
     record = {
         "type": rs.descriptor(),
         "weight": [str(c) for c in labels],

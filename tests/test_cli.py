@@ -66,6 +66,11 @@ def test_half_a_fundamental_weight_is_a_usage_error(capsys):
     assert "not dominant integral" in capsys.readouterr().err
 
 
+def test_weight_errors_name_the_users_labels(capsys):
+    assert main(["spin", "--type", "A1", "--weight", "1/2"]) == 2
+    assert "error: (1/2) is not dominant integral" in capsys.readouterr().err
+
+
 def test_malformed_weight_is_a_usage_error(capsys):
     # a coefficient that is not a rational number is the caller's mistake,
     # not a failed check: exit 2 with an error line, no traceback
@@ -162,6 +167,23 @@ def test_verify_skips_are_not_failures(capsys):
     assert "SKIP" in out
 
 
+def test_budget_skips_carry_the_suites_own_ids():
+    # a refused grading is skipped under the id of the suite that refused
+    # it, not under the sweep type's inner:<type>
+    suites = {"inner": verify.suite_inner, "identity": verify.suite_identity,
+              "casimir": verify.suite_casimir}
+    records = {name: suite(weyl_budget=50) for name, suite in suites.items()}
+    ids = [r["id"] for recs in records.values() for r in recs]
+    assert len(ids) == len(set(ids))
+    for name, recs in records.items():
+        assert all(r["id"].startswith(f"{name}:") for r in recs), name
+    status = {r["id"]: r["status"] for recs in records.values() for r in recs}
+    # the tau identity walks W(A4), |W| = 120; spin_g1 only W(A3), |W| = 24
+    assert status["identity:A4/alpha1"] == "skip"
+    assert status["casimir:A4/alpha1"] == status["inner:A4/alpha1"] == "pass"
+    assert status["casimir:F4/alpha1"] == "skip"  # |W(B4)| = 384
+
+
 def test_classify_suite_budget_refusals_are_skips(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "classify",
                         "--weyl-budget", "10")
@@ -210,6 +232,20 @@ def test_show_grading_dumps_section(capsys):
     assert len(data["grading"]["summands"]) == 3
     assert data["grading"]["casimir_value"] == "18"
     assert len(data["grading"]["coset_section"]) == 3
+
+
+def test_show_resolves_verify_labels_at_any_rank(capsys):
+    # <type>/alpha<k>, as verify records print it, builds that inner grading
+    code, out = run_cli(capsys, "show", "--grading", "F4/alpha1", "--format", "json")
+    assert code == 0
+    golden = pathlib.Path(__file__).parent / "golden" / "show_F4_B4.json"
+    assert out == golden.read_text()
+    # past the catalog's rank 4: spin_g1 fits the budget (36 section points,
+    # |W(A1xA5)| = 1440) and the tau identity's walk over W(E6) refuses
+    assert main(["show", "--grading", "E6/alpha2", "--weyl-budget", "2000"]) == 3
+    assert "|W(E6)| = 51840" in capsys.readouterr().err
+    assert main(["show", "--grading", "E6/alpha4"]) == 2  # mark 3
+    assert main(["show", "--grading", "nonsense"]) == 2
 
 
 def test_env_override(capsys, monkeypatch):

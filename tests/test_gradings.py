@@ -22,9 +22,9 @@ from spinchar import (
     spin_g1,
     verify_tau_identity,
 )
-from spinchar.charring import skew_product, weyl_denominator
-from spinchar.gradings import OUTER_INSTANCES
-from spinchar.rootsys import simple_types
+from spinchar.charring import freudenthal_weights, skew_product, weyl_denominator
+from spinchar.gradings import G1BAR, OUTER_INSTANCES, Z2Grading, parity_split
+from spinchar.rootsys import simple_types, special_elements
 
 
 def test_kac_marks():
@@ -160,6 +160,47 @@ def test_outer_family_validation():
         outer_grading("nonsense")
     with pytest.raises(InvalidDescriptor):
         outer_grading("so_odd_odd", 0, 1)
+
+
+FOLDS = [(desc, "theta_s") for desc in ("C2", "C3", "C4", "B2", "B3", "B4", "F4")]
+FOLDS += [(desc, "2w1") for desc in ("B2", "B3", "B4")]
+
+
+@pytest.mark.parametrize("desc,g1bar", FOLDS)
+def test_every_fold_builds(desc, g1bar):
+    # sigma exp(pi i ad h) at h = 0 and at every pivot's coweight: both
+    # Spin routes agree, the Casimir acts by one scalar, the split keeps
+    # dim g = dim g0bar + dim g1bar, and for the little adjoint
+    # rho0 + rho1 = rho + rho_s
+    ambient = build_root_system(desc)
+    se = special_elements(ambient)
+    module = freudenthal_weights(ambient, G1BAR[g1bar](se))
+    dim_g = ambient.rank + 2 * len(ambient.positive_roots) + module.dimension()
+    for pivot in [None] + list(range(1, ambient.rank + 1)):
+        delta0_plus, delta1_pairs, zero_mult = parity_split(ambient, pivot, module)
+        grading = Z2Grading("outer", f"{desc}/{g1bar}@{pivot}", ambient,
+                            delta0_plus, delta1_pairs, zero_mult)
+        sp = spin_g1(grading)
+        casimir_check(grading, sp)
+        assert ambient.rank + 2 * len(delta0_plus) + grading.delta1.dimension() == dim_g
+        if g1bar == "theta_s":
+            assert grading.rho_effective == ambient.rho + se.rho_s
+            if pivot is None:
+                # SL2n/Sp2n, SO(2n+2)/SO(2n+1), E6/F4: g1 is the little
+                # adjoint, and Spin is V_rho_s as the little-adjoint suite has it
+                assert [s.lam for s in sp.summands] == [se.rho_s]
+        if ambient.rank <= 3 or (desc == "F4" and pivot is None):
+            d1p = [w for w, _ in grading.delta1.canonical_half()]
+            assert verify_tau_identity(ambient, grading.sub, d1p,
+                                       rho=grading.rho_effective), grading.label
+
+
+def test_odd_weight_off_the_roots_is_refused():
+    # 3 e1, the highest weight of B2's V_3w1, is odd at pivot 1 and no root
+    ambient = build_root_system("B2")
+    module = freudenthal_weights(ambient, ambient.weight(3, 0))
+    with pytest.raises(InvalidDescriptor, match="not a root"):
+        parity_split(ambient, 1, module)
 
 
 def test_tau_identity_trivial_partition():
