@@ -342,7 +342,8 @@ def _racah_speiser(ch: Character, rs: RootSystem) -> dict:
 
     Each support weight mu moves mu + rho into the dominant chamber by
     simple reflections. It drops out if the image nu lies on a wall and
-    otherwise adds sign * c(mu) to V_{nu - rho}. This is the Weyl character
+    otherwise adds (-1)^k c(mu) to V_{nu - rho}, k the reflections used (the
+    parity of ``to_dominant``'s word). This is the Weyl character
     formula read backwards, so it needs integral weights and W-invariance,
     checked in that order (the invariance check reflects integral weights
     only); it costs O(|support| rank) reflections and never enumerates W.
@@ -354,12 +355,12 @@ def _racah_speiser(ch: Character, rs: RootSystem) -> dict:
         if labels is None:
             raise NonModuleCharacter(
                 f"weight {key_weight(ch.rs, k)} is not integral for {rs.descriptor()}")
-        nu_labels, nu, sign = rs.to_dominant(
+        nu_labels, nu, word = rs.to_dominant(
             [p + 1 for p in labels], tuple(a + b for a, b in zip(k, rho)))
         if 0 in nu_labels:
             continue
         lam = tuple(a - b for a, b in zip(nu, rho))
-        out[lam] = out.get(lam, 0) + sign * c
+        out[lam] = out.get(lam, 0) + (-c if len(word) % 2 else c)
     if not ch.is_invariant(rs):
         raise NonModuleCharacter("character is not Weyl-invariant")
     return {k: m for k, m in out.items() if m}

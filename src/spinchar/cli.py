@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -20,8 +19,7 @@ from .errors import BudgetExceeded, ConsistencyError, SpinCharError
 from .charring import DEFAULT_TERM_BUDGET, freudenthal_weights
 from .gradings import (
     casimir_check,
-    grading_catalog,
-    inner_grading,
+    named_grading,
     spin_g1,
     verify_tau_identity,
 )
@@ -256,20 +254,6 @@ def _classify_markdown(payload):
 # show command
 
 
-def _named_grading(name):
-    """The grading a verify record names, <type>/alpha<k>, built on
-    demand at any rank; or one of the catalog's names."""
-    match = re.fullmatch(r"(\w+)/alpha(\d+)", name)
-    if match:
-        return inner_grading(build_root_system(match[1]), int(match[2]))
-    catalog = grading_catalog()
-    if name not in catalog:
-        raise SpinCharError(
-            f"unknown grading {name!r}; known: <type>/alpha<k>,"
-            f" {', '.join(sorted(catalog))}")
-    return catalog[name]()
-
-
 def cmd_show(args):
     if args.type is None and args.grading is None:
         raise SpinCharError("show needs --type or --grading")
@@ -277,7 +261,7 @@ def cmd_show(args):
     if args.type:
         payload["root_system"] = build_root_system(args.type).to_json()
     if args.grading:
-        grading = _named_grading(args.grading)
+        grading = named_grading(args.grading)
         sp = spin_g1(grading, args.weyl_budget, args.term_budget)
         d1p = [w for w, _ in grading.delta1.canonical_half()]
         identity_ok = verify_tau_identity(

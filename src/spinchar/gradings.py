@@ -20,6 +20,7 @@ routes must agree exactly.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -33,6 +34,7 @@ from .charring import (
     invariant_poincare,
     key_weight,
     plus_product,
+    weight_key,
 )
 from .rootsys import (
     EXPONENTS,
@@ -133,24 +135,8 @@ def parity_split(ambient: RootSystem, pivot=None, odd_module=None):
 
 def kac_marks(rs: RootSystem):
     """Coefficients of the highest root over the simple roots."""
-    theta = rs.highest_root()
-    return rs.root_coords(theta)
-
-
-def _parity_condition(rs: RootSystem, pivot: int):
-    """Root sums must respect the Z/2 split: checked over all pairs, on
-    the integer root coordinates over the simple roots."""
-    index = {}
-    for r in rs.positive_roots:
-        c = rs.root_coords(r)
-        index[c] = index[tuple(-x for x in c)] = c[pivot - 1] % 2
-    # (c1, c2) and (-c1, -c2) give opposite sums of one parity, and the
-    # positive roots sit at the even places: c1 > 0 suffices
-    for c1, p1 in list(index.items())[::2]:
-        for c2, p2 in index.items():
-            s = tuple(a + b for a, b in zip(c1, c2))
-            if s in index and index[s] != (p1 + p2) % 2:
-                raise InvalidDescriptor("parity condition fails on a root sum")
+    c = rs.lattice_coords(weight_key(rs, rs.highest_root()))
+    return tuple(x // rs.lattice_denom for x in c)
 
 
 def inner_grading(rs: RootSystem, pivot: int) -> Z2Grading:
@@ -168,7 +154,6 @@ def inner_grading(rs: RootSystem, pivot: int) -> Z2Grading:
     if mark > 2:
         raise InvalidDescriptor(
             f"pivot {pivot} has mark {mark}; no involution there")
-    _parity_condition(rs, pivot)
     delta0_plus, delta1_pairs, zero_mult = parity_split(rs, pivot)
     grading = Z2Grading(
         kind="inner",
@@ -186,8 +171,13 @@ def inner_grading(rs: RootSystem, pivot: int) -> Z2Grading:
     if mark == 1 and span_rank != rs.rank - 1:
         raise InvalidDescriptor("mark-1 grading should leave a 1-dim centre")
     grading.metadata["hermitian"] = (mark == 1)
-    grading.metadata["g0"] = grading.g0.descriptor() + ("xT1" if mark == 1 else "")
+    parts = [grading.g0.descriptor()] + (["T1"] if mark == 1 else [])
+    grading.metadata["g0"] = "x".join(p for p in parts if p)
     return grading
+
+
+# the types whose inner gradings the catalog names and the suites sweep
+INNER_SWEEP = [f"{fam}{rank}" for fam, rank in simple_types(4)]
 
 
 def involutive_pivots(rs: RootSystem):
@@ -468,23 +458,57 @@ def equal_rank_pair(rs: RootSystem, generators,
 # catalog
 
 
-def grading_catalog(max_rank: int = 4):
-    """Named constructors for the gradings the library knows how to build."""
+def _named_inner(desc: str) -> dict:
+    """The inner gradings of one sweep type by catalog name: <type>/<g0>,
+    with @alpha<k> where a g0 repeats, and AIII(p,q) for the Hermitian
+    gradings of type A."""
+    rs = build_root_system(desc)
+    named = {}
+    for i in involutive_pivots(rs):
+        g = inner_grading(rs, i)
+        name = f"{desc}/{g.metadata['g0']}"
+        if name in named:
+            name = f"{name}@alpha{i}"
+        named[name] = g
+        if desc[0] == "A" and g.metadata["hermitian"]:
+            named.setdefault(f"AIII({i},{rs.rank + 1 - i})", g)
+    return named
+
+
+def grading_catalog():
+    """Named constructors for the gradings the library knows how to build:
+    the inner gradings of the sweep types, each built here to read its
+    name, and the outer instances."""
     catalog = {}
-    for fam, rank in simple_types(max_rank):
-        rs = build_root_system(fam, rank)
-        for i in involutive_pivots(rs):
-            def make(rs=rs, i=i):
-                return inner_grading(rs, i)
-            g = make()
-            name = f"{rs.descriptor()}/{g.metadata['g0']}"
-            if name in catalog:
-                name = f"{name}@alpha{i}"
-            catalog[name] = make
-            if fam == "A" and g.metadata["hermitian"]:
-                catalog.setdefault(f"AIII({i},{rank + 1 - i})", make)
+    for desc in INNER_SWEEP:
+        catalog.update({name: (lambda g=g: g) for name, g in _named_inner(desc).items()})
     for family, params in OUTER_INSTANCES:
         def make(family=family, params=params):
             return outer_grading(family, *params)
         catalog[outer_row(family, *params).label] = make
     return catalog
+
+
+def named_grading(name: str) -> Z2Grading:
+    """The grading a name denotes, building only what the name needs.
+
+    <type>/alpha<k>, as verify records print it, is that inner grading at
+    any rank. An outer label builds its outer grading alone. A catalog
+    name of a sweep type, <type>/<g0>[@alpha<k>] or AIII(p,q), builds that
+    type's involutive pivots. Only an unknown name builds the catalog, to
+    list it.
+    """
+    match = re.fullmatch(r"(\w+)/alpha(\d+)", name)
+    if match:
+        return inner_grading(build_root_system(match[1]), int(match[2]))
+    for family, params in OUTER_INSTANCES:
+        if outer_row(family, *params).label == name:
+            return outer_grading(family, *params)
+    match = re.fullmatch(r"AIII\((\d+),(\d+)\)", name)
+    desc = f"A{int(match[1]) + int(match[2]) - 1}" if match else name.split("/")[0]
+    grading = _named_inner(desc).get(name) if desc in INNER_SWEEP else None
+    if grading is None:
+        raise InvalidDescriptor(
+            f"unknown grading {name!r}; known: <type>/alpha<k>,"
+            f" {', '.join(sorted(grading_catalog()))}")
+    return grading

@@ -11,9 +11,13 @@ Construction is integer: the Cartan matrix comes from the form times the
 simple roots, cleared of denominators, and the closure, simple-root
 pairings and subsystems run on integer coordinates and keys. Each system
 also carries the integer geometry on keys that the Weyl, character and
-Spin layers share: Dynkin labels, simple reflections, moves into the
-dominant chamber and dominant orbits. The Fraction ``inner``, ``pairing``
-and ``reflect`` serve arbitrary pairs and are the tests' oracle.
+Spin layers share, and it is the only place an integral point is moved:
+Dynkin labels (``labels``), coordinates over the simple roots
+(``lattice_coords``), descents into the dominant chamber with the letters
+used (``to_dominant``), and dominant orbits with a reduced word per point
+(``dominant_orbit``), which enumerate W and its reflection subgroups.
+``walk`` only applies a given word to a vector. The Fraction ``inner``,
+``pairing`` and ``reflect`` serve arbitrary pairs and are the tests' oracle.
 
 The module also holds the library's exact helpers: ``Weight`` does its own
 vector arithmetic and clears its own denominators (``Weight.scaled``),
@@ -320,7 +324,6 @@ class RootSystem:
         self.positive_labels = tuple(tuple(self.labels(k)) for k in self.positive_keys)
         self.positive_roots = tuple(
             Weight(tuple(Fraction(x, self.denom) for x in k)) for k in self.positive_keys)
-        self._root_coords = {r: c for r, (_, _, c) in zip(self.positive_roots, coords)}
         self.rho = Weight(Fraction(sum(k[t] for k in self.positive_keys), 2 * self.denom)
                           for t in range(self.space_dim))
         self.rho_key = scale_to_int(self.rho.coords, self.denom)
@@ -383,9 +386,6 @@ class RootSystem:
     def format_weight(self, x: Weight) -> str:
         """Render the fundamental-weight coefficients compactly."""
         return format_coeffs(self.fw_coefficients(x))
-
-    def root_coords(self, root: Weight) -> tuple:
-        return self._root_coords[root]
 
     def in_root_lattice(self, x: Weight) -> bool:
         """Whether x is an integer combination of the simple roots, which
@@ -461,38 +461,44 @@ class RootSystem:
 
     def to_dominant(self, labels, key=None):
         """Move integral labels, and the key they belong to if one is
-        given, into the dominant chamber by simple reflections; returns
-        (labels, key, sign of the word used)."""
+        given, into the dominant chamber by simple reflections, each at
+        the first negative label; returns (labels, key, letters), the
+        letters in the order applied. Each step goes up one length, so the
+        letters spell a reduced w with w(key) dominant, of sign
+        (-1)^len(letters)."""
         cartan = self.cartan_matrix
-        sign = 1
+        letters = []
         while True:
             i = next((i for i, p in enumerate(labels) if p < 0), None)
             if i is None:
-                return tuple(labels), key, sign
+                return tuple(labels), key, letters
             p = labels[i]
             labels = [q - p * c for q, c in zip(labels, cartan[i])]
             if key is not None:
                 key = tuple(x - p * y for x, y in zip(key, self.simple_keys[i]))
-            sign = -sign
+            letters.append(i)
 
     def dominant_orbit(self, key, labels):
-        """The Weyl orbit of a dominant integral key.
+        """The Weyl orbit of a dominant integral key, as {point: word}.
 
-        Every orbit point is reached from the dominant one by reflections
-        s_i applied where the label p_i is positive, each step going down.
+        Every orbit point is reached from the dominant one, breadth first,
+        by reflections s_i applied where the label p_i is positive, each
+        step going down and one length up. A new point's word is
+        (i,) + its parent's, a reduced word of a w taking key there; for a
+        regular key the w is unique and the word is of length l(w).
         """
         cartan = self.cartan_matrix
-        orbit = {key}
-        frontier = [(key, labels)]
+        orbit = {key: ()}
+        frontier = [(key, labels, ())]
         while frontier:
             nxt = []
-            for k, p in frontier:
+            for k, p, word in frontier:
                 for i, pi in enumerate(p):
                     if pi > 0:
                         v = tuple(x - pi * y for x, y in zip(k, self.simple_keys[i]))
                         if v not in orbit:
-                            orbit.add(v)
-                            nxt.append((v, [q - pi * c for q, c in zip(p, cartan[i])]))
+                            orbit[v] = w = (i,) + word
+                            nxt.append((v, [q - pi * c for q, c in zip(p, cartan[i])], w))
             frontier = nxt
         return orbit
 
@@ -501,9 +507,6 @@ class RootSystem:
     def _check_invariants(self):
         if self.rank and self.fw_coefficients(self.rho) != (1,) * self.rank:
             raise InvalidDescriptor("rho is not the sum of the fundamental weights")
-        for root in self.positive_roots:
-            if any(c < 0 for c in self._root_coords[root]):
-                raise InvalidDescriptor("positive root with negative coordinates")
 
     def _classify(self):
         comps, adj = _components(self.cartan_matrix)
@@ -532,10 +535,6 @@ class RootSystem:
             return ()
         short = min(norms)
         return tuple(r for r, n in zip(self.positive_roots, norms) if n == short)
-
-    def long_roots(self):
-        shorts = set(self.short_roots())
-        return tuple(r for r in self.positive_roots if r not in shorts)
 
     def weyl_order(self) -> int:
         return prod(m + 1 for m in self.exponents())
@@ -708,17 +707,13 @@ class SpecialElements:
                     f"{len(dominant_short)} dominant short roots, expected one")
             self.theta_s = dominant_short[0]
             self.rho_s = HALF * _wsum(shorts, dim)
-            self.rho_l = HALF * _wsum(rs.long_roots(), dim)
             self.simple_short = tuple(
                 i for i, a in enumerate(rs.simple_roots) if a in set(shorts))
         else:
             # single length: every root counted long
             self.theta_s = self.theta
             self.rho_s = Weight((0,) * dim)
-            self.rho_l = rs.rho
             self.simple_short = ()
-        self.simple_long = tuple(
-            i for i in range(rs.rank) if i not in self.simple_short)
         # rho_s must equal the sum of the short fundamental weights
         expected = _wsum([rs.fundamental_weights[i] for i in self.simple_short], dim)
         if self.rho_s != expected:

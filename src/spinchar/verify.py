@@ -31,6 +31,7 @@ from .charring import (
     weyl_dimension,
 )
 from .gradings import (
+    INNER_SWEEP,
     OUTER_INSTANCES,
     OUTER_TABLE,
     inner_grading,
@@ -99,9 +100,6 @@ def _expect(condition, message):
 # inner gradings and their Spin, shared by the inner / identity / casimir
 # suites. Every memo here is a functools.cache on value keys, budgets
 # included; a refusal raises, so it is never memoised.
-
-INNER_SWEEP = [f"{fam}{rank}" for fam, rank in simple_types(4)]
-
 
 @cache
 def _inner_grading_cached(desc, pivot):

@@ -3,9 +3,10 @@
 An element w is the integer key of w(rho) (coordinates scaled by the
 system's ``denom``) together with a reduced word in the simple reflections
 that generate its group. Since rho is regular, w -> w(rho) is injective,
-and a breadth-first walk of the rho-orbit reaches every element at a depth
-equal to its length. Products, inverses and actions walk the word by the
-integer reflections of the generating ``RootSystem``; an element's rational
+so W and every W0 are the rho-orbit that the generating ``RootSystem``'s
+``dominant_orbit`` walks on Dynkin labels, each point with its word, and
+descents to a chamber are its ``to_dominant``. Products, inverses and
+actions apply the word to a vector with ``walk``; an element's rational
 matrix is derived only when asked for. Enumeration order is deterministic: by
 length, ties broken by key. A minimal coset section is walked on its own
 |W|/|W0| points without W, and W0 is enumerated only when an oracle reads it.
@@ -122,30 +123,16 @@ class WeylGroup:
 
 
 def _enumerate(rs: RootSystem, gen: RootSystem, budget, what):
-    """Breadth-first walk of rs's rho-orbit under the simple reflections
-    of gen (rs itself or a subsystem), each new key recording its word.
-    Refuses up front when |W(gen)| exceeds the budget, and checks the
-    order reached against it."""
+    """W(gen), for gen rs itself or a subsystem, as the orbit of rs's rho
+    under gen's simple reflections, refused up front when |W(gen)| exceeds
+    the budget. rho is dominant and regular for gen too (Delta0+ lies in
+    Delta+), so ``dominant_orbit`` reaches each element once, with a
+    reduced word."""
     required = gen.weyl_order()
     if required > budget:
         raise BudgetExceeded(f"|{what}| = {required} exceeds the budget {budget}",
                              required=required, budget=budget)
-    letters = range(gen.rank)
-    words = {rs.rho_key: ()}
-    frontier = list(words)
-    while frontier:
-        new = []
-        for key in frontier:
-            word = words[key]
-            for i in letters:
-                image = gen.walk((i,), key)[0]
-                if image not in words:
-                    words[image] = (i,) + word
-                    new.append(image)
-        if len(words) > budget:
-            raise BudgetExceeded(f"enumerating {what} exceeds the budget {budget}",
-                                 required=required, budget=budget)
-        frontier = new
+    words = gen.dominant_orbit(rs.rho_key, gen.labels(rs.rho_key))
     if len(words) != required:
         raise ConsistencyError(f"enumerated {len(words)} elements of {what},"
                                f" expected {required}")
@@ -178,21 +165,10 @@ class SubsystemDatum:
                           f"W({self.system.descriptor()}) in W({self.rs.descriptor()})")
 
 
-def _descend(gen: RootSystem, key):
-    """Descend key to gen's dominant chamber; returns it and the letters used."""
-    letters = []
-    while True:
-        i = next((i for i in range(gen.rank) if gen.pairing_num(key, i) < 0), None)
-        if i is None:
-            return key, letters
-        key = gen.walk((i,), key)[0]
-        letters.append(i)
-
-
 def _spell(rs: RootSystem, key) -> WeylElement:
     """The u with u^{-1}(rho) = key: descending key to rho by s_{i1}, ..., s_{ik}
     spells u^{-1} = s_{i1} ... s_{ik}, reduced, so u is that word reversed."""
-    letters = _descend(rs, key)[1]
+    letters = rs.to_dominant(rs.labels(key))[2]
     return WeylElement(rs.walk(letters, rs.rho_key)[0], tuple(reversed(letters)), rs)
 
 
@@ -247,7 +223,8 @@ def factorize(rs: RootSystem, sub: SubsystemDatum, w: WeylElement,
     which spells rep. An oracle: it walks all of W and W0.
     """
     group = enumerate_weyl(rs, budget)
-    rep = _spell(rs, _descend(sub.system, w.key)[0])
+    gen = sub.system
+    rep = _spell(rs, gen.to_dominant(gen.labels(w.key), w.key)[1])
     w0 = group.multiply(w, rep)
     if w0 not in sub.group:
         raise ConsistencyError("descent left the reflection subgroup")

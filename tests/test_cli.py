@@ -248,6 +248,35 @@ def test_show_resolves_verify_labels_at_any_rank(capsys):
     assert main(["show", "--grading", "nonsense"]) == 2
 
 
+def test_show_builds_only_the_gradings_a_name_needs(capsys, monkeypatch):
+    # a catalog name builds its own type's involutive pivots (F4: 1 and 4),
+    # an outer label no inner grading; only an unknown name lists the catalog
+    from spinchar import gradings
+
+    built = []
+    real = gradings.inner_grading
+
+    def counted(rs, pivot):
+        built.append((rs.descriptor(), pivot))
+        return real(rs, pivot)
+
+    monkeypatch.setattr(gradings, "inner_grading", counted)
+    golden = pathlib.Path(__file__).parent / "golden"
+    for name, most in [("F4/B4", 2), ("E6/C4", 0)]:
+        built.clear()
+        code, out = run_cli(capsys, "show", "--grading", name, "--format", "json")
+        assert code == 0 and len(built) <= most, (name, built)
+        assert out == (golden / f"show_{name.replace('/', '_')}.json").read_text()
+    built.clear()
+    assert gradings.named_grading("AIII(1,3)").label == "A3/alpha1"
+    assert {d for d, _ in built} == {"A3"}
+    # A1's g0 is the torus alone
+    assert gradings.named_grading("A1/T1").label == "A1/alpha1"
+    for name in ["F4/A4", "AIII(5,2)", "A1/xT1"]:
+        assert main(["show", "--grading", name]) == 2
+        assert f"unknown grading {name!r}" in capsys.readouterr().err
+
+
 def test_env_override(capsys, monkeypatch):
     monkeypatch.setenv("SPINCHAR_FORMAT", "json")
     code, out = run_cli(capsys, "spin", "--type", "A1", "--weight", "2")

@@ -315,16 +315,19 @@ def integral_weights(draw):
 def test_to_dominant_matches_dominant_representative(case):
     rs, x = case
     key = weight_key(rs, x)
-    labels, dom_key, sign = rs.to_dominant(rs.labels(key), key)
+    labels, dom_key, letters = rs.to_dominant(rs.labels(key), key)
     dom = rs.dominant_representative(x)
     assert labels == rs.fw_coefficients(dom) and dom_key == weight_key(rs, dom)
-    assert rs.to_dominant(list(labels), dom_key) == (labels, dom_key, 1)
-    # the steps taken form a w with w(x) = dom, so their parity is det w;
-    # w is unique when dom is regular
-    signs = {w.sign for w in enumerate_weyl(rs) if w.act_key(key) == dom_key}
-    assert sign in signs
+    assert rs.to_dominant(list(labels), dom_key) == (labels, dom_key, [])
+    # the letters, first applied first, form a w with w(x) = dom, so their
+    # parity is det w; w is unique when dom is regular, and the letters
+    # are then a reduced word of it
+    assert rs.walk(letters, key) == (dom_key, 1)
+    sign = -1 if len(letters) % 2 else 1
+    found = {(w.sign, w.length) for w in enumerate_weyl(rs) if w.act_key(key) == dom_key}
+    assert sign in {s for s, _ in found}
     if 0 not in labels:
-        assert signs == {sign}
+        assert found == {(sign, len(letters))}
 
 
 @PROPERTY
@@ -332,7 +335,7 @@ def test_to_dominant_matches_dominant_representative(case):
 def test_dominant_orbit_matches_the_enumerated_group(case):
     rs, lam = case
     key = weight_key(rs, lam)
-    assert rs.dominant_orbit(key, rs.labels(key)) == {
+    assert rs.dominant_orbit(key, rs.labels(key)).keys() == {
         w.act_key(key) for w in enumerate_weyl(rs)}
 
 
@@ -379,7 +382,8 @@ def _subsystem_roots(rs, kind):
         return [r for r in rs.positive_roots if rs.inner(r, r) == max(norms)]
     if kind == "short":
         return [r for r in rs.positive_roots if rs.inner(r, r) == min(norms)]
-    return [r for r in rs.positive_roots if rs.root_coords(r)[kind] == 0]
+    return [r for r, k in zip(rs.positive_roots, rs.positive_keys)
+            if rs.lattice_coords(k)[kind] == 0]
 
 
 @st.composite

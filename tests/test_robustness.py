@@ -215,6 +215,18 @@ def test_weyl_group_is_enumerated_only_where_the_walk_is_the_point():
     assert _callers("enumerate_weyl") == W_WALKERS
 
 
+# walk applies a word to a vector; W, W0 and every descent move Dynkin
+# labels through to_dominant and dominant_orbit instead. The last caller
+# is the tests' oracle.
+WORD_APPLIERS = {("weyl.py", "act_key"), ("weyl.py", "apply"),
+                 ("weyl.py", "apply_inverse"), ("weyl.py", "invert"),
+                 ("weyl.py", "_spell"), ("rootsys.py", "dominant_representative")}
+
+
+def test_walk_only_applies_words():
+    assert _callers("walk") == WORD_APPLIERS
+
+
 def test_cli_budget_defaults_are_the_library_constants(monkeypatch):
     from spinchar.charring import DEFAULT_TERM_BUDGET
     from spinchar.cli import _parser

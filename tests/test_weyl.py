@@ -163,8 +163,8 @@ def test_parabolic_length_additivity():
     # for a subsystem generated by a subset of the simple roots, lengths
     # add across the factorization and l0 agrees with l on the subgroup
     rs = build_root_system("B3")
-    parabolic = [r for r in rs.positive_roots
-                 if rs.root_coords(r)[2] == 0]  # the A2 on the first two nodes
+    parabolic = [r for r, k in zip(rs.positive_roots, rs.positive_keys)
+                 if rs.lattice_coords(k)[2] == 0]  # the A2 on the first two nodes
     sub = SubsystemDatum(rs, parabolic)
     group = enumerate_weyl(rs)
     for w in group:
