@@ -11,8 +11,9 @@ Decomposition folds a W-invariant character by the dot action
 (Racah-Speiser) and Freudenthal's recursion visits dominant weights only,
 so neither enumerates W. ``exact_divide`` divides by root binomials
 e^{a/2} - e^{-a/2} along a-strings, exact only when each string's running
-sum ends at zero; the Weyl character formula built on it is the oracle
-the tests and verification suites compare them against.
+sum ends at zero; it serves the Weyl character formula, the oracle the
+tests and verification suites compare them against. The denominator
+identities multiply their right sides out instead of dividing.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .errors import BudgetExceeded, InvalidDescriptor, NonModuleCharacter
-from .rootsys import HALF, RootSystem, Weight, scale_to_int
+from .rootsys import HALF, RootSystem, Weight, _dot, scale_to_int
 from .weyl import DEFAULT_WEYL_BUDGET, enumerate_weyl
 
 DEFAULT_TERM_BUDGET = 5 * 10**6
@@ -116,10 +117,6 @@ class Character:
 
     def conjugate(self):
         return Character(self.rs, {tuple(-x for x in k): v for k, v in self.terms.items()})
-
-    def stretch(self, n: int):
-        """e^mu -> e^{n mu}."""
-        return Character(self.rs, {tuple(n * x for x in k): v for k, v in self.terms.items()})
 
     def is_invariant(self, rs: RootSystem = None) -> bool:
         """W-invariance, checked on the simple reflections of rs."""
@@ -235,6 +232,22 @@ def plus_product(rs: RootSystem, weights_with_mult,
                  term_budget: int = DEFAULT_TERM_BUDGET) -> Character:
     """Expand prod (e^{mu/2} + e^{-mu/2})^{m(mu)}."""
     factors = [(weight_key(rs, mu), m, 1) for mu, m in weights_with_mult]
+    return Character(rs, _binomial_product(rs, factors, term_budget))
+
+
+def skew_plus_product(rs: RootSystem, roots, weights,
+                      term_budget: int = DEFAULT_TERM_BUDGET) -> Character:
+    """Expand prod (e^{a/2} - e^{-a/2}) over the given roots times
+    prod (e^{mu/2} + e^{-mu/2}) over the given weights, as one product.
+
+    The binomials go in ascending height (v, rho): low ones first keep the
+    intermediate supports small (on E6/C4, 48k states against 213k with
+    the plus factors first). The term budget bounds the states.
+    """
+    rho_w = rs._matvec(rs.rho_key)
+    factors = sorted([(weight_key(rs, a), 1, -1) for a in roots]
+                     + [(weight_key(rs, mu), 1, 1) for mu in weights],
+                     key=lambda f: _dot(f[0], rho_w))
     return Character(rs, _binomial_product(rs, factors, term_budget))
 
 

@@ -24,16 +24,15 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import ConsistencyError, InvalidDescriptor, NonModuleCharacter, NotClosed
+from .errors import ConsistencyError, InvalidDescriptor, NotClosed
 from .charring import (
     DEFAULT_TERM_BUDGET,
     WeightSystem,
     alternating_sum,
-    exact_divide,
     freudenthal_weights,
     invariant_poincare,
     key_weight,
-    plus_product,
+    skew_plus_product,
     weight_key,
 )
 from .rootsys import (
@@ -355,21 +354,16 @@ def verify_tau_identity(rs: RootSystem, sub: SubsystemDatum, delta1_plus,
                         term_budget: int = DEFAULT_TERM_BUDGET,
                         rho: Weight = None) -> bool:
     """The twisted denominator identity: sum over W of tau(w) e^{w rho},
-    a full walk over W, divided exactly by the Delta0+ root binomials, must
-    equal the plus product over Delta1+ (an inexact division fails). With
-    no zero divisors in the group algebra this holds exactly when the
-    expanded identity does. For partitions of a restricted system, pass the
-    restricted rho = rho0 + rho1; the default is the system's own Weyl
-    vector, which is the inner-type case.
+    a full walk over W, multiplied out against Delta0 * prod plus, the
+    Delta0+ root binomials times the Delta1+ plus binomials expanded as
+    one product, and compared term by term. For partitions of a restricted
+    system, pass the restricted rho = rho0 + rho1; the default is the
+    system's own Weyl vector, which is the inner-type case. The term
+    budget bounds the product's states.
     """
     lhs = alternating_sum(rs, rho if rho is not None else rs.rho, budget,
                           sign=lambda w: cunning_parity(rs, sub, w)[0])
-    try:
-        quotient = exact_divide(lhs, sub.delta0_plus, rs, term_budget)
-    except NonModuleCharacter:
-        return False
-    pairs = [(w, 1) for w in delta1_plus]
-    return quotient == plus_product(rs, pairs, term_budget=term_budget)
+    return lhs == skew_plus_product(rs, sub.delta0_plus, delta1_plus, term_budget)
 
 
 def casimir_check(grading: Z2Grading, spin: SpinDecomposition = None) -> Fraction:

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import isqrt
 
 from .errors import BudgetExceeded, ConsistencyError
-from .rootsys import RootSystem, Weight, _dot, scale_to_int, subsystem
+from .rootsys import RootSystem, Weight, _dot, subsystem
 
 DEFAULT_WEYL_BUDGET = 10**6
 
@@ -108,11 +109,6 @@ class WeylGroup:
     def identity_element(self) -> WeylElement:
         return self.elements[0]
 
-    def lookup(self, matrix) -> WeylElement:
-        """The element acting by a given rational matrix."""
-        rho = self.rs.rho.coords
-        return self._by_image[scale_to_int([_dot(row, rho) for row in matrix], self.rs.denom)]
-
     def multiply(self, a: WeylElement, b: WeylElement) -> WeylElement:
         return self._by_image[a.act_key(b.key)]
 
@@ -163,6 +159,31 @@ class SubsystemDatum:
     def group(self) -> WeylGroup:
         return _enumerate(self.rs, self.system, DEFAULT_WEYL_BUDGET,
                           f"W({self.system.descriptor()}) in W({self.rs.descriptor()})")
+
+    @cached_property
+    def packed_pairings(self):
+        """(cols, guard) packing the pairings of a key with every beta in
+        Delta0+ into one integer, one field of ``bits`` bits per root:
+        guard + sum_t key[t] cols[t] holds off + (beta_j, key) in field j,
+        where off = 1 << (bits - 1) is that field's bit in ``guard``.
+
+        The keys l0_of sees are w(rho) for w in W, all of form norm
+        n = inner_keys(rho, rho), and the subsystem shares the ambient form
+        and key scale, so by Cauchy-Schwarz |(beta, key)|^2 <= (beta, beta) n
+        in key units. With off above that bound every field stays inside
+        [1, 2 off), no field borrows from the next, and a field keeps its
+        guard bit exactly when its pairing is non-negative.
+        """
+        pos = self.system.positive_w
+        rho = self.rs.rho_key
+        n = self.rs.inner_keys(rho, rho)
+        bound = max((isqrt(_dot(k, w) * n) for k, w in zip(self.system.positive_keys, pos)),
+                    default=0)
+        bits = bound.bit_length() + 1
+        cols = tuple(sum(f[t] << (bits * j) for j, f in enumerate(pos))
+                     for t in range(self.rs.space_dim))
+        guard = sum(1 << (bits * j + bits - 1) for j in range(len(pos)))
+        return cols, guard
 
 
 def _spell(rs: RootSystem, key) -> WeylElement:
@@ -235,9 +256,12 @@ def l0_of(rs: RootSystem, sub: SubsystemDatum, w: WeylElement) -> int:
     """l0(w) = #{alpha in Delta- : w(alpha) in Delta0+}.
 
     alpha = w^{-1}(beta) is negative exactly when (beta, w(rho)) < 0, so
-    this counts the beta in Delta0+ pairing negatively with w's key.
+    this counts the beta in Delta0+ pairing negatively with w's key: the
+    fields of one packed pairing that lost their guard bit.
     """
-    return sum(1 for f in sub.system.positive_w if sum(a * b for a, b in zip(w.key, f)) < 0)
+    cols, guard = sub.packed_pairings
+    packed = guard + _dot(w.key, cols)
+    return len(sub.system.positive_w) - (packed & guard).bit_count()
 
 
 def cunning_parity(rs: RootSystem, sub: SubsystemDatum, w: WeylElement):

@@ -1,0 +1,18 @@
+"""Oracles that only the tests read: the Weyl element acting by a given
+matrix, and the stretch e^mu -> e^{n mu} of a character."""
+
+from spinchar.charring import Character
+from spinchar.rootsys import _dot, scale_to_int
+
+
+def lookup(group, matrix):
+    """The element of ``group`` acting by a given rational matrix: the one
+    whose key is the image of rho."""
+    rho = group.rs.rho.coords
+    key = scale_to_int([_dot(row, rho) for row in matrix], group.rs.denom)
+    return next(w for w in group if w.key == key)
+
+
+def stretch(ch: Character, n: int) -> Character:
+    """e^mu -> e^{n mu}."""
+    return Character(ch.rs, {tuple(n * x for x in k): v for k, v in ch.terms.items()})

@@ -1,7 +1,9 @@
+import copy
 import pytest
 from fractions import Fraction
 
 from spinchar import (
+    BudgetExceeded,
     Character,
     InvalidDescriptor,
     NotClosed,
@@ -22,6 +24,7 @@ from spinchar import (
     spin_g1,
     verify_tau_identity,
 )
+from spinchar import gradings
 from spinchar.charring import freudenthal_weights, skew_product, weyl_denominator
 from spinchar.gradings import G1BAR, OUTER_INSTANCES, Z2Grading, parity_split
 from spinchar.rootsys import simple_types, special_elements
@@ -219,6 +222,47 @@ def test_tau_identity_inner_and_negative_control():
     # breaking the odd part must break the identity
     broken = [d1p[0], d1p[0]]
     assert not verify_tau_identity(rs, grading.sub, broken)
+
+
+def _mutated_sub(sub, delta0_plus):
+    # tau still reads the true subsystem; only the Delta0 factors change
+    mutant = copy.copy(sub)
+    mutant.delta0_plus = delta0_plus
+    return mutant
+
+
+@pytest.mark.parametrize("desc", ["B3", "F4"])
+def test_tau_identity_catches_mutants(desc, monkeypatch):
+    rs = build_root_system(desc)
+    grading = inner_grading(rs, 1)
+    sub = grading.sub
+    d1p = [w for w, _ in grading.delta1.canonical_half()]
+    assert verify_tau_identity(rs, sub, d1p)
+    assert not verify_tau_identity(rs, _mutated_sub(sub, sub.delta0_plus[1:]), d1p)
+    assert not verify_tau_identity(
+        rs, _mutated_sub(sub, sub.delta0_plus + sub.delta0_plus[:1]), d1p)
+    # tau flipped on one element that is not the identity
+    flipped = enumerate_weyl(rs).elements[1]
+    real = gradings.cunning_parity
+
+    def parity(rs, sub, w):
+        tau, l0 = real(rs, sub, w)
+        return (-tau if w == flipped else tau), l0
+
+    monkeypatch.setattr(gradings, "cunning_parity", parity)
+    assert not verify_tau_identity(rs, sub, d1p)
+
+
+def test_tau_identity_term_budget_bounds_the_product():
+    rs = build_root_system("B3")
+    grading = inner_grading(rs, 1)
+    d1p = [w for w, _ in grading.delta1.canonical_half()]
+    # the product ends on the |W| terms of the W side, so its peak is no smaller
+    budget = rs.weyl_order() - 1
+    with pytest.raises(BudgetExceeded) as caught:
+        verify_tau_identity(rs, grading.sub, d1p, term_budget=budget)
+    assert caught.value.budget == budget
+    assert caught.value.required > budget
 
 
 def test_equal_rank_requires_closed_generators():

@@ -9,11 +9,14 @@ from spinchar import (
     cunning_parity,
     enumerate_weyl,
     factorize,
+    inner_gradings,
     l0_of,
     minimal_coset_reps,
     skew_product,
     weyl_denominator,
 )
+from spinchar.rootsys import _dot
+from oracles import lookup
 
 
 def test_rank_one_group():
@@ -105,7 +108,7 @@ def test_cunning_parity_basics():
     assert cunning_parity(rs, sub, identity) == (1, 0)
     # reflection in a subsystem root has parity -1
     from spinchar.weyl import reflection_matrix
-    s = group.lookup(reflection_matrix(rs, longs[0]))
+    s = lookup(group, reflection_matrix(rs, longs[0]))
     tau, l0 = cunning_parity(rs, sub, s)
     assert tau == -1 and l0 == 1
 
@@ -132,7 +135,7 @@ def test_parity_is_usual_on_subgroup():
     sub = SubsystemDatum(rs, longs)
     group = enumerate_weyl(rs)
     for w0 in sub.group:
-        tau, l0 = cunning_parity(rs, sub, group.lookup(w0.matrix))
+        tau, l0 = cunning_parity(rs, sub, lookup(group, w0.matrix))
         assert l0 == w0.length  # length in W0 relative to Delta0+
         assert tau == (-1) ** w0.length
 
@@ -149,6 +152,18 @@ def test_nonclosed_subsystem_length_gap():
         assert l0 <= w.length
         gaps.append(w.length - l0)
     assert any(g > 0 for g in gaps)
+
+
+@pytest.mark.parametrize("desc", ["F4", "C4", "D4"])
+def test_packed_l0_is_the_plain_count(desc):
+    # one packed pairing per element against the pairings counted one by one
+    rs = build_root_system(desc)
+    group = enumerate_weyl(rs)
+    for grading in inner_gradings(rs):
+        sub = grading.sub
+        for w in group:
+            assert l0_of(rs, sub, w) == sum(
+                1 for f in sub.system.positive_w if _dot(w.key, f) < 0), grading.label
 
 
 def test_sign_is_multiplicative():
@@ -171,7 +186,7 @@ def test_parabolic_length_additivity():
         w0, rep = factorize(rs, sub, w)
         assert w.length == w0.length + rep.length
     for w0 in sub.group:
-        assert l0_of(rs, sub, group.lookup(w0.matrix)) == w0.length
+        assert l0_of(rs, sub, lookup(group, w0.matrix)) == w0.length
 
 
 def test_invalid_subsystem_rejected():
@@ -188,7 +203,7 @@ def test_factorize_identity_cases():
     sub = SubsystemDatum(rs, longs)
     group = enumerate_weyl(rs)
     for w0 in sub.group:
-        big = group.lookup(w0.matrix)
+        big = lookup(group, w0.matrix)
         part0, rep = factorize(rs, sub, big)
         assert part0 == big and rep.length == 0
     for rep in minimal_coset_reps(rs, sub):
