@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 a failed check or two exact routes that
 disagree, 2 usage error, 3 budget refusal. All output is deterministic at
-a fixed configuration; flags have SPINCHAR_* environment-variable
-equivalents.
+a fixed configuration, except the wall-clock ``seconds`` of each verify
+record; flags have SPINCHAR_* environment-variable equivalents.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .errors import BudgetExceeded, ConsistencyError, SpinCharError
@@ -32,7 +31,6 @@ from .spinmod import (
     spin_scalar,
 )
 from .weyl import DEFAULT_WEYL_BUDGET
-from . import verify as verify_mod
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -99,7 +97,7 @@ def _build_parser():
     ver = sub.add_parser("verify", parents=[common],
                          help="run a named verification suite")
     ver.add_argument("--suite", default="all",
-                     choices=sorted(verify_mod.SUITES) + ["all"])
+                     help="a suite name from spinchar.verify.SUITES, or all")
 
     cls = sub.add_parser("classify", parents=[common],
                          help="sweep for co-primary modules")
@@ -176,13 +174,21 @@ def _spin_markdown(payload):
 
 
 def _run_one_suite(name, weyl_budget, term_budget):
-    return verify_mod.SUITES[name](weyl_budget, term_budget)
+    from . import verify
+    return verify.SUITES[name](weyl_budget, term_budget)
 
 
 def cmd_verify(args):
-    names = sorted(verify_mod.SUITES) if args.suite == "all" else [args.suite]
+    # the suites and the pool are imported here, not at the top, so that a
+    # spin, classify or show process never loads them
+    from . import verify
+    if args.suite != "all" and args.suite not in verify.SUITES:
+        raise SpinCharError(f"unknown suite {args.suite!r}; choose from"
+                            f" {', '.join(sorted(verify.SUITES) + ['all'])}")
+    names = sorted(verify.SUITES) if args.suite == "all" else [args.suite]
     records = []
     if args.jobs > 1 and len(names) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futures = [pool.submit(_run_one_suite, n, args.weyl_budget,
                                    args.term_budget) for n in names]
@@ -194,7 +200,7 @@ def cmd_verify(args):
     records.sort(key=lambda r: r["id"])
     payload = {"suite": args.suite, "checks": records}
     # a table is built only for markdown output, from the suite's memo
-    table = verify_mod.TABLES.get(args.suite)
+    table = verify.TABLES.get(args.suite)
     _emit(args, payload, lambda p: _verify_markdown(
         p, table and table(args.weyl_budget, args.term_budget)))
     failed = [r for r in records if r["status"] == "fail"]

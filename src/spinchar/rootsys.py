@@ -16,8 +16,9 @@ Dynkin labels (``labels``), coordinates over the simple roots
 (``lattice_coords``), descents into the dominant chamber with the letters
 used (``to_dominant``), and dominant orbits with a reduced word per point
 (``dominant_orbit``), which enumerate W and its reflection subgroups.
-``walk`` only applies a given word to a vector. The Fraction ``inner``,
-``pairing`` and ``reflect`` serve arbitrary pairs and are the tests' oracle.
+``walk`` only applies a given word to a vector. The Fraction ``inner``
+and ``pairing`` serve arbitrary pairs; the tests' ``oracles.reflect`` is
+built on them.
 
 The module also holds the library's exact helpers: ``Weight`` does its own
 vector arithmetic and clears its own denominators (``Weight.scaled``),
@@ -348,9 +349,6 @@ class RootSystem:
 
     def is_integral(self, x: Weight) -> bool:
         return all(p.denominator == 1 for p in self.fw_coefficients(x))
-
-    def reflect(self, alpha: Weight, x: Weight) -> Weight:
-        return x - self.pairing(x, alpha) * alpha
 
     def dominant_representative(self, x: Weight) -> Weight:
         """The dominant element of W.x, reached by simple reflections on

@@ -81,13 +81,6 @@ class WeylElement:
         return f"WeylElement(length={self.length})"
 
 
-def reflection_matrix(rs: RootSystem, alpha: Weight):
-    """The rational matrix of s_alpha, column by column."""
-    n = rs.space_dim
-    return tuple(zip(*(rs.reflect(alpha, Weight([int(i == j) for i in range(n)])).coords
-                       for j in range(n))))
-
-
 class WeylGroup:
     """A reflection group on the ambient space, fully enumerated and
     indexed by the keys of the rho-orbit."""

@@ -1,8 +1,21 @@
-"""Oracles that only the tests read: the Weyl element acting by a given
-matrix, and the stretch e^mu -> e^{n mu} of a character."""
+"""Oracles that only the tests read: the Fraction reflection s_alpha and
+its matrix, the Weyl element acting by a given matrix, and the stretch
+e^mu -> e^{n mu} of a character."""
 
 from spinchar.charring import Character
-from spinchar.rootsys import _dot, scale_to_int
+from spinchar.rootsys import Weight, _dot, scale_to_int
+
+
+def reflect(rs, alpha, x):
+    """s_alpha(x) = x - <x, alpha~> alpha, in Fraction arithmetic."""
+    return x - rs.pairing(x, alpha) * alpha
+
+
+def reflection_matrix(rs, alpha):
+    """The rational matrix of s_alpha, column by column."""
+    n = rs.space_dim
+    return tuple(zip(*(reflect(rs, alpha, Weight([int(i == j) for i in range(n)])).coords
+                       for j in range(n))))
 
 
 def lookup(group, matrix):

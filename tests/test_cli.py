@@ -4,6 +4,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from spinchar import cli, spinmod, verify
 from spinchar.charring import Decomposition
 from spinchar.cli import main
@@ -158,6 +160,63 @@ def test_verify_suite_exit_zero(capsys):
     assert code == 0
     assert "summary:" in out
     assert "FAIL" not in out
+
+
+def test_unknown_suite_is_a_usage_error_naming_the_suites(capsys):
+    assert main(["verify", "--suite", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert "'nope'" in err
+    assert ", ".join(sorted(verify.SUITES) + ["all"]) in err
+
+
+def test_a_spin_process_never_loads_verify_or_the_pool():
+    # verify and the process pool cost a cold start tens of milliseconds;
+    # only the verify command imports them. gradings stays eager: the
+    # benchmark's tracer looks it up in sys.modules and refuses to run
+    # without it
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    script = ("import sys\n"
+              "from spinchar import cli\n"
+              "assert cli.main(['spin', '--type', 'B2', '--weight', '1,0']) == 0\n"
+              "print([m for m in ('spinchar.verify', 'concurrent.futures',"
+              " 'multiprocessing', 'spinchar.gradings') if m in sys.modules])\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "['spinchar.gradings']"
+
+
+def test_verify_jobs_fan_out_gives_the_serial_records(capsys, monkeypatch):
+    import concurrent.futures
+    import multiprocessing
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the children see the patched SUITES only when forked")
+    monkeypatch.setattr(verify, "SUITES", {
+        name: verify.SUITES[name] for name in ("conjecture", "spin-series")})
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+
+    def records(jobs):
+        code, out = run_cli(capsys, "verify", "--suite", "all", "--format", "json",
+                            "--jobs", str(jobs))
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        for r in checks:
+            del r["seconds"]
+        return checks
+
+    serial = records(1)
+    assert not pools
+    assert records(2) == serial and len(pools) == 1
+    assert {r["id"].split(":")[0] for r in serial} == {"conjecture", "spin-series"}
 
 
 def test_verify_skips_are_not_failures(capsys):

@@ -53,8 +53,7 @@ from spinchar.charring import exact_divide, key_weight, weight_key
 from spinchar.gradings import OUTER_INSTANCES, involutive_pivots
 from spinchar.rootsys import _wsum, simple_types
 from spinchar.spinmod import _fm_stages, _primitive, self_dual
-from spinchar.weyl import reflection_matrix
-from oracles import stretch
+from oracles import reflect, reflection_matrix, stretch
 
 TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2", "A1xA1"]
 
@@ -348,7 +347,7 @@ def test_walk_matches_fraction_reflections(data):
     scale = lcm(*(c.denominator for c in x.coords))
     key, scale = rs.walk(word, tuple(int(c * scale) for c in x.coords), scale)
     for i in word:
-        x = rs.reflect(rs.simple_roots[i], x)
+        x = reflect(rs, rs.simple_roots[i], x)
     assert Weight(tuple(Fraction(k, scale) for k in key)) == x
 
 

@@ -16,7 +16,7 @@ from spinchar import (
     weyl_denominator,
 )
 from spinchar.rootsys import _dot
-from oracles import lookup
+from oracles import lookup, reflection_matrix
 
 
 def test_rank_one_group():
@@ -107,7 +107,6 @@ def test_cunning_parity_basics():
     identity = group.identity_element()
     assert cunning_parity(rs, sub, identity) == (1, 0)
     # reflection in a subsystem root has parity -1
-    from spinchar.weyl import reflection_matrix
     s = lookup(group, reflection_matrix(rs, longs[0]))
     tau, l0 = cunning_parity(rs, sub, s)
     assert tau == -1 and l0 == 1
