@@ -21,9 +21,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, lcm
 
-from .errors import BudgetExceeded, InvalidDescriptor, NonModuleCharacter
+from .errors import BudgetExceeded, ConsistencyError, InvalidDescriptor, NonModuleCharacter
 from .rootsys import HALF, RootSystem, Weight, _dot, scale_to_int
-from .weyl import DEFAULT_WEYL_BUDGET, enumerate_weyl
+from .weyl import DEFAULT_WEYL_BUDGET, _check_weyl_budget, enumerate_weyl
 
 DEFAULT_TERM_BUDGET = 5 * 10**6
 
@@ -334,19 +334,10 @@ def irreducible_character(rs: RootSystem, lam: Weight,
     num = alternating_sum(rs, lam + rs.rho, budget)
     ch = exact_divide(num, rs.positive_roots, rs)
     if ch.dimension() != weyl_dimension(rs, lam):
-        raise NonModuleCharacter(
+        raise ConsistencyError(
             f"character of {lam} has dimension {ch.dimension()},"
             f" Weyl formula gives {weyl_dimension(rs, lam)}")
     return ch
-
-
-def _check_weyl_budget(rs: RootSystem, budget: int):
-    """Refuse up front when |W| exceeds the budget, from the type alone."""
-    required = rs.weyl_order()
-    if required > budget:
-        raise BudgetExceeded(
-            f"|W({rs.descriptor()})| = {required} exceeds the budget {budget}",
-            required=required, budget=budget)
 
 
 def _racah_speiser(ch: Character, rs: RootSystem) -> dict:
@@ -526,7 +517,7 @@ def freudenthal_weights(rs: RootSystem, lam: Weight) -> WeightSystem:
         mu = keys[p]
         denom = top - shifted_norm(mu)  # in key units, like the sums below
         if denom <= 0:
-            raise NonModuleCharacter(
+            raise ConsistencyError(
                 f"Freudenthal denominator {denom} on the dominant weight"
                 f" {key_weight(rs, mu)}")
         total = 0
@@ -542,10 +533,10 @@ def freudenthal_weights(rs: RootSystem, lam: Weight) -> WeightSystem:
                 total += mult[d] * ip
         total *= 2
         if total % denom:
-            raise NonModuleCharacter("Freudenthal recursion gave a non-integer")
+            raise ConsistencyError("Freudenthal recursion gave a non-integer")
         value = total // denom
         if value <= 0:
-            raise NonModuleCharacter(
+            raise ConsistencyError(
                 f"Freudenthal multiplicity {value} on the dominant weight"
                 f" {key_weight(rs, mu)}")
         mult[p] = value
@@ -564,7 +555,7 @@ def freudenthal_weights(rs: RootSystem, lam: Weight) -> WeightSystem:
             else:
                 nonzero[k] = m
     if total_dim != weyl_dimension(rs, lam):
-        raise NonModuleCharacter(
+        raise ConsistencyError(
             f"Freudenthal weights of {lam} sum to {total_dim},"
             f" Weyl formula gives {weyl_dimension(rs, lam)}")
     return WeightSystem(rs, nonzero, zero_mult)
@@ -629,7 +620,7 @@ def decompose(ch: Character, rs: RootSystem = None) -> Decomposition:
         summands.append((lam, m))
     dec = Decomposition(rs, summands)
     if dec.total_dimension() != ch.dimension():
-        raise NonModuleCharacter(
+        raise ConsistencyError(
             f"summands have total dimension {dec.total_dimension()},"
             f" the character has dimension {ch.dimension()}")
     return dec
@@ -683,12 +674,12 @@ def exterior_powers(ws: WeightSystem, max_degree: int = None,
     if max_degree == n:
         total = sum(ch.dimension() for ch in out)
         if total != 2**n:
-            raise NonModuleCharacter(
-                f"exterior powers sum to {total}, expected 2^{n}")
-        if ws.weight_sum().is_zero():
-            for i in range(n + 1):
-                if out[i].terms != out[n - i].terms:
-                    raise NonModuleCharacter("exterior powers are not mirror-symmetric")
+            raise ConsistencyError(f"exterior powers sum to {total}, expected 2^{n}")
+        # Lambda^{n-i} V = Lambda^i V* (x) Lambda^n V, and Lambda^n V is trivial
+        # when the weights sum to zero
+        if ws.weight_sum().is_zero() and any(
+                out[n - i] != out[i].conjugate() for i in range(n // 2 + 1)):
+            raise ConsistencyError("exterior powers are not mirror-conjugate")
     return out
 
 
@@ -716,7 +707,7 @@ def _newton_exterior_powers(ws: WeightSystem, term_budget: int = DEFAULT_TERM_BU
         terms = {}
         for key, v in acc.terms.items():
             if v % i:
-                raise NonModuleCharacter("exterior power recursion not divisible")
+                raise ConsistencyError("exterior power recursion not divisible")
             terms[key] = v // i
         out.append(Character(rs, terms))
     return out
@@ -821,6 +812,4 @@ def invariant_poincare(ws: WeightSystem, budget: int = DEFAULT_WEYL_BUDGET,
         coeffs = mirrored
     if any(c < 0 for c in coeffs):
         raise NonModuleCharacter("negative invariant dimension")
-    if symmetric and coeffs != coeffs[::-1]:
-        raise NonModuleCharacter("invariant Poincare polynomial is not symmetric")
     return GradedPoincare(coeffs)

@@ -1,9 +1,9 @@
 """Batch command line: compute Spin data, run verification suites, sweep.
 
-Exit codes: 0 success, 1 a failed check or two exact routes that
-disagree, 2 usage error, 3 budget refusal. All output is deterministic at
-a fixed configuration, except the wall-clock ``seconds`` of each verify
-record; flags have SPINCHAR_* environment-variable equivalents.
+Exit codes: 0 success, 1 a failed check or self-check (ConsistencyError),
+2 usage error or an input that is no module, 3 budget refusal. All output
+is deterministic at a fixed configuration, except the wall-clock
+``seconds`` of each verify record; flags have SPINCHAR_* equivalents.
 """
 
 from __future__ import annotations
@@ -36,6 +36,20 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+
+def _at_least(low, name):
+    """An argparse type, named in its errors: an int no smaller than low."""
+    def count(text):
+        value = int(text)
+        if value < low:
+            raise ValueError(text)
+        return value
+    count.__name__ = name
+    return count
+
+
+_COUNT, _POSITIVE = _at_least(0, "non-negative int"), _at_least(1, "positive int")
 
 
 def _env(action):
@@ -71,14 +85,12 @@ def _parser():
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    _env(common.add_argument("--weyl-budget", type=int, default=DEFAULT_WEYL_BUDGET,
+    _env(common.add_argument("--weyl-budget", type=_COUNT, default=DEFAULT_WEYL_BUDGET,
                              help="most points to walk: |W|, |W|/|W0| for a coset"
                                   " section, |W0| for g0; read off the types"))
-    _env(common.add_argument("--term-budget", type=int, default=DEFAULT_TERM_BUDGET,
+    _env(common.add_argument("--term-budget", type=_COUNT, default=DEFAULT_TERM_BUDGET,
                              help="largest character support to hold, and the"
                                   " most states a pruned Spin0 product may hold"))
-    _env(common.add_argument("--jobs", type=int, default=1,
-                             help="parallel workers for suite fan-out"))
     _env(common.add_argument("--format", choices=["json", "markdown", "both"],
                              default="markdown"))
     p = argparse.ArgumentParser(
@@ -98,11 +110,13 @@ def _build_parser():
                          help="run a named verification suite")
     ver.add_argument("--suite", default="all",
                      help="a suite name from spinchar.verify.SUITES, or all")
+    _env(ver.add_argument("--jobs", type=_POSITIVE, default=1,
+                          help="parallel workers for suite fan-out"))
 
     cls = sub.add_parser("classify", parents=[common],
                          help="sweep for co-primary modules")
-    _env(cls.add_argument("--rank-bound", type=int, default=3))
-    _env(cls.add_argument("--height-bound", type=int, default=6))
+    _env(cls.add_argument("--rank-bound", type=_COUNT, default=3))
+    _env(cls.add_argument("--height-bound", type=_COUNT, default=6))
 
     show = sub.add_parser("show", parents=[common],
                           help="dump root-system or grading data")
@@ -310,15 +324,8 @@ def main(argv=None) -> int:
             args = _parser().parse_args(argv)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-        if args.command == "spin":
-            return cmd_spin(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "classify":
-            return cmd_classify(args)
-        if args.command == "show":
-            return cmd_show(args)
-        raise SpinCharError(f"unknown command {args.command}")
+        return {"spin": cmd_spin, "verify": cmd_verify, "classify": cmd_classify,
+                "show": cmd_show}[args.command](args)
     except BudgetExceeded as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -328,9 +335,6 @@ def main(argv=None) -> int:
     except SpinCharError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except AssertionError as exc:
-        print(f"assertion failure: {exc}", file=sys.stderr)
-        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -19,7 +19,8 @@ class BudgetExceeded(SpinCharError):
 
 
 class NonModuleCharacter(SpinCharError):
-    """A character that cannot be a module was fed to a decomposition."""
+    """An input that is no module character: a weight off the lattice, no
+    Weyl invariance, an inexact division or a negative multiplicity."""
 
 
 class NotSelfDual(SpinCharError):
@@ -31,4 +32,5 @@ class NotClosed(SpinCharError):
 
 
 class ConsistencyError(SpinCharError):
-    """Two exact routes to the same result disagree."""
+    """A self-check failed: a result contradicts a formula it must obey, or
+    two exact routes to it disagree. Only a library fault raises it."""

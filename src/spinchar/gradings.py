@@ -21,8 +21,8 @@ routes must agree exactly.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import ConsistencyError, InvalidDescriptor, NotClosed
 from .charring import (
@@ -193,15 +193,10 @@ def inner_gradings(rs: RootSystem):
 # outer gradings: one table row per family
 
 
-class OuterRow(NamedTuple):
-    label: str
-    g: str
-    g0: str
-    g_type: tuple       # (family, rank) of g
-    folded: tuple       # (family, rank) of the folded algebra g0bar = g^sigma
-    pivot: int | None   # None for h = 0
-    g1bar: str          # the highest weight of g1bar, a key of G1BAR
-    diagram: dict
+# g_type and folded: the (family, rank) of g and of the folded algebra
+# g0bar = g^sigma; pivot: None for h = 0; g1bar: the highest weight of
+# g1bar, a key of G1BAR
+OuterRow = namedtuple("OuterRow", "label g g0 g_type folded pivot g1bar diagram")
 
 
 # the highest weight of the little adjoint g1bar, or of V_2w1 for A_2n

@@ -34,7 +34,6 @@ from .charring import (
     Decomposition,
     WeightSystem,
     _binomial_product,
-    _check_weyl_budget,
     dominant_weights,
     freudenthal_weights,
     key_weight,
@@ -42,7 +41,7 @@ from .charring import (
 )
 from .rootsys import (
     RootSystem, Weight, _dot, build_root_system, clear_denominators, simple_types)
-from .weyl import DEFAULT_WEYL_BUDGET
+from .weyl import DEFAULT_WEYL_BUDGET, _check_weyl_budget
 
 DEFAULT_HYPERPLANE_BUDGET = 64
 
@@ -128,8 +127,9 @@ def spin0_decomposition(ws: WeightSystem, budget: int = DEFAULT_WEYL_BUDGET,
 
     Spin0 * prod_{a>0} (e^{a/2} - e^{-a/2}) = sum m_lam A_{lam+rho}, so the
     terms whose doubled labels are all >= 2 are exactly m_lam e^{lam+rho}.
-    Each lam must be integral with m_lam > 0 and the summands must fill
-    2^{(dim - m(0))/2}, else NonModuleCharacter; the budget is checked
+    Each lam must be integral with m_lam > 0, else NonModuleCharacter (a
+    symplectic module shows so), and summands that do not fill
+    2^{(dim - m(0))/2} raise ConsistencyError; the budget is checked
     against |W| from the type, and the term budget bounds the states.
     """
     rs = ws.rs
@@ -145,8 +145,8 @@ def spin0_decomposition(ws: WeightSystem, budget: int = DEFAULT_WEYL_BUDGET,
         summands.append((key_weight(rs, lam), m))
     dec, expected = Decomposition(rs, summands), 2 ** ((ws.dimension() - ws.zero_mult) // 2)
     if dec.total_dimension() != expected:
-        raise NonModuleCharacter(f"summands have total dimension {dec.total_dimension()},"
-                                 f" the reduced Spin has dimension {expected}")
+        raise ConsistencyError(f"summands have total dimension {dec.total_dimension()},"
+                               f" the reduced Spin has dimension {expected}")
     return dec
 
 

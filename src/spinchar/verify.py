@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
-from .errors import BudgetExceeded, SpinCharError
+from .errors import BudgetExceeded, ConsistencyError, SpinCharError
 from .charring import (
     DEFAULT_TERM_BUDGET,
     Character,
@@ -82,7 +82,7 @@ def _run(check_id, fn):
                        time.time() - start)
     except BudgetExceeded as exc:
         return _record(check_id, "skip", exc, time.time() - start)
-    except (SpinCharError, AssertionError) as exc:
+    except SpinCharError as exc:
         return _record(check_id, "fail", exc, time.time() - start)
     except Exception as exc:  # a stray error fails this check, not the run
         frame = traceback.extract_tb(exc.__traceback__)[-1]
@@ -93,7 +93,7 @@ def _run(check_id, fn):
 
 def _expect(condition, message):
     if not condition:
-        raise AssertionError(message)
+        raise ConsistencyError(message)
 
 
 # ---------------------------------------------------------------------------

@@ -111,16 +111,24 @@ class WeylGroup:
         return self._by_image[a._system.walk(a.word, rho)[0]]
 
 
+def _check_weyl_budget(rs: RootSystem, budget: int, what: str = None) -> int:
+    """|W(rs)|, from the type alone; BudgetExceeded up front when it exceeds
+    the budget, naming the group ``what``, W(rs) by default."""
+    required = rs.weyl_order()
+    if required > budget:
+        raise BudgetExceeded(
+            f"|{what or f'W({rs.descriptor()})'}| = {required} exceeds the budget {budget}",
+            required=required, budget=budget)
+    return required
+
+
 def _enumerate(rs: RootSystem, gen: RootSystem, budget, what):
     """W(gen), for gen rs itself or a subsystem, as the orbit of rs's rho
     under gen's simple reflections, refused up front when |W(gen)| exceeds
     the budget. rho is dominant and regular for gen too (Delta0+ lies in
     Delta+), so ``dominant_orbit`` reaches each element once, with a
     reduced word."""
-    required = gen.weyl_order()
-    if required > budget:
-        raise BudgetExceeded(f"|{what}| = {required} exceeds the budget {budget}",
-                             required=required, budget=budget)
+    required = _check_weyl_budget(gen, budget, what)
     words = gen.dominant_orbit(rs.rho_key, gen.labels(rs.rho_key))
     if len(words) != required:
         raise ConsistencyError(f"enumerated {len(words)} elements of {what},"

@@ -193,6 +193,18 @@ def test_exterior_methods_agree():
     assert sum(p.dimension() for p in newton) == 2 ** ws.dimension()
 
 
+def test_exterior_powers_of_a_module_that_is_not_self_dual():
+    # the weights of A2 V_w1 sum to zero, so Lambda^{n-i} is the conjugate
+    # of Lambda^i: here Lambda^2 = V_w2, the dual of Lambda^1 = V_w1
+    rs = build_root_system("A2")
+    ws = freudenthal_weights(rs, rs.weight(1, 0))
+    powers = exterior_powers(ws)
+    assert [p.dimension() for p in powers] == [1, 3, 3, 1]
+    assert powers[2] == powers[1].conjugate() and powers[2] != powers[1]
+    assert powers[3] == Character.one(rs)
+    assert powers == _newton_exterior_powers(ws)
+
+
 def test_invariant_poincare_table_values():
     c2 = build_root_system("C2")
     gp = invariant_poincare(freudenthal_weights(c2, c2.weight(0, 1)))
@@ -205,6 +217,14 @@ def test_invariant_poincare_table_values():
     gp = invariant_poincare(freudenthal_weights(aa, aa.weight(1, 1)))
     assert gp.factored() == [4]
     assert str(gp) == "(1+t^4)"
+
+
+def test_negative_invariant_dimension_is_an_input_error():
+    # the A1 weights +-alpha without a zero weight are no module
+    rs = build_root_system("A1")
+    ws = WeightSystem(rs, [(rs.weight(2), 1), (rs.weight(-2), 1)])
+    with pytest.raises(NonModuleCharacter, match="negative invariant dimension"):
+        invariant_poincare(ws)
 
 
 def test_poincare_factoring_edge_cases():

@@ -141,6 +141,58 @@ def test_a_lost_witness_exits_1(capsys, monkeypatch):
     assert "lost its witness" in capsys.readouterr().err
 
 
+def test_weyl_dimension_off_by_one_exits_1(capsys, monkeypatch):
+    # Freudenthal's weights no longer sum to the Weyl dimension: the
+    # library disagrees with itself, the input was fine
+    from spinchar import charring
+    real = charring.weyl_dimension
+    monkeypatch.setattr(charring, "weyl_dimension", lambda rs, lam: real(rs, lam) + 1)
+    assert main(["spin", "--type", "B2", "--weight", "1,0"]) == 1
+    assert capsys.readouterr().err.startswith("consistency failure:")
+
+
+def test_a_dropped_floor_2_term_exits_1(capsys, monkeypatch):
+    # the pruned product loses a summand, which then no longer fills Spin0
+    real = spinmod._binomial_product
+
+    def drop_one(*args, **kwargs):
+        terms = real(*args, **kwargs)
+        if kwargs.get("floor") == 2:
+            del terms[max(terms)]
+        return terms
+
+    monkeypatch.setattr(spinmod, "_binomial_product", drop_one)
+    assert main(["spin", "--type", "G2", "--weight", "1,0"]) == 1
+    assert capsys.readouterr().err.startswith("consistency failure:")
+
+
+def test_jobs_is_a_verify_flag_only(capsys):
+    for argv in (["spin", "--type", "A1", "--weight", "2"],
+                 ["classify", "--rank-bound", "1"], ["show", "--type", "A1"]):
+        assert main(argv + ["--jobs", "2"]) == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+def test_negative_counts_are_usage_errors(capsys, monkeypatch):
+    # each count is checked as a flag and as its SPINCHAR_* variable
+    spin = ["spin", "--type", "G2", "--weight", "1,0"]
+    cases = [("weyl-budget", "-5", spin), ("term-budget", "-1", spin),
+             ("rank-bound", "-1", ["classify"]), ("height-bound", "-1", ["classify"]),
+             ("jobs", "0", ["verify", "--suite", "conjecture"])]
+    for flag, value, argv in cases:
+        assert main(argv + [f"--{flag}", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --{flag}: invalid" in captured.err
+        name = "SPINCHAR_" + flag.replace("-", "_").upper()
+        monkeypatch.setenv(name, value)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {name}={value!r} is not a valid")
+        monkeypatch.delenv(name)
+
+
 def test_tables_reuse_the_suite_computations(capsys, monkeypatch):
     # each table is built from its suite's memo, one computation per module
     verify._poincare_cached.cache_clear()

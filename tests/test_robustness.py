@@ -23,6 +23,26 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_library_neither_raises_nor_catches_assertion_error():
+    # a failed self-check raises ConsistencyError, which exits 1 and gives
+    # a fail record; there is no second form of it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "AssertionError"]
+    assert found == []
+
+
+def test_non_module_character_is_raised_only_on_inputs():
+    # NonModuleCharacter means the input is no module character (exit 2);
+    # every check that only a library fault can fail raises ConsistencyError
+    assert _callers("NonModuleCharacter") == {
+        ("charring.py", "_binomial_product"), ("charring.py", "exact_divide"),
+        ("charring.py", "_racah_speiser"), ("charring.py", "decompose"),
+        ("charring.py", "invariant_poincare"), ("spinmod.py", "spin0_decomposition")}
+
+
 def test_unexpected_exception_becomes_fail_record():
     def check():
         raise ValueError("reflection leaves the key lattice")
@@ -127,6 +147,7 @@ def test_classify_suite_skips_the_candidates_the_budget_refuses(monkeypatch):
 # each shared name has one home; a copy elsewhere fails here
 OWNERS = {
     "DEFAULT_WEYL_BUDGET": "weyl.py",
+    "_check_weyl_budget": "weyl.py",
     "DEFAULT_TERM_BUDGET": "charring.py",
     "OUTER_INSTANCES": "gradings.py",
     "involutive_pivots": "gradings.py",
