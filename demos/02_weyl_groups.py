@@ -3,8 +3,10 @@
 Run:  python demos/02_weyl_groups.py
 """
 
+from collections import Counter
+
 from spinchar import (SubsystemDatum, build_root_system, cunning_parity,
-                      enumerate_weyl, factorize, minimal_coset_reps)
+                      enumerate_weyl, minimal_coset_reps)
 
 rs = build_root_system("B2")
 group = enumerate_weyl(rs)
@@ -20,14 +22,19 @@ reps = minimal_coset_reps(rs, sub)
 print(f"even part {sub.system.descriptor()}: |W0| = {len(sub.group)},"
       f" section size {len(reps)}")
 
-# Every element factors uniquely as w0 * rep^{-1}; the cunning parity is
-# the W0-sign of the w0 part, computable directly from root counting.
+# The cunning parity is (-1)^l0(w), l0(w) counting the roots of Delta0+
+# that w^{-1} sends below zero; on W0 it is the W0-sign.
 print("\n w(rho)                 l(w)  l0(w)  tau")
 for w in group:
     tau, l0 = cunning_parity(rs, sub, w)
-    w0, rep = factorize(rs, sub, w)
-    assert group.multiply(w0, group.invert(rep)) == w
     print(f" {str(w.apply(rs.rho)):16s} {w.length:5d} {l0:6d} {tau:+5d}")
+
+# The section is walked from rho without W. Every element factors uniquely
+# as w0 (rep)^{-1}, w0 in W0 and rep in the section, so |section| |W0| = |W|.
+assert len(reps) * len(sub.group) == len(group)
+profile = dict(sorted(Counter(rep.length for rep in reps).items()))
+print(f"\nsection {[str(rep.apply(rs.rho)) for rep in reps]},"
+      f" representatives per length {profile}")
 
 # The short roots also form a subsystem (not closed in B2!); there the
 # twisted length can lag the true length.

@@ -33,7 +33,6 @@ from .weyl import (
     WeylGroup,
     cunning_parity,
     enumerate_weyl,
-    factorize,
     l0_of,
     minimal_coset_reps,
 )
@@ -49,7 +48,6 @@ from .charring import (
     irreducible_character,
     multiplicity_of,
     plus_product,
-    skew_product,
     weyl_denominator,
     weyl_dimension,
 )

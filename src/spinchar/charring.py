@@ -221,13 +221,6 @@ def _binomial_product(rs: RootSystem, factors, term_budget: int,
             for k, c in terms.items()}
 
 
-def skew_product(rs: RootSystem, roots,
-                 term_budget: int = DEFAULT_TERM_BUDGET) -> Character:
-    """Expand prod (e^{a/2} - e^{-a/2}) over the given roots."""
-    factors = [(weight_key(rs, a), 1, -1) for a in roots]
-    return Character(rs, _binomial_product(rs, factors, term_budget))
-
-
 def plus_product(rs: RootSystem, weights_with_mult,
                  term_budget: int = DEFAULT_TERM_BUDGET) -> Character:
     """Expand prod (e^{mu/2} + e^{-mu/2})^{m(mu)}."""
@@ -680,36 +673,6 @@ def exterior_powers(ws: WeightSystem, max_degree: int = None,
         if ws.weight_sum().is_zero() and any(
                 out[n - i] != out[i].conjugate() for i in range(n // 2 + 1)):
             raise ConsistencyError("exterior powers are not mirror-conjugate")
-    return out
-
-
-def _newton_exterior_powers(ws: WeightSystem, term_budget: int = DEFAULT_TERM_BUDGET):
-    """Test oracle for ``exterior_powers``: every exterior power by Newton's
-    recursion i e_i = sum_{k<=i} (-1)^{k-1} p_k e_{i-k}, dividing exactly
-    by i."""
-    rs = ws.rs
-    n = ws.dimension()
-    powers = []
-    for k in range(1, n + 1):
-        terms = {}
-        for key, m in ws.nonzero.items():
-            kk = tuple(k * x for x in key)
-            terms[kk] = terms.get(kk, 0) + m
-        zk = (0,) * rs.space_dim
-        terms[zk] = terms.get(zk, 0) + ws.zero_mult
-        powers.append(Character(rs, terms))
-    out = [Character.one(rs)]
-    for i in range(1, n + 1):
-        acc = Character(rs, {})
-        for k in range(1, i + 1):
-            term = powers[k - 1].__mul__(out[i - k], term_budget)
-            acc = acc + term if k % 2 else acc - term
-        terms = {}
-        for key, v in acc.terms.items():
-            if v % i:
-                raise ConsistencyError("exterior power recursion not divisible")
-            terms[key] = v // i
-        out.append(Character(rs, terms))
     return out
 
 

@@ -52,22 +52,28 @@ def _at_least(low, name):
 _COUNT, _POSITIVE = _at_least(0, "non-negative int"), _at_least(1, "positive int")
 
 
+class _BadEnv:
+    """The default of an option whose SPINCHAR_* value failed its check."""
+
+    def __init__(self, message):
+        self.message = message
+
+
 def _env(action):
     """Give an option the default its SPINCHAR_* variable sets, checked
     with the option's own type and choices (argparse checks neither on a
-    default); a bad value is a usage error."""
+    default). A bad value becomes a ``_BadEnv`` default, a usage error
+    only when the parsed command leaves that option to it."""
     name = "SPINCHAR_" + action.dest.upper()
     value = os.environ.get(name)
     if value is not None:
         try:
-            value = (action.type or str)(value)
+            checked = (action.type or str)(value)
+            problem = (None if action.choices is None or checked in action.choices
+                       else f"is not one of {', '.join(action.choices)}")
         except ValueError:
-            raise SpinCharError(f"{name}={value!r} is not a valid"
-                                f" {action.type.__name__}") from None
-        if action.choices is not None and value not in action.choices:
-            raise SpinCharError(f"{name}={value!r} is not one of"
-                                f" {', '.join(action.choices)}")
-        action.default = value
+            problem = f"is not a valid {action.type.__name__}"
+        action.default = checked if problem is None else _BadEnv(f"{name}={value!r} {problem}")
     return action
 
 
@@ -324,6 +330,9 @@ def main(argv=None) -> int:
             args = _parser().parse_args(argv)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        for value in vars(args).values():
+            if isinstance(value, _BadEnv):
+                raise SpinCharError(value.message)
         return {"spin": cmd_spin, "verify": cmd_verify, "classify": cmd_classify,
                 "show": cmd_show}[args.command](args)
     except BudgetExceeded as exc:

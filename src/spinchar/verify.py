@@ -1,14 +1,16 @@
-"""Named verification suites over the whole library.
+"""Named verification suites of the paper's claims.
 
 Each check returns a record {id, status, detail}; budget refusals are
 reported as skips, never as failures. The suites are what the command-line
-``verify`` runs and what the acceptance tests assert on.
+``verify`` runs and what the acceptance tests assert on. They check what
+the paper claims; the library's own properties (half-independence of
+Spin0, exterior sums, exact Weyl division, coset factorization) are
+checked by the tests in ``tests/``.
 """
 
 from __future__ import annotations
 
 import os
-import random
 import traceback
 from fractions import Fraction
 from functools import cache
@@ -19,10 +21,8 @@ from .charring import (
     DEFAULT_TERM_BUDGET,
     Character,
     WeightSystem,
-    _newton_exterior_powers,
     alternating_sum,
     decompose,
-    exterior_powers,
     freudenthal_weights,
     invariant_poincare,
     irreducible_character,
@@ -47,23 +47,18 @@ from .rootsys import (
     Weight,
     build_root_system,
     dual_root_system,
-    simple_types,
     special_elements,
 )
 from .spinmod import (
     enumerate_dominant_halves,
     is_coprimary,
     classify_coprimary,
-    spin0_character,
     spin0_decomposition,
     spin_character,
-    weights_up_to_height,
 )
 from .weyl import (
     DEFAULT_WEYL_BUDGET,
     SubsystemDatum,
-    enumerate_weyl,
-    factorize,
     minimal_coset_reps,
 )
 
@@ -707,121 +702,6 @@ def suite_classify(weyl_budget=DEFAULT_WEYL_BUDGET,
 
 
 # ---------------------------------------------------------------------------
-# suite: property checks
-
-
-HALF_INDEPENDENCE_MODULES = (
-    [("adjoint", d) for d in ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2"]]
-    + [("theta_s", d) for d in ["B2", "B3", "C2", "C3", "F4"]]
-    + [("2w1", f"B{n}") for n in (2, 3, 4)]
-    + [("R", 2), ("R", 4), ("R", 6)]
-)
-
-
-def _property_module(kind, which):
-    if kind == "adjoint":
-        rs = build_root_system(which)
-        return rs, WeightSystem.adjoint(rs)
-    if kind == "theta_s":
-        rs = build_root_system(which)
-        return rs, freudenthal_weights(rs, special_elements(rs).theta_s)
-    if kind == "2w1":
-        rs = build_root_system(which)
-        return rs, freudenthal_weights(rs, rs.weight(*((2,) + (0,) * (rs.rank - 1))))
-    rs = build_root_system("A1")
-    return rs, freudenthal_weights(rs, rs.weight(which))
-
-
-RANDOM_HEIGHT_CAPS = {1: 10, 2: 6, 3: 4, 4: 2}
-RANDOM_SAMPLES = 50
-
-
-def suite_properties(weyl_budget=DEFAULT_WEYL_BUDGET,
-                     term_budget=DEFAULT_TERM_BUDGET):
-    records = []
-
-    def half_independence():
-        count = 0
-        for kind, which in HALF_INDEPENDENCE_MODULES:
-            rs, ws = _property_module(kind, which)
-            canonical = spin0_character(ws, term_budget=term_budget)
-            flipped_half = [(-w, m) for w, m in ws.canonical_half()]
-            flipped = spin0_character(ws, half=flipped_half,
-                                      term_budget=term_budget)
-            _expect(canonical == flipped, f"half dependence for {kind} {which}")
-            halves = enumerate_dominant_halves(ws)
-            if len(halves) > 1:
-                other = spin0_character(ws, half=halves[0].half,
-                                        term_budget=term_budget)
-                _expect(canonical == other, f"half dependence for {kind} {which}")
-            _expect(canonical == canonical.conjugate(), "Spin0 not self-dual")
-            count += 1
-        return f"{count} modules, all halves agree"
-    records.append(_run("properties:spin0-half-independence", half_independence))
-
-    def exterior_sums():
-        for kind, which in [("adjoint", "A1"), ("adjoint", "B2"),
-                            ("theta_s", "C2"), ("theta_s", "G2"), ("R", 4)]:
-            rs, ws = _property_module(kind, which)
-            powers = _newton_exterior_powers(ws, term_budget=term_budget)
-            total = sum(p.dimension() for p in powers)
-            _expect(total == 2 ** ws.dimension(), f"{kind} {which}: {total}")
-            prod = exterior_powers(ws, term_budget=term_budget)
-            _expect(all(a.terms == b.terms for a, b in zip(powers, prod)),
-                    "recursion and product expansions disagree")
-        return "dimension sums equal 2^dim V; both routes agree"
-    records.append(_run("properties:exterior-dimension-sum", exterior_sums))
-
-    def weyl_division():
-        rng = random.Random(20260808)
-        types = simple_types(4)
-        total = 0
-        for fam, rank in types:
-            rs = build_root_system(fam, rank)
-            cap = RANDOM_HEIGHT_CAPS[rank]
-            pool = sorted(weights_up_to_height(rank, cap))
-            picks = {tuple(pool[rng.randrange(len(pool))]) for _ in range(RANDOM_SAMPLES)}
-            for coeffs in sorted(picks):
-                lam = rs.weight(*coeffs)
-                ch = irreducible_character(rs, lam, weyl_budget)
-                _expect(ch.dimension() == weyl_dimension(rs, lam),
-                        f"{fam}{rank} {coeffs}: dimension mismatch")
-                total += 1
-        return f"{total} distinct sampled weights across {len(types)} types"
-    records.append(_run("properties:weyl-exact-division", weyl_division))
-
-    def coset_round_trip():
-        cases = []
-        b2 = build_root_system("B2")
-        cases.append((b2, [r for r in b2.positive_roots if b2.inner(r, r) == 1]))
-        cases.append((b2, [r for r in b2.positive_roots if b2.inner(r, r) == 2]))
-        c3 = build_root_system("C3")
-        cases.append((c3, [r for r in c3.positive_roots if c3.inner(r, r) == 2]))
-        cases.append((c3, [r for r in c3.positive_roots if c3.inner(r, r) == 1]))
-        f4 = build_root_system("F4")
-        cases.append((f4, list(_inner_grading_cached("F4", 1).sub.delta0_plus)))
-        cases.append((f4, [r for r in f4.positive_roots if f4.inner(r, r) == 2]))
-        cases.append((f4, list(outer_grading("e6_sp8").sub.delta0_plus)))
-        checked = 0
-        for rs, delta0 in cases:
-            sub = SubsystemDatum(rs, delta0)
-            group = enumerate_weyl(rs, weyl_budget)
-            reps = minimal_coset_reps(rs, sub, weyl_budget)
-            _expect(len(reps) * len(sub.group) == len(group), "cardinality")
-            factored = set()
-            for w in group:
-                w0, rep = factorize(rs, sub, w, weyl_budget)
-                _expect(group.multiply(w0, group.invert(rep)) == w,
-                        "factorization does not recompose")
-                factored.add(rep.key)
-            _expect(factored == {r.key for r in reps}, "walked section != factorized reps")
-            checked += 1
-        return f"{checked} subsystem choices, exhaustive round trips"
-    records.append(_run("properties:coset-factorization", coset_round_trip))
-    return records
-
-
-# ---------------------------------------------------------------------------
 # registry
 
 
@@ -837,5 +717,4 @@ SUITES = {
     "conjecture": suite_conjecture,
     "spin-series": suite_spin_series,
     "classify": suite_classify,
-    "properties": suite_properties,
 }

@@ -5,11 +5,11 @@ system's ``denom``) together with a reduced word in the simple reflections
 that generate its group. Since rho is regular, w -> w(rho) is injective,
 so W and every W0 are the rho-orbit that the generating ``RootSystem``'s
 ``dominant_orbit`` walks on Dynkin labels, each point with its word, and
-descents to a chamber are its ``to_dominant``. Products, inverses and
-actions apply the word to a vector with ``walk``; an element's rational
-matrix is derived only when asked for. Enumeration order is deterministic: by
-length, ties broken by key. A minimal coset section is walked on its own
-|W|/|W0| points without W, and W0 is enumerated only when an oracle reads it.
+descents to a chamber are its ``to_dominant``. Actions apply the word to
+a vector with ``walk``; an element's rational matrix is derived only when
+asked for. Enumeration order is deterministic: by length, ties broken by
+key. A minimal coset section is walked on its own |W|/|W0| points without
+W, and W0 is enumerated only when an oracle reads it.
 """
 
 from __future__ import annotations
@@ -82,33 +82,18 @@ class WeylElement:
 
 
 class WeylGroup:
-    """A reflection group on the ambient space, fully enumerated and
-    indexed by the keys of the rho-orbit."""
+    """A reflection group on the ambient space, fully enumerated: the
+    elements of the rho-orbit, identity first."""
 
     def __init__(self, rs: RootSystem, elements):
         self.rs = rs
         self.elements = elements
-        self._by_image = {w.key: w for w in elements}
 
     def __len__(self):
         return len(self.elements)
 
     def __iter__(self):
         return iter(self.elements)
-
-    def __contains__(self, w: WeylElement):
-        return w.key in self._by_image
-
-    def identity_element(self) -> WeylElement:
-        return self.elements[0]
-
-    def multiply(self, a: WeylElement, b: WeylElement) -> WeylElement:
-        return self._by_image[a.act_key(b.key)]
-
-    def invert(self, a: WeylElement) -> WeylElement:
-        # w^{-1}(rho) for w = s_{i1} ... s_{ik}: apply s_{i1} first
-        rho = self.elements[0].key
-        return self._by_image[a._system.walk(a.word, rho)[0]]
 
 
 def _check_weyl_budget(rs: RootSystem, budget: int, what: str = None) -> int:
@@ -233,24 +218,6 @@ def minimal_coset_reps(rs: RootSystem, sub: SubsystemDatum,
         raise ConsistencyError(f"coset section walk reached {len(seen)} points,"
                                f" expected |W|/|W0| = {required}")
     return sorted((_spell(rs, x) for x in seen), key=lambda w: (w.length, w.key))
-
-
-def factorize(rs: RootSystem, sub: SubsystemDatum, w: WeylElement,
-              budget: int = DEFAULT_WEYL_BUDGET):
-    """Unique factorization w = w0 (rep)^{-1} with w0 in W0, rep minimal.
-
-    Descent: starting from the key of w(rho), reflect by subsystem simple
-    roots pairing negatively with it. Each step right-multiplies w^{-1} by
-    that reflection and repairs one root; the key reached is rep^{-1}(rho),
-    which spells rep. An oracle: it walks all of W and W0.
-    """
-    group = enumerate_weyl(rs, budget)
-    gen = sub.system
-    rep = _spell(rs, gen.to_dominant(gen.labels(w.key), w.key)[1])
-    w0 = group.multiply(w, rep)
-    if w0 not in sub.group:
-        raise ConsistencyError("descent left the reflection subgroup")
-    return w0, rep
 
 
 def l0_of(rs: RootSystem, sub: SubsystemDatum, w: WeylElement) -> int:

@@ -1,9 +1,21 @@
 """Oracles that only the tests read: the Fraction reflection s_alpha and
-its matrix, the Weyl element acting by a given matrix, and the stretch
-e^mu -> e^{n mu} of a character."""
+its matrix, the Weyl element acting by a given matrix, the stretch
+e^mu -> e^{n mu} of a character, products, inverses, membership and the
+identity in an enumerated Weyl group, the factorization of an element
+over a coset section, the exterior powers by Newton's recursion, and the
+expanded skew product over a set of roots."""
 
-from spinchar.charring import Character
+from weakref import WeakKeyDictionary
+
+from spinchar.charring import (
+    DEFAULT_TERM_BUDGET,
+    Character,
+    _binomial_product,
+    weight_key,
+)
+from spinchar.errors import ConsistencyError
 from spinchar.rootsys import Weight, _dot, scale_to_int
+from spinchar.weyl import _spell, enumerate_weyl
 
 
 def reflect(rs, alpha, x):
@@ -29,3 +41,90 @@ def lookup(group, matrix):
 def stretch(ch: Character, n: int) -> Character:
     """e^mu -> e^{n mu}."""
     return Character(ch.rs, {tuple(n * x for x in k): v for k, v in ch.terms.items()})
+
+
+# ---------------------------------------------------------------------------
+# an enumerated Weyl group, indexed by the keys w(rho) of its elements
+
+
+_INDEXES = WeakKeyDictionary()
+
+
+def _by_image(group):
+    """The group's elements by key, kept while the group lives."""
+    if group not in _INDEXES:
+        _INDEXES[group] = {w.key: w for w in group}
+    return _INDEXES[group]
+
+
+def identity_element(group):
+    return group.elements[0]
+
+
+def contains(group, w):
+    return w.key in _by_image(group)
+
+
+def multiply(group, a, b):
+    """ab, the element whose key is a applied to b's key."""
+    return _by_image(group)[a.act_key(b.key)]
+
+
+def invert(group, a):
+    """a^{-1}: for a = s_{i1} ... s_{ik}, a^{-1}(rho) applies s_{i1} first."""
+    return _by_image(group)[a._system.walk(a.word, identity_element(group).key)[0]]
+
+
+def factorize(rs, sub, w):
+    """Unique factorization w = w0 (rep)^{-1} with w0 in W0, rep minimal.
+
+    Descent: starting from the key of w(rho), reflect by subsystem simple
+    roots pairing negatively with it. Each step right-multiplies w^{-1} by
+    that reflection and repairs one root; the key reached is rep^{-1}(rho),
+    which spells rep. It walks all of W and W0.
+    """
+    gen = sub.system
+    rep = _spell(rs, gen.to_dominant(gen.labels(w.key), w.key)[1])
+    w0 = multiply(enumerate_weyl(rs), w, rep)
+    if not contains(sub.group, w0):
+        raise ConsistencyError("descent left the reflection subgroup")
+    return w0, rep
+
+
+# ---------------------------------------------------------------------------
+# characters
+
+
+def newton_exterior_powers(ws, term_budget=DEFAULT_TERM_BUDGET):
+    """Every exterior power by Newton's recursion
+    i e_i = sum_{k<=i} (-1)^{k-1} p_k e_{i-k}, dividing exactly by i."""
+    rs = ws.rs
+    n = ws.dimension()
+    powers = []
+    for k in range(1, n + 1):
+        terms = {}
+        for key, m in ws.nonzero.items():
+            kk = tuple(k * x for x in key)
+            terms[kk] = terms.get(kk, 0) + m
+        zk = (0,) * rs.space_dim
+        terms[zk] = terms.get(zk, 0) + ws.zero_mult
+        powers.append(Character(rs, terms))
+    out = [Character.one(rs)]
+    for i in range(1, n + 1):
+        acc = Character(rs, {})
+        for k in range(1, i + 1):
+            term = powers[k - 1].__mul__(out[i - k], term_budget)
+            acc = acc + term if k % 2 else acc - term
+        terms = {}
+        for key, v in acc.terms.items():
+            if v % i:
+                raise ConsistencyError("exterior power recursion not divisible")
+            terms[key] = v // i
+        out.append(Character(rs, terms))
+    return out
+
+
+def skew_product(rs, roots, term_budget=DEFAULT_TERM_BUDGET):
+    """Expand prod (e^{a/2} - e^{-a/2}) over the given roots."""
+    factors = [(weight_key(rs, a), 1, -1) for a in roots]
+    return Character(rs, _binomial_product(rs, factors, term_budget))

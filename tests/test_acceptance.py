@@ -123,9 +123,3 @@ def test_acceptance_10_equal_rank_evidence():
 def test_acceptance_11_classification_sweep():
     records, _ = _timed(verify.suite_classify)
     _report(11, "co-primary sweep (rank <= 3, height <= 6) is exact", records)
-
-
-def test_acceptance_12_property_suites():
-    records, _ = _timed(verify.suite_properties)
-    _report(12, "half-independence, exterior sums, exact division, cosets",
-            records)

@@ -414,7 +414,7 @@ def test_malformed_env_integer_is_a_usage_error(capsys, monkeypatch):
     # variable and exit 2, not a ValueError traceback
     argv = {"SPINCHAR_WEYL_BUDGET": ["spin", "--type", "A1", "--weight", "2"],
             "SPINCHAR_TERM_BUDGET": ["spin", "--type", "A1", "--weight", "2"],
-            "SPINCHAR_JOBS": ["spin", "--type", "A1", "--weight", "2"],
+            "SPINCHAR_JOBS": ["verify", "--suite", "conjecture"],
             "SPINCHAR_RANK_BOUND": ["classify", "--height-bound", "1"],
             "SPINCHAR_HEIGHT_BOUND": ["classify", "--rank-bound", "1"]}
     for name, args in argv.items():
@@ -424,6 +424,10 @@ def test_malformed_env_integer_is_a_usage_error(capsys, monkeypatch):
         assert captured.out == ""
         assert captured.err.startswith(f"error: {name}='abc'")
         monkeypatch.delenv(name)
+    # a command reads only its own variables: spin takes no --jobs
+    monkeypatch.setenv("SPINCHAR_JOBS", "abc")
+    assert main(["spin", "--type", "A1", "--weight", "2"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_env_format_outside_the_choices_is_a_usage_error(capsys, monkeypatch):

@@ -14,7 +14,6 @@ from spinchar import (
     decompose,
     enumerate_weyl,
     equal_rank_pair,
-    factorize,
     grading_catalog,
     inner_grading,
     inner_gradings,
@@ -25,9 +24,10 @@ from spinchar import (
     verify_tau_identity,
 )
 from spinchar import gradings
-from spinchar.charring import freudenthal_weights, skew_product, weyl_denominator
+from spinchar.charring import freudenthal_weights, weyl_denominator
 from spinchar.gradings import G1BAR, OUTER_INSTANCES, Z2Grading, parity_split
 from spinchar.rootsys import simple_types, special_elements
+from oracles import factorize, invert, multiply, skew_product
 
 
 def test_kac_marks():
@@ -335,7 +335,7 @@ def test_hermitian_exterior_heads():
     heads = sorted(l.coords for l, _ in dec)
     group = enumerate_weyl(rs)
     reps = minimal_coset_reps(rs, grading.sub)
-    expected = sorted((group.invert(r).apply(rs.rho) - rs.rho).coords
+    expected = sorted((invert(group, r).apply(rs.rho) - rs.rho).coords
                       for r in reps)
     assert heads == expected
 
@@ -399,16 +399,33 @@ def test_subsystem_realizations_are_pinned():
     assert got == SUBSYSTEM_PINS
 
 
-def test_walked_sections_are_the_factorized_representatives():
-    # the oracle walks all of W: every element's factorization names its
-    # coset representative, and the enumerated element with the same key
-    # has the same length and matrix as the spelled one
+def _section_cases():
+    """(name, ambient, subsystem datum): every catalog grading, and the
+    long or short roots of B2, C3 and F4 where no grading has them."""
+    cases = []
     for name, make in sorted(grading_catalog().items()):
         grading = make()
-        rs = grading.ambient
+        cases.append((name, grading.ambient, grading.sub))
+    for desc, norm in (("B2", 1), ("C3", 1), ("C3", 2), ("F4", 2)):
+        rs = build_root_system(desc)
+        roots = [r for r in rs.positive_roots if rs.inner(r, r) == norm]
+        cases.append((f"{desc} roots of norm {norm}", rs, SubsystemDatum(rs, roots)))
+    return cases
+
+
+def test_walked_sections_are_the_factorized_representatives():
+    # the oracle walks all of W: every element factors as w0 rep^{-1} over
+    # its coset representative, and the enumerated element with the same
+    # key has the same length and matrix as the spelled one
+    for name, rs, sub in _section_cases():
         group = enumerate_weyl(rs)
-        reps = minimal_coset_reps(rs, grading.sub)
-        factored = {factorize(rs, grading.sub, w)[1] for w in group}
+        reps = minimal_coset_reps(rs, sub)
+        assert len(reps) * len(sub.group) == len(group), name
+        factored = set()
+        for w in group:
+            w0, rep = factorize(rs, sub, w)
+            assert multiply(group, w0, invert(group, rep)) == w, name
+            factored.add(rep)
         expected = sorted(factored, key=lambda r: (r.length, r.key))
         assert [(r.key, r.length, r.matrix) for r in reps] == \
             [(r.key, r.length, r.matrix) for r in expected], name

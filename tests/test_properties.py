@@ -34,7 +34,6 @@ from spinchar import (
     enumerate_dominant_halves,
     enumerate_weyl,
     extreme_weights,
-    factorize,
     freudenthal_weights,
     frobenius_schur,
     grading_catalog,
@@ -44,7 +43,6 @@ from spinchar import (
     l0_of,
     minimal_coset_reps,
     outer_grading,
-    skew_product,
     spin0_character,
     spin0_decomposition,
     weyl_dimension,
@@ -53,21 +51,23 @@ from spinchar.charring import exact_divide, key_weight, weight_key
 from spinchar.gradings import OUTER_INSTANCES, involutive_pivots
 from spinchar.rootsys import _wsum, simple_types
 from spinchar.spinmod import _fm_stages, _primitive, self_dual
-from oracles import reflect, reflection_matrix, stretch
+from oracles import (contains, factorize, invert, multiply, reflect, reflection_matrix,
+                     skew_product, stretch)
 
 TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2", "A1xA1"]
+RANK_4_TYPES = ["A4", "B4", "C4", "D4", "F4"]
 
 # fundamental-weight coefficient sums, small enough that the
 # division oracle stays fast
-HEIGHT = {1: 4, 2: 3, 3: 2}
+HEIGHT = {1: 4, 2: 3, 3: 2, 4: 2}
 
 PROPERTY = settings(max_examples=25, deadline=None, database=None,
                     derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 
 
 @st.composite
-def dominant_weights(draw, height_scale=1):
-    desc = draw(st.sampled_from(TYPES))
+def dominant_weights(draw, height_scale=1, types=TYPES):
+    desc = draw(st.sampled_from(types))
     rs = build_root_system(desc)
     bound = max(1, HEIGHT[rs.rank] // height_scale)
     coeffs = draw(st.lists(st.integers(0, bound), min_size=rs.rank, max_size=rs.rank)
@@ -112,8 +112,8 @@ def test_folding_matches_greedy_division(data):
     assert decompose(product, rs).summands == greedy_decomposition(product, rs)
 
 
-@PROPERTY
-@given(dominant_weights())
+@settings(PROPERTY, max_examples=40)
+@given(dominant_weights(types=TYPES + RANK_4_TYPES))
 def test_freudenthal_matches_weyl_division(case):
     rs, lam = case
     assert freudenthal_weights(rs, lam).character() == irreducible_character(rs, lam)
@@ -416,10 +416,10 @@ def test_key_group_operations_match_matrices(data):
     ma = _word_matrix(rs, rs.simple_roots, a.word)
     mb = _word_matrix(rs, rs.simple_roots, b.word)
     assert _matvec(ma, rs.rho.coords) == _image(rs, a)
-    assert _matvec(_matmul(ma, mb), rs.rho.coords) == _image(rs, group.multiply(a, b))
+    assert _matvec(_matmul(ma, mb), rs.rho.coords) == _image(rs, multiply(group, a, b))
     # s_ik ... s_i1 = w^{-1}: the reflections along the reversed word
     inv = _word_matrix(rs, rs.simple_roots, reversed(a.word))
-    assert _matvec(inv, rs.rho.coords) == _image(rs, group.invert(a))
+    assert _matvec(inv, rs.rho.coords) == _image(rs, invert(group, a))
     n = rs.space_dim
     for i in range(n):
         e = Weight([int(i == j) for j in range(n)])
@@ -458,7 +458,7 @@ def test_factorize_round_trips(data):
     w = _draw_element(data, group)
     w0, rep = factorize(rs, sub, w)
     assert rep in minimal_coset_reps(rs, sub)
-    assert w0 in sub.group
+    assert contains(sub.group, w0)
     m = _matmul(_word_matrix(rs, rs.simple_roots, w0.word),
                 _word_matrix(rs, rs.simple_roots, reversed(rep.word)))
     assert m == _word_matrix(rs, rs.simple_roots, w.word)
@@ -493,7 +493,11 @@ def test_spin0_does_not_depend_on_the_half(data):
     half = ws.canonical_half()
     flips = data.draw(st.lists(st.booleans(), min_size=len(half), max_size=len(half)))
     flipped = [(-w if flip else w, m) for (w, m), flip in zip(half, flips)]
-    assert spin0_character(ws, half=flipped) == spin0_character(ws)
+    canonical = spin0_character(ws)
+    assert spin0_character(ws, half=flipped) == canonical
+    # the half of a dominant chamber, and Spin0 is self-dual
+    assert spin0_character(ws, half=enumerate_dominant_halves(ws)[-1].half) == canonical
+    assert canonical == canonical.conjugate()
     with pytest.raises(InvalidDescriptor):
         spin0_character(ws, half=flipped[1:])
 

@@ -53,6 +53,13 @@ def test_unexpected_exception_becomes_fail_record():
     assert "key lattice" in record["detail"]
 
 
+def test_verify_runs_only_the_paper_suites():
+    # the library's own properties are checked by the tests, not by verify
+    assert sorted(verify.SUITES) == ["casimir", "classify", "conjecture", "identity",
+                                     "inner", "little-adjoint", "outer", "spin-series",
+                                     "table1"]
+
+
 def test_coset_section_budget_refusal_reports_its_size():
     # the budget bounds the section walked, |W(F4)|/|W(B4)| = 3
     from spinchar import inner_grading, minimal_coset_reps
@@ -208,10 +215,8 @@ def test_budget_defaults_are_not_copied_as_literals():
 
 
 # W is walked in full only where the walk is the point: the alternating
-# sums (tau identity, Weyl denominator, Weyl-formula oracle) and the
-# factorization oracles
-W_WALKERS = {("charring.py", "alternating_sum"), ("weyl.py", "factorize"),
-             ("verify.py", "coset_round_trip")}
+# sums (tau identity, Weyl denominator, Weyl-formula oracle)
+W_WALKERS = {("charring.py", "alternating_sum")}
 
 
 def _callers(name):
@@ -240,8 +245,8 @@ def test_weyl_group_is_enumerated_only_where_the_walk_is_the_point():
 # labels through to_dominant and dominant_orbit instead. The last caller
 # is the tests' oracle.
 WORD_APPLIERS = {("weyl.py", "act_key"), ("weyl.py", "apply"),
-                 ("weyl.py", "apply_inverse"), ("weyl.py", "invert"),
-                 ("weyl.py", "_spell"), ("rootsys.py", "dominant_representative")}
+                 ("weyl.py", "apply_inverse"), ("weyl.py", "_spell"),
+                 ("rootsys.py", "dominant_representative")}
 
 
 def test_walk_only_applies_words():
