@@ -18,22 +18,21 @@ identities multiply their right sides out instead of dividing.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, lcm
 
 from .errors import BudgetExceeded, ConsistencyError, InvalidDescriptor, NonModuleCharacter
-from .rootsys import HALF, RootSystem, Weight, _dot, scale_to_int
+from .rootsys import HALF, RootSystem, Weight, _dot
 from .weyl import DEFAULT_WEYL_BUDGET, _check_weyl_budget, enumerate_weyl
 
 DEFAULT_TERM_BUDGET = 5 * 10**6
 
 
 def weight_key(rs: RootSystem, w: Weight):
-    return scale_to_int(w.coords, rs.denom)
+    return w.key_at(rs.denom)
 
 
 def key_weight(rs: RootSystem, key) -> Weight:
-    return Weight(tuple(Fraction(k, rs.denom) for k in key))
+    return Weight.from_key(key, rs.denom)
 
 
 class Character:
@@ -150,11 +149,30 @@ class Character:
 def alternating_sum(rs: RootSystem, x: Weight, budget: int = DEFAULT_WEYL_BUDGET,
                     sign=None) -> Character:
     """sum over W of sign(w) e^{w x}, one walk over the enumerated group;
-    ``sign`` defaults to det w (the twisted identity passes tau)."""
-    key, on_rho = weight_key(rs, x), x == rs.rho  # w.key is w(rho)
+    ``sign`` defaults to det w (the twisted identity passes tau).
+
+    w(rho) is w's key. For x dominant and regular, w(x) is read off the
+    orbit ``dominant_orbit`` walks from x: w(x) and w(rho) have labels of
+    the same signs, so that walk reaches w(x) by the word the walk from
+    rho gave w. Any other x is moved by each element's word.
+    """
+    key = weight_key(rs, x)
+    group = enumerate_weyl(rs, budget)  # refuses before any orbit is walked
+    labels = rs.labels(key)
+    if x == rs.rho:
+        image = lambda w: w.key
+    elif labels is not None and all(p > 0 for p in labels):
+        by_word = {word: k for k, word in rs.dominant_orbit(key, labels).items()}
+
+        def image(w):
+            if w.word not in by_word:
+                raise ConsistencyError(f"no point of the orbit of {x} has the word {w.word}")
+            return by_word[w.word]
+    else:
+        image = lambda w: w.act_key(key)
     terms = {}
-    for w in enumerate_weyl(rs, budget):
-        k = w.key if on_rho else w.act_key(key)
+    for w in group:
+        k = image(w)
         terms[k] = terms.get(k, 0) + (w.sign if sign is None else sign(w))
     return Character(rs, terms)
 
@@ -299,10 +317,9 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     """Dimension of the irreducible with highest weight lam: the product of
     (lam + rho, a) / (rho, a) over the positive roots, as one integer
     product of key pairings and one exact division."""
-    scale = lcm(rs.denom, *(c.denominator for c in lam.coords))
+    scale = lcm(rs.denom, lam.scale)
     m = scale // rs.denom
-    shifted = [c.numerator * (scale // c.denominator) + m * r
-               for c, r in zip(lam.coords, rs.rho_key)]
+    shifted = [x * (scale // lam.scale) + m * r for x, r in zip(lam.key, rs.rho_key)]
     num = 1
     for fa in rs.positive_w:
         num *= sum(x * y for x, y in zip(shifted, fa))
@@ -399,7 +416,7 @@ class WeightSystem:
         total = (0,) * self.rs.space_dim
         for k, m in self.nonzero.items():
             total = tuple(t + m * x for t, x in zip(total, k))
-        return Weight(tuple(Fraction(x, self.rs.denom) for x in total))
+        return Weight.from_key(total, self.rs.denom)
 
     def is_self_dual(self) -> bool:
         return all(self.nonzero.get(tuple(-x for x in k)) == m
@@ -563,7 +580,7 @@ class Decomposition:
 
     def __init__(self, rs: RootSystem, summands):
         self.rs = rs
-        self.summands = tuple(sorted(summands, key=lambda t: t[0].coords))
+        self.summands = tuple(sorted(summands, key=lambda t: t[0]))
         self.dimensions = tuple(weyl_dimension(rs, lam) for lam, _ in self.summands)
 
     def total_dimension(self) -> int:

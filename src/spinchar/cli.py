@@ -59,12 +59,18 @@ class _BadEnv:
         self.message = message
 
 
+# the options that take a default from the environment, by dest, and the
+# SPINCHAR_* variable each reads
+_ENV = {dest: "SPINCHAR_" + dest.upper() for dest in (
+    "weyl_budget", "term_budget", "format", "jobs", "rank_bound", "height_bound")}
+
+
 def _env(action):
     """Give an option the default its SPINCHAR_* variable sets, checked
     with the option's own type and choices (argparse checks neither on a
     default). A bad value becomes a ``_BadEnv`` default, a usage error
     only when the parsed command leaves that option to it."""
-    name = "SPINCHAR_" + action.dest.upper()
+    name = _ENV[action.dest]
     value = os.environ.get(name)
     if value is not None:
         try:
@@ -81,9 +87,9 @@ _PARSERS = {}
 
 
 def _parser():
-    """The argument parser, built once per distinct SPINCHAR_* environment
-    (its defaults read those variables)."""
-    env = tuple(sorted((k, v) for k, v in os.environ.items() if k.startswith("SPINCHAR_")))
+    """The argument parser, built once per distinct value of the variables
+    in ``_ENV`` (its defaults read them)."""
+    env = tuple(map(os.environ.get, _ENV.values()))
     if env not in _PARSERS:
         _PARSERS[env] = _build_parser()
     return _PARSERS[env]

@@ -68,9 +68,9 @@ class Z2Grading:
         self.delta1 = WeightSystem(self.g0, delta1_pairs, zero_mult)
         if rho_effective is None:
             half = self.delta1.canonical_half_keys()
-            rho_effective = self.rho0 + Weight(
-                Fraction(sum(m * k[t] for k, m in half), 2 * ambient.denom)
-                for t in range(ambient.space_dim))
+            rho_effective = self.rho0 + Weight.from_key(
+                tuple(sum(m * k[t] for k, m in half) for t in range(ambient.space_dim)),
+                2 * ambient.denom)
         self.rho_effective = rho_effective
         self.metadata = metadata or {}
 
@@ -321,20 +321,19 @@ def spin_g1(grading: Z2Grading, budget: int = DEFAULT_WEYL_BUDGET,
         lam = rep.apply_inverse(grading.rho_effective) - grading.rho0
         if not grading.g0.is_dominant(lam):
             raise ConsistencyError(f"coset weight {lam} is not dominant for g0")
-        if lam.coords in lams:
+        if lam in lams:
             raise ConsistencyError(f"coset weight {lam} repeats")
-        lams[lam.coords] = (rep, lam)
+        lams[lam] = rep
     dec = spin0_decomposition(grading.delta1, budget, term_budget)
     formula = sorted(lams)
-    direct = sorted(lam.coords for lam, _ in dec)
+    direct = sorted(lam for lam, _ in dec)
     if formula != direct or not dec.is_multiplicity_free():
         raise ConsistencyError(
             f"{grading.label}: coset formula and character decomposition disagree:"
             f" {formula} vs {direct}")
     # the routes agree, so each summand's dimension is the decomposition's
-    dims = {lam.coords: d for (lam, _), d in zip(dec.summands, dec.dimensions)}
-    summands = [SpinSummand(rep, lam, dims[coords])
-                for coords, (rep, lam) in lams.items()]
+    dims = {lam: d for (lam, _), d in zip(dec.summands, dec.dimensions)}
+    summands = [SpinSummand(rep, lam, dims[lam]) for lam, rep in lams.items()]
     result = SpinDecomposition(grading, summands, dec)
     expected_dim = 2 ** ((grading.delta1.dimension() - grading.delta1.zero_mult) // 2)
     if result.total_dimension() != expected_dim:

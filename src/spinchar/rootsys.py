@@ -8,22 +8,26 @@ space and form, which is what makes characters of a subalgebra and of the
 full algebra directly comparable.
 
 Construction is integer: the Cartan matrix comes from the form times the
-simple roots, cleared of denominators, and the closure, simple-root
-pairings and subsystems run on integer coordinates and keys. Each system
-also carries the integer geometry on keys that the Weyl, character and
-Spin layers share, and it is the only place an integral point is moved:
-Dynkin labels (``labels``), coordinates over the simple roots
+simple roots, cleared of denominators, and fraction-free (Bareiss)
+elimination gives its inverse as an integer matrix over one denominator,
+from which the fundamental weights and the lattice rows follow. The
+closure, simple-root pairings and subsystems run on integer coordinates
+and keys. Each system also carries the integer geometry on keys that the
+Weyl, character and Spin layers share, and it is the only place an
+integral point is moved: Dynkin labels (``labels`` on keys,
+``dynkin_labels`` on weights), coordinates over the simple roots
 (``lattice_coords``), descents into the dominant chamber with the letters
 used (``to_dominant``), and dominant orbits with a reduced word per point
 (``dominant_orbit``), which enumerate W and its reflection subgroups.
-``walk`` only applies a given word to a vector. The Fraction ``inner``
-and ``pairing`` serve arbitrary pairs; the tests' ``oracles.reflect`` is
-built on them.
+``walk`` only applies a given word to a vector. ``inner`` is one integer
+product over the integer form, divided once.
 
-The module also holds the library's exact helpers: ``Weight`` does its own
-vector arithmetic and clears its own denominators (``Weight.scaled``),
-``scale_to_int`` maps a vector to keys at a given scale, and one
-Gauss-Jordan elimination inverts each system's Cartan matrix.
+A ``Weight`` is an integer key over its least positive scale, and does its
+arithmetic, comparisons and hashing on those integers. Fractions are made
+only at the edges: a Weight's ``coords`` (built on first read, for output
+and oracles), ``fw_coefficients``, ``inner`` and ``pairing``, and the
+rational input that ``Weight``, ``weight`` and the realizations below
+take. ``scale_to_int`` maps any rational vector to keys at a given scale.
 
 Simple-root numbering: A, B, C, D, G2 and the E family follow the Bourbaki
 order; F4 is numbered with the short roots first (alpha1, alpha2 short,
@@ -66,42 +70,92 @@ def scale_to_int(v, scale: int) -> tuple:
 
 
 class Weight:
-    """An exact rational coordinate vector in a system's ambient space."""
+    """An exact rational coordinate vector in a system's ambient space.
 
-    __slots__ = ("coords",)
+    A weight is held as its integer ``key`` and least positive ``scale``,
+    the vector being key / scale; the two are kept normalised by their
+    gcd, so equal vectors have equal (key, scale). Equality, hashing,
+    ordering and the vector arithmetic work on these integers. ``coords``,
+    the tuple of Fractions, is built on first read and kept: it is for
+    output, the tests' oracles and arbitrary rational input.
+    """
+
+    __slots__ = ("key", "scale", "_coords")
 
     def __init__(self, coords):
-        self.coords = tuple(frac(x) for x in coords)
+        coords = tuple(frac(x) for x in coords)
+        self.key, self.scale = clear_denominators(coords)
+        self._coords = coords
+
+    @classmethod
+    def from_key(cls, key, scale=1):
+        """The weight key / scale, for a tuple of ints and a positive int,
+        normalised by their gcd."""
+        g = gcd(scale, *key)
+        w = cls.__new__(cls)
+        if g > 1:
+            key, scale = tuple(x // g for x in key), scale // g
+        w.key, w.scale, w._coords = key, scale, None
+        return w
+
+    @property
+    def coords(self) -> tuple:
+        if self._coords is None:
+            s = self.scale
+            self._coords = tuple(Fraction(k, s) for k in self.key)
+        return self._coords
+
+    def key_at(self, scale: int) -> tuple:
+        """The integers scale * self; ValueError unless they are integers."""
+        m, r = divmod(scale, self.scale)
+        if r:
+            raise ValueError(f"vector {self} does not lie in (1/{scale})Z^n")
+        return self.key if m == 1 else tuple(m * x for x in self.key)
+
+    def _common(self, other):
+        """Both keys at the least common scale, and that scale."""
+        a, b = self.scale, other.scale
+        if a == b:
+            return self.key, other.key, a
+        s = lcm(a, b)
+        return (tuple(x * (s // a) for x in self.key),
+                tuple(y * (s // b) for y in other.key), s)
 
     def __add__(self, other):
-        return Weight(x + y for x, y in zip(self.coords, other.coords, strict=True))
+        k1, k2, s = self._common(other)
+        return Weight.from_key(tuple(x + y for x, y in zip(k1, k2, strict=True)), s)
 
     def __sub__(self, other):
-        return Weight(x - y for x, y in zip(self.coords, other.coords, strict=True))
+        k1, k2, s = self._common(other)
+        return Weight.from_key(tuple(x - y for x, y in zip(k1, k2, strict=True)), s)
 
     def __neg__(self):
-        return Weight(-x for x in self.coords)
+        return Weight.from_key(tuple(-x for x in self.key), self.scale)
 
     def __rmul__(self, c):
         c = frac(c)
-        return Weight(c * x for x in self.coords)
+        return Weight.from_key(tuple(c.numerator * x for x in self.key),
+                               c.denominator * self.scale)
 
     def scaled(self):
         """(key, scale): the least positive integer scale that clears the
         denominators, and the integer coordinates scale * self."""
-        return clear_denominators(self.coords)
+        return self.key, self.scale
 
     def __eq__(self, other):
-        return isinstance(other, Weight) and self.coords == other.coords
+        return (isinstance(other, Weight) and self.scale == other.scale
+                and self.key == other.key)
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash((self.key, self.scale))
 
     def __lt__(self, other):
-        return self.coords < other.coords
+        # the order of the coordinate tuples: both keys at their common scale
+        k1, k2, _ = self._common(other)
+        return k1 < k2
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coords)
+        return not any(self.key)
 
     def __repr__(self):
         return "(" + ", ".join(str(x) for x in self.coords) + ")"
@@ -217,22 +271,31 @@ def _denominator(rows):
 
 
 def _inverse(cartan):
-    """The exact inverse of an integer Cartan matrix, by Gauss-Jordan."""
+    """The inverse of an integer Cartan matrix as (M, d): C^-1 = M / d, with
+    d the least positive integer that clears it.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination on [C | I]: each step
+    divides exactly by the previous pivot, and the last one leaves every
+    diagonal entry at D = +-det C and the right block at D C^-1, the
+    adjugate up to the sign of the row swaps.
+    """
     n = len(cartan)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(cartan)]
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(cartan)]
+    prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col]), None)
         if pivot is None:
             raise InvalidDescriptor("simple roots are linearly dependent")
         a[col], a[pivot] = a[pivot], a[col]
         p = a[col][col]
-        a[col] = [x / p for x in a[col]]
         for r in range(n):
-            if r != col and a[r][col]:
+            if r != col:
                 f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], a[col])]
+        prev = p
+    adj = [row[n:] for row in a]
+    g = gcd(prev, *(x for row in adj for x in row)) * (1 if prev > 0 else -1)
+    return [[x // g for x in row] for row in adj], prev // g
 
 
 def _cartan(keys, rows, norms):
@@ -287,35 +350,37 @@ class RootSystem:
     def __init__(self, simple_roots, form, type_label=None, denom=None):
         self.form = tuple(tuple(frac(x) for x in row) for row in form)
         self.space_dim = len(form)
-        self.simple_roots = tuple(Weight(s) for s in simple_roots)
+        self.simple_roots = tuple(
+            a if isinstance(a, Weight) else Weight(a) for a in simple_roots)
         self.rank = len(self.simple_roots)
         # (x, y) = x . form_int y / form_denom
         self.form_denom = _denominator(self.form)
         self.form_int = tuple(tuple(int(x * self.form_denom) for x in row) for row in self.form)
 
-        d = _denominator(a.coords for a in self.simple_roots)
-        keys = [scale_to_int(a.coords, d) for a in self.simple_roots]
+        d = lcm(*(a.scale for a in self.simple_roots))
+        keys = [a.key_at(d) for a in self.simple_roots]
         rows, norms = _gram_rows(self.form_int, keys)
         if any(n <= 0 for n in norms):
             raise InvalidDescriptor("form is not positive on the roots")
         self.cartan_matrix = _cartan(keys, rows, norms)
-        # fundamental weights from C^-1; labels p are those of sum_i c_i alpha_i
-        # for c = C^-T p, and lattice_rows is lattice_denom C^-T in integers
-        inv = _inverse(self.cartan_matrix)
+        # fundamental weights from C^-1 = inv / lattice_denom: row i over the
+        # simple-root keys at scale d; labels p are those of sum_i c_i alpha_i
+        # for c = C^-T p, and lattice_rows is lattice_denom C^-T
+        inv, self.lattice_denom = _inverse(self.cartan_matrix)
+        self.lattice_rows = tuple(zip(*inv))
         self.fundamental_weights = tuple(
-            _wsum([c * a for c, a in zip(row, self.simple_roots)], self.space_dim)
+            Weight.from_key(tuple(sum(c * k[t] for c, k in zip(row, keys))
+                                  for t in range(self.space_dim)), d * self.lattice_denom)
             for row in inv)
-        self.lattice_denom = _denominator(inv)
-        self.lattice_rows = tuple(zip(*(tuple(int(x * self.lattice_denom) for x in row)
-                                        for row in inv)))
-        # integer fundamental-weight keys at their own common scale: a
-        # subsystem shares its ambient's denom, which need not clear them
-        self._fw_scale = lcm(*(w.scaled()[1] for w in self.fundamental_weights))
-        self._fw_keys = tuple(scale_to_int(w.coords, self._fw_scale)
-                              for w in self.fundamental_weights)
+        # integer fundamental-weight keys at their own common scale, by
+        # coordinate: a subsystem shares its ambient's denom, which need
+        # not clear them
+        self._fw_scale = lcm(*(w.scale for w in self.fundamental_weights))
+        fw_keys = [w.key_at(self._fw_scale) for w in self.fundamental_weights]
+        self._fw_cols = tuple(tuple(k[t] for k in fw_keys) for t in range(self.space_dim))
         # the simple roots have denominators dividing d, so the positive roots do too
         self.denom = denom if denom is not None else 2 * lcm(d, self._fw_scale)
-        self.simple_keys = tuple(scale_to_int(a.coords, self.denom) for a in self.simple_roots)
+        self.simple_keys = tuple(a.key_at(self.denom) for a in self.simple_roots)
         self.simple_w, self.simple_n = _gram_rows(self.form_int, self.simple_keys)
 
         coords = sorted((sum(c), tuple(_dot(c, col) for col in zip(*self.simple_keys)), c)
@@ -323,11 +388,10 @@ class RootSystem:
         self.positive_keys = tuple(k for _, k, _ in coords)
         self.positive_w = tuple(self._matvec(k) for k in self.positive_keys)
         self.positive_labels = tuple(tuple(self.labels(k)) for k in self.positive_keys)
-        self.positive_roots = tuple(
-            Weight(tuple(Fraction(x, self.denom) for x in k)) for k in self.positive_keys)
-        self.rho = Weight(Fraction(sum(k[t] for k in self.positive_keys), 2 * self.denom)
-                          for t in range(self.space_dim))
-        self.rho_key = scale_to_int(self.rho.coords, self.denom)
+        self.positive_roots = tuple(Weight.from_key(k, self.denom) for k in self.positive_keys)
+        self.rho = Weight.from_key(tuple(sum(k[t] for k in self.positive_keys)
+                                         for t in range(self.space_dim)), 2 * self.denom)
+        self.rho_key = self.rho.key_at(self.denom)
         # the product of the heights (rho, beta) over beta > 0, in key units
         self.rho_heights = prod(_dot(self.rho_key, w) for w in self.positive_w)
 
@@ -338,17 +402,19 @@ class RootSystem:
     # -- exact geometry ----------------------------------------------------
 
     def inner(self, a: Weight, b: Weight) -> Fraction:
-        return sum(x * _dot(row, b.coords) for x, row in zip(a.coords, self.form))
+        """(a, b): one integer product over form_int, divided once."""
+        return Fraction(_dot(a.key, self._matvec(b.key)),
+                        a.scale * b.scale * self.form_denom)
 
     def pairing(self, x: Weight, alpha: Weight) -> Fraction:
         """<x, alpha~> = 2 (x, alpha) / (alpha, alpha)."""
         return 2 * self.inner(x, alpha) / self.inner(alpha, alpha)
 
     def is_dominant(self, x: Weight) -> bool:
-        return all(p >= 0 for p in self.fw_coefficients(x))
+        return all(_dot(x.key, w) >= 0 for w in self.simple_w)
 
     def is_integral(self, x: Weight) -> bool:
-        return all(p.denominator == 1 for p in self.fw_coefficients(x))
+        return self.dynkin_labels(x) is not None
 
     def dominant_representative(self, x: Weight) -> Weight:
         """The dominant element of W.x, reached by simple reflections on
@@ -358,7 +424,7 @@ class RootSystem:
         while True:
             i = next((i for i in range(self.rank) if self.pairing_num(key, i) < 0), None)
             if i is None:
-                return Weight(tuple(Fraction(k, scale) for k in key))
+                return Weight.from_key(key, scale)
             key, scale = self.walk((i,), key, scale)
 
     def weight(self, *fw_coeffs) -> Weight:
@@ -370,16 +436,28 @@ class RootSystem:
         if len(fw_coeffs) != self.rank:
             raise InvalidDescriptor(
                 f"expected {self.rank} coefficients, got {len(fw_coeffs)}")
-        coeffs, scale = clear_denominators([frac(c) for c in fw_coeffs])
-        scale *= self._fw_scale
-        return Weight(Fraction(sum(c * k[t] for c, k in zip(coeffs, self._fw_keys)), scale)
-                      for t in range(self.space_dim))
+        if all(type(c) is int for c in fw_coeffs):
+            coeffs, scale = fw_coeffs, 1
+        else:
+            coeffs, scale = clear_denominators([frac(c) for c in fw_coeffs])
+        return Weight.from_key(tuple(_dot(coeffs, col) for col in self._fw_cols),
+                               scale * self._fw_scale)
 
     def fw_coefficients(self, x: Weight) -> tuple:
         """<x, alpha_i~> for each simple root, from the integer rows."""
-        key, scale = x.scaled()
-        return tuple(Fraction(2 * self.denom * _dot(key, w), scale * n)
+        return tuple(Fraction(2 * self.denom * _dot(x.key, w), x.scale * n)
                      for w, n in zip(self.simple_w, self.simple_n))
+
+    def dynkin_labels(self, x: Weight):
+        """The labels <x, alpha_i~> as a tuple of ints, or None if one is
+        not an integer: ``fw_coefficients`` without the Fractions."""
+        out = []
+        for w, n in zip(self.simple_w, self.simple_n):
+            p, r = divmod(2 * self.denom * _dot(x.key, w), x.scale * n)
+            if r:
+                return None
+            out.append(p)
+        return tuple(out)
 
     def format_weight(self, x: Weight) -> str:
         """Render the fundamental-weight coefficients compactly."""
@@ -388,10 +466,9 @@ class RootSystem:
     def in_root_lattice(self, x: Weight) -> bool:
         """Whether x is an integer combination of the simple roots, which
         lie in (1/denom) Z^n."""
-        key, scale = x.scaled()
-        if self.denom % scale:
+        if self.denom % x.scale:
             return False
-        c = self.lattice_coords(tuple(k * (self.denom // scale) for k in key))
+        c = self.lattice_coords(x.key_at(self.denom))
         return c is not None and not any(ci % self.lattice_denom for ci in c)
 
     def lattice_coords(self, key):
@@ -503,7 +580,7 @@ class RootSystem:
     # -- derived structure ---------------------------------------------------
 
     def _check_invariants(self):
-        if self.rank and self.fw_coefficients(self.rho) != (1,) * self.rank:
+        if self.dynkin_labels(self.rho) != (1,) * self.rank:
             raise InvalidDescriptor("rho is not the sum of the fundamental weights")
 
     def _classify(self):
@@ -637,12 +714,23 @@ def _parse_factor(token: str):
     raise InvalidDescriptor(f"cannot parse root-system descriptor {token!r}")
 
 
+_PARSED = {}
+
+
+def _factors(text: str) -> tuple:
+    """The (family, rank) factors of a descriptor, memoised per text."""
+    factors = _PARSED.get(text)
+    if factors is None:
+        parts = re.split(r"[x+*]", text)
+        if not parts or not all(p.strip() for p in parts):
+            raise InvalidDescriptor(f"cannot parse root-system descriptor {text!r}")
+        factors = _PARSED[text] = tuple(_parse_factor(p) for p in parts)
+    return factors
+
+
 def parse_descriptor(text: str):
     """Parse "B2", "A1xA1", "so5", "F4" ... into a list of (family, rank)."""
-    parts = re.split(r"[x+*]", text)
-    if not parts or not all(p.strip() for p in parts):
-        raise InvalidDescriptor(f"cannot parse root-system descriptor {text!r}")
-    return [_parse_factor(p) for p in parts]
+    return list(_factors(text))
 
 
 _BUILD_CACHE = {}
@@ -656,14 +744,12 @@ def build_root_system(descriptor, rank=None) -> RootSystem:
     enumerated Weyl groups are shared.
     """
     if rank is not None:
-        factors = [(str(descriptor).upper(), int(rank))]
+        factors = ((str(descriptor).upper(), int(rank)),)
     else:
-        factors = parse_descriptor(descriptor)
-    cache_key = tuple(factors)
-    if cache_key in _BUILD_CACHE:
-        return _BUILD_CACHE[cache_key]
-    rs = _build_uncached(factors)
-    _BUILD_CACHE[cache_key] = rs
+        factors = _factors(descriptor)
+    rs = _BUILD_CACHE.get(factors)
+    if rs is None:
+        rs = _BUILD_CACHE[factors] = _build_uncached(factors)
     return rs
 
 
@@ -734,16 +820,14 @@ def dual_root_system(rs: RootSystem):
         raise InvalidDescriptor("dual system needs a simple system")
     se = special_elements(rs)
     if not se.two_lengths:
-        dual = RootSystem([a.coords for a in rs.simple_roots], rs.form,
+        dual = RootSystem(rs.simple_roots, rs.form,
                           type_label=rs.type_label, denom=rs.denom)
         return dual, {r: r for r in rs.positive_roots}
     r = rs.inner(se.theta, se.theta) / rs.inner(se.theta_s, se.theta_s)
     if r not in (2, 3):
         raise InvalidDescriptor(f"long/short length ratio {r} is not 2 or 3")
     shorts = set(rs.short_roots())
-    dual_simple = [
-        (r * a).coords if a in shorts else a.coords for a in rs.simple_roots
-    ]
+    dual_simple = [r * a if a in shorts else a for a in rs.simple_roots]
     scaled_form = tuple(tuple(x / r for x in row) for row in rs.form)
     dual = RootSystem(dual_simple, scaled_form, denom=rs.denom)
     mapping = {
@@ -871,7 +955,7 @@ def subsystem(rs: RootSystem, positive_subset) -> RootSystem:
     the ambient space, form and key scaling. The checks run on the
     ambient integer keys."""
     pos = [w if isinstance(w, Weight) else Weight(w) for w in positive_subset]
-    keys = [scale_to_int(w.coords, rs.denom) for w in pos]
+    keys = [w.key_at(rs.denom) for w in pos]
     key_set = set(keys)
     if len(key_set) != len(keys):
         raise InvalidDescriptor("duplicate roots in subsystem data")
@@ -902,7 +986,7 @@ def subsystem(rs: RootSystem, positive_subset) -> RootSystem:
         keyed.append((_classify_component(comp, adj, snorms),
                       [skeys[i] for i in order], order))
     keyed.sort(key=lambda t: t[:2])
-    final = RootSystem([pos[simples[i]].coords for _, _, order in keyed for i in order],
+    final = RootSystem([pos[simples[i]] for _, _, order in keyed for i in order],
                        rs.form, denom=rs.denom)
     if set(final.positive_roots) != set(pos):
         raise InvalidDescriptor(

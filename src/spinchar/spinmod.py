@@ -57,8 +57,17 @@ def self_dual(rs: RootSystem, lam: Weight) -> bool:
     labels fix, so the labels, cleared of denominators, must be those of the
     dominant point of their negatives, and the rest of lam must be zero.
     """
-    labels = rs.fw_coefficients(lam)
-    ints = clear_denominators(labels)[0]
+    return _self_dual(rs, lam, rs.dynkin_labels(lam))
+
+
+def _self_dual(rs: RootSystem, lam: Weight, labels) -> bool:
+    """``self_dual`` given lam's ``dynkin_labels``; where those are None,
+    the Fraction labels are cleared of denominators."""
+    if labels is None:
+        labels = rs.fw_coefficients(lam)
+        ints = clear_denominators(labels)[0]
+    else:
+        ints = labels
     return rs.to_dominant([-p for p in ints])[0] == ints and rs.weight(labels) == lam
 
 
@@ -72,13 +81,13 @@ def frobenius_schur(rs: RootSystem, lam: Weight) -> int:
     2 (lam, beta) / (beta, beta) per positive root. A lam that is not
     dominant integral has no module and raises InvalidDescriptor.
     """
-    if not rs.is_dominant(lam) or not rs.is_integral(lam):
+    labels = rs.dynkin_labels(lam)
+    if labels is None or any(p < 0 for p in labels):
         raise InvalidDescriptor(f"{rs.format_weight(lam)} is not dominant integral")
-    if not self_dual(rs, lam):
+    if not _self_dual(rs, lam, labels):
         return 0
     # <lam, beta~> = 2 (lam, beta) / (beta, beta), lam read at its own scale
-    key, scale = lam.scaled()
-    total = sum(2 * rs.denom * _dot(key, w) // (scale * _dot(b, w))
+    total = sum(2 * rs.denom * _dot(lam.key, w) // (lam.scale * _dot(b, w))
                 for b, w in zip(rs.positive_keys, rs.positive_w))
     return -1 if total % 2 else 1
 
@@ -237,7 +246,7 @@ class DominantHalf:
         self.witness = witness
         rs = ws.rs
         # (key, row) is a positive multiple of (weight, witness)
-        row = rs._matvec(witness.scaled()[0])
+        row = rs._matvec(witness.key)
         self.keys = []
         for k, m in sorted(ws.nonzero.items()):
             value = _dot(k, row)
@@ -299,7 +308,7 @@ def enumerate_dominant_halves(ws: WeightSystem,
 
     def rec(i, rows, witness):
         if i == len(hyper):
-            halves.append(DominantHalf(ws, Weight(witness)))
+            halves.append(DominantHalf(ws, Weight.from_key(witness)))
             return
         for row in (hyper[i], tuple(-x for x in hyper[i])):
             sub = rows + [row]
@@ -315,7 +324,7 @@ def enumerate_dominant_halves(ws: WeightSystem,
             rec(i + 1, sub, w)
 
     rec(0, list(rs.simple_w), rs.rho_key)
-    halves.sort(key=lambda h: h.witness.coords)
+    halves.sort(key=lambda h: h.witness)
     return halves
 
 
@@ -333,17 +342,13 @@ def extreme_weights(ws: WeightSystem, dec: Decomposition):
     Spin0 coefficient of e^lam is its multiplicity in ``dec``, and anything
     but 1 there raises ConsistencyError.
     """
-    seen = {}
-    for h in enumerate_dominant_halves(ws):
-        lam = h.extreme_weight()
-        seen[lam.coords] = lam
-    out = [seen[c] for c in sorted(seen)]
-    mults = {lam.coords: m for lam, m in dec}
+    out = sorted({h.extreme_weight() for h in enumerate_dominant_halves(ws)})
+    mults = dict(dec)
     for lam in out:
-        if mults.get(lam.coords, 0) != 1:
+        if mults.get(lam, 0) != 1:
             raise ConsistencyError(
                 f"extreme weight {lam} has multiplicity"
-                f" {mults.get(lam.coords, 0)} in the Spin0 decomposition, expected 1")
+                f" {mults.get(lam, 0)} in the Spin0 decomposition, expected 1")
     return out
 
 
@@ -365,9 +370,7 @@ def is_decomposably_generated(ws: WeightSystem, budget: int = DEFAULT_WEYL_BUDGE
     dec = spin0_decomposition(ws, budget, term_budget)
     if not dec.is_multiplicity_free():
         return False
-    extremes = {w.coords for w in extreme_weights(ws, dec)}
-    heads = {w.coords for w, _ in dec}
-    return heads == extremes
+    return {w for w, _ in dec} == set(extreme_weights(ws, dec))
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +418,8 @@ def classify_candidate(rs: RootSystem, lam: Weight,
     root lattice; it stays as the check of the paper's orthogonality. A lam
     that is not dominant integral has no module and raises InvalidDescriptor.
     """
-    labels = rs.fw_coefficients(lam)
-    if any(p < 0 or p.denominator != 1 for p in labels):
+    labels = rs.dynkin_labels(lam)
+    if labels is None or any(p < 0 for p in labels):
         raise InvalidDescriptor(f"{rs.format_weight(lam)} is not dominant integral")
     record = {
         "type": rs.descriptor(),
@@ -425,7 +428,7 @@ def classify_candidate(rs: RootSystem, lam: Weight,
         "filter": None,
         "spin0": None,
     }
-    if not self_dual(rs, lam):
+    if not _self_dual(rs, lam, labels):
         record["filter"] = "not-self-dual"
         return record
     if not rs.in_root_lattice(lam):

@@ -14,7 +14,6 @@ W, and W0 is enumerated only when an oracle reads it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from math import isqrt
 
@@ -53,13 +52,11 @@ class WeylElement:
         return tuple(x // scale for x in out)
 
     def apply(self, w: Weight) -> Weight:
-        key, scale = self._system.walk(reversed(self.word), *w.scaled())
-        return Weight(tuple(Fraction(x, scale) for x in key))
+        return Weight.from_key(*self._system.walk(reversed(self.word), w.key, w.scale))
 
     def apply_inverse(self, w: Weight) -> Weight:
         """w^{-1} on a weight: the word read first letter first."""
-        key, scale = self._system.walk(self.word, *w.scaled())
-        return Weight(tuple(Fraction(x, scale) for x in key))
+        return Weight.from_key(*self._system.walk(self.word, w.key, w.scale))
 
     @property
     def matrix(self):

@@ -1,10 +1,12 @@
-"""Oracles that only the tests read: the Fraction reflection s_alpha and
-its matrix, the Weyl element acting by a given matrix, the stretch
-e^mu -> e^{n mu} of a character, products, inverses, membership and the
-identity in an enumerated Weyl group, the factorization of an element
-over a coset section, the exterior powers by Newton's recursion, and the
-expanded skew product over a set of roots."""
+"""Oracles that only the tests read: rational vectors as plain tuples of
+Fractions, the Fraction bilinear form and Dynkin labels, the Fraction
+reflection s_alpha and its matrix, the Weyl element acting by a given
+matrix, the stretch e^mu -> e^{n mu} of a character, products, inverses,
+membership and the identity in an enumerated Weyl group, the
+factorization of an element over a coset section, the exterior powers by
+Newton's recursion, and the expanded skew product over a set of roots."""
 
+from fractions import Fraction
 from weakref import WeakKeyDictionary
 
 from spinchar.charring import (
@@ -18,9 +20,46 @@ from spinchar.rootsys import Weight, _dot, scale_to_int
 from spinchar.weyl import _spell, enumerate_weyl
 
 
+# ---------------------------------------------------------------------------
+# rational vectors as tuples of Fractions, the oracle of Weight
+
+
+def vector_add(a, b):
+    return tuple(x + y for x, y in zip(a, b, strict=True))
+
+
+def vector_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b, strict=True))
+
+
+def vector_scale(c, a):
+    return tuple(Fraction(c) * x for x in a)
+
+
+def least_scale(a):
+    """The least positive integer s with s * a integral, by trial."""
+    s = 1
+    while any((s * x).denominator != 1 for x in a):
+        s += 1
+    return s
+
+
+def fraction_inner(rs, a, b):
+    """(a, b) through the Fraction form matrix, coordinate by coordinate."""
+    return sum(x * sum(f * y for f, y in zip(row, b.coords))
+               for x, row in zip(a.coords, rs.form))
+
+
+def fraction_labels(rs, x):
+    """<x, alpha_i~> = 2 (x, alpha_i) / (alpha_i, alpha_i) in Fractions."""
+    return tuple(2 * fraction_inner(rs, x, a) / fraction_inner(rs, a, a)
+                 for a in rs.simple_roots)
+
+
 def reflect(rs, alpha, x):
     """s_alpha(x) = x - <x, alpha~> alpha, in Fraction arithmetic."""
-    return x - rs.pairing(x, alpha) * alpha
+    c = 2 * fraction_inner(rs, x, alpha) / fraction_inner(rs, alpha, alpha)
+    return Weight(vector_sub(x.coords, vector_scale(c, alpha.coords)))
 
 
 def reflection_matrix(rs, alpha):

@@ -22,7 +22,7 @@ def _report(n, title, records, allow_skips=False):
           f" ({sum(r['status'] == 'pass' for r in records)} checks"
           + (f", {len(skipped)} skipped" if skipped else "") + ")")
     for r in failed:
-        print(f"    fail: {r['id']}: {r['detail'], }")
+        print(f"    fail: {r['id']}: {r['detail']}")
     if skipped and not allow_skips:
         pytest.fail(f"unexpected skips: {[r['id'] for r in skipped]}")
     assert not failed, [r["id"] for r in failed]

@@ -19,7 +19,7 @@ from spinchar import (
     special_elements,
     weyl_dimension,
 )
-from spinchar.charring import exact_divide
+from spinchar.charring import alternating_sum, exact_divide
 from oracles import newton_exterior_powers
 
 
@@ -34,6 +34,22 @@ def test_rank_one_rho_character():
     assert ch.dimension() == 2
     assert ch.coefficient(rs.rho) == 1
     assert ch.coefficient(-rs.rho) == 1
+
+
+@pytest.mark.parametrize("desc", ["A2", "B2", "G2", "B3", "A1xA1"])
+def test_alternating_sum_on_and_off_the_dominant_chamber(desc):
+    # a dominant regular x reads w(x) off its own orbit, any other x is
+    # moved by each element's word: s_i x gives minus the sum at x, and a
+    # dominant x on a wall gives zero
+    rs = build_root_system(desc)
+    x = rs.rho + rs.weight(*range(rs.rank))
+    total = alternating_sum(rs, x)
+    assert len(total.terms) == rs.weyl_order()
+    for i, alpha in enumerate(rs.simple_roots):
+        y = x - rs.dynkin_labels(x)[i] * alpha
+        assert alternating_sum(rs, y) == -1 * total
+    wall = rs.weight(*[int(i > 0) for i in range(rs.rank)])
+    assert alternating_sum(rs, wall).terms == {}
 
 
 def test_b2_dimension_64():

@@ -8,9 +8,10 @@ the pruned Spin0 products against the full one; extreme weights and
 chamber witnesses against the decomposed Spin0 and Fraction pairings;
 dominant halves against every feasible sign vector of the weight
 hyperplanes; fundamental weights and lattice rows against the coroots and
-the Cartan matrix; Weight arithmetic against coordinatewise Fractions;
-RootSystem.weight against the Fraction sum of fundamental weights, and
-self_dual against the dominant representative of -lam."""
+the Cartan matrix; Weight arithmetic, equality and order against tuples
+of Fractions; RootSystem.weight against the Fraction sum of fundamental
+weights; integer Dynkin labels and inner products against the Fraction
+form, and self_dual against the dominant representative of -lam."""
 
 import sys
 from fractions import Fraction
@@ -51,8 +52,9 @@ from spinchar.charring import exact_divide, key_weight, weight_key
 from spinchar.gradings import OUTER_INSTANCES, involutive_pivots
 from spinchar.rootsys import _wsum, simple_types
 from spinchar.spinmod import _fm_stages, _primitive, self_dual
-from oracles import (contains, factorize, invert, multiply, reflect, reflection_matrix,
-                     skew_product, stretch)
+from oracles import (contains, factorize, fraction_inner, fraction_labels, invert,
+                     least_scale, multiply, reflect, reflection_matrix, skew_product,
+                     stretch, vector_add, vector_scale, vector_sub)
 
 TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2", "A1xA1"]
 RANK_4_TYPES = ["A4", "B4", "C4", "D4", "F4"]
@@ -253,6 +255,37 @@ def test_scaled_is_the_least_integral_scale(coords):
     assert not any(all((p * s).denominator == 1 for p in coords) for s in range(1, scale))
 
 
+@PROPERTY
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6),
+             min_size=n, max_size=n), min_size=3, max_size=6)),
+       st.fractions(min_value=-3, max_value=3, max_denominator=6))
+def test_weight_matches_the_fraction_tuple_oracle(vectors, c):
+    # a Weight holds (key, scale) in lowest terms; everything it answers
+    # must be what the tuples of Fractions answer
+    weights = [Weight(v) for v in vectors]
+    tuples = [tuple(Fraction(x) for x in v) for v in vectors]
+    for w, t in zip(weights, tuples):
+        assert w.coords == t
+        assert w.scaled() == (tuple(int(x * least_scale(t)) for x in t), least_scale(t))
+        assert Weight.from_key(*w.scaled()) == w
+        assert Weight.from_key(tuple(3 * k for k in w.key), 3 * w.scale).scaled() == w.scaled()
+    x, y, tx, ty = weights[0], weights[1], tuples[0], tuples[1]
+    assert (x + y).coords == vector_add(tx, ty)
+    assert (x - y).coords == vector_sub(tx, ty)
+    assert (-x).coords == vector_scale(-1, tx)
+    assert (c * x).coords == vector_scale(c, tx)
+    for w in (x + y, x - y, -x, c * x):
+        assert w.scaled() == Weight(w.coords).scaled()
+    for a, ta in zip(weights, tuples):
+        for b, tb in zip(weights, tuples):
+            assert (a == b) == (ta == tb)
+            assert (a < b) == (ta < tb)
+            if a == b:
+                assert hash(a) == hash(b)
+    assert [w.coords for w in sorted(weights)] == sorted(tuples)
+
+
 WEIGHT_SYSTEMS = (
     [(f"{fam}{rank}", lambda fam=fam, rank=rank: build_root_system(fam, rank))
      for fam, rank in simple_types(4)]
@@ -277,6 +310,26 @@ def test_weight_sums_the_fraction_fundamental_weights(system):
                        rs.space_dim)
         assert rs.weight(*coeffs) == oracle
         assert all(type(c) is Fraction for c in rs.weight(coeffs).coords)
+
+
+@pytest.mark.parametrize("system", [make for _, make in WEIGHT_SYSTEMS],
+                         ids=[name for name, _ in WEIGHT_SYSTEMS])
+def test_integer_labels_and_inner_match_the_fraction_form(system):
+    rs = system()
+    n = rs.rank
+    weights = [rs.weight(*coeffs) for coeffs in (
+        [1 - i % 3 for i in range(n)], [Fraction(2 * i + 1, 3) for i in range(n)],
+        [Fraction(i, 2) for i in range(n)])]
+    weights += list(rs.simple_roots + rs.positive_roots + rs.fundamental_weights)
+    weights += [rs.rho, Weight([Fraction(t + 1, 3) for t in range(rs.space_dim)])]
+    for x in weights:
+        labels = fraction_labels(rs, x)
+        assert rs.fw_coefficients(x) == labels
+        integral = all(p.denominator == 1 for p in labels)
+        assert rs.dynkin_labels(x) == (tuple(map(int, labels)) if integral else None)
+        assert all(type(p) is int for p in rs.dynkin_labels(x) or ())
+        for y in weights[:8]:
+            assert rs.inner(x, y) == fraction_inner(rs, x, y)
 
 
 @PROPERTY

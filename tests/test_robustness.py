@@ -253,6 +253,19 @@ def test_walk_only_applies_words():
     assert _callers("walk") == WORD_APPLIERS
 
 
+# the Weyl, character, Spin and grading layers compute on integer keys; a
+# Weight carries its own key and scale, and Fractions are made in rootsys
+# (coords, fw_coefficients, inner) for output and oracles. Fraction( calls
+# in these layers, by function:
+KEY_LAYERS = ("charring.py", "weyl.py", "spinmod.py", "gradings.py")
+FRACTION_MAKERS = set()
+
+
+def test_key_layers_make_no_fractions():
+    assert {where for where in _callers("Fraction")
+            if where[0] in KEY_LAYERS} == FRACTION_MAKERS
+
+
 def test_cli_budget_defaults_are_the_library_constants(monkeypatch):
     from spinchar.charring import DEFAULT_TERM_BUDGET
     from spinchar.cli import _parser
