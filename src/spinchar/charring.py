@@ -7,13 +7,17 @@ keys. Products, the Weyl character formula, Freudenthal multiplicities,
 exterior powers and decomposition into irreducibles are all exact; any
 division that fails to be exact raises instead of rounding.
 
-Decomposition folds a W-invariant character by the dot action
-(Racah-Speiser) and Freudenthal's recursion visits dominant weights only,
-so neither enumerates W. ``exact_divide`` divides by root binomials
-e^{a/2} - e^{-a/2} along a-strings, exact only when each string's running
-sum ends at zero; it serves the Weyl character formula, the oracle the
-tests and verification suites compare them against. The denominator
-identities multiply their right sides out instead of dividing.
+Multiplicities are read off the Weyl character formula
+ch * sum_w sgn(w) e^{w rho} = sum m_lam A_{lam+rho}, forwards: a product
+with the Weyl denominator pruned to the strictly dominant chamber gives
+them all (``decompose``, and the reduced Spin without expanding it), and
+one is an alternating sum over the orbit of rho. Freudenthal's recursion
+visits dominant weights only, and none of them enumerates W.
+``exact_divide`` divides by root binomials e^{a/2} - e^{-a/2} along
+a-strings, exact only when each string's running sum ends at zero; it
+serves the Weyl character formula, the oracle the tests and verification
+suites compare them against. The denominator identities multiply their
+right sides out instead of dividing.
 """
 
 from __future__ import annotations
@@ -117,20 +121,6 @@ class Character:
     def conjugate(self):
         return Character(self.rs, {tuple(-x for x in k): v for k, v in self.terms.items()})
 
-    def is_invariant(self, rs: RootSystem = None) -> bool:
-        """W-invariance, checked on the simple reflections of rs."""
-        rs = rs or self.rs
-        if rs.denom != self.rs.denom:
-            raise InvalidDescriptor("characters live in different coordinate lattices")
-        for k, v in self.terms.items():
-            labels = rs.labels(k)
-            if labels is None:
-                return False
-            for p, a in zip(labels, rs.simple_keys):
-                if self.terms.get(tuple(x - p * y for x, y in zip(k, a)), 0) != v:
-                    return False
-        return True
-
     def to_json(self):
         return {
             "denom": self.rs.denom,
@@ -183,8 +173,9 @@ def weyl_denominator(rs: RootSystem, budget: int = DEFAULT_WEYL_BUDGET) -> Chara
 
 
 def _binomial_product(rs: RootSystem, factors, term_budget: int,
-                      floor: int = None) -> dict:
-    """prod (e^{v/2} + s e^{-v/2})^m over (key v, m, s) factors, as
+                      floor: int = None, seed=None) -> dict:
+    """The seed terms {key: coefficient} (by default the single term 1)
+    times prod (e^{v/2} + s e^{-v/2})^m over (key v, m, s) factors, as
     {key of the exponent: coefficient}, one binomial at a time.
 
     States are packed into one integer, one offset field per coordinate,
@@ -208,16 +199,22 @@ def _binomial_product(rs: RootSystem, factors, term_budget: int,
         items.append((m * sum(map(abs, labels)), labels, tuple(x // 2 for x in v), m, s))
     items.sort(key=lambda t: -t[0])
     reach = [sum(m * abs(p[i]) for _, p, _, m, _ in items) for i in range(n)]
-    if any(r < floor for r in reach):
-        return {}
+    # a seed term starts with its doubled labels plus the reach, less the
+    # floor, as slack; its weights are integral (``decompose`` checks them)
+    starts = [([r - floor for r in reach], (0,) * dim, 1)] if seed is None else [
+        ([2 * p + r - floor for p, r in zip(rs.labels(k) if n else [], reach)], k, c)
+        for k, c in seed.items()]
+    starts = [t for t in starts if min(t[0], default=0) >= 0]
     # no field leaves [off - 2 bound, off + bound], inside [0, 2 off)
     bound = max(reach + [sum(m * abs(h[t]) for _, _, h, m, _ in items) for t in range(dim)])
+    if seed is not None:
+        bound += max((abs(x) for sl, k, _ in starts for x in sl + list(k)), default=0)
     bits = (2 * bound).bit_length() + 1
     off, mask = 1 << (bits - 1), (1 << bits) - 1
     pack = lambda fields: sum(x << (bits * t) for t, x in enumerate(fields))
     guard = pack([off] * len(reach))
-    terms = {pack([off + r - floor for r in reach] + [off] * dim): 1}
-    signed = False
+    terms = {pack([off + x for x in sl + list(k)]): c for sl, k, c in starts}
+    signed = seed is not None
     for _, labels, half, m, s in items:
         up = pack([p - abs(p) for p in labels] + list(half))
         down = pack([-p - abs(p) for p in labels] + [-x for x in half])
@@ -348,46 +345,6 @@ def irreducible_character(rs: RootSystem, lam: Weight,
             f"character of {lam} has dimension {ch.dimension()},"
             f" Weyl formula gives {weyl_dimension(rs, lam)}")
     return ch
-
-
-def _racah_speiser(ch: Character, rs: RootSystem) -> dict:
-    """Irreducible multiplicities of a W-invariant character, keyed by the
-    highest weight's key, by Racah-Speiser folding.
-
-    Each support weight mu moves mu + rho into the dominant chamber by
-    simple reflections. It drops out if the image nu lies on a wall and
-    otherwise adds (-1)^k c(mu) to V_{nu - rho}, k the reflections used (the
-    parity of ``to_dominant``'s word). This is the Weyl character
-    formula read backwards, so it needs integral weights and W-invariance,
-    checked in that order (the invariance check reflects integral weights
-    only); it costs O(|support| rank) reflections and never enumerates W.
-    """
-    rho = rs.rho_key
-    out = {}
-    for k, c in ch.terms.items():
-        labels = rs.labels(k)
-        if labels is None:
-            raise NonModuleCharacter(
-                f"weight {key_weight(ch.rs, k)} is not integral for {rs.descriptor()}")
-        nu_labels, nu, word = rs.to_dominant(
-            [p + 1 for p in labels], tuple(a + b for a, b in zip(k, rho)))
-        if 0 in nu_labels:
-            continue
-        lam = tuple(a - b for a, b in zip(nu, rho))
-        out[lam] = out.get(lam, 0) + (-c if len(word) % 2 else c)
-    if not ch.is_invariant(rs):
-        raise NonModuleCharacter("character is not Weyl-invariant")
-    return {k: m for k, m in out.items() if m}
-
-
-def multiplicity_of(ch: Character, lam: Weight, rs: RootSystem = None) -> int:
-    """Multiplicity of the irreducible V_lam in the W-invariant character ch,
-    by Racah-Speiser folding."""
-    folded = _racah_speiser(ch, rs or ch.rs)
-    try:
-        return folded.get(weight_key(ch.rs, lam), 0)
-    except ValueError:
-        return 0
 
 
 # ---------------------------------------------------------------------------
@@ -612,28 +569,85 @@ class Decomposition:
         return "Decomposition(" + " + ".join(parts) + ")"
 
 
-def decompose(ch: Character, rs: RootSystem = None) -> Decomposition:
-    """Decomposition of a W-invariant character into irreducibles.
-
-    All multiplicities come from one Racah-Speiser fold over the support
-    (see ``_racah_speiser``). Fails loudly on a character that
-    is not W-invariant, on a negative multiplicity, and when the summand
-    dimensions do not add up to the character's dimension.
-    """
-    rs = rs or ch.rs
-    summands = []
-    for k, m in _racah_speiser(ch, rs).items():
-        lam = key_weight(ch.rs, k)
-        if m < 0:
+def _check_invariant(ch: Character, rs: RootSystem):
+    """NonModuleCharacter unless ch is W-invariant, checked on the simple
+    reflections of rs; a non-integral weight is named first."""
+    if rs.denom != ch.rs.denom:
+        raise InvalidDescriptor("characters live in different coordinate lattices")
+    labels = {k: rs.labels(k) for k in ch.terms}
+    for k, p in labels.items():
+        if p is None:
             raise NonModuleCharacter(
-                f"V_{rs.format_weight(lam)} has multiplicity {m}; not a module")
+                f"weight {key_weight(ch.rs, k)} is not integral for {rs.descriptor()}")
+    for k, v in ch.terms.items():
+        for p, a in zip(labels[k], rs.simple_keys):
+            if ch.terms.get(tuple(x - p * y for x, y in zip(k, a)), 0) != v:
+                raise NonModuleCharacter("character is not Weyl-invariant")
+
+
+def _decompose_product(rs: RootSystem, seed, factors, dimension: int, what: str,
+                       term_budget: int) -> Decomposition:
+    """The W-invariant character seed * prod(factors) of ``_binomial_product``,
+    of the given dimension, as a sum of irreducibles. Times the Weyl
+    denominator prod_{a>0} (e^{a/2} - e^{-a/2}) it is sum m_lam A_{lam+rho},
+    whose terms with doubled labels all >= 2 are exactly m_lam e^{lam+rho}.
+    Each lam must be integral with m_lam > 0, else NonModuleCharacter names
+    ``what``; summands that do not fill the dimension raise ConsistencyError.
+    """
+    factors = list(factors) + [(a, 1, -1) for a in rs.positive_keys]
+    summands = []
+    for k, m in _binomial_product(rs, factors, term_budget, floor=2, seed=seed).items():
+        lam = key_weight(rs, tuple(x - r for x, r in zip(k, rs.rho_key)))
+        if rs.dynkin_labels(lam) is None or m < 0:
+            raise NonModuleCharacter(f"{what} has V_{rs.format_weight(lam)} with"
+                                     f" multiplicity {m}; not a module")
         summands.append((lam, m))
     dec = Decomposition(rs, summands)
-    if dec.total_dimension() != ch.dimension():
-        raise ConsistencyError(
-            f"summands have total dimension {dec.total_dimension()},"
-            f" the character has dimension {ch.dimension()}")
+    if dec.total_dimension() != dimension:
+        raise ConsistencyError(f"summands have total dimension {dec.total_dimension()},"
+                               f" {what} has dimension {dimension}")
     return dec
+
+
+def decompose(ch: Character, rs: RootSystem = None) -> Decomposition:
+    """Decomposition of a W-invariant character into irreducibles, from its
+    product with the Weyl denominator pruned to the strictly dominant
+    chamber (bounded by the default term budget). Fails loudly on a
+    non-integral weight, named first, on a character that is not
+    W-invariant, on a negative multiplicity, and on summands that do not
+    fill the character's dimension."""
+    rs = rs or ch.rs
+    _check_invariant(ch, rs)
+    return _decompose_product(rs, ch.terms, [], ch.dimension(), "the character",
+                              DEFAULT_TERM_BUDGET)
+
+
+def _rho_shifts(rs: RootSystem):
+    """(rho - w rho, sgn w) for each w in W, walked from the regular rho.
+    For dominant lam, m_lam = sum_w sgn(w) c(lam + rho - w rho) in a
+    W-invariant ch: the coefficient of e^{lam+rho} in ch * sum_w sgn(w)
+    e^{w rho}, which is sum m_mu A_{mu+rho} by the Weyl character formula."""
+    rho = rs.rho_key
+    return [(tuple(r - x for r, x in zip(rho, k)), -1 if len(word) % 2 else 1)
+            for k, word in rs.dominant_orbit(rho, [1] * rs.rank).items()]
+
+
+def multiplicity_of(ch: Character, lam: Weight, rs: RootSystem = None) -> int:
+    """Multiplicity of the irreducible V_lam in the W-invariant character
+    ch, read at the |W| points of rho's orbit (see ``_rho_shifts``); 0 for
+    a lam that is not dominant integral. |W| from the type is checked
+    against the default Weyl budget first."""
+    rs = rs or ch.rs
+    _check_weyl_budget(rs, DEFAULT_WEYL_BUDGET)
+    _check_invariant(ch, rs)
+    if not (rs.is_dominant(lam) and rs.is_integral(lam)):
+        return 0
+    try:
+        key = weight_key(ch.rs, lam)
+    except ValueError:  # off the key lattice, as is every lam + rho - w rho
+        return 0
+    return sum(s * ch.terms.get(tuple(a + b for a, b in zip(key, d)), 0)
+               for d, s in _rho_shifts(rs))
 
 
 # ---------------------------------------------------------------------------
@@ -771,25 +785,25 @@ def invariant_poincare(ws: WeightSystem, budget: int = DEFAULT_WEYL_BUDGET,
                        term_budget: int = DEFAULT_TERM_BUDGET) -> GradedPoincare:
     """Graded dimensions of the invariants in the exterior algebra.
 
-    Coefficient i is the multiplicity of the zero weight module inside the
-    i-th exterior power. When the weights sum to zero the grading is
-    mirror-symmetric, so only half the degrees are expanded. The budget is
-    checked against |W| from the type up front.
+    Coefficient i is the multiplicity of the trivial module in the i-th
+    exterior power, read at the |W| points of rho's orbit (see
+    ``_rho_shifts``); the budget is checked against |W| from the type up
+    front. An exterior power of a W-invariant multiset is W-invariant, so
+    invariance is checked once, on the input weights. When the weights sum
+    to zero the grading is mirror-symmetric, so only half the degrees are
+    expanded.
     """
-    _check_weyl_budget(ws.rs, budget)
+    rs = ws.rs
+    _check_weyl_budget(rs, budget)
+    _check_invariant(ws.character(), rs)
     n = ws.dimension()
     symmetric = ws.weight_sum().is_zero()
     top = n // 2 if symmetric else n
     powers = exterior_powers(ws, max_degree=top, term_budget=term_budget)
-    rs = ws.rs
-    zero = Weight((0,) * rs.space_dim)
-    coeffs = [multiplicity_of(powers[i], zero, rs) for i in range(top + 1)]
-    if symmetric:
-        mirrored = [0] * (n + 1)
-        for i in range(top + 1):
-            mirrored[i] = coeffs[i]
-            mirrored[n - i] = coeffs[i]
-        coeffs = mirrored
+    shifts = _rho_shifts(rs)
+    coeffs = [sum(s * p.terms.get(d, 0) for d, s in shifts) for p in powers]
+    if symmetric:  # degree n - i mirrors degree i
+        coeffs += coeffs[:n - top][::-1]
     if any(c < 0 for c in coeffs):
         raise NonModuleCharacter("negative invariant dimension")
     return GradedPoincare(coeffs)

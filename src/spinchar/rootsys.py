@@ -40,6 +40,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 
 from .errors import InvalidDescriptor
@@ -576,6 +577,14 @@ class RootSystem:
                             nxt.append((v, [q - pi * c for q, c in zip(p, cartan[i])], w))
             frontier = nxt
         return orbit
+
+    @cached_property
+    def minus_w0(self) -> tuple:
+        """The permutation sigma of the simple roots by which -w0 acts on
+        Dynkin labels: the dominant point of -lam has label p_i at sigma(i),
+        read off one descent of the regular labels -(1, ..., rank)."""
+        top = self.to_dominant([-i - 1 for i in range(self.rank)])[0]
+        return tuple(top.index(i + 1) for i in range(self.rank))
 
     # -- derived structure ---------------------------------------------------
 

@@ -1,46 +1,43 @@
 """Spin and reduced Spin of orthogonal modules.
 
-A self-dual V_lam is orthogonal or symplectic by the sign
-(-1)^<lam, 2 rho~>, one integer pairing per positive root; no character
-is formed to decide it.
+A V_lam is self-dual when -w0, a permutation of the Dynkin labels, fixes
+lam's, and then orthogonal or symplectic by the sign (-1)^<lam, 2 rho~>,
+one integer pairing per positive root; no character is formed to decide it.
 
 The reduced Spin character of a self-dual weight system is the product of
 (e^{mu/2} + e^{-mu/2}) over any half of the nonzero weights; the scalar
-2^[m(0)/2] restores the full Spin. It is decomposed without expanding it:
-by the Weyl character formula, Spin0 times the Weyl denominator
-prod_{a>0} (e^{a/2} - e^{-a/2}) is sum m_lam A_{lam+rho}, so its strictly
-dominant part is sum m_lam e^{lam+rho}, and a product pruned to that
-chamber yields the multiplicities. Dominant halves are enumerated as open
-chambers of the dominant cone cut by the weight hyperplanes, skipping
-those that miss it: by Farkas, the hyperplane of mu = sum c_i alpha_i with
-no two c_i of opposite sign (the hyperplane budget still counts them).
-The split starts from rho; a region that loses its parent's witness is
-decided by Fourier-Motzkin elimination on integer rows, and integer
-back-substitution through its stages gives a new one. The half-sums of the
-halves are the extreme weights: always highest weights of the reduced Spin,
-each a summand of multiplicity one in its decomposition, which is where
-they are certified (see ``extreme_weights``).
+2^[m(0)/2] restores the full Spin. It is decomposed without expanding it,
+as a product with the Weyl denominator pruned to the strictly dominant
+chamber, the route of ``charring.decompose``. Dominant halves are
+enumerated as open chambers of the dominant cone cut by the weight
+hyperplanes, skipping those that miss it: by Farkas, the hyperplane of
+mu = sum c_i alpha_i with no two c_i of opposite sign (the hyperplane
+budget still counts them). The split starts from rho; a region that loses
+its parent's witness is decided by Fourier-Motzkin elimination on integer
+rows, and integer back-substitution through its stages gives a new one.
+The half-sums of the halves are the extreme weights: always highest
+weights of the reduced Spin, each a summand of multiplicity one in its
+decomposition, which is where they are certified (see ``extreme_weights``).
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from .errors import (BudgetExceeded, ConsistencyError, InvalidDescriptor,
-                     NonModuleCharacter, NotSelfDual)
+from .errors import BudgetExceeded, ConsistencyError, InvalidDescriptor, NotSelfDual
 from .charring import (
     Character,
     DEFAULT_TERM_BUDGET,
     Decomposition,
     WeightSystem,
     _binomial_product,
+    _decompose_product,
     dominant_weights,
     freudenthal_weights,
     key_weight,
     weight_key,
 )
-from .rootsys import (
-    RootSystem, Weight, _dot, build_root_system, clear_denominators, simple_types)
+from .rootsys import RootSystem, Weight, _dot, build_root_system, simple_types
 from .weyl import DEFAULT_WEYL_BUDGET, _check_weyl_budget
 
 DEFAULT_HYPERPLANE_BUDGET = 64
@@ -54,21 +51,14 @@ def self_dual(rs: RootSystem, lam: Weight) -> bool:
     """A highest weight is self-dual iff -lam is Weyl-conjugate to lam.
 
     W moves only the part of lam in the span of the roots, which its Dynkin
-    labels fix, so the labels, cleared of denominators, must be those of the
-    dominant point of their negatives, and the rest of lam must be zero.
+    labels fix. For a dominant lam the dominant point of -lam is -w0 lam,
+    whose labels are lam's permuted by ``RootSystem.minus_w0``; so the
+    labels, integral or not, must be >= 0 and fixed by that permutation,
+    and the rest of lam must be zero.
     """
-    return _self_dual(rs, lam, rs.dynkin_labels(lam))
-
-
-def _self_dual(rs: RootSystem, lam: Weight, labels) -> bool:
-    """``self_dual`` given lam's ``dynkin_labels``; where those are None,
-    the Fraction labels are cleared of denominators."""
-    if labels is None:
-        labels = rs.fw_coefficients(lam)
-        ints = clear_denominators(labels)[0]
-    else:
-        ints = labels
-    return rs.to_dominant([-p for p in ints])[0] == ints and rs.weight(labels) == lam
+    labels = rs.dynkin_labels(lam) or rs.fw_coefficients(lam)
+    return (all(p >= 0 and labels[s] == p for p, s in zip(labels, rs.minus_w0))
+            and rs.weight(labels) == lam)
 
 
 def frobenius_schur(rs: RootSystem, lam: Weight) -> int:
@@ -84,7 +74,7 @@ def frobenius_schur(rs: RootSystem, lam: Weight) -> int:
     labels = rs.dynkin_labels(lam)
     if labels is None or any(p < 0 for p in labels):
         raise InvalidDescriptor(f"{rs.format_weight(lam)} is not dominant integral")
-    if not _self_dual(rs, lam, labels):
+    if not self_dual(rs, lam):
         return 0
     # <lam, beta~> = 2 (lam, beta) / (beta, beta), lam read at its own scale
     total = sum(2 * rs.denom * _dot(lam.key, w) // (lam.scale * _dot(b, w))
@@ -132,31 +122,17 @@ def spin0_character(ws: WeightSystem, half=None,
 def spin0_decomposition(ws: WeightSystem, budget: int = DEFAULT_WEYL_BUDGET,
                         term_budget: int = DEFAULT_TERM_BUDGET) -> Decomposition:
     """The reduced Spin as a sum of irreducibles, from its product with
-    the Weyl denominator pruned to the strictly dominant chamber.
-
-    Spin0 * prod_{a>0} (e^{a/2} - e^{-a/2}) = sum m_lam A_{lam+rho}, so the
-    terms whose doubled labels are all >= 2 are exactly m_lam e^{lam+rho}.
-    Each lam must be integral with m_lam > 0, else NonModuleCharacter (a
-    symplectic module shows so), and summands that do not fill
-    2^{(dim - m(0))/2} raise ConsistencyError; the budget is checked
-    against |W| from the type, and the term budget bounds the states.
+    the Weyl denominator pruned to the strictly dominant chamber (see
+    ``charring._decompose_product``). A non-integral or negative summand
+    (a symplectic module shows so) raises NonModuleCharacter, and summands
+    that do not fill 2^{(dim - m(0))/2} raise ConsistencyError; the budget
+    is checked against |W| from the type, and the term budget bounds the
+    states.
     """
-    rs = ws.rs
-    _check_weyl_budget(rs, budget)
-    factors = _half_factors(ws) + [(a, 1, -1) for a in rs.positive_keys]
-    summands = []
-    for k, m in _binomial_product(rs, factors, term_budget, floor=2).items():
-        lam = tuple(x - r for x, r in zip(k, rs.rho_key))
-        if rs.labels(lam) is None or m < 0:
-            raise NonModuleCharacter(
-                f"Spin0 has {m} x V_{rs.format_weight(key_weight(rs, lam))};"
-                " not a module")
-        summands.append((key_weight(rs, lam), m))
-    dec, expected = Decomposition(rs, summands), 2 ** ((ws.dimension() - ws.zero_mult) // 2)
-    if dec.total_dimension() != expected:
-        raise ConsistencyError(f"summands have total dimension {dec.total_dimension()},"
-                               f" the reduced Spin has dimension {expected}")
-    return dec
+    _check_weyl_budget(ws.rs, budget)
+    return _decompose_product(ws.rs, None, _half_factors(ws),
+                              2 ** ((ws.dimension() - ws.zero_mult) // 2),
+                              "the reduced Spin", term_budget)
 
 
 def spin_scalar(ws: WeightSystem) -> int:
@@ -428,7 +404,7 @@ def classify_candidate(rs: RootSystem, lam: Weight,
         "filter": None,
         "spin0": None,
     }
-    if not _self_dual(rs, lam, labels):
+    if not self_dual(rs, lam):
         record["filter"] = "not-self-dual"
         return record
     if not rs.in_root_lattice(lam):

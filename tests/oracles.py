@@ -4,7 +4,8 @@ reflection s_alpha and its matrix, the Weyl element acting by a given
 matrix, the stretch e^mu -> e^{n mu} of a character, products, inverses,
 membership and the identity in an enumerated Weyl group, the
 factorization of an element over a coset section, the exterior powers by
-Newton's recursion, and the expanded skew product over a set of roots."""
+Newton's recursion, the expanded skew product over a set of roots, and
+decomposition by Racah-Speiser folding."""
 
 from fractions import Fraction
 from weakref import WeakKeyDictionary
@@ -12,10 +13,13 @@ from weakref import WeakKeyDictionary
 from spinchar.charring import (
     DEFAULT_TERM_BUDGET,
     Character,
+    Decomposition,
     _binomial_product,
+    _check_invariant,
+    key_weight,
     weight_key,
 )
-from spinchar.errors import ConsistencyError
+from spinchar.errors import ConsistencyError, NonModuleCharacter
 from spinchar.rootsys import Weight, _dot, scale_to_int
 from spinchar.weyl import _spell, enumerate_weyl
 
@@ -167,3 +171,36 @@ def skew_product(rs, roots, term_budget=DEFAULT_TERM_BUDGET):
     """Expand prod (e^{a/2} - e^{-a/2}) over the given roots."""
     factors = [(weight_key(rs, a), 1, -1) for a in roots]
     return Character(rs, _binomial_product(rs, factors, term_budget))
+
+
+def racah_speiser(ch, rs=None):
+    """Irreducible multiplicities of a W-invariant character, as
+    {highest weight: nonzero multiplicity}, by Racah-Speiser folding.
+
+    Each support weight mu moves mu + rho into the dominant chamber by
+    simple reflections. It drops out if the image nu lies on a wall and
+    otherwise adds (-1)^k c(mu) to V_{nu - rho}, k the reflections used.
+    This is the Weyl character formula read backwards, so it needs
+    integral weights and W-invariance, which the library checks.
+    """
+    rs = rs or ch.rs
+    _check_invariant(ch, rs)
+    out = {}
+    for k, c in ch.terms.items():
+        nu_labels, nu, word = rs.to_dominant(
+            [p + 1 for p in rs.labels(k)], tuple(a + b for a, b in zip(k, rs.rho_key)))
+        if 0 in nu_labels:
+            continue
+        lam = key_weight(ch.rs, tuple(a - b for a, b in zip(nu, rs.rho_key)))
+        out[lam] = out.get(lam, 0) + (-c if len(word) % 2 else c)
+    return {lam: m for lam, m in out.items() if m}
+
+
+def fold_decompose(ch, rs=None):
+    """The decomposition of a module character by ``racah_speiser``; a
+    negative multiplicity raises NonModuleCharacter."""
+    rs = rs or ch.rs
+    folded = racah_speiser(ch, rs)
+    if any(m < 0 for m in folded.values()):
+        raise NonModuleCharacter(f"negative multiplicity in {folded}")
+    return Decomposition(rs, folded.items())

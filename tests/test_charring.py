@@ -190,6 +190,13 @@ def test_noninvariant_character_rejected():
         decompose(Character.monomial(rs, rs.weight(1, 0)))
 
 
+def test_a_negative_summand_is_named():
+    # ch V_2 - 1 over A1 is W-invariant, and V_0 has multiplicity -1 in it
+    rs = build_root_system("A1")
+    with pytest.raises(NonModuleCharacter, match=r"V_\(0\) with multiplicity -1"):
+        decompose(a1_char(2) - Character.one(rs))
+
+
 def test_exterior_powers_of_rank_one_adjoint():
     rs = build_root_system("A1")
     ws = WeightSystem.adjoint(rs)
@@ -239,6 +246,22 @@ def test_invariant_poincare_table_values():
     gp = invariant_poincare(freudenthal_weights(aa, aa.weight(1, 1)))
     assert gp.factored() == [4]
     assert str(gp) == "(1+t^4)"
+
+
+def test_invariant_poincare_refuses_a_dropped_weight():
+    # the isotropy weights of F4/B4 are W0-invariant, with the cohomology of
+    # the Cayley plane; with one dropped they are not, and invariance is
+    # checked on the input, not per power
+    from spinchar import inner_grading
+
+    ws = inner_grading(build_root_system("F4"), 1).delta1
+    assert str(invariant_poincare(ws)) == "1 + t^8 + t^16"
+    key = min(ws.nonzero)
+    dropped = dict(ws.nonzero)
+    dropped[key] -= 1
+    dropped = WeightSystem(ws.rs, {k: m for k, m in dropped.items() if m}, ws.zero_mult)
+    with pytest.raises(NonModuleCharacter, match="not Weyl-invariant"):
+        invariant_poincare(dropped)
 
 
 def test_negative_invariant_dimension_is_an_input_error():

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from spinchar import cli, spinmod, verify
+from spinchar import charring, cli, spinmod, verify
 from spinchar.charring import Decomposition
 from spinchar.cli import main
 from spinchar.gradings import OUTER_INSTANCES
@@ -115,9 +115,10 @@ def test_spin_runs_freudenthal_only_for_orthogonal_modules(capsys, monkeypatch):
 def test_spin_expands_spin0_once(capsys, monkeypatch):
     # the extreme weights are certified against the printed decomposition
     floors = []
-    real = spinmod._binomial_product
-    monkeypatch.setattr(spinmod, "_binomial_product",
-                        lambda *a, **kw: floors.append(kw.get("floor")) or real(*a, **kw))
+    real = charring._binomial_product
+    for module in (charring, spinmod):
+        monkeypatch.setattr(module, "_binomial_product",
+                            lambda *a, **kw: floors.append(kw.get("floor")) or real(*a, **kw))
     code, out = run_cli(capsys, "spin", "--type", "F4", "--weight", "1,0,0,0")
     assert code == 0 and "| yes |" in out
     assert floors == [2]
@@ -153,7 +154,7 @@ def test_weyl_dimension_off_by_one_exits_1(capsys, monkeypatch):
 
 def test_a_dropped_floor_2_term_exits_1(capsys, monkeypatch):
     # the pruned product loses a summand, which then no longer fills Spin0
-    real = spinmod._binomial_product
+    real = charring._binomial_product
 
     def drop_one(*args, **kwargs):
         terms = real(*args, **kwargs)
@@ -161,7 +162,7 @@ def test_a_dropped_floor_2_term_exits_1(capsys, monkeypatch):
             del terms[max(terms)]
         return terms
 
-    monkeypatch.setattr(spinmod, "_binomial_product", drop_one)
+    monkeypatch.setattr(charring, "_binomial_product", drop_one)
     assert main(["spin", "--type", "G2", "--weight", "1,0"]) == 1
     assert capsys.readouterr().err.startswith("consistency failure:")
 

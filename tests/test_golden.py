@@ -21,6 +21,7 @@ CASES = {
                               "--format", "json"],
     "classify_4_6.md": ["classify", "--rank-bound", "4", "--height-bound", "6",
                         "--format", "markdown"],
+    "verify_table1.md": ["verify", "--suite", "table1", "--format", "markdown"],
 }
 
 

@@ -1,5 +1,7 @@
-"""Property tests: the folding and dominant-only routes against the
-division-based Weyl character formula, on random dominant weights; exact
+"""Property tests: decomposition by the pruned product and by folding, and
+the dominant-only routes, against the division-based Weyl character
+formula, on random dominant weights; multiplicities read off the orbit of
+rho against the fold on characters that are no modules; exact
 division against the skew product it inverts; integer simple-root pairings
 against Fraction ones; the integer key primitives of RootSystem against
 Fraction reflections and the enumerated group; the integer Weyl layer
@@ -43,6 +45,7 @@ from spinchar import (
     irreducible_character,
     l0_of,
     minimal_coset_reps,
+    multiplicity_of,
     outer_grading,
     spin0_character,
     spin0_decomposition,
@@ -50,11 +53,12 @@ from spinchar import (
 )
 from spinchar.charring import exact_divide, key_weight, weight_key
 from spinchar.gradings import OUTER_INSTANCES, involutive_pivots
-from spinchar.rootsys import _wsum, simple_types
+from spinchar.rootsys import HALF, _wsum, simple_types
 from spinchar.spinmod import _fm_stages, _primitive, self_dual
-from oracles import (contains, factorize, fraction_inner, fraction_labels, invert,
-                     least_scale, multiply, reflect, reflection_matrix, skew_product,
-                     stretch, vector_add, vector_scale, vector_sub)
+from oracles import (contains, factorize, fold_decompose, fraction_inner, fraction_labels,
+                     invert, least_scale, multiply, racah_speiser, reflect,
+                     reflection_matrix, skew_product, stretch, vector_add, vector_scale,
+                     vector_sub)
 
 TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2", "A1xA1"]
 RANK_4_TYPES = ["A4", "B4", "C4", "D4", "F4"]
@@ -111,7 +115,30 @@ def test_folding_matches_greedy_division(data):
                                 min_size=rs.rank, max_size=rs.rank))
     mu = rs.weight(*coeffs)
     product = irreducible_character(rs, lam) * irreducible_character(rs, mu)
-    assert decompose(product, rs).summands == greedy_decomposition(product, rs)
+    greedy = greedy_decomposition(product, rs)
+    assert decompose(product, rs).summands == greedy
+    assert fold_decompose(product, rs).summands == greedy
+
+
+@PROPERTY
+@given(st.data())
+def test_multiplicity_of_matches_the_fold_on_virtual_characters(data):
+    # differences of irreducibles and stretched characters are W-invariant
+    # but no modules; off the chamber, at w.nu = w(nu + rho) - rho, the
+    # rho-orbit sum reads sgn(w) m_nu, so a lookup that skipped the
+    # dominance test would not read 0 there
+    rs, lam = data.draw(dominant_weights(height_scale=2))
+    mu = rs.weight(*data.draw(st.lists(st.integers(0, max(1, HEIGHT[rs.rank] // 2)),
+                                       min_size=rs.rank, max_size=rs.rank)))
+    a, b = irreducible_character(rs, lam), irreducible_character(rs, mu)
+    for ch in (a - b, stretch(a, 2), stretch(a, 2) - stretch(b, 2) - b):
+        folded = racah_speiser(ch, rs)
+        for nu in set(folded) | {lam, mu, 0 * rs.rho}:
+            assert multiplicity_of(ch, nu, rs) == folded.get(nu, 0)
+            for i, p in enumerate(rs.dynkin_labels(nu)):
+                off = nu - (p + 1) * rs.simple_roots[i]
+                assert multiplicity_of(ch, off, rs) == 0
+        assert multiplicity_of(ch, HALF * rs.rho + lam, rs) == 0
 
 
 @settings(PROPERTY, max_examples=40)
@@ -568,7 +595,7 @@ def test_spin0_decomposition_is_the_decomposed_full_product(case):
     assume(ws.dimension() <= 40)
     full = spin0_character(ws)
     try:
-        expected = decompose(full, rs)
+        expected = fold_decompose(full, rs)
     except NonModuleCharacter:
         with pytest.raises(NonModuleCharacter):
             spin0_decomposition(ws)

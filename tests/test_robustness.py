@@ -39,8 +39,8 @@ def test_non_module_character_is_raised_only_on_inputs():
     # every check that only a library fault can fail raises ConsistencyError
     assert _callers("NonModuleCharacter") == {
         ("charring.py", "_binomial_product"), ("charring.py", "exact_divide"),
-        ("charring.py", "_racah_speiser"), ("charring.py", "decompose"),
-        ("charring.py", "invariant_poincare"), ("spinmod.py", "spin0_decomposition")}
+        ("charring.py", "_check_invariant"), ("charring.py", "_decompose_product"),
+        ("charring.py", "invariant_poincare")}
 
 
 def test_unexpected_exception_becomes_fail_record():

@@ -13,7 +13,6 @@ from spinchar import (
     Weight,
     WeightSystem,
     build_root_system,
-    decompose,
     enumerate_dominant_halves,
     extreme_weights,
     frobenius_schur,
@@ -37,7 +36,7 @@ from spinchar.charring import key_weight, weight_key
 from spinchar.gradings import OUTER_INSTANCES, grading_catalog
 from spinchar.rootsys import simple_types
 from spinchar.spinmod import _cuts_the_cone, classify_candidate, classify_coprimary
-from oracles import stretch
+from oracles import fold_decompose, stretch
 
 
 def test_orthogonality_types():
@@ -90,8 +89,8 @@ def _character_route(rs, lam):
 
 
 def test_frobenius_schur_parity_equals_the_character_route():
-    # the sign (-1)^<lam, 2 rho~> against the Freudenthal + Racah-Speiser
-    # route: simple types, products, and every catalog g0 (centres and
+    # the sign (-1)^<lam, 2 rho~> against the Freudenthal + rho-orbit
+    # lookup route: simple types, products, and every catalog g0 (centres and
     # rank 0 included). A g0 keeps its ambient's key scale, so Freudenthal
     # cannot hold a g0 weight off the ambient lattice (in the A2, A3 and
     # A1xA2 of Hermitian gradings); such a weight must read 0, and the
@@ -457,11 +456,11 @@ def test_classify_refuses_weights_without_a_module():
 
 
 # ---------------------------------------------------------------------------
-# the Spin0 * Delta route against the decomposed full product
+# the Spin0 * Delta route against the folded full product
 
 
 def _oracle(ws):
-    return decompose(spin0_character(ws), ws.rs)
+    return fold_decompose(spin0_character(ws), ws.rs)
 
 
 SPIN0_MODULES = [("A1", (n,)) for n in range(2, 41, 2)] + [
