@@ -410,17 +410,18 @@ class WeightSystem:
         return f"WeightSystem(dim {self.dimension()}, m(0)={self.zero_mult})"
 
 
-def dominant_weights(rs: RootSystem, lam_key) -> dict:
-    """The dominant weights of V_lam for a dominant integral key, as
-    {Dynkin labels: key}, lam first.
+def dominant_weights(rs: RootSystem, lam_key):
+    """The dominant weights of V_lam for a dominant integral key, yielded
+    as (Dynkin labels, key) pairs as they are found, lam first.
 
     They are the dominant weights below lam, reached from lam by chains of
     dominant weights that differ by positive roots (Stembridge), and each
-    has positive multiplicity, so the walk on labels finds them without
-    Freudenthal's recursion.
+    has positive multiplicity, so a breadth-first walk on labels finds them
+    without Freudenthal's recursion; a consumer that stops reading stops it.
     """
     top = tuple(rs.labels(lam_key))
     keys = {top: lam_key}
+    yield top, lam_key
     frontier = [top]
     while frontier:
         nxt = []
@@ -429,22 +430,22 @@ def dominant_weights(rs: RootSystem, lam_key) -> dict:
             for la, a in zip(rs.positive_labels, rs.positive_keys):
                 q = tuple(x - y for x, y in zip(p, la))
                 if min(q) >= 0 and q not in keys:
-                    keys[q] = tuple(x - y for x, y in zip(k, a))
+                    keys[q] = kq = tuple(x - y for x, y in zip(k, a))
+                    yield q, kq
                     nxt.append(q)
         frontier = nxt
-    return keys
 
 
 def freudenthal_weights(rs: RootSystem, lam: Weight) -> WeightSystem:
     """Full weight multiset of the irreducible V_lam via Freudenthal's
     recursion, cross-checked against the Weyl dimension formula.
 
-    The recursion visits dominant weights only (Moody-Patera), those of
-    ``dominant_weights``. Inside lam + Q a weight is fixed by its Dynkin
-    labels. An alpha-string ends where its dominant representative leaves
-    that set, since strings of weights are unbroken. The dominant
-    multiplicities are then spread over their orbits; W is never
-    enumerated.
+    The recursion visits dominant weights only (Moody-Patera), the whole
+    walk of ``dominant_weights`` read into a dict. Inside lam + Q a weight
+    is fixed by its Dynkin labels. An alpha-string ends where its dominant
+    representative leaves that set, since strings of weights are unbroken.
+    The dominant multiplicities are then spread over their orbits; W is
+    never enumerated.
     """
     if not rs.is_dominant(lam) or not rs.is_integral(lam):
         raise InvalidDescriptor(f"{rs.format_weight(lam)} is not dominant integral")
@@ -460,7 +461,7 @@ def freudenthal_weights(rs: RootSystem, lam: Weight) -> WeightSystem:
     # per positive root: labels, form vector, scaled (alpha, alpha)
     root_steps = [(la, fa, sum(x * y for x, y in zip(a, fa))) for la, fa, a
                   in zip(rs.positive_labels, rs.positive_w, rs.positive_keys)]
-    keys = dominant_weights(rs, lam_k)
+    keys = dict(dominant_weights(rs, lam_k))
     top_labels = next(iter(keys))
 
     def shifted_norm(k):
@@ -549,7 +550,7 @@ class Decomposition:
     def to_json(self):
         return [
             {"weight": [str(c) for c in lam.coords],
-             "fw": [str(c) for c in self.rs.fw_coefficients(lam)],
+             "fw": [str(c) for c in self.rs.dynkin_labels(lam)],
              "multiplicity": m,
              "dimension": d}
             for (lam, m), d in zip(self.summands, self.dimensions)

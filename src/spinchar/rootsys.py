@@ -260,6 +260,12 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+def _primitive(row):
+    """The primitive integer row on the ray of an integer row (0 stays 0)."""
+    g = gcd(*row)
+    return tuple(x // g for x in row) if g else tuple(row)
+
+
 def _gram_rows(form_int, keys):
     """The rows form_int k, with the norms k . form_int k, of integer keys."""
     rows = tuple(tuple(_dot(r, k) for r in form_int) for k in keys)
@@ -585,6 +591,12 @@ class RootSystem:
         read off one descent of the regular labels -(1, ..., rank)."""
         top = self.to_dominant([-i - 1 for i in range(self.rank)])[0]
         return tuple(top.index(i + 1) for i in range(self.rank))
+
+    @cached_property
+    def root_lines(self) -> frozenset:
+        """The primitive keys of the positive roots: a nonzero key lies on
+        the ray of a positive root iff its primitive key is one of them."""
+        return frozenset(_primitive(k) for k in self.positive_keys)
 
     # -- derived structure ---------------------------------------------------
 

@@ -22,7 +22,7 @@ decomposition, which is where they are certified (see ``extreme_weights``).
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import lcm
 
 from .errors import BudgetExceeded, ConsistencyError, InvalidDescriptor, NotSelfDual
 from .charring import (
@@ -37,7 +37,7 @@ from .charring import (
     key_weight,
     weight_key,
 )
-from .rootsys import RootSystem, Weight, _dot, build_root_system, simple_types
+from .rootsys import RootSystem, Weight, _dot, _primitive, build_root_system, simple_types
 from .weyl import DEFAULT_WEYL_BUDGET, _check_weyl_budget
 
 DEFAULT_HYPERPLANE_BUDGET = 64
@@ -162,12 +162,6 @@ def spin_character(ws: WeightSystem, term_budget: int = DEFAULT_TERM_BUDGET) -> 
 
 # ---------------------------------------------------------------------------
 # dominant halves: Fourier-Motzkin on integer rows, integer witnesses
-
-
-def _primitive(row):
-    """The primitive integer row on the ray of an integer row (0 stays 0)."""
-    g = gcd(*row)
-    return tuple(x // g for x in row) if g else tuple(row)
 
 
 def _fm_stages(rows, dim):
@@ -384,10 +378,12 @@ def classify_candidate(rs: RootSystem, lam: Weight,
                        term_budget: int = DEFAULT_TERM_BUDGET) -> dict:
     """Run one candidate through the co-primary filters, cheapest first.
 
-    Whether every weight of V_lam is 0 or W-conjugate to a positive
-    multiple of a root is Weyl-invariant, so it is decided on the dominant
-    weights, found without Freudenthal's recursion: each must be 0 or lie
-    on the ray of a positive root (which is then dominant too). The
+    lam's labels are read once: self-dual means fixed by ``minus_w0``, with
+    no part of lam off the root span, and the root lattice means
+    lattice_rows . labels in lattice_denom Z. Whether every weight of V_lam
+    is 0 or W-conjugate to a positive multiple of a root is Weyl-invariant:
+    the walk ``dominant_weights`` decides it without Freudenthal's
+    recursion, and stops at the first dominant weight off ``root_lines``. The
     Frobenius-Schur sign is read off the labels, and Freudenthal runs only
     for an orthogonal lam. After the root-lattice filter the symplectic one
     cannot fire, as <alpha_i, 2 rho~> = 2 makes <lam, 2 rho~> even on the
@@ -404,13 +400,14 @@ def classify_candidate(rs: RootSystem, lam: Weight,
         "filter": None,
         "spin0": None,
     }
-    if not self_dual(rs, lam):
+    if (any(labels[s] != p for p, s in zip(labels, rs.minus_w0))
+            or rs.weight(labels) != lam):
         record["filter"] = "not-self-dual"
         return record
-    if not rs.in_root_lattice(lam):
+    if any(_dot(row, labels) % rs.lattice_denom for row in rs.lattice_rows):
         record["filter"] = "zero-weight"
         return record
-    lines = {_primitive(k) for k in rs.positive_keys}
+    lines = rs.root_lines
 
     def on_a_root_line(k):
         return not any(k) or _primitive(k) in lines
@@ -419,7 +416,7 @@ def classify_candidate(rs: RootSystem, lam: Weight,
     if not on_a_root_line(key):
         record["filter"] = "highest-weight-off-root-line"
         return record
-    if not all(map(on_a_root_line, dominant_weights(rs, key).values())):
+    if not all(on_a_root_line(k) for _, k in dominant_weights(rs, key)):
         record["filter"] = "weights-off-root-lines"
         return record
     if frobenius_schur(rs, lam) != 1:

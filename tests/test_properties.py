@@ -51,7 +51,8 @@ from spinchar import (
     spin0_decomposition,
     weyl_dimension,
 )
-from spinchar.charring import exact_divide, key_weight, weight_key
+from spinchar.charring import (dominant_weights as dominant_weight_walk, exact_divide,
+                               key_weight, weight_key)
 from spinchar.gradings import OUTER_INSTANCES, involutive_pivots
 from spinchar.rootsys import HALF, _wsum, simple_types
 from spinchar.spinmod import _fm_stages, _primitive, self_dual
@@ -146,6 +147,17 @@ def test_multiplicity_of_matches_the_fold_on_virtual_characters(data):
 def test_freudenthal_matches_weyl_division(case):
     rs, lam = case
     assert freudenthal_weights(rs, lam).character() == irreducible_character(rs, lam)
+
+
+@PROPERTY
+@given(dominant_weights())
+def test_the_dominant_weight_walk_matches_weyl_division(case):
+    rs, lam = case
+    lam_key = weight_key(rs, lam)
+    walk = dict(dominant_weight_walk(rs, lam_key))
+    labels = {k: rs.labels(k) for k in irreducible_character(rs, lam).terms}
+    assert walk == {tuple(p): k for k, p in labels.items() if min(p) >= 0}
+    assert next(iter(walk.items())) == (rs.dynkin_labels(lam), lam_key)
 
 
 @PROPERTY

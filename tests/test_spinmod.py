@@ -448,6 +448,54 @@ def test_classify_rejects_weights_off_root_lines_before_freudenthal(monkeypatch)
     assert calls == [b2.weight(0, 2)]
 
 
+def test_classify_stops_the_walk_at_the_first_weight_off_a_root_line(monkeypatch):
+    read = []
+    real = spinmod.dominant_weights
+
+    def counted(rs, key):
+        for pair in real(rs, key):
+            read.append(pair)
+            yield pair
+
+    monkeypatch.setattr(spinmod, "dominant_weights", counted)
+    c3 = build_root_system("C3")
+    lam = c3.weight(0, 8, 0)
+    assert classify_candidate(c3, lam)["filter"] == "weights-off-root-lines"
+    assert 1 <= len(read) <= 2
+    assert len(dict(real(c3, weight_key(c3, lam)))) == 71
+
+
+@pytest.mark.parametrize("desc", ["A1xB2", "A1xA1", "A1xA2"])
+def test_classify_matches_the_oracle_on_product_types(desc):
+    # the sweep builds simple types only; here the labels and the -w0
+    # permutation run over several factors, A2's off the first node
+    rs = build_root_system(desc)
+    for coeffs in spinmod.weights_up_to_height(rs.rank, 4):
+        lam = rs.weight(*coeffs)
+        assert classify_candidate(rs, lam) == _classify_oracle(rs, lam)
+
+
+def test_classify_matches_the_oracle_off_the_root_span():
+    # g0 = A1xA1xT1: the weights of g1 have a part on the centre, and A2
+    # lies in a plane of its three coordinates; (1, 1) plus a part off the
+    # span has labels fixed by -w0, so only that part makes it not self-dual
+    grading = inner_grading(build_root_system("A3"), 2)
+    g0, a2 = grading.g0, build_root_system("A2")
+    cases = [(g0, g0.weight(*c)) for c in spinmod.weights_up_to_height(g0.rank, 6)]
+    cases += [(g0, key_weight(g0, k)) for k in grading.delta1.nonzero]
+    cases += [(a2, Weight((1, 1, 1))), (a2, a2.weight(1, 1) + Weight((1, 1, 1)))]
+    off_span = 0
+    for rs, lam in cases:
+        if not rs.is_dominant(lam):
+            continue
+        record = classify_candidate(rs, lam)
+        assert record == _classify_oracle(rs, lam)
+        if rs.weight(rs.dynkin_labels(lam)) != lam:
+            assert record["filter"] == "not-self-dual"
+            off_span += 1
+    assert off_span == 4
+
+
 def test_classify_refuses_weights_without_a_module():
     b2 = build_root_system("B2")
     for lam in (b2.weight(1, -1), b2.weight(Fraction(1, 2), 0)):
