@@ -2,7 +2,7 @@
 
 The library builds root systems with exact rational arithmetic, enumerates
 Weyl groups and coset sections, computes characters (Weyl formula,
-Freudenthal multiplicities, exterior powers), and decomposes the reduced
+Freudenthal multiplicities, exterior invariants), and decomposes the reduced
 Spin of orthogonal modules, including the isotropy modules of symmetric
 pairs of both inner and outer type.
 """
@@ -42,7 +42,6 @@ from .charring import (
     GradedPoincare,
     WeightSystem,
     decompose,
-    exterior_powers,
     freudenthal_weights,
     invariant_poincare,
     irreducible_character,

@@ -4,15 +4,17 @@ A Character is a finite integer combination of formal exponentials e^mu.
 Keys are coordinate tuples scaled by the ambient system's ``denom`` so that
 every expression in sight (including half-weights e^{mu/2}) has integer
 keys. Products, the Weyl character formula, Freudenthal multiplicities,
-exterior powers and decomposition into irreducibles are all exact; any
-division that fails to be exact raises instead of rounding.
+exterior invariants and decomposition into irreducibles are all exact;
+any division that fails to be exact raises instead of rounding.
 
 Multiplicities are read off the Weyl character formula
-ch * sum_w sgn(w) e^{w rho} = sum m_lam A_{lam+rho}, forwards: a product
-with the Weyl denominator pruned to the strictly dominant chamber gives
-them all (``decompose``, and the reduced Spin without expanding it), and
-one is an alternating sum over the orbit of rho. Freudenthal's recursion
-visits dominant weights only, and none of them enumerates W.
+ch * sum_w sgn(w) e^{w rho} = sum m_lam A_{lam+rho}, forwards, and by one
+route: a product with the Weyl denominator pruned to the strictly
+dominant chamber, whose term at lam + rho is m_lam. ``decompose`` and the
+reduced Spin (without expanding it) read all of its terms,
+``multiplicity_of`` one, and ``invariant_poincare`` the terms at rho of
+the exterior algebra, its degree in one more key coordinate. Freudenthal's
+recursion visits dominant weights only, and none of them enumerates W.
 ``exact_divide`` divides by root binomials e^{a/2} - e^{-a/2} along
 a-strings, exact only when each string's running sum ends at zero; it
 serves the Weyl character formula, the oracle the tests and verification
@@ -22,7 +24,7 @@ right sides out instead of dividing.
 
 from __future__ import annotations
 
-from math import comb, lcm
+from math import lcm
 
 from .errors import BudgetExceeded, ConsistencyError, InvalidDescriptor, NonModuleCharacter
 from .rootsys import HALF, RootSystem, Weight, _dot
@@ -187,7 +189,7 @@ def _binomial_product(rs: RootSystem, factors, term_budget: int,
     above a guard bit; a move only lowers it, so the prune is one test of
     the guard bits. More states than the term budget raise BudgetExceeded.
     """
-    dim, n = rs.space_dim, 0 if floor is None else rs.rank
+    n = 0 if floor is None else rs.rank
     items = []
     for v, m, s in factors:
         labels = rs.labels(v) if n else []
@@ -198,6 +200,9 @@ def _binomial_product(rs: RootSystem, factors, term_budget: int,
             raise InvalidDescriptor(f"half of {key_weight(rs, v)} is off the key lattice")
         items.append((m * sum(map(abs, labels)), labels, tuple(x // 2 for x in v), m, s))
     items.sort(key=lambda t: -t[0])
+    # the key length is the one given: a trailing coordinate no label reads
+    # (the degree of ``invariant_poincare``) rides along unpruned
+    dim = len(items[0][2] if items else next(iter(seed or ()), rs.rho_key))
     reach = [sum(m * abs(p[i]) for _, p, _, m, _ in items) for i in range(n)]
     # a seed term starts with its doubled labels plus the reach, less the
     # floor, as slack; its weights are integral (``decompose`` checks them)
@@ -586,18 +591,25 @@ def _check_invariant(ch: Character, rs: RootSystem):
                 raise NonModuleCharacter("character is not Weyl-invariant")
 
 
+def _dominant_numerator(rs: RootSystem, seed, factors, term_budget: int) -> dict:
+    """seed * prod(factors) of ``_binomial_product`` times the Weyl
+    denominator prod_{a>0} (e^{a/2} - e^{-a/2}), pruned to the terms whose
+    doubled labels are all >= 2. For a W-invariant character that product
+    is sum m_lam A_{lam+rho}, so the term at lam + rho is m_lam."""
+    factors = list(factors) + [(a, 1, -1) for a in rs.positive_keys]
+    return _binomial_product(rs, factors, term_budget, floor=2, seed=seed)
+
+
 def _decompose_product(rs: RootSystem, seed, factors, dimension: int, what: str,
                        term_budget: int) -> Decomposition:
     """The W-invariant character seed * prod(factors) of ``_binomial_product``,
-    of the given dimension, as a sum of irreducibles. Times the Weyl
-    denominator prod_{a>0} (e^{a/2} - e^{-a/2}) it is sum m_lam A_{lam+rho},
-    whose terms with doubled labels all >= 2 are exactly m_lam e^{lam+rho}.
-    Each lam must be integral with m_lam > 0, else NonModuleCharacter names
-    ``what``; summands that do not fill the dimension raise ConsistencyError.
+    of the given dimension, as a sum of irreducibles, one per term of
+    ``_dominant_numerator``. Each lam must be integral with m_lam > 0, else
+    NonModuleCharacter names ``what``; summands that do not fill the
+    dimension raise ConsistencyError.
     """
-    factors = list(factors) + [(a, 1, -1) for a in rs.positive_keys]
     summands = []
-    for k, m in _binomial_product(rs, factors, term_budget, floor=2, seed=seed).items():
+    for k, m in _dominant_numerator(rs, seed, factors, term_budget).items():
         lam = key_weight(rs, tuple(x - r for x, r in zip(k, rs.rho_key)))
         if rs.dynkin_labels(lam) is None or m < 0:
             raise NonModuleCharacter(f"{what} has V_{rs.format_weight(lam)} with"
@@ -623,21 +635,12 @@ def decompose(ch: Character, rs: RootSystem = None) -> Decomposition:
                               DEFAULT_TERM_BUDGET)
 
 
-def _rho_shifts(rs: RootSystem):
-    """(rho - w rho, sgn w) for each w in W, walked from the regular rho.
-    For dominant lam, m_lam = sum_w sgn(w) c(lam + rho - w rho) in a
-    W-invariant ch: the coefficient of e^{lam+rho} in ch * sum_w sgn(w)
-    e^{w rho}, which is sum m_mu A_{mu+rho} by the Weyl character formula."""
-    rho = rs.rho_key
-    return [(tuple(r - x for r, x in zip(rho, k)), -1 if len(word) % 2 else 1)
-            for k, word in rs.dominant_orbit(rho, [1] * rs.rank).items()]
-
-
 def multiplicity_of(ch: Character, lam: Weight, rs: RootSystem = None) -> int:
     """Multiplicity of the irreducible V_lam in the W-invariant character
-    ch, read at the |W| points of rho's orbit (see ``_rho_shifts``); 0 for
-    a lam that is not dominant integral. |W| from the type is checked
-    against the default Weyl budget first."""
+    ch, virtual or not: the term at lam + rho of ch times the Weyl
+    denominator, pruned to the strictly dominant chamber (see
+    ``_dominant_numerator``); 0 for a lam that is not dominant integral.
+    |W| from the type is checked against the default Weyl budget first."""
     rs = rs or ch.rs
     _check_weyl_budget(rs, DEFAULT_WEYL_BUDGET)
     _check_invariant(ch, rs)
@@ -645,67 +648,14 @@ def multiplicity_of(ch: Character, lam: Weight, rs: RootSystem = None) -> int:
         return 0
     try:
         key = weight_key(ch.rs, lam)
-    except ValueError:  # off the key lattice, as is every lam + rho - w rho
+    except ValueError:  # off the key lattice, as is every term of the product
         return 0
-    return sum(s * ch.terms.get(tuple(a + b for a, b in zip(key, d)), 0)
-               for d, s in _rho_shifts(rs))
+    numerator = _dominant_numerator(rs, ch.terms, [], DEFAULT_TERM_BUDGET)
+    return numerator.get(tuple(a + r for a, r in zip(key, rs.rho_key)), 0)
 
 
 # ---------------------------------------------------------------------------
-# exterior powers
-
-
-def _binomial_factor_update(graded, key, m, max_degree, term_budget):
-    """Multiply a degree-graded dict list by (1 + t e^mu)^m in place.
-
-    Degrees are updated from the top down so each update only reads
-    lower-degree slices that still hold the previous partial product.
-    """
-    shifts = [(comb(m, j), tuple(j * x for x in key)) for j in range(1, m + 1)]
-    for deg in range(max_degree, 0, -1):
-        dst = graded[deg]
-        for j, (c, shift) in enumerate(shifts, start=1):
-            if j > deg:
-                break
-            for k, v in graded[deg - j].items():
-                kk = tuple(a + b for a, b in zip(k, shift))
-                nv = dst.get(kk, 0) + c * v
-                if nv:
-                    dst[kk] = nv
-                else:
-                    dst.pop(kk, None)
-    size = sum(len(d) for d in graded)
-    if size > term_budget:
-        raise BudgetExceeded(
-            f"graded exterior support {size} exceeds the term budget {term_budget}",
-            required=size, budget=term_budget)
-
-
-def exterior_powers(ws: WeightSystem, max_degree: int = None,
-                    term_budget: int = DEFAULT_TERM_BUDGET):
-    """Characters of the exterior powers of a module, degree-indexed,
-    from prod (1 + t e^mu)^{m(mu)} expanded degree by degree."""
-    n = ws.dimension()
-    max_degree = n if max_degree is None else min(max_degree, n)
-    rs = ws.rs
-    graded = [dict() for _ in range(max_degree + 1)]
-    graded[0][(0,) * rs.space_dim] = 1
-    if ws.zero_mult:
-        _binomial_factor_update(graded, (0,) * rs.space_dim, ws.zero_mult,
-                                max_degree, term_budget)
-    for key, m in sorted(ws.nonzero.items()):
-        _binomial_factor_update(graded, key, m, max_degree, term_budget)
-    out = [Character(rs, g) for g in graded]
-    if max_degree == n:
-        total = sum(ch.dimension() for ch in out)
-        if total != 2**n:
-            raise ConsistencyError(f"exterior powers sum to {total}, expected 2^{n}")
-        # Lambda^{n-i} V = Lambda^i V* (x) Lambda^n V, and Lambda^n V is trivial
-        # when the weights sum to zero
-        if ws.weight_sum().is_zero() and any(
-                out[n - i] != out[i].conjugate() for i in range(n // 2 + 1)):
-            raise ConsistencyError("exterior powers are not mirror-conjugate")
-    return out
+# invariants of the exterior algebra
 
 
 class GradedPoincare:
@@ -786,25 +736,29 @@ def invariant_poincare(ws: WeightSystem, budget: int = DEFAULT_WEYL_BUDGET,
                        term_budget: int = DEFAULT_TERM_BUDGET) -> GradedPoincare:
     """Graded dimensions of the invariants in the exterior algebra.
 
-    Coefficient i is the multiplicity of the trivial module in the i-th
-    exterior power, read at the |W| points of rho's orbit (see
-    ``_rho_shifts``); the budget is checked against |W| from the type up
-    front. An exterior power of a W-invariant multiset is W-invariant, so
-    invariance is checked once, on the input weights. When the weights sum
-    to zero the grading is mirror-symmetric, so only half the degrees are
-    expanded.
+    The exterior algebra's character is prod (1 + t e^mu)^{m(mu)}, and
+    coefficient i is the trivial multiplicity in its degree-i part: the
+    term at (rho, t^i) of its product with the Weyl denominator, pruned to
+    the strictly dominant chamber, one product for every degree. Each
+    factor is 1 + t e^mu = e^{v/2} (e^{v/2} + e^{-v/2}) with v = (mu, 2):
+    twice the degree rides in one trailing key coordinate that no label
+    reads, and the seed is e^{sum m(mu) v/2}. |W| from the type is checked
+    against the budget up front. An exterior power of a W-invariant
+    multiset is W-invariant, so invariance is checked once, on the input
+    weights. When they sum to zero, degree n - i must mirror degree i.
     """
     rs = ws.rs
     _check_weyl_budget(rs, budget)
     _check_invariant(ws.character(), rs)
-    n = ws.dimension()
-    symmetric = ws.weight_sum().is_zero()
-    top = n // 2 if symmetric else n
-    powers = exterior_powers(ws, max_degree=top, term_budget=term_budget)
-    shifts = _rho_shifts(rs)
-    coeffs = [sum(s * p.terms.get(d, 0) for d, s in shifts) for p in powers]
-    if symmetric:  # degree n - i mirrors degree i
-        coeffs += coeffs[:n - top][::-1]
+    n, total = ws.dimension(), weight_key(rs, ws.weight_sum())
+    weights = [*ws.nonzero.items(), ((0,) * rs.space_dim, ws.zero_mult)]
+    factors = ([(k + (2,), m, 1) for k, m in weights]
+               + [(a + (0,), 1, -1) for a in rs.positive_keys])
+    seed = {tuple(x // 2 for x in total) + (n,): 1}
+    numerator = _binomial_product(rs, factors, term_budget, floor=2, seed=seed)
+    coeffs = [numerator.get(rs.rho_key + (2 * i,), 0) for i in range(n + 1)]
+    if not any(total) and coeffs != coeffs[::-1]:
+        raise ConsistencyError(f"invariant dimensions {coeffs} are not mirror-symmetric")
     if any(c < 0 for c in coeffs):
         raise NonModuleCharacter("negative invariant dimension")
     return GradedPoincare(coeffs)

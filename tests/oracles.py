@@ -4,24 +4,27 @@ reflection s_alpha and its matrix, the Weyl element acting by a given
 matrix, the stretch e^mu -> e^{n mu} of a character, products, inverses,
 membership and the identity in an enumerated Weyl group, the
 factorization of an element over a coset section, the exterior powers by
-Newton's recursion, the expanded skew product over a set of roots, and
-decomposition by Racah-Speiser folding."""
+Newton's recursion and expanded degree by degree, the invariant Poincare
+polynomial read at the points of rho's orbit, the expanded skew product
+over a set of roots, and decomposition by Racah-Speiser folding."""
 
 from fractions import Fraction
+from math import comb
 from weakref import WeakKeyDictionary
 
 from spinchar.charring import (
     DEFAULT_TERM_BUDGET,
     Character,
     Decomposition,
+    GradedPoincare,
     _binomial_product,
     _check_invariant,
     key_weight,
     weight_key,
 )
-from spinchar.errors import ConsistencyError, NonModuleCharacter
+from spinchar.errors import BudgetExceeded, ConsistencyError, NonModuleCharacter
 from spinchar.rootsys import Weight, _dot, scale_to_int
-from spinchar.weyl import _spell, enumerate_weyl
+from spinchar.weyl import DEFAULT_WEYL_BUDGET, _check_weyl_budget, _spell, enumerate_weyl
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +168,89 @@ def newton_exterior_powers(ws, term_budget=DEFAULT_TERM_BUDGET):
             terms[key] = v // i
         out.append(Character(rs, terms))
     return out
+
+
+def _binomial_factor_update(graded, key, m, max_degree, term_budget):
+    """Multiply a degree-graded dict list by (1 + t e^mu)^m in place.
+
+    Degrees are updated from the top down so each update only reads
+    lower-degree slices that still hold the previous partial product.
+    """
+    shifts = [(comb(m, j), tuple(j * x for x in key)) for j in range(1, m + 1)]
+    for deg in range(max_degree, 0, -1):
+        dst = graded[deg]
+        for j, (c, shift) in enumerate(shifts, start=1):
+            if j > deg:
+                break
+            for k, v in graded[deg - j].items():
+                kk = tuple(a + b for a, b in zip(k, shift))
+                nv = dst.get(kk, 0) + c * v
+                if nv:
+                    dst[kk] = nv
+                else:
+                    dst.pop(kk, None)
+    size = sum(len(d) for d in graded)
+    if size > term_budget:
+        raise BudgetExceeded(
+            f"graded exterior support {size} exceeds the term budget {term_budget}",
+            required=size, budget=term_budget)
+
+
+def exterior_powers(ws, max_degree=None, term_budget=DEFAULT_TERM_BUDGET):
+    """Characters of the exterior powers of a module, degree-indexed,
+    from prod (1 + t e^mu)^{m(mu)} expanded degree by degree."""
+    n = ws.dimension()
+    max_degree = n if max_degree is None else min(max_degree, n)
+    rs = ws.rs
+    graded = [dict() for _ in range(max_degree + 1)]
+    graded[0][(0,) * rs.space_dim] = 1
+    if ws.zero_mult:
+        _binomial_factor_update(graded, (0,) * rs.space_dim, ws.zero_mult,
+                                max_degree, term_budget)
+    for key, m in sorted(ws.nonzero.items()):
+        _binomial_factor_update(graded, key, m, max_degree, term_budget)
+    out = [Character(rs, g) for g in graded]
+    if max_degree == n:
+        total = sum(ch.dimension() for ch in out)
+        if total != 2**n:
+            raise ConsistencyError(f"exterior powers sum to {total}, expected 2^{n}")
+        # Lambda^{n-i} V = Lambda^i V* (x) Lambda^n V, and Lambda^n V is trivial
+        # when the weights sum to zero
+        if ws.weight_sum().is_zero() and any(
+                out[n - i] != out[i].conjugate() for i in range(n // 2 + 1)):
+            raise ConsistencyError("exterior powers are not mirror-conjugate")
+    return out
+
+
+def rho_shifts(rs):
+    """(rho - w rho, sgn w) for each w in W, walked from the regular rho.
+    For dominant lam, m_lam = sum_w sgn(w) c(lam + rho - w rho) in a
+    W-invariant ch: the coefficient of e^{lam+rho} in ch * sum_w sgn(w)
+    e^{w rho}, which is sum m_mu A_{mu+rho} by the Weyl character formula."""
+    rho = rs.rho_key
+    return [(tuple(r - x for r, x in zip(rho, k)), -1 if len(word) % 2 else 1)
+            for k, word in rs.dominant_orbit(rho, [1] * rs.rank).items()]
+
+
+def orbit_poincare(ws, budget=DEFAULT_WEYL_BUDGET, term_budget=DEFAULT_TERM_BUDGET):
+    """Graded dimensions of the invariants in the exterior algebra, each
+    exterior power's trivial multiplicity read at the |W| points of rho's
+    orbit (see ``rho_shifts``). When the weights sum to zero the grading
+    is mirror-symmetric, so only half the degrees are expanded."""
+    rs = ws.rs
+    _check_weyl_budget(rs, budget)
+    _check_invariant(ws.character(), rs)
+    n = ws.dimension()
+    symmetric = ws.weight_sum().is_zero()
+    top = n // 2 if symmetric else n
+    powers = exterior_powers(ws, max_degree=top, term_budget=term_budget)
+    shifts = rho_shifts(rs)
+    coeffs = [sum(s * p.terms.get(d, 0) for d, s in shifts) for p in powers]
+    if symmetric:  # degree n - i mirrors degree i
+        coeffs += coeffs[:n - top][::-1]
+    if any(c < 0 for c in coeffs):
+        raise NonModuleCharacter("negative invariant dimension")
+    return GradedPoincare(coeffs)
 
 
 def skew_product(rs, roots, term_budget=DEFAULT_TERM_BUDGET):

@@ -5,22 +5,27 @@ import pytest
 from spinchar import (
     BudgetExceeded,
     Character,
+    ConsistencyError,
     GradedPoincare,
     NonModuleCharacter,
     Weight,
     WeightSystem,
     build_root_system,
     decompose,
-    exterior_powers,
     freudenthal_weights,
+    inner_grading,
     invariant_poincare,
     irreducible_character,
     multiplicity_of,
+    outer_grading,
     special_elements,
     weyl_dimension,
 )
+from spinchar import charring
 from spinchar.charring import alternating_sum, exact_divide
-from oracles import newton_exterior_powers
+from spinchar.gradings import INNER_SWEEP, OUTER_INSTANCES, involutive_pivots
+from spinchar.verify import TABLE1_ADJOINT_TYPES, TABLE1_F4, TABLE1_ROWS
+from oracles import exterior_powers, newton_exterior_powers, orbit_poincare
 
 
 def a1_char(d):
@@ -270,6 +275,56 @@ def test_negative_invariant_dimension_is_an_input_error():
     ws = WeightSystem(rs, [(rs.weight(2), 1), (rs.weight(-2), 1)])
     with pytest.raises(NonModuleCharacter, match="negative invariant dimension"):
         invariant_poincare(ws)
+
+
+def test_an_unmirrored_poincare_polynomial_is_a_consistency_failure(monkeypatch):
+    # the weights of C2 V_w2 sum to zero, so degree 5 - i must mirror
+    # degree i; a product that lost its top invariant breaks the mirror
+    real = charring._binomial_product
+
+    def drop_top(rs, *args, **kwargs):
+        terms = real(rs, *args, **kwargs)
+        del terms[max(k for k in terms if k[:-1] == rs.rho_key)]
+        return terms
+
+    c2 = build_root_system("C2")
+    ws = freudenthal_weights(c2, c2.weight(0, 1))
+    monkeypatch.setattr(charring, "_binomial_product", drop_top)
+    with pytest.raises(ConsistencyError, match="not mirror-symmetric"):
+        invariant_poincare(ws)
+
+
+def _poincare_modules():
+    """(id, weight system builder): the table1 modules, every inner grading
+    of rank <= 3 and every outer instance but E6/C4."""
+    def irreducible(desc, coeffs):
+        rs = build_root_system(desc)
+        return freudenthal_weights(rs, rs.weight(*coeffs))
+
+    out = [(f"adjoint:{desc}", lambda desc=desc: WeightSystem.adjoint(build_root_system(desc)))
+           for desc, _ in TABLE1_ADJOINT_TYPES]
+    out += [(f"{desc}:{coeffs}", lambda desc=desc, coeffs=coeffs: irreducible(desc, coeffs))
+            for desc, coeffs in [row[1:3] for row in TABLE1_ROWS] + [TABLE1_F4[:2]]]
+    for desc in INNER_SWEEP:
+        rs = build_root_system(desc)
+        out += [(f"{desc}/alpha{i}", lambda rs=rs, i=i: inner_grading(rs, i).delta1)
+                for i in involutive_pivots(rs) if rs.rank <= 3]
+    out += [(f"{family}{params}", lambda family=family, params=params:
+             outer_grading(family, *params).delta1)
+            for family, params in OUTER_INSTANCES if family != "e6_sp8"]
+    return out
+
+
+POINCARE_MODULES = _poincare_modules()
+
+
+@pytest.mark.parametrize("build", [b for _, b in POINCARE_MODULES],
+                         ids=[name for name, _ in POINCARE_MODULES])
+def test_invariant_poincare_matches_the_rho_orbit_oracle(build):
+    # the pruned product with the Weyl denominator against every exterior
+    # power expanded and read at the points of rho's orbit
+    ws = build()
+    assert invariant_poincare(ws).coefficients == orbit_poincare(ws).coefficients
 
 
 def test_poincare_factoring_edge_cases():

@@ -22,6 +22,7 @@ CASES = {
     "classify_4_6.md": ["classify", "--rank-bound", "4", "--height-bound", "6",
                         "--format", "markdown"],
     "verify_table1.md": ["verify", "--suite", "table1", "--format", "markdown"],
+    "verify_conjecture.md": ["verify", "--suite", "conjecture", "--format", "markdown"],
 }
 
 

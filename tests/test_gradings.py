@@ -1,6 +1,7 @@
 import copy
 import pytest
 from fractions import Fraction
+from itertools import product
 
 from spinchar import (
     BudgetExceeded,
@@ -17,6 +18,7 @@ from spinchar import (
     grading_catalog,
     inner_grading,
     inner_gradings,
+    invariant_poincare,
     kac_marks,
     minimal_coset_reps,
     outer_grading,
@@ -154,6 +156,18 @@ def test_outer_e6_sp8_weights(e6_grading_and_spin):
     rho0 = grading.rho0
     fw1 = grading.g0.fundamental_weights[0]
     assert (rho0 + 2 * fw1).coords in {s.lam.coords for s in sp.summands}
+
+
+def test_outer_e6_sp8_invariants_are_the_cohomology_of_e6_sp4(e6_grading_and_spin):
+    # Cartan: H*(G/K) = (Lambda p)^K. The outer involution fixes the degrees
+    # 2, 6, 8, 12 of e6 and negates 5 and 9; sp8 has degrees 2, 4, 6, 8. So
+    # (1-t^4)(1-t^12)(1-t^16)(1-t^24) / (1-t^4)(1-t^8)(1-t^12)(1-t^16)
+    # * (1+t^9)(1+t^17) = (1+t^8+t^16)(1+t^9)(1+t^17)
+    grading, _ = e6_grading_and_spin
+    expected = [0] * 43
+    for a, b, c in product((0, 8, 16), (0, 9), (0, 17)):
+        expected[a + b + c] += 1
+    assert invariant_poincare(grading.delta1).coefficients == expected
 
 
 def test_outer_family_validation():
