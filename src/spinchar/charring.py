@@ -25,6 +25,7 @@ right sides out instead of dividing.
 from __future__ import annotations
 
 from math import lcm
+from operator import add, neg, sub
 
 from .errors import BudgetExceeded, ConsistencyError, InvalidDescriptor, NonModuleCharacter
 from .rootsys import HALF, RootSystem, Weight, _dot
@@ -324,7 +325,7 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     shifted = [x * (scale // lam.scale) + m * r for x, r in zip(lam.key, rs.rho_key)]
     num = 1
     for fa in rs.positive_w:
-        num *= sum(x * y for x, y in zip(shifted, fa))
+        num *= _dot(shifted, fa)
     dim, rem = divmod(num, rs.rho_heights * m ** len(rs.positive_w))
     if rem:
         raise InvalidDescriptor(f"Weyl dimension for {lam} not integral")
@@ -381,7 +382,7 @@ class WeightSystem:
         return Weight.from_key(total, self.rs.denom)
 
     def is_self_dual(self) -> bool:
-        return all(self.nonzero.get(tuple(-x for x in k)) == m
+        return all(self.nonzero.get(tuple(map(neg, k))) == m
                    for k, m in self.nonzero.items())
 
     def character(self) -> Character:
@@ -392,7 +393,7 @@ class WeightSystem:
 
     def canonical_half_keys(self):
         """One key from each +-pair (lexicographically positive side)."""
-        return [(k, m) for k, m in sorted(self.nonzero.items()) if k > tuple(-x for x in k)]
+        return [(k, m) for k, m in sorted(self.nonzero.items()) if k > tuple(map(neg, k))]
 
     def canonical_half(self):
         """The canonical half as (weight, multiplicity) pairs."""
@@ -433,9 +434,9 @@ def dominant_weights(rs: RootSystem, lam_key):
         for p in frontier:
             k = keys[p]
             for la, a in zip(rs.positive_labels, rs.positive_keys):
-                q = tuple(x - y for x, y in zip(p, la))
+                q = tuple(map(sub, p, la))
                 if min(q) >= 0 and q not in keys:
-                    keys[q] = kq = tuple(x - y for x, y in zip(k, a))
+                    keys[q] = kq = tuple(map(sub, k, a))
                     yield q, kq
                     nxt.append(q)
         frontier = nxt
@@ -464,18 +465,18 @@ def freudenthal_weights(rs: RootSystem, lam: Weight) -> WeightSystem:
                             1 if lam.is_zero() else 0)
     rho_k = rs.rho_key
     # per positive root: labels, form vector, scaled (alpha, alpha)
-    root_steps = [(la, fa, sum(x * y for x, y in zip(a, fa))) for la, fa, a
+    root_steps = [(la, fa, _dot(a, fa)) for la, fa, a
                   in zip(rs.positive_labels, rs.positive_w, rs.positive_keys)]
     keys = dict(dominant_weights(rs, lam_k))
     top_labels = next(iter(keys))
 
     def shifted_norm(k):
-        s = tuple(a + b for a, b in zip(k, rho_k))
+        s = tuple(map(add, k, rho_k))
         return rs.inner_keys(s, s)
 
     rho_w = rs._matvec(rho_k)
     # every dominant representative of mu + k alpha lies strictly above mu
-    order = sorted(keys, key=lambda p: (-sum(a * b for a, b in zip(rho_w, keys[p])), p))
+    order = sorted(keys, key=lambda p: (-_dot(rho_w, keys[p]), p))
     dominant_of = {}
 
     def dominant_labels(p):
@@ -495,10 +496,10 @@ def freudenthal_weights(rs: RootSystem, lam: Weight) -> WeightSystem:
                 f" {key_weight(rs, mu)}")
         total = 0
         for la, fa, step in root_steps:
-            ip = sum(x * y for x, y in zip(mu, fa))
+            ip = _dot(mu, fa)
             q = p
             while True:
-                q = tuple(x + y for x, y in zip(q, la))
+                q = tuple(map(add, q, la))
                 ip += step
                 d = dominant_labels(q)
                 if d not in keys:
@@ -547,14 +548,14 @@ class Decomposition:
         self.dimensions = tuple(weyl_dimension(rs, lam) for lam, _ in self.summands)
 
     def total_dimension(self) -> int:
-        return sum(m * d for (_, m), d in zip(self.summands, self.dimensions))
+        return _dot([m for _, m in self.summands], self.dimensions)
 
     def is_multiplicity_free(self) -> bool:
         return all(m == 1 for _, m in self.summands)
 
     def to_json(self):
         return [
-            {"weight": [str(c) for c in lam.coords],
+            {"weight": lam.coord_strings(),
              "fw": [str(c) for c in self.rs.dynkin_labels(lam)],
              "multiplicity": m,
              "dimension": d}

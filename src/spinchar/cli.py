@@ -173,7 +173,7 @@ def cmd_spin(args):
             report["spin0_decomposition"] = dec.to_json()
             report["coprimary"] = flag
             report["extreme_weights"] = [
-                [str(c) for c in w.coords] for w in extreme_weights(ws, dec)]
+                w.coord_strings() for w in extreme_weights(ws, dec)]
         reports.append(report)
     _emit(args, {"spin": reports}, _spin_markdown)
     return EXIT_OK

@@ -288,7 +288,7 @@ class SpinSummand:
     def to_json(self, grading):
         g0 = grading.g0
         return {
-            "lambda": [str(c) for c in self.lam.coords],
+            "lambda": self.lam.coord_strings(),
             "fw": [str(c) for c in g0.fw_coefficients(self.lam)],
             "dimension": self.dimension,
             "w_action": [[str(x) for x in row] for row in self.rep.matrix],

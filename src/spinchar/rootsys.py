@@ -24,10 +24,12 @@ product over the integer form, divided once.
 
 A ``Weight`` is an integer key over its least positive scale, and does its
 arithmetic, comparisons and hashing on those integers. Fractions are made
-only at the edges: a Weight's ``coords`` (built on first read, for output
-and oracles), ``fw_coefficients``, ``inner`` and ``pairing``, and the
-rational input that ``Weight``, ``weight`` and the realizations below
-take. ``scale_to_int`` maps any rational vector to keys at a given scale.
+only at the edges: a Weight's ``coords`` (built on first read, for the
+oracles and the consistency checks; output writes coordinates through
+``coord_strings``, from the integers), ``fw_coefficients``, ``inner`` and
+``pairing``, and the rational input that ``Weight``, ``weight`` and the
+realizations below take. ``_dot`` is the one integer dot product, on the interpreter's C
+iterators, and every integer pairing calls it.
 
 Simple-root numbering: A, B, C, D, G2 and the E family follow the Bourbaki
 order; F4 is numbered with the short roots first (alpha1, alpha2 short,
@@ -42,6 +44,7 @@ import re
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import InvalidDescriptor
 
@@ -57,17 +60,6 @@ def clear_denominators(values) -> tuple:
     denominators of int or Fraction values, and the integers scale * values."""
     scale = lcm(*(x.denominator for x in values))
     return tuple(x.numerator * (scale // x.denominator) for x in values), scale
-
-
-def scale_to_int(v, scale: int) -> tuple:
-    """The integers scale * v, for a rational vector v in (1/scale) Z^n."""
-    out = []
-    for x in v:
-        y = frac(x) * scale
-        if y.denominator != 1:
-            raise ValueError(f"vector {v} does not lie in (1/{scale})Z^n")
-        out.append(int(y))
-    return tuple(out)
 
 
 class Weight:
@@ -105,6 +97,13 @@ class Weight:
             s = self.scale
             self._coords = tuple(Fraction(k, s) for k in self.key)
         return self._coords
+
+    def coord_strings(self) -> list:
+        """Each coordinate as ``str`` writes its Fraction, read off the
+        integers with one gcd each: for output, with no Fraction made."""
+        s = self.scale
+        return [str(k // g) if g == s else f"{k // g}/{s // g}"
+                for k, g in ((k, gcd(k, s)) for k in self.key)]
 
     def key_at(self, scale: int) -> tuple:
         """The integers scale * self; ValueError unless they are integers."""
@@ -159,16 +158,11 @@ class Weight:
         return not any(self.key)
 
     def __repr__(self):
-        return "(" + ", ".join(str(x) for x in self.coords) + ")"
+        return "(" + ", ".join(self.coord_strings()) + ")"
 
 
 def _wsum(weights, dim):
     return sum(weights, Weight((0,) * dim))
-
-
-def format_coeffs(coeffs) -> str:
-    parts = [str(int(c)) if frac(c).denominator == 1 else str(c) for c in coeffs]
-    return "(" + ",".join(parts) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +251,7 @@ _TO_BOURBAKI = {
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _primitive(row):
@@ -278,8 +272,9 @@ def _denominator(rows):
 
 
 def _inverse(cartan):
-    """The inverse of an integer Cartan matrix as (M, d): C^-1 = M / d, with
-    d the least positive integer that clears it.
+    """The inverse of a nonsingular integer matrix, a Cartan matrix or the
+    Gram matrix of the simple keys, as (M, d): C^-1 = M / d, with d the
+    least positive integer that clears it.
 
     Fraction-free (Bareiss) Gauss-Jordan elimination on [C | I]: each step
     divides exactly by the previous pivot, and the last one leaves every
@@ -321,6 +316,7 @@ def _close_positive_roots(cartan):
     beta - k alpha_i already enumerated and <beta, alpha_i~> = sum_j c_j A_ji.
     """
     n = len(cartan)
+    columns = tuple(zip(*cartan))
     layer = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     known = set(layer)
     while layer:
@@ -330,7 +326,7 @@ def _close_positive_roots(cartan):
                 p = 0
                 while beta[:i] + (beta[i] - p - 1,) + beta[i + 1:] in known:
                     p += 1
-                if p > sum(c * row[i] for c, row in zip(beta, cartan)):
+                if p > _dot(beta, columns[i]):
                     gamma = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
                     if gamma not in known:
                         known.add(gamma)
@@ -376,8 +372,8 @@ class RootSystem:
         inv, self.lattice_denom = _inverse(self.cartan_matrix)
         self.lattice_rows = tuple(zip(*inv))
         self.fundamental_weights = tuple(
-            Weight.from_key(tuple(sum(c * k[t] for c, k in zip(row, keys))
-                                  for t in range(self.space_dim)), d * self.lattice_denom)
+            Weight.from_key(tuple(_dot(row, col) for col in zip(*keys)),
+                            d * self.lattice_denom)
             for row in inv)
         # integer fundamental-weight keys at their own common scale, by
         # coordinate: a subsystem shares its ambient's denom, which need
@@ -468,7 +464,7 @@ class RootSystem:
 
     def format_weight(self, x: Weight) -> str:
         """Render the fundamental-weight coefficients compactly."""
-        return format_coeffs(self.fw_coefficients(x))
+        return "(" + ",".join(map(str, self.fw_coefficients(x))) + ")"
 
     def in_root_lattice(self, x: Weight) -> bool:
         """Whether x is an integer combination of the simple roots, which
@@ -481,16 +477,12 @@ class RootSystem:
     def lattice_coords(self, key):
         """The coordinates of key over the simple roots, times lattice_denom:
         the integers lattice_rows p from its Dynkin labels p. None when a
-        label is not an integer, or when the coordinates do not give back
-        key because it has a part off the span of the roots."""
+        label is not an integer, or when key has a part off the span of the
+        roots (``off_span``)."""
         labels = self.labels(key)
-        if labels is None:
+        if labels is None or self.off_span(key):
             return None
-        c = [_dot(row, labels) for row in self.lattice_rows]
-        recon = [0] * self.space_dim
-        for ci, a in zip(c, self.simple_keys):
-            recon = [y + ci * z for y, z in zip(recon, a)]
-        return c if recon == [self.lattice_denom * x for x in key] else None
+        return [_dot(row, labels) for row in self.lattice_rows]
 
     # -- integer geometry on keys ---------------------------------------------
     # Inner products come back scaled by the positive integer
@@ -505,7 +497,7 @@ class RootSystem:
 
     def pairing_num(self, key, i) -> int:
         """Numerator of <key, alpha_i~> over simple_n[i]/2."""
-        return 2 * sum(a * b for a, b in zip(key, self.simple_w[i]))
+        return 2 * _dot(key, self.simple_w[i])
 
     def walk(self, letters, key, scale=1):
         """Apply s_i for i in letters, first letter first, to key / scale.
@@ -598,6 +590,25 @@ class RootSystem:
         the ray of a positive root iff its primitive key is one of them."""
         return frozenset(_primitive(k) for k in self.positive_keys)
 
+    @cached_property
+    def off_span_rows(self) -> tuple:
+        """Primitive integer rows spanning the vectors r with r . k = 0 for
+        every root key k: a key lies in the span of the roots iff every row
+        dots it to 0. They are the nonzero rows of d I - K^T M K, d times
+        the orthogonal projection off the span, for the simple keys K and
+        (K K^T)^-1 = M / d. Empty when the roots span the space."""
+        keys = self.simple_keys
+        m, d = _inverse([[_dot(a, b) for b in keys] for a in keys])
+        cols = [tuple(k[t] for k in keys) for t in range(self.space_dim)]
+        mk = [tuple(_dot(row, c) for row in m) for c in cols]  # columns of M K
+        rows = (_primitive([d * (s == t) - _dot(cs, ct) for t, ct in enumerate(mk)])
+                for s, cs in enumerate(cols))
+        return tuple(dict.fromkeys(r for r in rows if any(r)))
+
+    def off_span(self, key) -> bool:
+        """Whether a key, at any scale, has a part off the span of the roots."""
+        return any(_dot(r, key) for r in self.off_span_rows)
+
     # -- derived structure ---------------------------------------------------
 
     def _check_invariants(self):
@@ -650,11 +661,11 @@ class RootSystem:
         return {
             "type": self.descriptor(),
             "space_dim": self.space_dim,
-            "simple_roots": [[str(c) for c in a.coords] for a in self.simple_roots],
-            "positive_roots": [[str(c) for c in a.coords] for a in self.positive_roots],
+            "simple_roots": [a.coord_strings() for a in self.simple_roots],
+            "positive_roots": [a.coord_strings() for a in self.positive_roots],
             "cartan_matrix": [list(row) for row in self.cartan_matrix],
             "bilinear_form": [[str(c) for c in row] for row in self.form],
-            "fundamental_weights": [[str(c) for c in w.coords] for w in self.fundamental_weights],
+            "fundamental_weights": [w.coord_strings() for w in self.fundamental_weights],
             "bourbaki_numbering": bourbaki_numbering(self),
         }
 
@@ -770,14 +781,13 @@ def build_root_system(descriptor, rank=None) -> RootSystem:
         factors = _factors(descriptor)
     rs = _BUILD_CACHE.get(factors)
     if rs is None:
-        rs = _BUILD_CACHE[factors] = _build_uncached(factors)
+        rs = _BUILD_CACHE[factors] = (
+            _build_simple(*factors[0]) if len(factors) == 1 else _build_product(factors))
     return rs
 
 
-def _build_uncached(factors) -> RootSystem:
-    systems = [_build_simple(fam, r) for fam, r in factors]
-    if len(systems) == 1:
-        return systems[0]
+def _build_product(factors) -> RootSystem:
+    systems = [build_root_system(fam, r) for fam, r in factors]
     # pad each factor's form rows and simple roots into its own block
     form, simples, offset = [], [], 0
     total = sum(s.space_dim for s in systems)

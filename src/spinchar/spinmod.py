@@ -23,6 +23,7 @@ decomposition, which is where they are certified (see ``extreme_weights``).
 from __future__ import annotations
 
 from math import lcm
+from operator import neg as _neg
 
 from .errors import BudgetExceeded, ConsistencyError, InvalidDescriptor, NotSelfDual
 from .charring import (
@@ -54,11 +55,11 @@ def self_dual(rs: RootSystem, lam: Weight) -> bool:
     labels fix. For a dominant lam the dominant point of -lam is -w0 lam,
     whose labels are lam's permuted by ``RootSystem.minus_w0``; so the
     labels, integral or not, must be >= 0 and fixed by that permutation,
-    and the rest of lam must be zero.
+    and the rest of lam must be zero (``RootSystem.off_span``).
     """
     labels = rs.dynkin_labels(lam) or rs.fw_coefficients(lam)
     return (all(p >= 0 and labels[s] == p for p, s in zip(labels, rs.minus_w0))
-            and rs.weight(labels) == lam)
+            and not rs.off_span(lam.key))
 
 
 def frobenius_schur(rs: RootSystem, lam: Weight) -> int:
@@ -265,7 +266,7 @@ def enumerate_dominant_halves(ws: WeightSystem,
         if not any(k):
             raise InvalidDescriptor("degenerate zero weight in the nonzero set")
         prim = _primitive(k)
-        directions.setdefault(max(prim, tuple(-x for x in prim)), k)
+        directions.setdefault(max(prim, tuple(map(_neg, prim))), k)
     if len(directions) > hyperplane_budget:
         raise BudgetExceeded(
             f"{len(directions)} weight hyperplanes exceed the budget"
@@ -280,7 +281,7 @@ def enumerate_dominant_halves(ws: WeightSystem,
         if i == len(hyper):
             halves.append(DominantHalf(ws, Weight.from_key(witness)))
             return
-        for row in (hyper[i], tuple(-x for x in hyper[i])):
+        for row in (hyper[i], tuple(map(_neg, hyper[i]))):
             sub = rows + [row]
             # a region whose side holds the parent's witness inherits it
             w = witness
@@ -379,16 +380,17 @@ def classify_candidate(rs: RootSystem, lam: Weight,
     """Run one candidate through the co-primary filters, cheapest first.
 
     lam's labels are read once: self-dual means fixed by ``minus_w0``, with
-    no part of lam off the root span, and the root lattice means
-    lattice_rows . labels in lattice_denom Z. Whether every weight of V_lam
-    is 0 or W-conjugate to a positive multiple of a root is Weyl-invariant:
-    the walk ``dominant_weights`` decides it without Freudenthal's
-    recursion, and stops at the first dominant weight off ``root_lines``. The
-    Frobenius-Schur sign is read off the labels, and Freudenthal runs only
-    for an orthogonal lam. After the root-lattice filter the symplectic one
-    cannot fire, as <alpha_i, 2 rho~> = 2 makes <lam, 2 rho~> even on the
-    root lattice; it stays as the check of the paper's orthogonality. A lam
-    that is not dominant integral has no module and raises InvalidDescriptor.
+    no part of lam off the root span (``off_span``), and the root
+    lattice means lattice_rows . labels in lattice_denom Z. Whether every
+    weight of V_lam is 0 or W-conjugate to a positive multiple of a root is
+    Weyl-invariant: the walk ``dominant_weights`` decides it without
+    Freudenthal's recursion, and stops at the first dominant weight off
+    ``root_lines``. The Frobenius-Schur sign is read off the labels, and
+    Freudenthal runs only for an orthogonal lam. After the root-lattice
+    filter the symplectic one cannot fire, as <alpha_i, 2 rho~> = 2 makes
+    <lam, 2 rho~> even on the root lattice; it stays as the check of the
+    paper's orthogonality. A lam that is not dominant integral has no
+    module and raises InvalidDescriptor.
     """
     labels = rs.dynkin_labels(lam)
     if labels is None or any(p < 0 for p in labels):
@@ -401,7 +403,7 @@ def classify_candidate(rs: RootSystem, lam: Weight,
         "spin0": None,
     }
     if (any(labels[s] != p for p, s in zip(labels, rs.minus_w0))
-            or rs.weight(labels) != lam):
+            or rs.off_span(lam.key)):
         record["filter"] = "not-self-dual"
         return record
     if any(_dot(row, labels) % rs.lattice_denom for row in rs.lattice_rows):

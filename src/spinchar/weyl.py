@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import isqrt
+from operator import sub as _sub
 
 from .errors import BudgetExceeded, ConsistencyError
 from .rootsys import RootSystem, Weight, _dot, subsystem
@@ -207,7 +208,7 @@ def minimal_coset_reps(rs: RootSystem, sub: SubsystemDatum,
         x = frontier.pop()
         for k, w, n in walls:
             if 2 * _dot(x, w) == n:
-                y = tuple(a - b for a, b in zip(x, k))
+                y = tuple(map(_sub, x, k))
                 if y not in seen and all(_dot(y, f) > 0 for f in gen.simple_w):
                     seen.add(y)
                     frontier.append(y)

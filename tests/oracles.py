@@ -23,7 +23,7 @@ from spinchar.charring import (
     weight_key,
 )
 from spinchar.errors import BudgetExceeded, ConsistencyError, NonModuleCharacter
-from spinchar.rootsys import Weight, _dot, scale_to_int
+from spinchar.rootsys import Weight, _dot
 from spinchar.weyl import DEFAULT_WEYL_BUDGET, _check_weyl_budget, _spell, enumerate_weyl
 
 
@@ -80,7 +80,7 @@ def lookup(group, matrix):
     """The element of ``group`` acting by a given rational matrix: the one
     whose key is the image of rho."""
     rho = group.rs.rho.coords
-    key = scale_to_int([_dot(row, rho) for row in matrix], group.rs.denom)
+    key = Weight([_dot(row, rho) for row in matrix]).key_at(group.rs.denom)
     return next(w for w in group if w.key == key)
 
 

@@ -6,6 +6,7 @@ from itertools import product
 from spinchar import (
     BudgetExceeded,
     Character,
+    ConsistencyError,
     InvalidDescriptor,
     NotClosed,
     SubsystemDatum,
@@ -95,6 +96,21 @@ def test_spin_g1_f4_so9():
     lam_id = Weight((2, 0, 0, 0))
     assert lam_id == grading.ambient.rho - grading.rho0
     assert casimir_check(grading, sp) == 18
+
+
+def test_a_repeated_coset_representative_is_a_consistency_failure(monkeypatch):
+    # one representative read twice leaves the dict of coset weights, the
+    # summands and their total dimension as they were; only the repeat
+    # check sees it
+    real = gradings.minimal_coset_reps
+
+    def twice_the_first(rs, sub, budget):
+        reps = real(rs, sub, budget)
+        return reps + reps[:1]
+
+    monkeypatch.setattr(gradings, "minimal_coset_reps", twice_the_first)
+    with pytest.raises(ConsistencyError, match="coset weight .* repeats"):
+        spin_g1(inner_grading(build_root_system("F4"), 1))
 
 
 def test_all_rank_le_3_inner_gradings_are_multiplicity_free():

@@ -22,7 +22,7 @@ from math import lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinchar import (
@@ -54,7 +54,7 @@ from spinchar import (
 from spinchar.charring import (dominant_weights as dominant_weight_walk, exact_divide,
                                key_weight, weight_key)
 from spinchar.gradings import OUTER_INSTANCES, involutive_pivots
-from spinchar.rootsys import HALF, _wsum, simple_types
+from spinchar.rootsys import HALF, _dot, _wsum, simple_types
 from spinchar.spinmod import _fm_stages, _primitive, self_dual
 from oracles import (contains, factorize, fold_decompose, fraction_inner, fraction_labels,
                      invert, least_scale, multiply, racah_speiser, reflect,
@@ -325,6 +325,18 @@ def test_weight_matches_the_fraction_tuple_oracle(vectors, c):
     assert [w.coords for w in sorted(weights)] == sorted(tuples)
 
 
+@PROPERTY
+@given(st.lists(st.integers(-30, 30), min_size=1, max_size=8),
+       st.one_of(st.just(1), st.integers(1, 12)))
+@example([0, -3, 4], 1)
+@example([0, -3, 4], 6)
+def test_coord_strings_are_the_fraction_strings(key, scale):
+    # negative, zero and scale-1 keys: each coordinate written as its
+    # Fraction would be, with no Fraction made
+    w = Weight.from_key(tuple(key), scale)
+    assert tuple(w.coord_strings()) == tuple(str(c) for c in w.coords)
+
+
 WEIGHT_SYSTEMS = (
     [(f"{fam}{rank}", lambda fam=fam, rank=rank: build_root_system(fam, rank))
      for fam, rank in simple_types(4)]
@@ -369,6 +381,28 @@ def test_integer_labels_and_inner_match_the_fraction_form(system):
         assert all(type(p) is int for p in rs.dynkin_labels(x) or ())
         for y in weights[:8]:
             assert rs.inner(x, y) == fraction_inner(rs, x, y)
+
+
+@pytest.mark.parametrize("system", [make for _, make in WEIGHT_SYSTEMS],
+                         ids=[name for name, _ in WEIGHT_SYSTEMS])
+def test_off_span_rows_agree_with_the_weight_round_trip(system):
+    # x lies on the span of the roots iff the weight with x's labels is x;
+    # half unit vectors, alone and added to weights on the span, leave it
+    # wherever the roots do not span the space
+    rs = system()
+    n, dim, rows = rs.rank, rs.space_dim, rs.off_span_rows
+    assert all(any(r) for r in rows) and bool(rows) == (dim > n)
+    assert not any(_dot(r, k) for r in rows for k in rs.positive_keys)
+    on = [rs.weight(*coeffs) for coeffs in (
+        [1 - i % 3 for i in range(n)], [Fraction(2 * i + 1, 3) for i in range(n)])]
+    on += [rs.rho] + list(rs.positive_roots)
+    units = [Weight([Fraction(int(s == t), 2) for s in range(dim)]) for t in range(dim)]
+    sides = set()
+    for x in on + units + [w + u for w in on[:3] for u in units]:
+        on_span = not rs.off_span(x.key)
+        assert on_span == (rs.weight(rs.fw_coefficients(x)) == x)
+        sides.add(on_span)
+    assert sides == ({True} if dim == n else {True, False})
 
 
 @PROPERTY

@@ -266,6 +266,38 @@ def test_key_layers_make_no_fractions():
             if where[0] in KEY_LAYERS} == FRACTION_MAKERS
 
 
+# rootsys._dot, sum(map(mul, a, b)), is the one integer dot product; a
+# sum over a generator of products over zip is a second, slower copy of it
+DOT_KERNEL = ("rootsys.py", "_dot")
+
+
+def _zip_product_sums():
+    """(module, innermost enclosing function) of every sum(x * y for ... in
+    zip(...)) in the library."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = (where[0], node.name)
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum"
+                and node.args and isinstance(node.args[0], ast.GeneratorExp)):
+            gen = node.args[0]
+            if (isinstance(gen.elt, ast.BinOp) and isinstance(gen.elt.op, ast.Mult)
+                    and any(getattr(getattr(g.iter, "func", None), "id", None) == "zip"
+                            for g in gen.generators)):
+                found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), (path.name, None))
+    return found
+
+
+def test_integer_dot_products_call_the_one_kernel():
+    assert _zip_product_sums() - {DOT_KERNEL} == set()
+
+
 def test_cli_budget_defaults_are_the_library_constants(monkeypatch):
     from spinchar.charring import DEFAULT_TERM_BUDGET
     from spinchar.cli import _parser

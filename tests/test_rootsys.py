@@ -11,6 +11,7 @@ from spinchar import (
     parse_descriptor,
     special_elements,
 )
+from spinchar import rootsys
 from spinchar.rootsys import HALF, root_system_from_json, simple_types, subsystem
 from spinchar.weyl import enumerate_weyl
 from oracles import reflect
@@ -196,6 +197,24 @@ def test_product_system():
     assert rs.space_dim == 4
     # block-diagonal form keeps factors orthogonal
     assert rs.inner(rs.simple_roots[0], rs.simple_roots[1]) == 0
+
+
+def test_a_product_reuses_its_cached_simple_factors(monkeypatch):
+    # once A1 and B2 are built, A1xB2 constructs only the product itself
+    a1, b2 = build_root_system("A1"), build_root_system("B2")
+    monkeypatch.setattr(rootsys, "_BUILD_CACHE", {
+        k: v for k, v in rootsys._BUILD_CACHE.items() if k != (("A", 1), ("B", 2))})
+    built = []
+    init = rootsys.RootSystem.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(rootsys.RootSystem, "__init__", counted)
+    rs = build_root_system("A1xB2")
+    assert built == [rs]
+    assert build_root_system("A1") is a1 and build_root_system("B2") is b2
 
 
 # a fundamental weight outside the root lattice of each type
