@@ -260,6 +260,20 @@ def _primitive(row):
     return tuple(x // g for x in row) if g else tuple(row)
 
 
+def _kernel_rows(rows, dim):
+    """Primitive integer rows spanning the vectors x with r . x = 0 for
+    every row r of an integer matrix R of full row rank: the nonzero rows
+    of d I - R^T M R, d times the orthogonal projection onto that kernel,
+    for (R R^T)^-1 = M / d. They may be dependent (E6's simple keys give
+    three for a two-dimensional kernel); empty when R has rank dim."""
+    m, d = _inverse([[_dot(a, b) for b in rows] for a in rows])
+    cols = [tuple(r[t] for r in rows) for t in range(dim)]
+    mr = [tuple(_dot(row, c) for row in m) for c in cols]  # columns of M R
+    out = (_primitive([d * (s == t) - _dot(cs, ct) for t, ct in enumerate(mr)])
+           for s, cs in enumerate(cols))
+    return tuple(dict.fromkeys(r for r in out if any(r)))
+
+
 def _gram_rows(form_int, keys):
     """The rows form_int k, with the norms k . form_int k, of integer keys."""
     rows = tuple(tuple(_dot(r, k) for r in form_int) for k in keys)
@@ -273,8 +287,8 @@ def _denominator(rows):
 
 def _inverse(cartan):
     """The inverse of a nonsingular integer matrix, a Cartan matrix or the
-    Gram matrix of the simple keys, as (M, d): C^-1 = M / d, with d the
-    least positive integer that clears it.
+    Gram matrix R R^T of ``_kernel_rows``, as (M, d): C^-1 = M / d, with d
+    the least positive integer that clears it.
 
     Fraction-free (Bareiss) Gauss-Jordan elimination on [C | I]: each step
     divides exactly by the previous pivot, and the last one leaves every
@@ -593,17 +607,18 @@ class RootSystem:
     @cached_property
     def off_span_rows(self) -> tuple:
         """Primitive integer rows spanning the vectors r with r . k = 0 for
-        every root key k: a key lies in the span of the roots iff every row
-        dots it to 0. They are the nonzero rows of d I - K^T M K, d times
-        the orthogonal projection off the span, for the simple keys K and
-        (K K^T)^-1 = M / d. Empty when the roots span the space."""
-        keys = self.simple_keys
-        m, d = _inverse([[_dot(a, b) for b in keys] for a in keys])
-        cols = [tuple(k[t] for k in keys) for t in range(self.space_dim)]
-        mk = [tuple(_dot(row, c) for row in m) for c in cols]  # columns of M K
-        rows = (_primitive([d * (s == t) - _dot(cs, ct) for t, ct in enumerate(mk)])
-                for s, cs in enumerate(cols))
-        return tuple(dict.fromkeys(r for r in rows if any(r)))
+        every root key k, the kernel of the simple keys: a key lies in the
+        span of the roots iff every row dots it to 0. Empty when the roots
+        span the space."""
+        return _kernel_rows(self.simple_keys, self.space_dim)
+
+    @cached_property
+    def cone_lineality(self) -> tuple:
+        """Primitive integer vectors spanning the lineality space of the
+        closed dominant cone, the x with (x, alpha_i) = 0 for every simple
+        root: the kernel of the simple_w rows. Empty when the roots span
+        the space."""
+        return _kernel_rows(self.simple_w, self.space_dim)
 
     def off_span(self, key) -> bool:
         """Whether a key, at any scale, has a part off the span of the roots."""

@@ -12,17 +12,18 @@ chamber, the route of ``charring.decompose``. Dominant halves are
 enumerated as open chambers of the dominant cone cut by the weight
 hyperplanes, skipping those that miss it: by Farkas, the hyperplane of
 mu = sum c_i alpha_i with no two c_i of opposite sign (the hyperplane
-budget still counts them). The split starts from rho; a region that loses
-its parent's witness is decided by Fourier-Motzkin elimination on integer
-rows, and integer back-substitution through its stages gives a new one.
-The half-sums of the halves are the extreme weights: always highest
-weights of the reduced Spin, each a summand of multiplicity one in its
-decomposition, which is where they are certified (see ``extreme_weights``).
+budget still counts them). The split is the double description method
+(Motzkin, Raiffa, Thompson and Thrall, 1953): each region is a cone and
+carries its extreme rays and vectors spanning its lineality space,
+integers handed from parent to child, so no region is solved from
+scratch; a chamber's witness is the sum of its rays. The half-sums of the halves are the
+extreme weights: always highest weights of the reduced Spin, each a
+summand of multiplicity one in its decomposition, which is where they are
+certified (see ``extreme_weights``).
 """
 
 from __future__ import annotations
 
-from math import lcm
 from operator import neg as _neg
 
 from .errors import BudgetExceeded, ConsistencyError, InvalidDescriptor, NotSelfDual
@@ -162,50 +163,65 @@ def spin_character(ws: WeightSystem, term_budget: int = DEFAULT_TERM_BUDGET) -> 
 
 
 # ---------------------------------------------------------------------------
-# dominant halves: Fourier-Motzkin on integer rows, integer witnesses
+# dominant halves: double description down the chamber tree
 
 
-def _fm_stages(rows, dim):
-    """Fourier-Motzkin elimination of {r . x > 0} over integer rows.
+def _onto(h, z, v):
+    """v moved along z onto the hyperplane h . x = 0, for h . z > 0:
+    (h . z) v - (h . v) z, primitive, which keeps v's side of every row that
+    vanishes on z."""
+    hz, hv = _dot(h, z), _dot(h, v)
+    return _primitive([hz * x - hv * y for x, y in zip(v, z)])
 
-    Stage j holds the primitive rows over the first dim - j coordinates;
-    returns the stages, or None once the system is infeasible: a zero row
-    reads 0 > 0, and eliminating the first coordinate leaves one for each
-    pair of rows of opposite sign.
+
+def _split(h, bit, rays, lineality):
+    """The regions {h . x >= 0} and {h . x <= 0} of a region, each as
+    (rays, lineality) or None where it has no interior.
+
+    A region is its lineality space, spanned by the vectors ``lineality``
+    (they may be dependent), plus the cone on its extreme rays, each ray
+    held with the bit mask of the rows it is tight on; ``bit`` is h's. A
+    lineality vector z that h sees puts both sides on h along z, and each
+    side gets +-z as a new ray, tight on every earlier row; the lineality
+    vectors moved onto h that end at zero, z among them, are dropped.
+    Otherwise the rays split by the sign of h . r: a side is a region when
+    it keeps a ray strictly on its side, and both sides share the rays
+    tight on h and one combination of each adjacent (+, -) pair, adjacent
+    when no third ray is tight on every row that both are tight on (Fukuda
+    and Prodon, *Double description method revisited*, 1996).
     """
-    stages = []
-    for var in range(dim - 1, -1, -1):
-        system = list(dict.fromkeys(_primitive(r) for r in rows))
-        if any(not any(r) for r in system):
-            return None
-        stages.append(system)
-        neg = [q for q in system if q[var] < 0]
-        rows = [r[:var] for r in system if r[var] == 0]
-        rows += [tuple(p[var] * q[j] - q[var] * p[j] for j in range(var))
-                 for p in system if p[var] > 0 for q in neg]
-    return None if rows else stages
-
-
-def _fm_witness(stages):
-    """An integer point of a feasible system, by back-substitution through
-    its stages. The system is homogeneous, so the point so far is scaled
-    until every bound on the next coordinate is an even integer; that
-    coordinate then takes the midpoint of its open interval, one step past
-    its only bound, or 0; the caller tests the point on every row."""
-    point = []
-    for system in reversed(stages):
-        var = len(point)
-        scale = 2 * lcm(*(abs(r[var]) for r in system if r[var]))
-        point = [scale * x for x in point]
-        bounds = [(r[var] > 0, -_dot(r, point) // r[var]) for r in system if r[var]]
-        lower = max((b for pos, b in bounds if pos), default=None)
-        upper = min((b for pos, b in bounds if not pos), default=None)
-        if lower is None:
-            x = 0 if upper is None else upper - 1
+    z = next((v for v in lineality if _dot(h, v)), None)
+    if z is not None:
+        if _dot(h, z) < 0:
+            z = tuple(map(_neg, z))
+        moved = [(_onto(h, z, r), m | bit) for r, m in rays]
+        rest = [v for v in (_onto(h, z, u) for u in lineality) if any(v)]
+        return ((moved + [(z, bit - 1)], rest),
+                (moved + [(tuple(map(_neg, z)), bit - 1)], rest))
+    pos, neg, tight = [], [], []
+    for r, m in rays:
+        value = _dot(h, r)
+        if value > 0:
+            pos.append((r, m, value))
+        elif value < 0:
+            neg.append((r, m, value))
         else:
-            x = lower + 1 if upper is None else (lower + upper) // 2
-        point = list(_primitive(point + [x]))
-    return tuple(point)
+            tight.append((r, m | bit))
+    masks = [m for _, m in rays]
+    for p, mp, vp in pos:
+        for n, mn, vn in neg:
+            common = mp & mn
+            if sum(common & m == common for m in masks) == 2:
+                tight.append((_primitive([vp * x - vn * y for x, y in zip(n, p)]),
+                              common | bit))
+    return tuple(([(r, m) for r, m, _ in side] + tight, lineality) if side else None
+                 for side in (pos, neg))
+
+
+def _ray_sum(rays, dim):
+    """The sum of a region's rays: inside it, as every row is positive on
+    some ray of a region with interior and vanishes on its lineality."""
+    return tuple(sum(r[t] for r, _ in rays) for t in range(dim))
 
 
 class DominantHalf:
@@ -256,9 +272,11 @@ def enumerate_dominant_halves(ws: WeightSystem,
     """One DominantHalf per open chamber of C° minus the weight hyperplanes.
 
     The budget counts every distinct weight direction, but only those
-    whose hyperplane cuts C° split it. The split starts from the witness
-    rho; at rank 0, rho = 0 lies on every hyperplane, so the first split
-    runs Fourier-Motzkin elimination.
+    whose hyperplane cuts C° split it. Each region of the split carries
+    its extreme rays and vectors spanning its lineality space (``_split``),
+    from those of the closed dominant cone: the primitive keys of the
+    fundamental weights and ``RootSystem.cone_lineality``. A chamber's witness is the sum of its
+    rays, checked against every row of the chamber.
     """
     rs, dim = ws.rs, ws.rs.space_dim
     directions = {}
@@ -277,24 +295,24 @@ def enumerate_dominant_halves(ws: WeightSystem,
              if _cuts_the_cone(rs, k)]
     halves = []
 
-    def rec(i, rows, witness):
+    def rec(i, rows, rays, lineality):
         if i == len(hyper):
+            witness = _ray_sum(rays, dim)
+            if any(_dot(r, witness) <= 0 for r in rows):
+                raise ConsistencyError("feasible region lost its witness")
             halves.append(DominantHalf(ws, Weight.from_key(witness)))
             return
-        for row in (hyper[i], tuple(map(_neg, hyper[i]))):
-            sub = rows + [row]
-            # a region whose side holds the parent's witness inherits it
-            w = witness
-            if _dot(row, w) <= 0:
-                stages = _fm_stages(sub, dim)
-                if stages is None:
-                    continue
-                w = _fm_witness(stages)
-            if any(_dot(r, w) <= 0 for r in sub):
-                raise ConsistencyError("feasible region lost its witness")
-            rec(i + 1, sub, w)
+        h = hyper[i]
+        sides = _split(h, 1 << (rs.rank + i), rays, lineality)
+        for row, side in zip((h, tuple(map(_neg, h))), sides):
+            if side is not None:
+                rec(i + 1, rows + [row], *side)
 
-    rec(0, list(rs.simple_w), rs.rho_key)
+    # the simple row i is tight on every fundamental weight but the i-th
+    full = (1 << rs.rank) - 1
+    rec(0, list(rs.simple_w),
+        [(_primitive(w.key), full ^ (1 << i)) for i, w in enumerate(rs.fundamental_weights)],
+        rs.cone_lineality)
     halves.sort(key=lambda h: h.witness)
     return halves
 

@@ -6,7 +6,9 @@ membership and the identity in an enumerated Weyl group, the
 factorization of an element over a coset section, the exterior powers by
 Newton's recursion and expanded degree by degree, the invariant Poincare
 polynomial read at the points of rho's orbit, the expanded skew product
-over a set of roots, and decomposition by Racah-Speiser folding."""
+over a set of roots, decomposition by Racah-Speiser folding, and
+Fourier-Motzkin elimination, which decides whether an open cone of
+integer rows has a point."""
 
 from fractions import Fraction
 from math import comb
@@ -23,7 +25,7 @@ from spinchar.charring import (
     weight_key,
 )
 from spinchar.errors import BudgetExceeded, ConsistencyError, NonModuleCharacter
-from spinchar.rootsys import Weight, _dot
+from spinchar.rootsys import Weight, _dot, _primitive
 from spinchar.weyl import DEFAULT_WEYL_BUDGET, _check_weyl_budget, _spell, enumerate_weyl
 
 
@@ -290,3 +292,28 @@ def fold_decompose(ch, rs=None):
     if any(m < 0 for m in folded.values()):
         raise NonModuleCharacter(f"negative multiplicity in {folded}")
     return Decomposition(rs, folded.items())
+
+
+# ---------------------------------------------------------------------------
+# open cones of integer rows, the oracle of the dominant chambers
+
+
+def _fm_stages(rows, dim):
+    """Fourier-Motzkin elimination of {r . x > 0} over integer rows.
+
+    Stage j holds the primitive rows over the first dim - j coordinates;
+    returns the stages, or None once the system is infeasible: a zero row
+    reads 0 > 0, and eliminating the first coordinate leaves one for each
+    pair of rows of opposite sign.
+    """
+    stages = []
+    for var in range(dim - 1, -1, -1):
+        system = list(dict.fromkeys(_primitive(r) for r in rows))
+        if any(not any(r) for r in system):
+            return None
+        stages.append(system)
+        neg = [q for q in system if q[var] < 0]
+        rows = [r[:var] for r in system if r[var] == 0]
+        rows += [tuple(p[var] * q[j] - q[var] * p[j] for j in range(var))
+                 for p in system if p[var] > 0 for q in neg]
+    return None if rows else stages

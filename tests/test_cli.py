@@ -133,11 +133,11 @@ def test_an_extreme_weight_off_the_decomposition_exits_1(capsys, monkeypatch):
 
 
 def test_a_lost_witness_exits_1(capsys, monkeypatch):
-    # the hyperplanes of A2 V_(2,2) cut the dominant cone, so the split
-    # runs Fourier-Motzkin; a witness off its region is a library bug
-    real = spinmod._fm_witness
-    monkeypatch.setattr(spinmod, "_fm_witness",
-                        lambda stages: tuple(-x for x in real(stages)))
+    # the hyperplanes of A2 V_(2,2) cut the dominant cone into chambers;
+    # a witness, the sum of a chamber's rays, off its chamber is a library bug
+    real = spinmod._ray_sum
+    monkeypatch.setattr(spinmod, "_ray_sum",
+                        lambda rays, dim: tuple(-x for x in real(rays, dim)))
     assert main(["spin", "--type", "A2", "--weight", "2,2"]) == 1
     assert "lost its witness" in capsys.readouterr().err
 

@@ -19,6 +19,8 @@ CASES = {
     "spin_G2_1_0.json": ["spin", "--type", "G2", "--weight", "1,0", "--format", "json"],
     "spin_A1xB2_2_1_0.json": ["spin", "--type", "A1xB2", "--weight", "2,1,0",
                               "--format", "json"],
+    "spin_A1xA1xA1xA1_1_1_1_1.json": ["spin", "--type", "A1xA1xA1xA1", "--weight",
+                                      "1,1,1,1", "--format", "json"],
     "classify_4_6.md": ["classify", "--rank-bound", "4", "--height-bound", "6",
                         "--format", "markdown"],
     "verify_table1.md": ["verify", "--suite", "table1", "--format", "markdown"],

@@ -8,12 +8,13 @@ Fraction reflections and the enumerated group; the integer Weyl layer
 against products of reflection matrices; Spin0 against the choice of half;
 the pruned Spin0 products against the full one; extreme weights and
 chamber witnesses against the decomposed Spin0 and Fraction pairings;
-dominant halves against every feasible sign vector of the weight
-hyperplanes; fundamental weights and lattice rows against the coroots and
-the Cartan matrix; Weight arithmetic, equality and order against tuples
-of Fractions; RootSystem.weight against the Fraction sum of fundamental
-weights; integer Dynkin labels and inner products against the Fraction
-form, and self_dual against the dominant representative of -lam."""
+dominant halves against every sign vector of the weight hyperplanes that
+Fourier-Motzkin elimination finds feasible; fundamental weights and
+lattice rows against the coroots and the Cartan matrix; Weight
+arithmetic, equality and order against tuples of Fractions;
+RootSystem.weight against the Fraction sum of fundamental weights;
+integer Dynkin labels and inner products against the Fraction form, and
+self_dual against the dominant representative of -lam."""
 
 import sys
 from fractions import Fraction
@@ -55,9 +56,9 @@ from spinchar.charring import (dominant_weights as dominant_weight_walk, exact_d
                                key_weight, weight_key)
 from spinchar.gradings import OUTER_INSTANCES, involutive_pivots
 from spinchar.rootsys import HALF, _dot, _wsum, simple_types
-from spinchar.spinmod import _fm_stages, _primitive, self_dual
-from oracles import (contains, factorize, fold_decompose, fraction_inner, fraction_labels,
-                     invert, least_scale, multiply, racah_speiser, reflect,
+from spinchar.spinmod import _primitive, self_dual
+from oracles import (_fm_stages, contains, factorize, fold_decompose, fraction_inner,
+                     fraction_labels, invert, least_scale, multiply, racah_speiser, reflect,
                      reflection_matrix, skew_product, stretch, vector_add, vector_scale,
                      vector_sub)
 
@@ -393,6 +394,10 @@ def test_off_span_rows_agree_with_the_weight_round_trip(system):
     n, dim, rows = rs.rank, rs.space_dim, rs.off_span_rows
     assert all(any(r) for r in rows) and bool(rows) == (dim > n)
     assert not any(_dot(r, k) for r in rows for k in rs.positive_keys)
+    # the dominant cone's lineality, the same kernel under the form
+    lineality = rs.cone_lineality
+    assert all(any(v) for v in lineality) and bool(lineality) == (dim > n)
+    assert not any(rs.inner_keys(v, k) for v in lineality for k in rs.positive_keys)
     on = [rs.weight(*coeffs) for coeffs in (
         [1 - i % 3 for i in range(n)], [Fraction(2 * i + 1, 3) for i in range(n)])]
     on += [rs.rho] + list(rs.positive_roots)
@@ -734,3 +739,25 @@ def test_halves_of_the_inner_gradings_are_the_feasible_sign_vectors():
                 if not _matches_sign_vectors(g.delta1, g.label)]
     # 14 directions: 2^14 eliminations would take seconds
     assert left_out == ["F4/alpha4"]
+
+
+def test_halves_of_the_catalog_gradings_are_the_feasible_sign_vectors():
+    left_out = [name for name, make in sorted(grading_catalog().items())
+                if not _matches_sign_vectors(make().delta1, name)]
+    # 20 and 14 directions
+    assert left_out == ["E6/C4", "F4/A1xC3"]
+
+
+def test_halves_of_the_rank_5_inner_gradings_are_the_feasible_sign_vectors():
+    # a g0 of rank below the dimension of its space, as a Hermitian one
+    # with its centre is, starts the split with a lineality space, and the
+    # cuts that see it move every ray along it
+    covered = {g.label: g.g0.rank < g.g0.space_dim
+               for fam, rank in simple_types(5) if rank == 5
+               for g in inner_gradings(build_root_system(fam, rank))
+               if _matches_sign_vectors(g.delta1, g.label)}
+    # the other eight have 12 to 15 directions
+    assert sorted(covered) == ["A5/alpha1", "A5/alpha2", "A5/alpha3", "A5/alpha4",
+                               "A5/alpha5", "B5/alpha1", "B5/alpha5", "C5/alpha1",
+                               "C5/alpha4", "D5/alpha1", "D5/alpha4", "D5/alpha5"]
+    assert sum(covered.values()) == 9

@@ -225,16 +225,44 @@ def test_f4_so9_extreme_weights():
 
 def test_root_hyperplanes_miss_the_dominant_cone(monkeypatch):
     # a root has root coordinates of one sign, so no root hyperplane cuts
-    # the cone and rho is the only witness: no elimination runs
+    # the cone and the dominant cone is the only chamber: the split never runs
     rs = build_root_system("B2")
     ws = WeightSystem.adjoint(rs)
     assert not any(_cuts_the_cone(rs, k) for k in ws.nonzero)
 
-    def no_elimination(rows, dim):
-        raise AssertionError("Fourier-Motzkin ran")
-    monkeypatch.setattr(spinmod, "_fm_stages", no_elimination)
+    def no_split(*args):
+        raise AssertionError("the cone was split")
+    monkeypatch.setattr(spinmod, "_split", no_split)
     assert len(enumerate_dominant_halves(ws)) == 1
     assert extreme_weights(ws, spin0_decomposition(ws)) == [rs.rho]
+
+
+def test_the_split_makes_a_pinned_number_of_rays(monkeypatch):
+    # only the extreme rays of each region are carried: a combination of a
+    # pair that is not adjacent is redundant, and keeping those shows here
+    # as more rays, long before it shows as time
+    real, made = spinmod._split, []
+
+    def counting(*args):
+        sides = real(*args)
+        made.extend(len(side[0]) for side in sides if side is not None)
+        return sides
+    monkeypatch.setattr(spinmod, "_split", counting)
+    grading = inner_grading(build_root_system("D5"), 4)
+    assert len(enumerate_dominant_halves(grading.delta1)) == 16
+    assert (len(made), sum(made)) == (87, 440)
+
+
+def test_rays_flipped_in_the_lineality_step_lose_the_witness(monkeypatch):
+    # E6/alpha1 has a centre, so its first cut moves every ray along a
+    # lineality vector; a moved ray on the wrong side of an earlier row
+    # leaves a chamber whose ray sum is outside it
+    real = spinmod._onto
+    monkeypatch.setattr(spinmod, "_onto",
+                        lambda h, z, v: tuple(-x for x in real(h, z, v)))
+    grading = inner_grading(build_root_system("E6"), 1)
+    with pytest.raises(ConsistencyError, match="lost its witness"):
+        enumerate_dominant_halves(grading.delta1)
 
 
 def test_extreme_weights_are_certified_against_the_decomposition():
