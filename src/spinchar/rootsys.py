@@ -31,10 +31,17 @@ oracles and the consistency checks; output writes coordinates through
 realizations below take. ``_dot`` is the one integer dot product, on the interpreter's C
 iterators, and every integer pairing calls it.
 
-Simple-root numbering: A, B, C, D, G2 and the E family follow the Bourbaki
-order; F4 is numbered with the short roots first (alpha1, alpha2 short,
-alpha3, alpha4 long), so that the highest root is the fourth fundamental
-weight. ``bourbaki_numbering`` translates back.
+Simple-root numbering: the standard realizations below define it. A, B,
+C, D, G2 and the E family follow the Bourbaki order; F4 is numbered with
+the short roots first (alpha1, alpha2 short, alpha3, alpha4 long), so that
+the highest root is the fourth fundamental weight. ``bourbaki_numbering``
+translates back. Any other system is typed by matching: each Dynkin
+component takes the first simple type, in ``simple_types`` order, whose
+Cartan matrix, read off its realization, is the component's under some
+ordering of its nodes. A realized subsystem numbers each component by the
+matching ordering whose keys are least, read from the branch node outward
+(along the chain when there is none), so it does not depend on the order
+of its input.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -212,6 +219,17 @@ def _simple_roots_exceptional(family: str, rank: int):
     raise InvalidDescriptor(f"unknown family {family}")
 
 
+def _realization(family: str, rank: int):
+    """The standard simple roots of a simple type, the dimension of their
+    space and the scale of its form, a multiple of I. These realizations
+    define the numbering of every simple type."""
+    if family in "ABCD":
+        dim = rank + 1 if family == "A" else rank
+        scale = HALF if family == "C" else Fraction(1)
+        return _simple_roots_classical(family, rank, dim), dim, scale
+    return _simple_roots_exceptional(family, rank)
+
+
 _VALID_RANKS = {
     "A": lambda n: n >= 1,
     "B": lambda n: n >= 2,
@@ -223,11 +241,14 @@ _VALID_RANKS = {
 }
 
 
+def _types_of_rank(rank: int):
+    return [(fam, rank) for fam, valid in _VALID_RANKS.items() if valid(rank)]
+
+
 def simple_types(max_rank: int):
     """Every simple type of rank <= max_rank as (family, rank), by rank and
     then family (D from rank 3 up)."""
-    return [(fam, rank) for rank in range(1, max_rank + 1)
-            for fam, valid in _VALID_RANKS.items() if valid(rank)]
+    return [t for rank in range(1, max_rank + 1) for t in _types_of_rank(rank)]
 
 
 # exponents m_1 <= ... <= m_rank of each simple family; |W| = prod (m_i + 1)
@@ -631,8 +652,16 @@ class RootSystem:
             raise InvalidDescriptor("rho is not the sum of the fundamental weights")
 
     def _classify(self):
-        comps, adj = _components(self.cartan_matrix)
-        return tuple(sorted(_classify_component(comp, adj, self.simple_n) for comp in comps))
+        """The type of each Dynkin component: one under which the given
+        order is already standard where there is one (so the dual of B2
+        stays C2), else the first that fits."""
+        cartan = self.cartan_matrix
+        labels = []
+        for comp in _components(cartan):
+            given = tuple(tuple(cartan[i][j] for j in comp) for i in comp)
+            standard = [t for t in _types_of_rank(len(comp)) if _standard_cartan(*t) == given]
+            labels.append(standard[0] if standard else _identify(cartan, comp)[0])
+        return tuple(sorted(labels))
 
     # -- distinguished elements ----------------------------------------------
 
@@ -692,8 +721,7 @@ def bourbaki_numbering(rs: RootSystem) -> list:
     """For each simple root, its index in Bourbaki's numbering (per factor)."""
     out = []
     offset = 0
-    comps, _ = _components(rs.cartan_matrix)
-    for comp, (fam, r) in zip(comps, rs.type_label):
+    for comp, (fam, r) in zip(_components(rs.cartan_matrix), rs.type_label):
         table = _TO_BOURBAKI.get(fam, {})
         for pos, _ in enumerate(comp, start=1):
             out.append(offset + table.get(pos, pos))
@@ -715,12 +743,7 @@ def _build_simple(family: str, rank: int) -> RootSystem:
         raise InvalidDescriptor(
             f"{family}{rank}: rank exceeds the construction limit"
             f" {MAX_BUILD_RANK}")
-    if family in "ABCD":
-        dim = rank + 1 if family == "A" else rank
-        simples = _simple_roots_classical(family, rank, dim)
-        scale = Fraction(1, 2) if family == "C" else Fraction(1)
-    else:
-        simples, dim, scale = _simple_roots_exceptional(family, rank)
+    simples, dim, scale = _realization(family, rank)
     form = tuple(
         tuple(scale if i == j else Fraction(0) for j in range(dim)) for i in range(dim)
     )
@@ -890,9 +913,8 @@ def dual_root_system(rs: RootSystem):
 
 
 def _components(cartan):
-    """Connected components of the Dynkin diagram, as index lists."""
+    """Connected components of the Dynkin diagram, as sorted index lists."""
     n = len(cartan)
-    adj = [[j for j in range(n) if j != i and cartan[i][j] != 0] for i in range(n)]
     seen, comps = set(), []
     for i in range(n):
         if i in seen:
@@ -904,95 +926,62 @@ def _components(cartan):
                 continue
             seen.add(k)
             comp.append(k)
-            stack.extend(adj[k])
+            stack.extend(j for j in range(n) if j != k and cartan[k][j])
         comps.append(sorted(comp))
-    return comps, adj
+    return comps
 
 
-def _legs(comp, adj):
-    """The branch node of a D/E component and its legs, each walked outward."""
-    branch = next(i for i in comp if len([j for j in adj[i] if j in comp]) >= 3)
-    legs = []
-    for start in adj[branch]:
-        if start not in comp:
-            continue
-        leg, prev, cur = [start], branch, start
-        while True:
-            nxt = [j for j in adj[cur] if j in comp and j != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            leg.append(cur)
-        legs.append(leg)
-    return branch, legs
+@cache
+def _standard_cartan(family: str, rank: int) -> tuple:
+    """The Cartan matrix of a simple type, read off its own realization:
+    the form is a multiple of I, so the simple keys serve as their own
+    form rows."""
+    simples, dim, _ = _realization(family, rank)
+    flat = clear_denominators([x for a in simples for x in a])[0]
+    keys = [flat[i:i + dim] for i in range(0, len(flat), dim)]
+    return _cartan(keys, keys, [_dot(k, k) for k in keys])
 
 
-def _classify_component(comp, adj, norms):
-    """The type of one Dynkin component from the Cartan adjacency and the
-    simple-root norms (any common positive scale)."""
-    k = len(comp)
-    if k == 1:
-        return ("A", 1)
-    long, short = max(norms[i] for i in comp), min(norms[i] for i in comp)
-    if long == 3 * short:
-        return ("G", 2)
-    if long == 2 * short:
-        n_short = sum(1 for i in comp if norms[i] == short)
-        if k == 4 and n_short == 2:
-            return ("F", 4)
-        if k == 2:
-            # one short, one long: B2 when the short root comes last
-            return ("B", 2) if norms[comp[-1]] == short else ("C", 2)
-        return ("B", k) if n_short == 1 else ("C", k)
-    if not any(len([j for j in adj[i] if j in comp]) >= 3 for i in comp):
-        return ("A", k)
-    lengths = sorted(len(leg) for leg in _legs(comp, adj)[1])
-    return ("D", k) if lengths[:2] == [1, 1] else ("E", k)
+def _relabellings(std, cartan, nodes):
+    """Every ordering of the nodes, as a tuple, under which their Cartan
+    matrix is std, found by backtracking position by position."""
+    order = []
+
+    def extend():
+        if len(order) == len(std):
+            yield tuple(order)
+            return
+        p = len(order)
+        for v in nodes:
+            if v not in order and all(cartan[v][u] == std[p][q] and cartan[u][v] == std[q][p]
+                                      for q, u in enumerate(order)):
+                order.append(v)
+                yield from extend()
+                order.pop()
+    return extend()
 
 
-def _order_component(keys, comp, adj, norms):
-    """Order one Dynkin component of a realized subsystem canonically; ties
-    are broken by the simple roots' keys."""
-    if len(comp) == 1:
-        return list(comp)
-    degrees = {i: len([j for j in adj[i] if j in comp]) for i in comp}
-    if all(d < 3 for d in degrees.values()):
-        ends = [i for i in comp if degrees[i] == 1]
-        chains = []
-        for start in ends:
-            chain, prev, cur = [start], None, start
-            while len(chain) < len(comp):
-                nxt = [j for j in adj[cur] if j in comp and j != prev]
-                prev, cur = cur, nxt[0]
-                chain.append(cur)
-            chains.append(chain)
-        long, short = max(norms[i] for i in comp), min(norms[i] for i in comp)
-        n_short = sum(1 for i in comp if norms[i] == short)
+def _identify(cartan, nodes):
+    """(type, its standard Cartan matrix) for the first simple type, in
+    ``simple_types`` order, that numbers the component ``nodes``."""
+    for t in _types_of_rank(len(nodes)):
+        std = _standard_cartan(*t)
+        if next(_relabellings(std, cartan, nodes), None):
+            return t, std
+    raise InvalidDescriptor("a Dynkin component of no simple type")
 
-        def preference(chain):
-            key = [keys[i] for i in chain]
-            if long == short:
-                return (0, key)
-            if long == 3 * short:               # G2: short root first
-                return (0 if norms[chain[0]] == short else 1, key)
-            if n_short == 2 and len(comp) == 4:  # F4 pattern: shorts first
-                return (0 if norms[chain[0]] == short else 1, key)
-            if n_short == 1:                    # B: short root last
-                return (0 if norms[chain[-1]] == short else 1, key)
-            return (0 if norms[chain[-1]] != short else 1, key)  # C: long last
-        return min(chains, key=preference)
-    # branched: D/E. Walk the longest leg first, fork legs last.
-    b, legs = _legs(comp, adj)
-    legs.sort(key=lambda leg: (-len(leg), [keys[i] for i in leg]))
-    if sorted(len(leg) for leg in legs)[:2] == [1, 1]:
-        # D family: long chain toward the fork, then the two short legs
-        tails = sorted((legs[1][0], legs[2][0]), key=lambda i: keys[i])
-        return list(reversed(legs[0])) + [b] + tails
-    # E family, Bourbaki style: legs of length 2, 1, and k
-    two = next(leg for leg in legs if len(leg) == 2)
-    one = next(leg for leg in legs if len(leg) == 1)
-    rest = next(leg for leg in legs if leg is not two and leg is not one)
-    return [two[1], one[0], two[0], b] + rest
+
+def _reading_order(std):
+    """The positions of a standard diagram in the order subsystem compares
+    its orderings: breadth first from the branch node, or along a chain."""
+    k = len(std)
+    adj = [[q for q in range(k) if q != p and std[p][q]] for p in range(k)]
+    read = [p for p in range(k) if len(adj[p]) > 2]
+    if not read:
+        return range(k)
+    for p in read:
+        read += [q for q in adj[p] if q not in read]
+    return read
 
 
 def subsystem(rs: RootSystem, positive_subset) -> RootSystem:
@@ -1023,17 +1012,19 @@ def subsystem(rs: RootSystem, positive_subset) -> RootSystem:
     simples = [i for i, a in enumerate(keys) if a not in sums]
     if not simples:
         return RootSystem([], rs.form, type_label=(), denom=rs.denom)
+    # each component is typed once and numbered by the ordering whose keys
+    # are least in its type's reading order
     skeys = [keys[i] for i in simples]
-    snorms = [norms[i] for i in simples]
-    comps, adj = _components(_cartan(skeys, [rows[i] for i in simples], snorms))
+    cartan = _cartan(skeys, [rows[i] for i in simples], [norms[i] for i in simples])
     keyed = []
-    for comp in comps:
-        order = _order_component(skeys, comp, adj, snorms)
-        keyed.append((_classify_component(comp, adj, snorms),
-                      [skeys[i] for i in order], order))
+    for comp in _components(cartan):
+        label, std = _identify(cartan, comp)
+        read = _reading_order(std)
+        order = min(_relabellings(std, cartan, comp), key=lambda o: [skeys[o[p]] for p in read])
+        keyed.append((label, [skeys[i] for i in order], order))
     keyed.sort(key=lambda t: t[:2])
     final = RootSystem([pos[simples[i]] for _, _, order in keyed for i in order],
-                       rs.form, denom=rs.denom)
+                       rs.form, type_label=[label for label, _, _ in keyed], denom=rs.denom)
     if set(final.positive_roots) != set(pos):
         raise InvalidDescriptor(
             "subset is not the positive system generated by its simple roots")

@@ -14,6 +14,7 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "show_F4_B4.json": ["show", "--grading", "F4/B4", "--format", "json"],
     "show_E6_C4.json": ["show", "--grading", "E6/C4", "--format", "json"],
+    "show_B4_alpha4.json": ["show", "--grading", "B4/alpha4", "--format", "json"],
     "spin_F4_1_0_0_0.json": ["spin", "--type", "F4", "--weight", "1,0,0,0", "--format", "json"],
     "spin_B4_2_0_0_0.json": ["spin", "--type", "B4", "--weight", "2,0,0,0", "--format", "json"],
     "spin_G2_1_0.json": ["spin", "--type", "G2", "--weight", "1,0", "--format", "json"],

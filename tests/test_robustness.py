@@ -4,6 +4,7 @@ and reach every product, and one definition of each shared name."""
 
 import ast
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -126,6 +127,16 @@ def test_casimir_suite_honours_term_budget():
     assert records
     assert {r["status"] for r in records} == {"skip"}
     assert all("budget" in r["detail"] for r in records)
+
+
+def test_casimir_suite_checks_the_closed_form(monkeypatch):
+    # each inner record compares casimir_check's value with h^vee dim g1 / 8,
+    # so a wrong value fails every one of them
+    monkeypatch.setattr(verify, "casimir_check", lambda grading, sp: Fraction(1, 7))
+    records = [r for r in verify.suite_casimir() if ":outer:" not in r["id"]]
+    assert records
+    assert all(r["status"] == "fail" and r["detail"] == "value != h^vee dim g1 / 8"
+               for r in records)
 
 
 def test_f4_table_row_skips_under_a_reduced_weyl_budget():

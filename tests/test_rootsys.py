@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,8 @@ from spinchar import (
     special_elements,
 )
 from spinchar import rootsys
-from spinchar.rootsys import HALF, root_system_from_json, simple_types, subsystem
+from spinchar.rootsys import (
+    HALF, RootSystem, root_system_from_json, simple_types, subsystem)
 from spinchar.weyl import enumerate_weyl
 from oracles import reflect
 
@@ -296,6 +298,39 @@ def test_closure_against_fraction_reflections(desc):
     else:
         with pytest.raises(InvalidDescriptor):
             rs.highest_root()
+
+
+@pytest.mark.parametrize("fam,rank", simple_types(8))
+def test_a_shuffled_simple_basis_reports_its_type(fam, rank):
+    # read off the Cartan matrix under some ordering. Where the given order
+    # is a type's own numbering, that type is reported: a chain of three
+    # nodes is D3 when its middle node comes first and A3 otherwise, and a
+    # double bond of two nodes is B2 with the long root first, C2 with the
+    # short root first
+    rs = build_root_system(fam, rank)
+    for seed in range(4):
+        roots = list(rs.simple_roots)
+        random.Random(seed).shuffle(roots)
+        expected = (fam, rank)
+        if rank == 3 and fam in "AD":
+            expected = ("D" if all(rs.inner(roots[0], r) for r in roots[1:]) else "A", 3)
+        elif rank == 2 and fam in "BC":
+            expected = ("B" if rs.inner(roots[0], roots[0]) > rs.inner(roots[1], roots[1])
+                        else "C", 2)
+        assert RootSystem(roots, rs.form).type_label == (expected,), roots
+
+
+def test_a_given_order_is_read_in_a_type_it_numbers():
+    b2 = build_root_system("B2")
+    long, short = b2.simple_roots
+    assert RootSystem([long, short], b2.form).type_label == (("B", 2),)
+    assert RootSystem([short, long], b2.form).type_label == (("C", 2),)
+    assert dual_root_system(b2)[0].type_label == (("C", 2),)
+    d3 = build_root_system("D3")
+    middle, a, b = d3.simple_roots
+    assert RootSystem([a, middle, b], d3.form).type_label == (("A", 3),)
+    assert RootSystem([middle, a, b], d3.form).type_label == (("D", 3),)
+    assert RootSystem([a, b, middle], d3.form).type_label == (("A", 3),)
 
 
 def test_subsystem_refusals():
