@@ -163,7 +163,7 @@ def cmd_spin(args):
         kind = orthogonality_type(rs, lam)
         report = {
             "type": rs.descriptor(),
-            "weight": [str(c) for c in rs.fw_coefficients(lam)],
+            "weight": [str(c) for c in rs.dynkin_labels(lam)],
             "orthogonality": kind,
         }
         if kind == "orthogonal":
@@ -310,18 +310,19 @@ def cmd_show(args):
             "casimir_value": str(casimir_check(grading, sp)),
             "coset_section": [s["w_action"] for s in summands],
         }
-    _emit(args, payload, lambda p: json.dumps(p, indent=2, sort_keys=True))
+    _emit(args, payload)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 
 
-def _emit(args, payload, markdown_fn):
+def _emit(args, payload, markdown_fn=None):
+    """Print the payload in the format asked; without a markdown form, as JSON."""
     try:
-        if args.format in ("json", "both"):
+        if args.format in ("json", "both") or markdown_fn is None:
             print(json.dumps(payload, indent=2, sort_keys=True))
-        if args.format in ("markdown", "both"):
+        if markdown_fn is not None and args.format in ("markdown", "both"):
             print(markdown_fn(payload))
         sys.stdout.flush()
     except BrokenPipeError:

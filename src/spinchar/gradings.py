@@ -289,7 +289,7 @@ class SpinSummand:
         g0 = grading.g0
         return {
             "lambda": self.lam.coord_strings(),
-            "fw": [str(c) for c in g0.fw_coefficients(self.lam)],
+            "fw": [str(c) for c in g0.dynkin_labels(self.lam)],
             "dimension": self.dimension,
             "w_action": [[str(x) for x in row] for row in self.rep.matrix],
         }
@@ -311,11 +311,10 @@ class SpinDecomposition:
         return len(self.summands)
 
 
-def spin_g1(grading: Z2Grading, budget: int = DEFAULT_WEYL_BUDGET,
-            term_budget: int = DEFAULT_TERM_BUDGET) -> SpinDecomposition:
-    """Spin of the isotropy module, by the coset formula and by decomposing
-    the reduced Spin character (its product with the Weyl denominator of
-    g0, pruned to the strictly dominant chamber); a mismatch raises."""
+def _coset_route(grading: Z2Grading, budget: int, term_budget: int):
+    """Both Spin routes: the coset weights w^{-1} rho_eff - rho0, each dominant
+    for g0 and met once, mapped to their representatives; the decomposition
+    of the reduced Spin of g1; and whether the two give the same weights once."""
     lams = {}
     for rep in minimal_coset_reps(grading.ambient, grading.sub, budget):
         lam = rep.apply_inverse(grading.rho_effective) - grading.rho0
@@ -325,12 +324,20 @@ def spin_g1(grading: Z2Grading, budget: int = DEFAULT_WEYL_BUDGET,
             raise ConsistencyError(f"coset weight {lam} repeats")
         lams[lam] = rep
     dec = spin0_decomposition(grading.delta1, budget, term_budget)
-    formula = sorted(lams)
-    direct = sorted(lam for lam, _ in dec)
-    if formula != direct or not dec.is_multiplicity_free():
+    agree = sorted(lams) == sorted(lam for lam, _ in dec) and dec.is_multiplicity_free()
+    return lams, dec, agree
+
+
+def spin_g1(grading: Z2Grading, budget: int = DEFAULT_WEYL_BUDGET,
+            term_budget: int = DEFAULT_TERM_BUDGET) -> SpinDecomposition:
+    """Spin of the isotropy module, by the coset formula and by decomposing
+    the reduced Spin character (its product with the Weyl denominator of
+    g0, pruned to the strictly dominant chamber); a mismatch raises."""
+    lams, dec, agree = _coset_route(grading, budget, term_budget)
+    if not agree:
         raise ConsistencyError(
             f"{grading.label}: coset formula and character decomposition disagree:"
-            f" {formula} vs {direct}")
+            f" {sorted(lams)} vs {sorted(lam for lam, _ in dec)}")
     # the routes agree, so each summand's dimension is the decomposition's
     dims = {lam: d for (lam, _), d in zip(dec.summands, dec.dimensions)}
     summands = [SpinSummand(rep, lam, dims[lam]) for lam, rep in lams.items()]
@@ -387,54 +394,51 @@ def equal_rank_pair(rs: RootSystem, generators,
                     term_budget: int = DEFAULT_TERM_BUDGET) -> dict:
     """Isotropy data for a closed full-rank subsystem h in g.
 
-    Reports the invariant dimensions of the exterior algebra of m, the
-    extreme-weight structure of its reduced Spin, and which of the
-    symmetric-pair equivalences hold: (ii) dim invariants = #W^h,
-    (iii) Spin0(m) generated by its extreme weights, (iv) the twisted
-    denominator identity.
+    The pair is a grading with g0 = h, g1 = m = +-(Delta+ minus Delta_h+)
+    and rho_eff = rho. Reports the invariant dimensions of the exterior
+    algebra of m, the extreme-weight structure of its reduced Spin, and
+    which of the symmetric-pair equivalences hold: (ii) dim invariants =
+    #W^h, (iii) Spin0(m) generated by its extreme weights, that is, the
+    two Spin routes agree, (iv) the twisted denominator identity.
     """
+    roots = dict(zip(rs.positive_roots, rs.positive_keys))
     delta_h_plus = [w if isinstance(w, Weight) else Weight(w) for w in generators]
-    pos_set = {r.coords for r in rs.positive_roots}
-    h_set = {r.coords for r in delta_h_plus}
-    if not h_set <= pos_set:
+    if not all(r in roots for r in delta_h_plus):
         raise InvalidDescriptor("generators must be positive roots of g")
-    full_h = h_set | {tuple(-x for x in c) for c in h_set}
-    all_roots = pos_set | {tuple(-x for x in c) for c in pos_set}
+    h_keys = {roots[r] for r in delta_h_plus}
+    full_h = h_keys | {tuple(-x for x in k) for k in h_keys}
+    all_keys = set(roots.values()) | {tuple(-x for x in k) for k in roots.values()}
     for a in full_h:
         for b in full_h:
             s = tuple(x + y for x, y in zip(a, b))
-            if s in all_roots and s not in full_h:
-                raise NotClosed(f"subsystem not closed: {a} + {b}")
-    sub = SubsystemDatum(rs, delta_h_plus)
-    if sub.system.rank != rs.rank:
+            if s in all_keys and s not in full_h:
+                raise NotClosed(f"subsystem not closed: {key_weight(rs, a)}"
+                                f" + {key_weight(rs, b)}")
+    m_plus = [r for r, k in roots.items() if k not in h_keys]
+    grading = Z2Grading("equal-rank", rs.descriptor(), rs, delta_h_plus,
+                        [(r, 1) for r in m_plus] + [(-r, 1) for r in m_plus], 0,
+                        rho_effective=rs.rho)
+    h = grading.g0
+    if h.rank != rs.rank:
         raise InvalidDescriptor("subsystem is not full rank")
-    h = sub.system
-    m_plus = [r for r in rs.positive_roots if r.coords not in h_set]
-    m_pairs = [(r, 1) for r in m_plus] + [(-r, 1) for r in m_plus]
-    ws = WeightSystem(h, m_pairs, 0)
-
-    lam_ws = [rep.apply_inverse(rs.rho) - h.rho for rep in minimal_coset_reps(rs, sub, budget)]
-    n_wh = len(lam_ws)
-    dec = spin0_decomposition(ws, budget, term_budget)
-    dg_set = sorted(l.coords for l in lam_ws)
-    dec_set = sorted(l.coords for l, _ in dec)
-    halves = enumerate_dominant_halves(ws)
-    inv_dims = invariant_poincare(ws, budget, term_budget).coefficients
-    identity_ok = verify_tau_identity(rs, sub, m_plus, budget, term_budget)
+    lams, dec, agree = _coset_route(grading, budget, term_budget)
+    halves = enumerate_dominant_halves(grading.delta1)
+    inv_dims = invariant_poincare(grading.delta1, budget, term_budget).coefficients
+    identity_ok = verify_tau_identity(rs, grading.sub, m_plus, budget, term_budget)
     casimir_expected = rs.inner(rs.rho, rs.rho) - rs.inner(h.rho, h.rho)
-    casimir_values = sorted({rs.inner(l + 2 * h.rho, l) for l in lam_ws})
+    casimir_values = sorted({rs.inner(l + 2 * h.rho, l) for l in lams})
     return {
         "g": rs.descriptor(),
         "h": h.descriptor(),
-        "n_wh": n_wh,
+        "n_wh": len(lams),
         "extreme_count": len(halves),
-        "dg_weights": dg_set,
-        "spin0_weights": dec_set,
+        "dg_weights": sorted(l.coords for l in lams),
+        "spin0_weights": sorted(l.coords for l, _ in dec),
         "spin0_multiplicity_free": dec.is_multiplicity_free(),
         "invariant_dims": inv_dims,
         "invariant_total": sum(inv_dims),
-        "condition_ii": sum(inv_dims) == n_wh,
-        "condition_iii": dg_set == dec_set and dec.is_multiplicity_free(),
+        "condition_ii": sum(inv_dims) == len(lams),
+        "condition_iii": agree,
         "condition_iv": identity_ok,
         "casimir_on_dg": casimir_values,
         "casimir_expected": casimir_expected,

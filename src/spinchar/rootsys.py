@@ -35,10 +35,11 @@ Simple-root numbering: the standard realizations below define it. A, B,
 C, D, G2 and the E family follow the Bourbaki order; F4 is numbered with
 the short roots first (alpha1, alpha2 short, alpha3, alpha4 long), so that
 the highest root is the fourth fundamental weight. ``bourbaki_numbering``
-translates back. Any other system is typed by matching: each Dynkin
-component takes the first simple type, in ``simple_types`` order, whose
-Cartan matrix, read off its realization, is the component's under some
-ordering of its nodes. A realized subsystem numbers each component by the
+translates back, node by node. Any other system is typed by matching:
+each Dynkin component takes the first simple type, in ``simple_types``
+order, whose Cartan matrix, read off its realization, is the component's
+under some ordering of its nodes; the types are listed in component
+order. A realized subsystem numbers each component by the
 matching ordering whose keys are least, read from the branch node outward
 (along the chain when there is none), so it does not depend on the order
 of its input.
@@ -652,16 +653,16 @@ class RootSystem:
             raise InvalidDescriptor("rho is not the sum of the fundamental weights")
 
     def _classify(self):
-        """The type of each Dynkin component: one under which the given
-        order is already standard where there is one (so the dual of B2
-        stays C2), else the first that fits."""
+        """The type of each Dynkin component, in component order: one under
+        which the given order is already standard where there is one (so
+        the dual of B2 stays C2), else the first that fits."""
         cartan = self.cartan_matrix
         labels = []
         for comp in _components(cartan):
             given = tuple(tuple(cartan[i][j] for j in comp) for i in comp)
             standard = [t for t in _types_of_rank(len(comp)) if _standard_cartan(*t) == given]
             labels.append(standard[0] if standard else _identify(cartan, comp)[0])
-        return tuple(sorted(labels))
+        return tuple(labels)
 
     # -- distinguished elements ----------------------------------------------
 
@@ -718,13 +719,15 @@ class RootSystem:
 
 
 def bourbaki_numbering(rs: RootSystem) -> list:
-    """For each simple root, its index in Bourbaki's numbering (per factor)."""
-    out = []
+    """For each simple root, its index in Bourbaki's numbering (per factor),
+    from its place in an ordering under which its component is standard."""
+    out = [0] * rs.rank
     offset = 0
     for comp, (fam, r) in zip(_components(rs.cartan_matrix), rs.type_label):
+        order = next(_relabellings(_standard_cartan(fam, r), rs.cartan_matrix, comp))
         table = _TO_BOURBAKI.get(fam, {})
-        for pos, _ in enumerate(comp, start=1):
-            out.append(offset + table.get(pos, pos))
+        for pos, node in enumerate(order, start=1):
+            out[node] = offset + table.get(pos, pos)
         offset += r
     return out
 

@@ -6,6 +6,10 @@ reported as skips, never as failures. The suites are what the command-line
 the paper claims; the library's own properties (half-independence of
 Spin0, exterior sums, exact Weyl division, coset factorization) are
 checked by the tests in ``tests/``.
+
+Each claim has one check: the little adjoints and the Cartan squares share
+one co-primary module check, and every row of ``CONJECTURE_PAIRS`` is read
+by one pair check, which asserts (ii), (iii) and (iv) on it.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .charring import (
     irreducible_character,
     plus_product,
     skew_plus_product,
+    weight_key,
     weyl_dimension,
 )
 from .gradings import (
@@ -233,28 +238,35 @@ def suite_little_adjoint(weyl_budget=DEFAULT_WEYL_BUDGET,
     return records
 
 
+def _coprimary_module_check(rs, lam, zero_mult, positive, head, weyl_budget,
+                            term_budget, square=True):
+    """V_lam has m(0) = zero_mult and the nonzero weights +-positive (integer
+    keys), is co-primary with Spin0 = V_head, and 2^{(dim - m(0))/2} =
+    dim V_head; with ``square``, the exterior algebra is checked as
+    2^{m(0)} (ch V_head)^2 term by term. Returns (weight system, dim V_head)."""
+    ws = freudenthal_weights(rs, lam)
+    _expect(ws.zero_mult == zero_mult, f"m(0) = {ws.zero_mult}, expected {zero_mult}")
+    _expect(set(ws.nonzero) == positive | {tuple(-x for x in k) for k in positive},
+            "nonzero weights differ from the expected roots")
+    flag, dec = is_coprimary(ws, weyl_budget, term_budget)
+    _expect(flag, f"{rs.descriptor()} V_{rs.format_weight(lam)} not co-primary: {dec}")
+    _expect(dec.summands[0][0] == head, f"Spin0 head {dec.summands[0][0]} != {head}")
+    dim_spin = 2 ** ((ws.dimension() - zero_mult) // 2)
+    _expect(dim_spin == weyl_dimension(rs, head), "2^{(dim-m0)/2} != dim V_head")
+    if square:
+        spin_character(ws, term_budget=term_budget)
+    return ws, dim_spin
+
+
 def _little_adjoint_check(desc, weyl_budget, term_budget):
+    """V_theta_s: Spin0 = V_rho_s, and dim = (h+1) m(0)."""
     rs = build_root_system(desc)
     se = special_elements(rs)
-    ws = freudenthal_weights(rs, se.theta_s)
-    n_short_simple = len(se.simple_short)
-    _expect(ws.zero_mult == n_short_simple, "m(0) != number of short simple roots")
+    shorts = {weight_key(rs, r) for r in rs.short_roots()}
+    ws, dim_spin = _coprimary_module_check(rs, se.theta_s, len(se.simple_short), shorts,
+                                           se.rho_s, weyl_budget, term_budget)
     _expect(ws.dimension() == (se.coxeter_number + 1) * ws.zero_mult,
             "dim != (h+1) m(0)")
-    shorts = {r.coords for r in rs.short_roots()} | {
-        (-r).coords for r in rs.short_roots()}
-    from .charring import key_weight
-    _expect({key_weight(rs, k).coords for k in ws.nonzero} == shorts,
-            "nonzero weights are not the short roots")
-    flag, dec = is_coprimary(ws, weyl_budget, term_budget)
-    _expect(flag, f"{desc} little adjoint not co-primary: {dec}")
-    lam, _ = dec.summands[0]
-    _expect(lam == se.rho_s, f"Spin0 head {lam} != rho_s {se.rho_s}")
-    dim_spin = 2 ** ((ws.dimension() - ws.zero_mult) // 2)
-    _expect(dim_spin == weyl_dimension(rs, se.rho_s),
-            "2^{(dim-m0)/2} != dim V_{rho_s}")
-    # the squared form: exterior algebra = 2^{#short simples} (ch V_rho_s)^2
-    spin_character(ws, term_budget=term_budget)
     return f"Spin0 = V_rho_s, dim {dim_spin}"
 
 
@@ -298,33 +310,17 @@ def _g2_control(weyl_budget, term_budget):
 
 
 def _cartan_square_check(n, weyl_budget, term_budget):
-    """so_{2n+1} on the Cartan square of the defining module."""
+    """so_{2n+1} on the Cartan square V_2w1 of the defining module: m(0) = n,
+    the weights Delta u 2 Delta_s, Spin0 = V_(rho+2w_n)."""
     rs = build_root_system("B", n)
-    se = special_elements(rs)
-    lam = rs.weight(*((2,) + (0,) * (n - 1)))
-    ws = freudenthal_weights(rs, lam)
-    _expect(ws.zero_mult == n, "m(0) != n")
-    from .charring import key_weight
-    expected_support = {r.coords for r in rs.positive_roots}
-    expected_support |= {(-r).coords for r in rs.positive_roots}
-    expected_support |= {(2 * r).coords for r in rs.short_roots()}
-    expected_support |= {(-2 * r).coords for r in rs.short_roots()}
-    _expect({key_weight(rs, k).coords for k in ws.nonzero} == expected_support,
-            "weights are not {0} u Delta u 2Delta_s")
-    flag, dec = is_coprimary(ws, weyl_budget, term_budget)
-    _expect(flag, f"B{n} V_2w1 not co-primary: {dec}")
-    head, _ = dec.summands[0]
-    target = rs.rho + 2 * rs.fundamental_weights[n - 1]
-    _expect(head == target, f"Spin0 head {head} != rho + 2 w_n")
-    dim_spin = 2 ** ((ws.dimension() - n) // 2)
-    _expect(dim_spin == weyl_dimension(rs, target), "dimension check failed")
+    doubled = {tuple(2 * x for x in weight_key(rs, r)) for r in rs.short_roots()}
+    # at n=4 the square has ~5*10^7 raw products, so only Spin0 is checked
+    _, dim_spin = _coprimary_module_check(
+        rs, 2 * rs.fundamental_weights[0], n, set(rs.positive_keys) | doubled,
+        rs.rho + 2 * rs.fundamental_weights[n - 1], weyl_budget, term_budget,
+        square=n <= 3)
     if n == 2:
         _expect(dim_spin == 64, "64-dimension check at n=2 failed")
-    if n <= 3:
-        # exterior algebra = 2^n (ch V_{rho+2w_n})^2, checked term by term;
-        # at n=4 the square has ~5*10^7 raw products, so only the Spin0
-        # route above is run there
-        spin_character(ws, term_budget=term_budget)
     return f"Spin0 = V_(rho+2w_n), dim {dim_spin}"
 
 
@@ -579,46 +575,38 @@ def suite_casimir(weyl_budget=DEFAULT_WEYL_BUDGET, term_budget=DEFAULT_TERM_BUDG
 # suite: conjecture evidence (equal-rank non-symmetric pairs)
 
 
+# (record id, type of g, expected type of h, whether the pair is symmetric,
+# detail template over the report); h is spanned by the long roots of g
+CONJECTURE_PAIRS = [
+    ("conjecture:G2>A2", "G2", "A2", False,
+     "#W^h={n_wh}, dim invariants={invariant_total}, (ii)-(iv) all fail"),
+    ("conjecture:C3>A1xA1xA1", "C3", "A1xA1xA1", False,
+     "#W^h={n_wh}, dim invariants={invariant_total}, (ii)-(iii) fail"),
+    ("conjecture:symmetric-control", "B2", "A1xA1", True, "B2 > D2 satisfies (ii)-(iv)"),
+]
+
+
+def _conjecture_pair_check(desc, h, symmetric, detail, weyl_budget, term_budget):
+    """The paper's conjecture on one equal-rank pair: (ii), (iii) and (iv)
+    all hold exactly when the pair is symmetric, a non-symmetric pair has
+    more invariants than #W^h, and the Casimir is scalar on the dg part."""
+    rs = build_root_system(desc)
+    longs = [r for r in rs.positive_roots if rs.inner(r, r) == 2]
+    rep = equal_rank_pair(rs, longs, weyl_budget, term_budget)
+    _expect(rep["h"] == h, f"h is {rep['h']}, expected {h}")
+    for c in ("ii", "iii", "iv"):
+        _expect(rep[f"condition_{c}"] == symmetric, f"({c}) is {not symmetric} on {desc} > {h}")
+    _expect(symmetric or rep["invariant_total"] > rep["n_wh"],
+            "invariants do not exceed #W^h")
+    _expect(rep["casimir_scalar_on_dg"], "Casimir not scalar on the dg part")
+    return detail.format(**rep)
+
+
 def suite_conjecture(weyl_budget=DEFAULT_WEYL_BUDGET,
                      term_budget=DEFAULT_TERM_BUDGET):
-    records = []
-
-    def g2_chk():
-        rs = build_root_system("G2")
-        longs = [r for r in rs.positive_roots if rs.inner(r, r) == 2]
-        rep = equal_rank_pair(rs, longs, weyl_budget, term_budget)
-        _expect(rep["h"] == "A2", "long subsystem is not A2")
-        _expect(rep["n_wh"] == 2, "#W^h != 2")
-        _expect(rep["invariant_total"] > 2, "invariants do not exceed #W^h")
-        _expect(not rep["condition_ii"], "(ii) unexpectedly holds")
-        _expect(not rep["condition_iii"], "(iii) unexpectedly holds")
-        _expect(not rep["condition_iv"], "(iv) unexpectedly holds")
-        _expect(rep["casimir_scalar_on_dg"], "Casimir not scalar on the dg part")
-        return (f"#W^h=2, dim invariants={rep['invariant_total']},"
-                " (ii)-(iv) all fail")
-    records.append(_run("conjecture:G2>A2", g2_chk))
-
-    def c3_chk():
-        rs = build_root_system("C3")
-        longs = [r for r in rs.positive_roots if rs.inner(r, r) == 2]
-        rep = equal_rank_pair(rs, longs, weyl_budget, term_budget)
-        _expect(rep["h"] == "A1xA1xA1", "long subsystem is not A1^3")
-        _expect(not rep["condition_ii"] and not rep["condition_iii"],
-                "conditions unexpectedly hold")
-        _expect(rep["casimir_scalar_on_dg"], "Casimir not scalar on the dg part")
-        return (f"#W^h={rep['n_wh']}, dim invariants={rep['invariant_total']},"
-                " (ii)-(iii) fail")
-    records.append(_run("conjecture:C3>A1xA1xA1", c3_chk))
-
-    def symmetric_control():
-        rs = build_root_system("B2")
-        longs = [r for r in rs.positive_roots if rs.inner(r, r) == 2]
-        rep = equal_rank_pair(rs, longs, weyl_budget, term_budget)
-        _expect(rep["condition_ii"] and rep["condition_iii"] and rep["condition_iv"],
-                "symmetric pair fails its own equivalences")
-        return "B2 > D2 satisfies (ii)-(iv)"
-    records.append(_run("conjecture:symmetric-control", symmetric_control))
-    return records
+    return [_run(check_id, lambda row=row: _conjecture_pair_check(
+                *row, weyl_budget, term_budget))
+            for check_id, *row in CONJECTURE_PAIRS]
 
 
 # ---------------------------------------------------------------------------

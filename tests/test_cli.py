@@ -336,6 +336,15 @@ def test_show_root_system(capsys):
     assert len(data["root_system"]["positive_roots"]) == 24
 
 
+@pytest.mark.parametrize("argv", [["--type", "A1"], ["--grading", "B2/alpha2"]])
+def test_show_prints_its_json_once_in_every_format(capsys, argv):
+    # show has no markdown form: each format prints the one JSON document
+    outs = [run_cli(capsys, "show", *argv, "--format", f) for f in ("json", "markdown", "both")]
+    assert {code for code, _ in outs} == {0}
+    assert {out for _, out in outs} == {outs[0][1]}
+    json.loads(outs[2][1])
+
+
 def test_show_grading_dumps_section(capsys):
     code, out = run_cli(capsys, "show", "--grading", "F4/B4", "--format", "json")
     assert code == 0

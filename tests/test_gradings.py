@@ -117,6 +117,10 @@ def test_a_repeated_coset_representative_is_a_consistency_failure(monkeypatch):
     monkeypatch.setattr(gradings, "minimal_coset_reps", twice_the_first)
     with pytest.raises(ConsistencyError, match="coset weight .* repeats"):
         spin_g1(inner_grading(build_root_system("F4"), 1))
+    # equal_rank_pair reads the same coset route
+    b2 = build_root_system("B2")
+    with pytest.raises(ConsistencyError, match="coset weight .* repeats"):
+        equal_rank_pair(b2, [r for r in b2.positive_roots if b2.inner(r, r) == 2])
 
 
 def test_all_rank_le_3_inner_gradings_are_multiplicity_free():

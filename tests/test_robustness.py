@@ -10,6 +10,7 @@ import pytest
 
 from spinchar import BudgetExceeded, build_root_system
 from spinchar import verify
+from spinchar.charring import Decomposition
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "spinchar"
 
@@ -137,6 +138,41 @@ def test_casimir_suite_checks_the_closed_form(monkeypatch):
     assert records
     assert all(r["status"] == "fail" and r["detail"] == "value != h^vee dim g1 / 8"
                for r in records)
+
+
+@pytest.mark.parametrize("key", ["condition_ii", "condition_iii", "condition_iv",
+                                 "casimir_scalar_on_dg"])
+def test_conjecture_suite_checks_every_condition_on_every_pair(monkeypatch, key):
+    # one pair check reads each row: flipping any condition, or the Casimir's
+    # scalarity, fails every pair
+    real = verify.equal_rank_pair
+
+    def flipped(*args):
+        report = real(*args)
+        return {**report, key: not report[key]}
+
+    monkeypatch.setattr(verify, "equal_rank_pair", flipped)
+    records = verify.suite_conjecture()
+    assert [r["id"] for r in records] == ["conjecture:G2>A2", "conjecture:C3>A1xA1xA1",
+                                          "conjecture:symmetric-control"]
+    assert {r["status"] for r in records} == {"fail"}, records
+
+
+def test_coprimary_module_records_check_the_head(monkeypatch):
+    # the little adjoints and the Cartan squares share one co-primary check,
+    # which fails each of them when is_coprimary names a wrong head
+    real = verify.is_coprimary
+
+    def wrong_head(ws, *args):
+        flag, dec = real(ws, *args)
+        return flag, Decomposition(dec.rs, [(2 * lam, m) for lam, m in dec])
+
+    monkeypatch.setattr(verify, "is_coprimary", wrong_head)
+    records = {r["id"]: r for r in verify.suite_little_adjoint()}
+    ids = [f"little-adjoint:{desc}" for desc in verify.LITTLE_ADJOINT_TYPES]
+    ids += [f"little-adjoint:cartan-square:B{n}" for n in (2, 3, 4)]
+    assert {i: records[i]["status"] for i in ids} == dict.fromkeys(ids, "fail")
+    assert all(records[i]["detail"].startswith("Spin0 head ") for i in ids)
 
 
 def test_f4_table_row_skips_under_a_reduced_weyl_budget():

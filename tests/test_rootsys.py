@@ -263,6 +263,29 @@ def test_json_round_trip():
         w.coords for w in rs.fundamental_weights]
 
 
+@pytest.mark.parametrize("desc", ["F4xA1", "A1xF4", "G2xA2xA1"]
+                         + [f"{fam}{rank}" for fam, rank in simple_types(4)])
+def test_a_json_round_trip_keeps_the_descriptor_and_numbering(desc):
+    # the factors are read in the order their components come, and each
+    # node is numbered where it stands
+    rs = build_root_system(desc)
+    back = root_system_from_json(rs.to_json())
+    assert back.descriptor() == rs.descriptor()
+    assert bourbaki_numbering(back) == bourbaki_numbering(rs)
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1])
+def test_a_permuted_f4_basis_is_numbered_as_built(seed):
+    # reversed (seed None) or shuffled, each simple root keeps its number
+    f4 = build_root_system("F4")
+    perm = list(range(4))[::-1]
+    if seed is not None:
+        random.Random(seed).shuffle(perm)
+    permuted = RootSystem([f4.simple_roots[i] for i in perm], f4.form)
+    assert permuted.descriptor() == "F4"
+    assert bourbaki_numbering(permuted) == [bourbaki_numbering(f4)[i] for i in perm]
+
+
 def test_dependent_simple_roots_are_an_invalid_descriptor():
     # A2 plus a third simple root alpha1 + alpha2: the Cartan matrix is singular
     data = build_root_system("A2").to_json()
