@@ -30,7 +30,6 @@ from .rootsys import (
 from .weyl import (
     SubsystemDatum,
     WeylElement,
-    WeylGroup,
     cunning_parity,
     enumerate_weyl,
     l0_of,

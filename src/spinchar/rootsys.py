@@ -34,15 +34,17 @@ iterators, and every integer pairing calls it.
 Simple-root numbering: the standard realizations below define it. A, B,
 C, D, G2 and the E family follow the Bourbaki order; F4 is numbered with
 the short roots first (alpha1, alpha2 short, alpha3, alpha4 long), so that
-the highest root is the fourth fundamental weight. ``bourbaki_numbering``
-translates back, node by node. Any other system is typed by matching:
-each Dynkin component takes the first simple type, in ``simple_types``
-order, whose Cartan matrix, read off its realization, is the component's
-under some ordering of its nodes; the types are listed in component
-order. A realized subsystem numbers each component by the
-matching ordering whose keys are least, read from the branch node outward
-(along the chain when there is none), so it does not depend on the order
-of its input.
+the highest root is the fourth fundamental weight. A system types itself
+once, when built, from its Cartan matrix: ``components`` holds each Dynkin
+component, in component order, as a type and an ordering of its nodes
+under which its Cartan matrix is that of the type's realization. Nodes
+already in such an order keep it and that type (the dual of B2 is C2);
+others take the first type, in ``simple_types`` order, that matches, and
+its first ordering. ``type_label``, |W| and ``bourbaki_numbering`` read
+that result. A realized subsystem gives each component its first matching
+type and the matching ordering whose keys are least, read from the branch
+node outward (along the chain when there is none), so it does not depend
+on the order of its input.
 """
 
 from __future__ import annotations
@@ -383,10 +385,12 @@ class RootSystem:
     work on them: (x, alpha_i) is x . simple_w[i] and (x, beta_j) is
     x . positive_w[j], both up to one positive factor,
     simple_n[i] = simple_keys[i] . simple_w[i], and positive_labels[j] holds
-    the Dynkin labels of beta_j. All values are immutable after construction.
+    the Dynkin labels of beta_j; ``components`` and ``type_label`` are the
+    typing (see the module docstring). All values are immutable after
+    construction.
     """
 
-    def __init__(self, simple_roots, form, type_label=None, denom=None):
+    def __init__(self, simple_roots, form, denom=None):
         self.form = tuple(tuple(frac(x) for x in row) for row in form)
         self.space_dim = len(form)
         self.simple_roots = tuple(
@@ -434,7 +438,9 @@ class RootSystem:
         # the product of the heights (rho, beta) over beta > 0, in key units
         self.rho_heights = prod(_dot(self.rho_key, w) for w in self.positive_w)
 
-        self.type_label = tuple(type_label) if type_label else self._classify()
+        self.components = tuple(_type_component(self.cartan_matrix, comp)
+                                for comp in _components(self.cartan_matrix))
+        self.type_label = tuple(t for t, _ in self.components)
         self._check_invariants()
         self._weyl_cache = None
 
@@ -652,18 +658,6 @@ class RootSystem:
         if self.dynkin_labels(self.rho) != (1,) * self.rank:
             raise InvalidDescriptor("rho is not the sum of the fundamental weights")
 
-    def _classify(self):
-        """The type of each Dynkin component, in component order: one under
-        which the given order is already standard where there is one (so
-        the dual of B2 stays C2), else the first that fits."""
-        cartan = self.cartan_matrix
-        labels = []
-        for comp in _components(cartan):
-            given = tuple(tuple(cartan[i][j] for j in comp) for i in comp)
-            standard = [t for t in _types_of_rank(len(comp)) if _standard_cartan(*t) == given]
-            labels.append(standard[0] if standard else _identify(cartan, comp)[0])
-        return tuple(labels)
-
     # -- distinguished elements ----------------------------------------------
 
     def is_simple(self) -> bool:
@@ -720,11 +714,10 @@ class RootSystem:
 
 def bourbaki_numbering(rs: RootSystem) -> list:
     """For each simple root, its index in Bourbaki's numbering (per factor),
-    from its place in an ordering under which its component is standard."""
+    from its place in the ordering its component was typed by."""
     out = [0] * rs.rank
     offset = 0
-    for comp, (fam, r) in zip(_components(rs.cartan_matrix), rs.type_label):
-        order = next(_relabellings(_standard_cartan(fam, r), rs.cartan_matrix, comp))
+    for (fam, r), order in rs.components:
         table = _TO_BOURBAKI.get(fam, {})
         for pos, node in enumerate(order, start=1):
             out[node] = offset + table.get(pos, pos)
@@ -750,7 +743,7 @@ def _build_simple(family: str, rank: int) -> RootSystem:
     form = tuple(
         tuple(scale if i == j else Fraction(0) for j in range(dim)) for i in range(dim)
     )
-    rs = RootSystem(simples, form, type_label=[(family, rank)])
+    rs = RootSystem(simples, form)
     expected = sum(EXPONENTS[family](rank))
     if len(rs.positive_roots) != expected:
         raise InvalidDescriptor(
@@ -837,7 +830,7 @@ def _build_product(factors) -> RootSystem:
         form += [before + row + after for row in s.form]
         simples += [before + a.coords + after for a in s.simple_roots]
         offset += s.space_dim
-    return RootSystem(simples, form, type_label=[t for s in systems for t in s.type_label])
+    return RootSystem(simples, form)
 
 
 # ---------------------------------------------------------------------------
@@ -892,9 +885,7 @@ def dual_root_system(rs: RootSystem):
         raise InvalidDescriptor("dual system needs a simple system")
     se = special_elements(rs)
     if not se.two_lengths:
-        dual = RootSystem(rs.simple_roots, rs.form,
-                          type_label=rs.type_label, denom=rs.denom)
-        return dual, {r: r for r in rs.positive_roots}
+        return rs, {r: r for r in rs.positive_roots}
     r = rs.inner(se.theta, se.theta) / rs.inner(se.theta_s, se.theta_s)
     if r not in (2, 3):
         raise InvalidDescriptor(f"long/short length ratio {r} is not 2 or 3")
@@ -965,13 +956,25 @@ def _relabellings(std, cartan, nodes):
 
 
 def _identify(cartan, nodes):
-    """(type, its standard Cartan matrix) for the first simple type, in
-    ``simple_types`` order, that numbers the component ``nodes``."""
+    """(type, ordering): the first simple type, in ``simple_types`` order,
+    that numbers the component ``nodes``, and the first ordering of them
+    under which it does."""
     for t in _types_of_rank(len(nodes)):
-        std = _standard_cartan(*t)
-        if next(_relabellings(std, cartan, nodes), None):
-            return t, std
+        order = next(_relabellings(_standard_cartan(*t), cartan, nodes), None)
+        if order:
+            return t, order
     raise InvalidDescriptor("a Dynkin component of no simple type")
+
+
+def _type_component(cartan, nodes):
+    """(type, ordering) of a Dynkin component: the first type under which
+    the nodes in their given order are already standard, where there is
+    one (so the dual of B2 stays C2), in that order; else ``_identify``'s."""
+    given = tuple(tuple(cartan[i][j] for j in nodes) for i in nodes)
+    for t in _types_of_rank(len(nodes)):
+        if _standard_cartan(*t) == given:
+            return t, tuple(nodes)
+    return _identify(cartan, nodes)
 
 
 def _reading_order(std):
@@ -1014,20 +1017,22 @@ def subsystem(rs: RootSystem, positive_subset) -> RootSystem:
             "subset is not the positive system generated by its simple roots")
     simples = [i for i, a in enumerate(keys) if a not in sums]
     if not simples:
-        return RootSystem([], rs.form, type_label=(), denom=rs.denom)
-    # each component is typed once and numbered by the ordering whose keys
-    # are least in its type's reading order
+        return RootSystem([], rs.form, denom=rs.denom)
+    # each component takes its first matching type, whatever the input
+    # order, and is numbered by the ordering whose keys are least in that
+    # type's reading order; the system built on that order types itself so
     skeys = [keys[i] for i in simples]
     cartan = _cartan(skeys, [rows[i] for i in simples], [norms[i] for i in simples])
     keyed = []
     for comp in _components(cartan):
-        label, std = _identify(cartan, comp)
+        label = _identify(cartan, comp)[0]
+        std = _standard_cartan(*label)
         read = _reading_order(std)
         order = min(_relabellings(std, cartan, comp), key=lambda o: [skeys[o[p]] for p in read])
         keyed.append((label, [skeys[i] for i in order], order))
     keyed.sort(key=lambda t: t[:2])
     final = RootSystem([pos[simples[i]] for _, _, order in keyed for i in order],
-                       rs.form, type_label=[label for label, _, _ in keyed], denom=rs.denom)
+                       rs.form, denom=rs.denom)
     if set(final.positive_roots) != set(pos):
         raise InvalidDescriptor(
             "subset is not the positive system generated by its simple roots")

@@ -59,8 +59,13 @@ def self_dual(rs: RootSystem, lam: Weight) -> bool:
     and the rest of lam must be zero (``RootSystem.off_span``).
     """
     labels = rs.dynkin_labels(lam) or rs.fw_coefficients(lam)
-    return (all(p >= 0 and labels[s] == p for p, s in zip(labels, rs.minus_w0))
-            and not rs.off_span(lam.key))
+    return min(labels, default=0) >= 0 and _self_dual(rs, labels, lam.key)
+
+
+def _self_dual(rs: RootSystem, labels: tuple, key) -> bool:
+    """``self_dual`` for a dominant lam, on its labels already read and its key."""
+    return (tuple(map(labels.__getitem__, rs.minus_w0)) == labels
+            and not rs.off_span(key))
 
 
 def frobenius_schur(rs: RootSystem, lam: Weight) -> int:
@@ -76,7 +81,7 @@ def frobenius_schur(rs: RootSystem, lam: Weight) -> int:
     labels = rs.dynkin_labels(lam)
     if labels is None or any(p < 0 for p in labels):
         raise InvalidDescriptor(f"{rs.format_weight(lam)} is not dominant integral")
-    if not self_dual(rs, lam):
+    if not _self_dual(rs, labels, lam.key):
         return 0
     # <lam, beta~> = 2 (lam, beta) / (beta, beta), lam read at its own scale
     total = sum(2 * rs.denom * _dot(lam.key, w) // (lam.scale * _dot(b, w))
@@ -420,8 +425,7 @@ def classify_candidate(rs: RootSystem, lam: Weight,
         "filter": None,
         "spin0": None,
     }
-    if (any(labels[s] != p for p, s in zip(labels, rs.minus_w0))
-            or rs.off_span(lam.key)):
+    if not _self_dual(rs, labels, lam.key):
         record["filter"] = "not-self-dual"
         return record
     if any(_dot(row, labels) % rs.lattice_denom for row in rs.lattice_rows):

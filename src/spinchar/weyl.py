@@ -79,21 +79,6 @@ class WeylElement:
         return f"WeylElement(length={self.length})"
 
 
-class WeylGroup:
-    """A reflection group on the ambient space, fully enumerated: the
-    elements of the rho-orbit, identity first."""
-
-    def __init__(self, rs: RootSystem, elements):
-        self.rs = rs
-        self.elements = elements
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-
 def _check_weyl_budget(rs: RootSystem, budget: int, what: str = None) -> int:
     """|W(rs)|, from the type alone; BudgetExceeded up front when it exceeds
     the budget, naming the group ``what``, W(rs) by default."""
@@ -106,23 +91,23 @@ def _check_weyl_budget(rs: RootSystem, budget: int, what: str = None) -> int:
 
 
 def _enumerate(rs: RootSystem, gen: RootSystem, budget, what):
-    """W(gen), for gen rs itself or a subsystem, as the orbit of rs's rho
-    under gen's simple reflections, refused up front when |W(gen)| exceeds
-    the budget. rho is dominant and regular for gen too (Delta0+ lies in
-    Delta+), so ``dominant_orbit`` reaches each element once, with a
-    reduced word."""
+    """W(gen), for gen rs itself or a subsystem, as the tuple of the
+    elements of rs's rho-orbit under gen's simple reflections, identity
+    first, refused up front when |W(gen)| exceeds the budget. rho is
+    dominant and regular for gen too (Delta0+ lies in Delta+), so
+    ``dominant_orbit`` reaches each element once, with a reduced word."""
     required = _check_weyl_budget(gen, budget, what)
     words = gen.dominant_orbit(rs.rho_key, gen.labels(rs.rho_key))
     if len(words) != required:
         raise ConsistencyError(f"enumerated {len(words)} elements of {what},"
                                f" expected {required}")
-    elements = [WeylElement(key, word, gen) for key, word in words.items()]
-    elements.sort(key=lambda w: (w.length, w.key))
-    return WeylGroup(rs, elements)
+    return tuple(sorted((WeylElement(key, word, gen) for key, word in words.items()),
+                        key=lambda w: (w.length, w.key)))
 
 
-def enumerate_weyl(rs: RootSystem, budget: int = DEFAULT_WEYL_BUDGET) -> WeylGroup:
-    """The full Weyl group of rs, refusing politely when |W| > budget."""
+def enumerate_weyl(rs: RootSystem, budget: int = DEFAULT_WEYL_BUDGET) -> tuple:
+    """The elements of the full Weyl group of rs, identity first, refusing
+    politely when |W| > budget."""
     if rs._weyl_cache is not None and len(rs._weyl_cache) <= budget:
         return rs._weyl_cache
     rs._weyl_cache = _enumerate(rs, rs, budget, f"W({rs.descriptor()})")
@@ -140,7 +125,7 @@ class SubsystemDatum:
         self.system = subsystem(rs, self.delta0_plus)
 
     @cached_property
-    def group(self) -> WeylGroup:
+    def group(self) -> tuple:
         return _enumerate(self.rs, self.system, DEFAULT_WEYL_BUDGET,
                           f"W({self.system.descriptor()}) in W({self.rs.descriptor()})")
 

@@ -12,7 +12,6 @@ integer rows has a point."""
 
 from fractions import Fraction
 from math import comb
-from weakref import WeakKeyDictionary
 
 from spinchar.charring import (
     DEFAULT_TERM_BUDGET,
@@ -78,12 +77,12 @@ def reflection_matrix(rs, alpha):
                        for j in range(n))))
 
 
-def lookup(group, matrix):
-    """The element of ``group`` acting by a given rational matrix: the one
+def lookup(rs, matrix):
+    """The element of W(rs) acting by a given rational matrix: the one
     whose key is the image of rho."""
-    rho = group.rs.rho.coords
-    key = Weight([_dot(row, rho) for row in matrix]).key_at(group.rs.denom)
-    return next(w for w in group if w.key == key)
+    rho = rs.rho.coords
+    key = Weight([_dot(row, rho) for row in matrix]).key_at(rs.denom)
+    return next(w for w in enumerate_weyl(rs) if w.key == key)
 
 
 def stretch(ch: Character, n: int) -> Character:
@@ -95,18 +94,19 @@ def stretch(ch: Character, n: int) -> Character:
 # an enumerated Weyl group, indexed by the keys w(rho) of its elements
 
 
-_INDEXES = WeakKeyDictionary()
+# by id, each index holding its group so that the id is not reused
+_INDEXES = {}
 
 
 def _by_image(group):
-    """The group's elements by key, kept while the group lives."""
-    if group not in _INDEXES:
-        _INDEXES[group] = {w.key: w for w in group}
-    return _INDEXES[group]
+    """The group's elements by key."""
+    if id(group) not in _INDEXES:
+        _INDEXES[id(group)] = group, {w.key: w for w in group}
+    return _INDEXES[id(group)][1]
 
 
 def identity_element(group):
-    return group.elements[0]
+    return group[0]
 
 
 def contains(group, w):

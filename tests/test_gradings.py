@@ -282,7 +282,7 @@ def test_tau_identity_catches_mutants(desc, monkeypatch):
     assert not verify_tau_identity(
         rs, _mutated_sub(sub, sub.delta0_plus + sub.delta0_plus[:1]), d1p)
     # tau flipped on one element that is not the identity
-    flipped = enumerate_weyl(rs).elements[1]
+    flipped = enumerate_weyl(rs)[1]
     real = gradings.cunning_parity
 
     def parity(rs, sub, w):

@@ -531,7 +531,7 @@ def weyl_cases(draw):
 
 
 def _draw_element(data, group):
-    return group.elements[data.draw(st.integers(0, len(group) - 1))]
+    return group[data.draw(st.integers(0, len(group) - 1))]
 
 
 def _image(rs, w):

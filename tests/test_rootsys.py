@@ -356,6 +356,38 @@ def test_a_given_order_is_read_in_a_type_it_numbers():
     assert RootSystem([a, b, middle], d3.form).type_label == (("A", 3),)
 
 
+def test_a_root_system_types_itself_and_takes_no_type_label():
+    # F4's basis, once accepted with the label B4, read B4 and |W| = 384
+    f4 = build_root_system("F4")
+    with pytest.raises(TypeError):
+        RootSystem(f4.simple_roots, f4.form, type_label=[("B", 4)])
+    rs = RootSystem(f4.simple_roots, f4.form)
+    assert rs.descriptor() == "F4"
+    assert rs.weyl_order() == 1152
+    assert bourbaki_numbering(rs) == [4, 3, 2, 1]
+
+
+def test_numbering_reads_the_typing_made_at_construction(monkeypatch):
+    f4 = build_root_system("F4")
+    perm = [2, 0, 3, 1]
+    systems = [f4, build_root_system("F4xA1"),
+               RootSystem([f4.simple_roots[i] for i in perm], f4.form)]
+
+    def no_matching(*args):
+        raise AssertionError("bourbaki_numbering ran the matcher")
+    monkeypatch.setattr(rootsys, "_relabellings", no_matching)
+    assert bourbaki_numbering(systems[0]) == [4, 3, 2, 1]
+    assert bourbaki_numbering(systems[1]) == [4, 3, 2, 1, 5]
+    assert bourbaki_numbering(systems[2]) == [[4, 3, 2, 1][i] for i in perm]
+
+
+def test_a_single_length_dual_is_the_system_itself():
+    e6 = build_root_system("E6")
+    dual, mapping = dual_root_system(e6)
+    assert dual is e6
+    assert all(mapping[r] == r for r in e6.positive_roots)
+
+
 def test_subsystem_refusals():
     a2 = build_root_system("A2")
     a1, a2_ = a2.simple_roots

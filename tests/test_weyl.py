@@ -106,7 +106,7 @@ def test_cunning_parity_basics():
     identity = identity_element(group)
     assert cunning_parity(rs, sub, identity) == (1, 0)
     # reflection in a subsystem root has parity -1
-    s = lookup(group, reflection_matrix(rs, longs[0]))
+    s = lookup(rs, reflection_matrix(rs, longs[0]))
     tau, l0 = cunning_parity(rs, sub, s)
     assert tau == -1 and l0 == 1
 
@@ -131,9 +131,8 @@ def test_parity_is_usual_on_subgroup():
     rs = build_root_system("B2")
     longs = [r for r in rs.positive_roots if rs.inner(r, r) == 2]
     sub = SubsystemDatum(rs, longs)
-    group = enumerate_weyl(rs)
     for w0 in sub.group:
-        tau, l0 = cunning_parity(rs, sub, lookup(group, w0.matrix))
+        tau, l0 = cunning_parity(rs, sub, lookup(rs, w0.matrix))
         assert l0 == w0.length  # length in W0 relative to Delta0+
         assert tau == (-1) ** w0.length
 
@@ -184,7 +183,7 @@ def test_parabolic_length_additivity():
         w0, rep = factorize(rs, sub, w)
         assert w.length == w0.length + rep.length
     for w0 in sub.group:
-        assert l0_of(rs, sub, lookup(group, w0.matrix)) == w0.length
+        assert l0_of(rs, sub, lookup(rs, w0.matrix)) == w0.length
 
 
 def test_invalid_subsystem_rejected():
@@ -201,7 +200,7 @@ def test_factorize_identity_cases():
     sub = SubsystemDatum(rs, longs)
     group = enumerate_weyl(rs)
     for w0 in sub.group:
-        big = lookup(group, w0.matrix)
+        big = lookup(rs, w0.matrix)
         part0, rep = factorize(rs, sub, big)
         assert part0 == big and rep.length == 0
     for rep in minimal_coset_reps(rs, sub):
