@@ -9,8 +9,7 @@ occur exactly once in its file (so the list follows the code), or when the
 tests fail on the unmutated copy. Standard library only; pytest runs in a
 subprocess. pytest does not collect this file.
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py NAME ...   # the named ones
+    python tests/mutants.py
 """
 
 from __future__ import annotations
@@ -162,14 +161,9 @@ def _run(m: Mutant):
     return m.name, verdict, seconds, proc.stdout[-2000:] + proc.stderr[-2000:]
 
 
-def main(argv) -> int:
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 2
+def main() -> int:
     start = time.perf_counter()
-    tests = sorted({t for m in chosen for t in m.tests})
+    tests = sorted({t for m in MUTANTS for t in m.tests})
     with tempfile.TemporaryDirectory(prefix="spinchar-mutant-") as tmp:
         _copy(Path(tmp))
         proc = _pytest(Path(tmp), tests)
@@ -179,15 +173,15 @@ def main(argv) -> int:
         return 1
     bad = 0
     with ThreadPoolExecutor(WORKERS) as pool:
-        for name, verdict, seconds, detail in pool.map(_run, chosen):
+        for name, verdict, seconds, detail in pool.map(_run, MUTANTS):
             print(f"{verdict:8} {seconds:5.1f} s  {name}")
             if verdict != "killed":
                 bad += 1
                 print(detail)
-    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed"
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed"
           f" in {time.perf_counter() - start:.1f} s")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

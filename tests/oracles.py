@@ -12,6 +12,7 @@ integer rows has a point."""
 
 from fractions import Fraction
 from math import comb
+from weakref import WeakKeyDictionary
 
 from spinchar.charring import (
     DEFAULT_TERM_BUDGET,
@@ -94,15 +95,18 @@ def stretch(ch: Character, n: int) -> Character:
 # an enumerated Weyl group, indexed by the keys w(rho) of its elements
 
 
-# by id, each index holding its group so that the id is not reused
-_INDEXES = {}
+# by the system generating the group, kept while that system lives; the
+# positions hold no element, so the index keeps neither group nor system
+# alive, and every enumeration of one group has the same sorted order
+_POSITIONS = WeakKeyDictionary()
 
 
 def _by_image(group):
-    """The group's elements by key."""
-    if id(group) not in _INDEXES:
-        _INDEXES[id(group)] = group, {w.key: w for w in group}
-    return _INDEXES[id(group)][1]
+    """The positions of the group's elements in the tuple, by key."""
+    system = group[0]._system
+    if system not in _POSITIONS:
+        _POSITIONS[system] = {w.key: i for i, w in enumerate(group)}
+    return _POSITIONS[system]
 
 
 def identity_element(group):
@@ -115,12 +119,12 @@ def contains(group, w):
 
 def multiply(group, a, b):
     """ab, the element whose key is a applied to b's key."""
-    return _by_image(group)[a.act_key(b.key)]
+    return group[_by_image(group)[a.act_key(b.key)]]
 
 
 def invert(group, a):
     """a^{-1}: for a = s_{i1} ... s_{ik}, a^{-1}(rho) applies s_{i1} first."""
-    return _by_image(group)[a._system.walk(a.word, identity_element(group).key)[0]]
+    return group[_by_image(group)[a._system.walk(a.word, identity_element(group).key)[0]]]
 
 
 def factorize(rs, sub, w):
