@@ -189,9 +189,16 @@ def _binomial_product(rs: RootSystem, factors, term_budget: int,
     below the floor. Each state carries that slack in one field per label,
     above a guard bit; a move only lowers it, so the prune is one test of
     the guard bits. More states than the term budget raise BudgetExceeded.
+
+    Before the sort, each signed factor (v, m, -1) takes in up to m plus
+    factors at +-v: (e^{v/2} - e^{-v/2})(e^{v/2} + e^{-v/2}) = e^v - e^{-v}
+    is one signed binomial at 2v, which may take in plus factors at +-2v in
+    turn, and so on along the chain. So a weight of Spin0 that is a root
+    costs no binomial beside the Weyl denominator's. What is not taken in
+    stays as given.
     """
     n = 0 if floor is None else rs.rank
-    items = []
+    given, plus = [], {}
     for v, m, s in factors:
         labels = rs.labels(v) if n else []
         if labels is None:
@@ -199,7 +206,32 @@ def _binomial_product(rs: RootSystem, factors, term_budget: int,
                 f"weight {key_weight(rs, v)} is not integral for {rs.descriptor()}")
         if any(x % 2 for x in v):
             raise InvalidDescriptor(f"half of {key_weight(rs, v)} is off the key lattice")
-        items.append((m * sum(map(abs, labels)), labels, tuple(x // 2 for x in v), m, s))
+        f = [v, m, s, labels]
+        given.append(f)
+        if s == 1:  # a plus binomial is the same at v and at -v
+            plus.setdefault(v, []).append(f)
+            plus.setdefault(tuple(map(neg, v)), []).append(f)
+    merged = []
+    for f in given:
+        v, m, s, labels = f
+        if s == 1:
+            merged.append(f)  # its m is read below, once the signed ones took theirs
+            continue
+        while v in plus:
+            taken = 0
+            for g in plus[v]:
+                t = min(g[1], m - taken)
+                g[1] -= t
+                taken += t
+            if not taken:
+                break
+            if taken < m:
+                merged.append((v, m - taken, s, labels))
+            # the taken pairs: e^v - e^{-v}, a signed binomial at 2v
+            v, m, s, labels = tuple(map(add, v, v)), taken, -1, tuple(map(add, labels, labels))
+        merged.append((v, m, s, labels))
+    items = [(m * sum(map(abs, labels)), labels, tuple(x // 2 for x in v), m, s)
+             for v, m, s, labels in merged if m]
     items.sort(key=lambda t: -t[0])
     # the key length is the one given: a trailing coordinate no label reads
     # (the degree of ``invariant_poincare``) rides along unpruned

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
 
 from .errors import BudgetExceeded, ConsistencyError, SpinCharError
 from .charring import DEFAULT_TERM_BUDGET, freudenthal_weights
@@ -317,11 +318,31 @@ def cmd_show(args):
 # ---------------------------------------------------------------------------
 
 
+def _json(value, indent="\n"):
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte. Any
+    ``indent`` sends ``json`` down its pure-Python encoder, so containers
+    are laid out here: strings go through the C string encoder, a list of
+    strings is one join, and other scalars are ``json.dumps``'s."""
+    if isinstance(value, str):
+        return _string(value)
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = indent + "  "
+    if isinstance(value, dict):
+        parts = (_string(k) + ": " + _json(v, inner) for k, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(parts) + indent + "}"
+    parts = (map(_string, value) if all(isinstance(x, str) for x in value)
+             else (_json(x, inner) for x in value))
+    return "[" + inner + ("," + inner).join(parts) + indent + "]"
+
+
 def _emit(args, payload, markdown_fn=None):
     """Print the payload in the format asked; without a markdown form, as JSON."""
     try:
         if args.format in ("json", "both") or markdown_fn is None:
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            print(_json(payload))
         if markdown_fn is not None and args.format in ("markdown", "both"):
             print(markdown_fn(payload))
         sys.stdout.flush()

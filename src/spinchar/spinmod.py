@@ -8,7 +8,12 @@ The reduced Spin character of a self-dual weight system is the product of
 (e^{mu/2} + e^{-mu/2}) over any half of the nonzero weights; the scalar
 2^[m(0)/2] restores the full Spin. It is decomposed without expanding it,
 as a product with the Weyl denominator pruned to the strictly dominant
-chamber, the route of ``charring.decompose``. Dominant halves are
+chamber, the route of ``charring.decompose``. A weight of the half that
+is a root alpha (or a multiple of one) merges with alpha's denominator
+factor: (e^{alpha/2} - e^{-alpha/2})(e^{alpha/2} + e^{-alpha/2}) is the one
+binomial e^alpha - e^{-alpha} (see ``charring._binomial_product``). So an
+adjoint module expands half the binomials, and any module whose weights
+lie on root lines expands fewer. Dominant halves are
 enumerated as open chambers of the dominant cone cut by the weight
 hyperplanes, skipping those that miss it: by Farkas, the hyperplane of
 mu = sum c_i alpha_i with no two c_i of opposite sign (the hyperplane

@@ -41,6 +41,14 @@ MUTANTS = [
            "    return _binomial_product(rs, factors, term_budget, floor=2, seed=seed)",
            "    return _binomial_product(rs, factors, term_budget, floor=4, seed=seed)",
            ("tests/test_spinmod.py::test_spin0_decomposition_matches_the_decomposed_product",)),
+    Mutant("merged root binomial read as e^v + e^{-v}", "charring.py",
+           "v, m, s, labels = tuple(map(add, v, v)), taken, -1, tuple(map(add, labels, labels))",
+           "v, m, s, labels = tuple(map(add, v, v)), taken, 1, tuple(map(add, labels, labels))",
+           ("tests/test_properties.py::test_merged_binomial_products_match_their_expansion",)),
+    Mutant("merge chain without doubling", "charring.py",
+           "v, m, s, labels = tuple(map(add, v, v)), taken, -1, tuple(map(add, labels, labels))",
+           "v, m, s, labels = v, taken, -1, labels",
+           ("tests/test_properties.py::test_merged_binomial_products_match_their_expansion",)),
     Mutant("decomposition fill check dropped", "charring.py",
            "    if dec.total_dimension() != dimension:",
            "    if False:",

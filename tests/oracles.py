@@ -6,9 +6,10 @@ membership and the identity in an enumerated Weyl group, the
 factorization of an element over a coset section, the exterior powers by
 Newton's recursion and expanded degree by degree, the invariant Poincare
 polynomial read at the points of rho's orbit, the expanded skew product
-over a set of roots, decomposition by Racah-Speiser folding, and
-Fourier-Motzkin elimination, which decides whether an open cone of
-integer rows has a point."""
+over a set of roots, any product of binomials multiplied out one at a
+time, decomposition by Racah-Speiser folding, and Fourier-Motzkin
+elimination, which decides whether an open cone of integer rows has a
+point."""
 
 from fractions import Fraction
 from math import comb
@@ -263,6 +264,19 @@ def skew_product(rs, roots, term_budget=DEFAULT_TERM_BUDGET):
     """Expand prod (e^{a/2} - e^{-a/2}) over the given roots."""
     factors = [(weight_key(rs, a), 1, -1) for a in roots]
     return Character(rs, _binomial_product(rs, factors, term_budget))
+
+
+def expanded_binomials(rs, factors, seed=None):
+    """seed (by default 1) times prod (e^{v/2} + s e^{-v/2})^m over (key v,
+    m, s) factors, multiplied out one binomial at a time: what
+    ``_binomial_product`` computes, with nothing merged and nothing pruned."""
+    out = Character(rs, seed) if seed else Character.one(rs)
+    for v, m, s in factors:
+        half = key_weight(rs, tuple(x // 2 for x in v))
+        binomial = Character.from_weights(rs, [(half, 1), (-half, s)])
+        for _ in range(m):
+            out = out * binomial
+    return out
 
 
 def racah_speiser(ch, rs=None):

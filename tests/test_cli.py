@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinchar import charring, cli, spinmod, verify
 from spinchar.charring import Decomposition
@@ -165,6 +167,16 @@ def test_a_dropped_floor_2_term_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(charring, "_binomial_product", drop_one)
     assert main(["spin", "--type", "G2", "--weight", "1,0"]) == 1
     assert capsys.readouterr().err.startswith("consistency failure:")
+
+
+def test_e6_adjoint_spin0_fits_a_small_term_budget(capsys):
+    # each root weight of the adjoint merges with its Weyl-denominator
+    # factor, which keeps the pruned product under 20000 states
+    code, out = run_cli(capsys, "spin", "--type", "E6", "--weight", "0,1,0,0,0,0",
+                        "--term-budget", "20000", "--format", "json")
+    assert code == 0
+    (summand,) = json.loads(out)["spin"][0]["spin0_decomposition"]
+    assert summand["fw"] == ["1"] * 6 and summand["multiplicity"] == 1
 
 
 def test_jobs_is_a_verify_flag_only(capsys):
@@ -471,6 +483,17 @@ def test_outer_table_skips_rows_the_budget_refuses(capsys):
     assert code == 0
     assert "| e6 | sp8 | isotropy module | f4 | little adjoint V_w1 | skip |" in out
     assert "| sl4 | so4 | isotropy module | sp4 | little adjoint V_w2 | 2 |" in out
+
+
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(st.recursive(_JSON_SCALARS, lambda kids: st.lists(kids) | st.lists(kids).map(tuple)
+                    | st.lists(st.text()) | st.dictionaries(st.text(), kids), max_leaves=25))
+@example({"": [], "é": {}, "\u2603\n": [["a", "\x00"], [1.5, True, None]], "a": -0.0})
+def test_json_writer_gives_the_bytes_of_json_dumps(tree):
+    assert cli._json(tree) == json.dumps(tree, indent=2, sort_keys=True)
 
 
 def test_output_into_a_pipe_closed_early_is_not_an_error():

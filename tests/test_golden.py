@@ -24,6 +24,8 @@ CASES = {
                                       "1,1,1,1", "--format", "json"],
     "classify_4_6.md": ["classify", "--rank-bound", "4", "--height-bound", "6",
                         "--format", "markdown"],
+    "classify_6_4.md": ["classify", "--rank-bound", "6", "--height-bound", "4",
+                        "--format", "markdown"],
     "verify_table1.md": ["verify", "--suite", "table1", "--format", "markdown"],
     "verify_conjecture.md": ["verify", "--suite", "conjecture", "--format", "markdown"],
     "verify_little_adjoint.md": ["verify", "--suite", "little-adjoint", "--format",
@@ -35,3 +37,21 @@ CASES = {
 def test_cli_output_matches_golden(capsys, name):
     assert main(CASES[name]) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+def test_rank_5_and_6_coprimary_modules_follow_the_low_rank_pattern():
+    # as at rank <= 4: the adjoint, the little adjoint and 2 omega_1, where
+    # each is orthogonal with a co-primary Spin0
+    lines = (GOLDEN / "classify_6_4.md").read_text().splitlines()
+    assert lines[-1] == "41 co-primary modules among 2086 candidates"
+    rows = [line.strip("| ").split(" | ") for line in lines if " | yes | " in line]
+    found = {(t, w) for t, w, _, _ in rows if int(t[1:]) >= 5}
+    assert found == {
+        ("A5", "(1,0,0,0,1)"), ("A6", "(1,0,0,0,0,1)"),
+        ("B5", "(1,0,0,0,0)"), ("B5", "(0,1,0,0,0)"), ("B5", "(2,0,0,0,0)"),
+        ("B6", "(1,0,0,0,0,0)"), ("B6", "(0,1,0,0,0,0)"), ("B6", "(2,0,0,0,0,0)"),
+        ("C5", "(0,1,0,0,0)"), ("C5", "(2,0,0,0,0)"),
+        ("C6", "(0,1,0,0,0,0)"), ("C6", "(2,0,0,0,0,0)"),
+        ("D5", "(0,1,0,0,0)"), ("D6", "(0,1,0,0,0,0)"),
+        ("E6", "(0,1,0,0,0,0)"),
+    }

@@ -4,10 +4,12 @@ formula, on random dominant weights; multiplicities read off the orbit of
 rho against the fold on characters that are no modules; exact
 division against the skew product it inverts; integer simple-root pairings
 against Fraction ones; the integer key primitives of RootSystem against
-Fraction reflections and the enumerated group; the integer Weyl layer
-against products of reflection matrices; Spin0 against the choice of half;
-the pruned Spin0 products against the full one; extreme weights and
-chamber witnesses against the decomposed Spin0 and Fraction pairings;
+Fraction reflections and the enumerated group; products of binomials,
+root ones merged with plus ones, against their plain expansion; the
+integer Weyl layer against products of reflection matrices; Spin0
+against the choice of half; the pruned Spin0 products against the full
+one; extreme weights and chamber witnesses against the decomposed
+Spin0 and Fraction pairings;
 dominant halves against every sign vector of the weight hyperplanes that
 Fourier-Motzkin elimination finds feasible; fundamental weights and
 lattice rows against the coroots and the Cartan matrix; Weight
@@ -52,15 +54,15 @@ from spinchar import (
     spin0_decomposition,
     weyl_dimension,
 )
-from spinchar.charring import (dominant_weights as dominant_weight_walk, exact_divide,
-                               key_weight, weight_key)
+from spinchar.charring import (_binomial_product, dominant_weights as dominant_weight_walk,
+                               exact_divide, key_weight, weight_key)
 from spinchar.gradings import OUTER_INSTANCES, involutive_pivots
 from spinchar.rootsys import HALF, _dot, _wsum, simple_types
 from spinchar.spinmod import _primitive, self_dual
-from oracles import (_fm_stages, contains, factorize, fold_decompose, fraction_inner,
-                     fraction_labels, invert, least_scale, multiply, racah_speiser, reflect,
-                     reflection_matrix, skew_product, stretch, vector_add, vector_scale,
-                     vector_sub)
+from oracles import (_fm_stages, contains, expanded_binomials, factorize, fold_decompose,
+                     fraction_inner, fraction_labels, invert, least_scale, multiply,
+                     racah_speiser, reflect, reflection_matrix, skew_product, stretch,
+                     vector_add, vector_scale, vector_sub)
 
 TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2", "A1xA1"]
 RANK_4_TYPES = ["A4", "B4", "C4", "D4", "F4"]
@@ -192,6 +194,33 @@ def test_exact_divide_inverts_the_skew_product(data):
     extra = data.draw(labels)
     with pytest.raises(NonModuleCharacter):
         exact_divide(dividend + Character.monomial(rs, rs.weight(*extra)), roots, rs)
+
+
+@PROPERTY
+@given(st.data())
+def test_merged_binomial_products_match_their_expansion(data):
+    # a signed factor at a root v with plus factors at +-v, +-2v and 4v, of
+    # either sign and multiplicity, first or last: the merge of
+    # e^{v/2} - e^{-v/2} with e^{v/2} + e^{-v/2} into e^v - e^{-v}, and on
+    # along the chain, must give the plain product, pruned or not
+    rs = build_root_system(data.draw(st.sampled_from(["A1", "A2", "B2", "G2", "A3", "B3", "C3"])))
+    factors = []
+    for v in data.draw(st.lists(st.sampled_from(rs.positive_keys), min_size=1, max_size=2)):
+        factors.append((v, data.draw(st.integers(1, 3)), -1))
+        for c in data.draw(st.lists(st.sampled_from([1, -1, 2, -2, 4]), max_size=3)):
+            factors.append((tuple(c * x for x in v), data.draw(st.integers(1, 2)),
+                            data.draw(st.sampled_from([1, 1, -1]))))
+    factors = data.draw(st.permutations(factors))
+    labels = st.lists(st.integers(-2, 2), min_size=rs.rank, max_size=rs.rank)
+    seed = data.draw(st.none() | st.dictionaries(
+        labels.map(lambda p: weight_key(rs, rs.weight(*p))), st.integers(-2, 2).filter(bool),
+        min_size=1, max_size=3))
+    want = expanded_binomials(rs, factors, seed).terms
+    assert Character(rs, _binomial_product(rs, factors, 10 ** 6, seed=seed)).terms == want
+    # the strictly dominant part: every doubled label >= 2
+    dominant = {k: c for k, c in want.items() if min(rs.labels(tuple(x + x for x in k))) >= 2}
+    pruned = _binomial_product(rs, factors, 10 ** 6, floor=2, seed=seed)
+    assert {k: c for k, c in pruned.items() if c} == dominant
 
 
 # ---------------------------------------------------------------------------

@@ -126,8 +126,11 @@ def test_casimir_suite_honours_term_budget():
     verify.suite_casimir()
     records = verify.suite_casimir(term_budget=1)
     assert records
-    assert {r["status"] for r in records} == {"skip"}
-    assert all("budget" in r["detail"] for r in records)
+    # the Weyl denominator of sl_odd(2)'s g0 merges with its Spin0 factors
+    # so its product never holds more than the one state; all others skip
+    passed = [r for r in records if r["status"] != "skip"]
+    assert [(r["id"], r["status"]) for r in passed] == [("casimir:outer:sl_odd(2,)", "pass")]
+    assert all("budget" in r["detail"] for r in records if r not in passed)
 
 
 def test_casimir_suite_checks_the_closed_form(monkeypatch):
