@@ -10,7 +10,11 @@ any division that fails to be exact raises instead of rounding.
 Multiplicities are read off the Weyl character formula
 ch * sum_w sgn(w) e^{w rho} = sum m_lam A_{lam+rho}, forwards, and by one
 route: a product with the Weyl denominator pruned to the strictly
-dominant chamber, whose term at lam + rho is m_lam. ``decompose`` and the
+dominant chamber, whose term at lam + rho is m_lam. Each term comes out
+of the packed product as one integer record, the key of lam + rho and
+2 <lam, alpha_i~> per label, and a ``Decomposition`` holds one integer
+record per summand (key, labels, multiplicity, dimension) read off it,
+with no ``Weight`` made until one is asked for. ``decompose`` and the
 reduced Spin (without expanding it) read all of its terms,
 ``multiplicity_of`` one, and ``invariant_poincare`` the terms at rho of
 the exterior algebra, its degree in one more key coordinate. Freudenthal's
@@ -24,11 +28,11 @@ right sides out instead of dividing.
 
 from __future__ import annotations
 
-from math import lcm
+from math import lcm, prod
 from operator import add, neg, sub
 
 from .errors import BudgetExceeded, ConsistencyError, InvalidDescriptor, NonModuleCharacter
-from .rootsys import HALF, RootSystem, Weight, _dot
+from .rootsys import HALF, RootSystem, Weight, _dot, coord_strings
 from .weyl import DEFAULT_WEYL_BUDGET, _check_weyl_budget, enumerate_weyl
 
 DEFAULT_TERM_BUDGET = 5 * 10**6
@@ -175,6 +179,39 @@ def weyl_denominator(rs: RootSystem, budget: int = DEFAULT_WEYL_BUDGET) -> Chara
     return alternating_sum(rs, rs.rho, budget)
 
 
+def _merge_roots(items) -> list:
+    """The [labels, half, m, s] items of ``_binomial_product`` with each
+    signed binomial merged with the plus binomials at +-v, and on along the
+    chain (see there). A plus binomial keeps its place, with what is left
+    of its m."""
+    plus = {}
+    for f in items:
+        if f[3] == 1:
+            plus.setdefault(f[1], []).append(f)
+            plus.setdefault(tuple(map(neg, f[1])), []).append(f)
+    merged = []
+    for f in items:
+        labels, half, m, s = f
+        if s == 1:
+            merged.append(f)  # its m is read below, once the signed ones took theirs
+            continue
+        while half in plus:
+            taken = 0
+            for g in plus[half]:
+                t = min(g[2], m - taken)
+                g[2] -= t
+                taken += t
+            if not taken:
+                break
+            if taken < m:
+                merged.append((labels, half, m - taken, s))
+            # the taken pairs: e^v - e^{-v}, a signed binomial at 2v
+            labels, half = tuple(map(add, labels, labels)), tuple(map(add, half, half))
+            m, s = taken, -1
+        merged.append((labels, half, m, s))
+    return [f for f in merged if f[2]]
+
+
 def _binomial_product(rs: RootSystem, factors, term_budget: int,
                       floor: int = None, seed=None) -> dict:
     """The seed terms {key: coefficient} (by default the single term 1)
@@ -188,17 +225,22 @@ def _binomial_product(rs: RootSystem, factors, term_budget: int,
     once some doubled label, plus the remaining factors' |labels|, falls
     below the floor. Each state carries that slack in one field per label,
     above a guard bit; a move only lowers it, so the prune is one test of
-    the guard bits. More states than the term budget raise BudgetExceeded.
+    the guard bits. Once every factor is in, the slack of label i is
+    2 label_i - floor, and each term is written as one integer record: the
+    key followed by those slack fields. At floor 2 the record of the key
+    lam + rho ends in 2 label_i(lam), odd where lam is not integral. More
+    states than the term budget raise BudgetExceeded.
 
     Before the sort, each signed factor (v, m, -1) takes in up to m plus
     factors at +-v: (e^{v/2} - e^{-v/2})(e^{v/2} + e^{-v/2}) = e^v - e^{-v}
     is one signed binomial at 2v, which may take in plus factors at +-2v in
     turn, and so on along the chain. So a weight of Spin0 that is a root
     costs no binomial beside the Weyl denominator's. What is not taken in
-    stays as given.
+    stays as given; when no signed factor meets a plus factor, the factors
+    are read once.
     """
     n = 0 if floor is None else rs.rank
-    given, plus = [], {}
+    items, plus, minus = [], set(), set()
     for v, m, s in factors:
         labels = rs.labels(v) if n else []
         if labels is None:
@@ -206,37 +248,19 @@ def _binomial_product(rs: RootSystem, factors, term_budget: int,
                 f"weight {key_weight(rs, v)} is not integral for {rs.descriptor()}")
         if any(x % 2 for x in v):
             raise InvalidDescriptor(f"half of {key_weight(rs, v)} is off the key lattice")
-        f = [v, m, s, labels]
-        given.append(f)
-        if s == 1:  # a plus binomial is the same at v and at -v
-            plus.setdefault(v, []).append(f)
-            plus.setdefault(tuple(map(neg, v)), []).append(f)
-    merged = []
-    for f in given:
-        v, m, s, labels = f
+        items.append([labels, tuple([x // 2 for x in v]), m, s])
         if s == 1:
-            merged.append(f)  # its m is read below, once the signed ones took theirs
-            continue
-        while v in plus:
-            taken = 0
-            for g in plus[v]:
-                t = min(g[1], m - taken)
-                g[1] -= t
-                taken += t
-            if not taken:
-                break
-            if taken < m:
-                merged.append((v, m - taken, s, labels))
-            # the taken pairs: e^v - e^{-v}, a signed binomial at 2v
-            v, m, s, labels = tuple(map(add, v, v)), taken, -1, tuple(map(add, labels, labels))
-        merged.append((v, m, s, labels))
-    items = [(m * sum(map(abs, labels)), labels, tuple(x // 2 for x in v), m, s)
-             for v, m, s, labels in merged if m]
-    items.sort(key=lambda t: -t[0])
+            plus.add(v)
+        else:  # a plus binomial at v is the one at -v: a signed one meets either
+            minus.add(v)
+            minus.add(tuple(map(neg, v)))
+    if not plus.isdisjoint(minus):
+        items = _merge_roots(items)
+    items.sort(key=lambda f: -f[2] * sum(map(abs, f[0])))
     # the key length is the one given: a trailing coordinate no label reads
     # (the degree of ``invariant_poincare``) rides along unpruned
-    dim = len(items[0][2] if items else next(iter(seed or ()), rs.rho_key))
-    reach = [sum(m * abs(p[i]) for _, p, _, m, _ in items) for i in range(n)]
+    dim = len(items[0][1] if items else next(iter(seed or ()), rs.rho_key))
+    reach = [sum(m * abs(p[i]) for p, _, m, _ in items) for i in range(n)]
     # a seed term starts with its doubled labels plus the reach, less the
     # floor, as slack; its weights are integral (``decompose`` checks them)
     starts = [([r - floor for r in reach], (0,) * dim, 1)] if seed is None else [
@@ -244,7 +268,7 @@ def _binomial_product(rs: RootSystem, factors, term_budget: int,
         for k, c in seed.items()]
     starts = [t for t in starts if min(t[0], default=0) >= 0]
     # no field leaves [off - 2 bound, off + bound], inside [0, 2 off)
-    bound = max(reach + [sum(m * abs(h[t]) for _, _, h, m, _ in items) for t in range(dim)])
+    bound = max(reach + [sum(m * abs(h[t]) for _, h, m, _ in items) for t in range(dim)])
     if seed is not None:
         bound += max((abs(x) for sl, k, _ in starts for x in sl + list(k)), default=0)
     bits = (2 * bound).bit_length() + 1
@@ -253,7 +277,7 @@ def _binomial_product(rs: RootSystem, factors, term_budget: int,
     guard = pack([off] * len(reach))
     terms = {pack([off + x for x in sl + list(k)]): c for sl, k, c in starts}
     signed = seed is not None
-    for _, labels, half, m, s in items:
+    for labels, half, m, s in items:
         up = pack([p - abs(p) for p in labels] + list(half))
         down = pack([-p - abs(p) for p in labels] + [-x for x in half])
         signed = signed or s < 0
@@ -270,8 +294,8 @@ def _binomial_product(rs: RootSystem, factors, term_budget: int,
                 raise BudgetExceeded(
                     f"product support {len(terms)} exceeds the term budget {term_budget}",
                     required=len(terms), budget=term_budget)
-    return {tuple(((k >> (bits * t)) & mask) - off for t in range(n, n + dim)): c
-            for k, c in terms.items()}
+    shifts = [bits * t for t in (*range(n, n + dim), *range(n))]
+    return {tuple(((k >> t) & mask) - off for t in shifts): c for k, c in terms.items()}
 
 
 def plus_product(rs: RootSystem, weights_with_mult,
@@ -572,26 +596,63 @@ def freudenthal_weights(rs: RootSystem, lam: Weight) -> WeightSystem:
 
 
 class Decomposition:
-    """Multiset of (highest weight, multiplicity) with dimension bookkeeping."""
+    """A multiset of irreducibles, sorted by highest weight lam, held as one
+    integer record per summand: lam's key at ``scale`` (``keys``), its
+    Dynkin labels (``labels``), its multiplicity and its dimension.
+    ``summands``, the (Weight, multiplicity) pairs, is built on first read.
+
+    Built from (Weight, multiplicity) pairs, each record is read off its
+    weight: the keys at the least scale of the weights and rs.denom, the
+    labels by ``dynkin_labels`` and the dimension by ``weyl_dimension``.
+    ``_decompose_product`` builds one straight from the product's records
+    (``from_records``).
+    """
+
+    __slots__ = ("rs", "scale", "keys", "labels", "multiplicities", "dimensions",
+                 "_summands")
 
     def __init__(self, rs: RootSystem, summands):
-        self.rs = rs
-        self.summands = tuple(sorted(summands, key=lambda t: t[0]))
-        self.dimensions = tuple(weyl_dimension(rs, lam) for lam, _ in self.summands)
+        pairs = tuple(sorted(summands, key=lambda t: t[0]))
+        self.rs, self._summands = rs, pairs
+        self.scale = scale = lcm(rs.denom, *(lam.scale for lam, _ in pairs))
+        self.keys = tuple(lam.key_at(scale) for lam, _ in pairs)
+        self.labels = tuple(rs.dynkin_labels(lam) for lam, _ in pairs)
+        self.multiplicities = tuple(m for _, m in pairs)
+        self.dimensions = tuple(weyl_dimension(rs, lam) for lam, _ in pairs)
+
+    @classmethod
+    def from_records(cls, rs: RootSystem, keys, labels, multiplicities, dimensions):
+        """The decomposition of the given records, tuples in step: keys at
+        rs.denom and in ascending order, which is the order of their
+        weights."""
+        dec = cls.__new__(cls)
+        dec.rs, dec.scale, dec._summands = rs, rs.denom, None
+        dec.keys, dec.labels, dec.multiplicities, dec.dimensions = (
+            keys, labels, multiplicities, dimensions)
+        return dec
+
+    @property
+    def summands(self) -> tuple:
+        if self._summands is None:
+            self._summands = tuple((Weight.from_key(k, self.scale), m)
+                                   for k, m in zip(self.keys, self.multiplicities))
+        return self._summands
 
     def total_dimension(self) -> int:
-        return _dot([m for _, m in self.summands], self.dimensions)
+        return _dot(self.multiplicities, self.dimensions)
 
     def is_multiplicity_free(self) -> bool:
-        return all(m == 1 for _, m in self.summands)
+        return all(m == 1 for m in self.multiplicities)
 
     def to_json(self):
+        s = self.scale
         return [
-            {"weight": lam.coord_strings(),
-             "fw": [str(c) for c in self.rs.dynkin_labels(lam)],
+            {"weight": coord_strings(k, s),
+             "fw": list(map(str, p)),
              "multiplicity": m,
              "dimension": d}
-            for (lam, m), d in zip(self.summands, self.dimensions)
+            for k, p, m, d in zip(self.keys, self.labels, self.multiplicities,
+                                  self.dimensions)
         ]
 
     def __eq__(self, other):
@@ -601,7 +662,7 @@ class Decomposition:
         return iter(self.summands)
 
     def __len__(self):
-        return len(self.summands)
+        return len(self.keys)
 
     def __repr__(self):
         parts = [f"{m} x V_{self.rs.format_weight(lam)}" for lam, m in self.summands]
@@ -637,18 +698,27 @@ def _decompose_product(rs: RootSystem, seed, factors, dimension: int, what: str,
                        term_budget: int) -> Decomposition:
     """The W-invariant character seed * prod(factors) of ``_binomial_product``,
     of the given dimension, as a sum of irreducibles, one per term of
-    ``_dominant_numerator``. Each lam must be integral with m_lam > 0, else
-    NonModuleCharacter names ``what``; summands that do not fill the
-    dimension raise ConsistencyError.
+    ``_dominant_numerator``, whose record is the key k of lam + rho and
+    2 label_i(lam) per label. The records are read as they are: an odd
+    label field (lam not integral) or m_lam < 0 raises NonModuleCharacter,
+    naming ``what``; lam's labels are half those fields, its dimension is
+    prod (k, alpha) / prod (rho, alpha) over the positive roots, and the
+    records go in the order of k, which is lam's. Summands that do not fill
+    the dimension raise ConsistencyError.
     """
-    summands = []
-    for k, m in _dominant_numerator(rs, seed, factors, term_budget).items():
-        lam = key_weight(rs, tuple(x - r for x, r in zip(k, rs.rho_key)))
-        if rs.dynkin_labels(lam) is None or m < 0:
-            raise NonModuleCharacter(f"{what} has V_{rs.format_weight(lam)} with"
-                                     f" multiplicity {m}; not a module")
-        summands.append((lam, m))
-    dec = Decomposition(rs, summands)
+    dim, rho, forms, heights = rs.space_dim, rs.rho_key, rs.positive_w, rs.rho_heights
+    keys, labels, mults, dims = [], [], [], []
+    for record, m in sorted(_dominant_numerator(rs, seed, factors, term_budget).items()):
+        k, twice = record[:dim], record[dim:]
+        lam = tuple(map(sub, k, rho))
+        if m < 0 or any(p % 2 for p in twice):
+            raise NonModuleCharacter(f"{what} has V_{rs.format_weight(key_weight(rs, lam))}"
+                                     f" with multiplicity {m}; not a module")
+        keys.append(lam)
+        labels.append(tuple([p // 2 for p in twice]))
+        mults.append(m)
+        dims.append(prod(_dot(k, f) for f in forms) // heights)
+    dec = Decomposition.from_records(rs, tuple(keys), tuple(labels), tuple(mults), tuple(dims))
     if dec.total_dimension() != dimension:
         raise ConsistencyError(f"summands have total dimension {dec.total_dimension()},"
                                f" {what} has dimension {dimension}")
@@ -684,7 +754,8 @@ def multiplicity_of(ch: Character, lam: Weight, rs: RootSystem = None) -> int:
     except ValueError:  # off the key lattice, as is every term of the product
         return 0
     numerator = _dominant_numerator(rs, ch.terms, [], DEFAULT_TERM_BUDGET)
-    return numerator.get(tuple(a + r for a, r in zip(key, rs.rho_key)), 0)
+    record = (*map(add, key, rs.rho_key), *(2 * p for p in rs.dynkin_labels(lam)))
+    return numerator.get(record, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +860,8 @@ def invariant_poincare(ws: WeightSystem, budget: int = DEFAULT_WEYL_BUDGET,
                + [(a + (0,), 1, -1) for a in rs.positive_keys])
     seed = {tuple(x // 2 for x in total) + (n,): 1}
     numerator = _binomial_product(rs, factors, term_budget, floor=2, seed=seed)
-    coeffs = [numerator.get(rs.rho_key + (2 * i,), 0) for i in range(n + 1)]
+    # the record at rho: its key, the degree, and slack 2 label_i(0)
+    coeffs = [numerator.get(rs.rho_key + (2 * i,) + (0,) * rs.rank, 0) for i in range(n + 1)]
     if not any(total) and coeffs != coeffs[::-1]:
         raise ConsistencyError(f"invariant dimensions {coeffs} are not mirror-symmetric")
     if any(c < 0 for c in coeffs):

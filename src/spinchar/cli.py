@@ -322,9 +322,12 @@ def _json(value, indent="\n"):
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte. Any
     ``indent`` sends ``json`` down its pure-Python encoder, so containers
     are laid out here: strings go through the C string encoder, a list of
-    strings is one join, and other scalars are ``json.dumps``'s."""
+    strings is one join, an int (not a bool) is ``int.__repr__``, as
+    ``json`` writes it, and other scalars are ``json.dumps``'s."""
     if isinstance(value, str):
         return _string(value)
+    if type(value) is int:
+        return int.__repr__(value)
     if not isinstance(value, (dict, list, tuple)):
         return json.dumps(value)
     if not value:

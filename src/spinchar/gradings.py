@@ -324,7 +324,10 @@ def _coset_route(grading: Z2Grading, budget: int, term_budget: int):
             raise ConsistencyError(f"coset weight {lam} repeats")
         lams[lam] = rep
     dec = spin0_decomposition(grading.delta1, budget, term_budget)
-    agree = sorted(lams) == sorted(lam for lam, _ in dec) and dec.is_multiplicity_free()
+    # the coset weights against the decomposition's records, by key
+    keys = sorted(lam.key_at(dec.scale) for lam in lams if dec.scale % lam.scale == 0)
+    agree = (len(keys) == len(lams) and keys == list(dec.keys)
+             and dec.is_multiplicity_free())
     return lams, dec, agree
 
 
@@ -339,8 +342,8 @@ def spin_g1(grading: Z2Grading, budget: int = DEFAULT_WEYL_BUDGET,
             f"{grading.label}: coset formula and character decomposition disagree:"
             f" {sorted(lams)} vs {sorted(lam for lam, _ in dec)}")
     # the routes agree, so each summand's dimension is the decomposition's
-    dims = {lam: d for (lam, _), d in zip(dec.summands, dec.dimensions)}
-    summands = [SpinSummand(rep, lam, dims[lam]) for lam, rep in lams.items()]
+    dims = dict(zip(dec.keys, dec.dimensions))
+    summands = [SpinSummand(rep, lam, dims[lam.key_at(dec.scale)]) for lam, rep in lams.items()]
     result = SpinDecomposition(grading, summands, dec)
     expected_dim = 2 ** ((grading.delta1.dimension() - grading.delta1.zero_mult) // 2)
     if result.total_dimension() != expected_dim:

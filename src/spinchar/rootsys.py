@@ -72,6 +72,14 @@ def clear_denominators(values) -> tuple:
     return tuple(x.numerator * (scale // x.denominator) for x in values), scale
 
 
+def coord_strings(key, scale: int) -> list:
+    """Each coordinate of key / scale as ``str`` writes its Fraction, read
+    off the integers with one gcd each: for output, with no Fraction made.
+    The key need not be normalised."""
+    return [str(k // g) if g == scale else f"{k // g}/{scale // g}"
+            for k, g in ((k, gcd(k, scale)) for k in key)]
+
+
 class Weight:
     """An exact rational coordinate vector in a system's ambient space.
 
@@ -109,11 +117,8 @@ class Weight:
         return self._coords
 
     def coord_strings(self) -> list:
-        """Each coordinate as ``str`` writes its Fraction, read off the
-        integers with one gcd each: for output, with no Fraction made."""
-        s = self.scale
-        return [str(k // g) if g == s else f"{k // g}/{s // g}"
-                for k, g in ((k, gcd(k, s)) for k in self.key)]
+        """Each coordinate as ``str`` writes its Fraction (``coord_strings``)."""
+        return coord_strings(self.key, self.scale)
 
     def key_at(self, scale: int) -> tuple:
         """The integers scale * self; ValueError unless they are integers."""

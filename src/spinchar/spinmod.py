@@ -339,15 +339,17 @@ def extreme_weights(ws: WeightSystem, dec: Decomposition):
     as a weight would give nu - lam a nonzero sum of positive roots, so
     (nu, x) > (lam, x), impossible for nu, itself a weight of Spin0. So the
     Spin0 coefficient of e^lam is its multiplicity in ``dec``, and anything
-    but 1 there raises ConsistencyError.
+    but 1 there raises ConsistencyError. The multiplicity is read off
+    ``dec``'s records by lam's key.
     """
     out = sorted({h.extreme_weight() for h in enumerate_dominant_halves(ws)})
-    mults = dict(dec)
+    mults = dict(zip(dec.keys, dec.multiplicities))
     for lam in out:
-        if mults.get(lam, 0) != 1:
+        m = mults.get(lam.key_at(dec.scale), 0)
+        if m != 1:
             raise ConsistencyError(
-                f"extreme weight {lam} has multiplicity"
-                f" {mults.get(lam, 0)} in the Spin0 decomposition, expected 1")
+                f"extreme weight {lam} has multiplicity {m} in the Spin0"
+                f" decomposition, expected 1")
     return out
 
 

@@ -42,13 +42,29 @@ MUTANTS = [
            "    return _binomial_product(rs, factors, term_budget, floor=4, seed=seed)",
            ("tests/test_spinmod.py::test_spin0_decomposition_matches_the_decomposed_product",)),
     Mutant("merged root binomial read as e^v + e^{-v}", "charring.py",
-           "v, m, s, labels = tuple(map(add, v, v)), taken, -1, tuple(map(add, labels, labels))",
-           "v, m, s, labels = tuple(map(add, v, v)), taken, 1, tuple(map(add, labels, labels))",
+           "            m, s = taken, -1\n",
+           "            m, s = taken, 1\n",
            ("tests/test_properties.py::test_merged_binomial_products_match_their_expansion",)),
     Mutant("merge chain without doubling", "charring.py",
-           "v, m, s, labels = tuple(map(add, v, v)), taken, -1, tuple(map(add, labels, labels))",
-           "v, m, s, labels = v, taken, -1, labels",
+           "labels, half = tuple(map(add, labels, labels)), tuple(map(add, half, half))",
+           "labels, half = labels, half",
            ("tests/test_properties.py::test_merged_binomial_products_match_their_expansion",)),
+    Mutant("labels not halved", "charring.py",
+           "labels.append(tuple([p // 2 for p in twice]))",
+           "labels.append(tuple(twice))",
+           ("tests/test_properties.py::test_decomposition_records_match_the_weight_path",)),
+    Mutant("dimension divisor dropped", "charring.py",
+           "dims.append(prod(_dot(k, f) for f in forms) // heights)",
+           "dims.append(prod(_dot(k, f) for f in forms))",
+           ("tests/test_properties.py::test_decomposition_records_match_the_weight_path",)),
+    Mutant("non-integral summand check dropped", "charring.py",
+           "        if m < 0 or any(p % 2 for p in twice):",
+           "        if m < 0:",
+           ("tests/test_spinmod.py::test_spin0_decomposition_refuses_a_non_integral_summand",)),
+    Mutant("negative multiplicity check dropped", "charring.py",
+           "        if m < 0 or any(p % 2 for p in twice):",
+           "        if any(p % 2 for p in twice):",
+           ("tests/test_charring.py::test_a_negative_summand_is_named",)),
     Mutant("decomposition fill check dropped", "charring.py",
            "    if dec.total_dimension() != dimension:",
            "    if False:",
@@ -79,6 +95,10 @@ MUTANTS = [
     Mutant("self-duality ignores the part off the root span", "spinmod.py",
            "            and not rs.off_span(key))",
            "            and True)",
+           ("tests/test_spinmod.py::test_classify_matches_the_oracle_off_the_root_span",)),
+    Mutant("off-span part read as zero", "rootsys.py",
+           "        return any(_dot(r, key) for r in self.off_span_rows)",
+           "        return False",
            ("tests/test_spinmod.py::test_classify_matches_the_oracle_off_the_root_span",)),
     Mutant("zero-weight filter dropped", "spinmod.py",
            "    if any(_dot(row, labels) % rs.lattice_denom for row in rs.lattice_rows):",
@@ -113,8 +133,12 @@ MUTANTS = [
            "            if False:",
            ("tests/test_spinmod.py::"
             "test_rays_flipped_in_the_lineality_step_lose_the_witness",)),
+    Mutant("double description without the adjacency test", "spinmod.py",
+           "            if sum(common & m == common for m in masks) == 2:",
+           "            if True:",
+           ("tests/test_spinmod.py::test_the_split_makes_a_pinned_number_of_rays",)),
     Mutant("extreme weight certificate dropped", "spinmod.py",
-           "        if mults.get(lam, 0) != 1:",
+           "        if m != 1:",
            "        if False:",
            ("tests/test_spinmod.py::"
             "test_extreme_weights_are_certified_against_the_decomposition",)),

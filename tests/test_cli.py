@@ -161,6 +161,8 @@ def test_a_dropped_floor_2_term_exits_1(capsys, monkeypatch):
     def drop_one(*args, **kwargs):
         terms = real(*args, **kwargs)
         if kwargs.get("floor") == 2:
+            # a record is the key of lam + rho and then its slack fields,
+            # so the greatest record is the top summand's
             del terms[max(terms)]
         return terms
 

@@ -18,6 +18,7 @@ CASES = {
     "spin_F4_1_0_0_0.json": ["spin", "--type", "F4", "--weight", "1,0,0,0", "--format", "json"],
     "spin_B4_2_0_0_0.json": ["spin", "--type", "B4", "--weight", "2,0,0,0", "--format", "json"],
     "spin_G2_1_0.json": ["spin", "--type", "G2", "--weight", "1,0", "--format", "json"],
+    "spin_A1_36.json": ["spin", "--type", "A1", "--weight", "36", "--format", "json"],
     "spin_A1xB2_2_1_0.json": ["spin", "--type", "A1xB2", "--weight", "2,1,0",
                               "--format", "json"],
     "spin_A1xA1xA1xA1_1_1_1_1.json": ["spin", "--type", "A1xA1xA1xA1", "--weight",

@@ -1,6 +1,7 @@
 """Property tests: decomposition by the pruned product and by folding, and
 the dominant-only routes, against the division-based Weyl character
-formula, on random dominant weights; multiplicities read off the orbit of
+formula, on random dominant weights; the records of a decomposition
+against its Weights; multiplicities read off the orbit of
 rho against the fold on characters that are no modules; exact
 division against the skew product it inverts; integer simple-root pairings
 against Fraction ones; the integer key primitives of RootSystem against
@@ -33,6 +34,7 @@ from spinchar import (
     SubsystemDatum,
     Weight,
     Character,
+    Decomposition,
     NonModuleCharacter,
     build_root_system,
     decompose,
@@ -122,6 +124,33 @@ def test_folding_matches_greedy_division(data):
     greedy = greedy_decomposition(product, rs)
     assert decompose(product, rs).summands == greedy
     assert fold_decompose(product, rs).summands == greedy
+
+
+@PROPERTY
+@given(st.data())
+def test_decomposition_records_match_the_weight_path(data):
+    # the records read off the pruned product (labels from its slack
+    # fields, dimensions from its keys, the order of its keys) against
+    # dynkin_labels, weyl_dimension and the Weight order, on a tensor
+    # product and on the reduced Spin of an orthogonal V_lam; built again
+    # from its Weights, the decomposition is the same
+    rs, lam = data.draw(dominant_weights())
+    coeffs = data.draw(st.lists(st.integers(0, HEIGHT[rs.rank]), min_size=rs.rank,
+                                max_size=rs.rank).filter(lambda c: sum(c) <= HEIGHT[rs.rank]))
+    ws = freudenthal_weights(rs, lam)
+    decs = [decompose(ws.character() * freudenthal_weights(rs, rs.weight(*coeffs)).character())]
+    if frobenius_schur(rs, lam) == 1 and ws.dimension() <= 30:
+        decs.append(spin0_decomposition(ws))
+    for dec in decs:
+        weights = [mu for mu, _ in dec]
+        assert weights == sorted(weights)
+        assert dec.keys == tuple(weight_key(rs, mu) for mu in weights)
+        assert dec.labels == tuple(rs.dynkin_labels(mu) for mu in weights)
+        assert dec.dimensions == tuple(weyl_dimension(rs, mu) for mu in weights)
+        again = Decomposition(rs, reversed(dec.summands))
+        fields = ("scale", "keys", "labels", "multiplicities", "dimensions", "summands")
+        assert [getattr(again, f) for f in fields] == [getattr(dec, f) for f in fields]
+        assert again.to_json() == dec.to_json()
 
 
 @PROPERTY
@@ -217,8 +246,11 @@ def test_merged_binomial_products_match_their_expansion(data):
         min_size=1, max_size=3))
     want = expanded_binomials(rs, factors, seed).terms
     assert Character(rs, _binomial_product(rs, factors, 10 ** 6, seed=seed)).terms == want
-    # the strictly dominant part: every doubled label >= 2
-    dominant = {k: c for k, c in want.items() if min(rs.labels(tuple(x + x for x in k))) >= 2}
+    # the strictly dominant part: every doubled label >= 2, each term's
+    # record its key and then its slack, each doubled label less 2
+    doubled = {k: rs.labels(tuple(x + x for x in k)) for k in want}
+    dominant = {k + tuple(p - 2 for p in doubled[k]): c
+                for k, c in want.items() if min(doubled[k]) >= 2}
     pruned = _binomial_product(rs, factors, 10 ** 6, floor=2, seed=seed)
     assert {k: c for k, c in pruned.items() if c} == dominant
 
