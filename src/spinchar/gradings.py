@@ -44,7 +44,7 @@ from .rootsys import (
     special_elements,
 )
 from .spinmod import enumerate_dominant_halves, spin0_decomposition
-from .weyl import DEFAULT_WEYL_BUDGET, SubsystemDatum, cunning_parity, minimal_coset_reps
+from .weyl import DEFAULT_WEYL_BUDGET, SubsystemDatum, minimal_coset_reps
 
 
 class Z2Grading:
@@ -358,15 +358,14 @@ def verify_tau_identity(rs: RootSystem, sub: SubsystemDatum, delta1_plus,
                         term_budget: int = DEFAULT_TERM_BUDGET,
                         rho: Weight = None) -> bool:
     """The twisted denominator identity: sum over W of tau(w) e^{w rho},
-    a full walk over W, multiplied out against Delta0 * prod plus, the
-    Delta0+ root binomials times the Delta1+ plus binomials expanded as
-    one product, and compared term by term. For partitions of a restricted
-    system, pass the restricted rho = rho0 + rho1; the default is the
-    system's own Weyl vector, which is the inner-type case. The term
-    budget bounds the product's states.
+    one walk over the orbit W.rho with tau read off each point, against
+    the Delta0+ root binomials times the Delta1+ plus binomials expanded
+    as one product on half the lattice, term by term. For partitions of a
+    restricted system, pass the restricted rho = rho0 + rho1; the default
+    is the system's own Weyl vector, the inner-type case. The term budget
+    bounds the product's full support.
     """
-    lhs = alternating_sum(rs, rho if rho is not None else rs.rho, budget,
-                          sign=lambda w: cunning_parity(rs, sub, w)[0])
+    lhs = alternating_sum(rs, rho if rho is not None else rs.rho, budget, twist=sub)
     return lhs == skew_plus_product(rs, sub.delta0_plus, delta1_plus, term_budget)
 
 

@@ -447,7 +447,7 @@ class RootSystem:
                                 for comp in _components(self.cartan_matrix))
         self.type_label = tuple(t for t, _ in self.components)
         self._check_invariants()
-        self._weyl_cache = None
+        self._weyl_cache, self._orbit_cache = None, (None,)  # W; the last orbit walked
 
     # -- exact geometry ----------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Weyl groups: enumeration, lengths, coset sections, cunning parity.
+"""Weyl groups: orbit walks, enumeration, lengths, coset sections, cunning parity.
 
 An element w is the integer key of w(rho) (coordinates scaled by the
 system's ``denom``) together with a reduced word in the simple reflections
@@ -8,14 +8,13 @@ so W and every W0 are the rho-orbit that the generating ``RootSystem``'s
 descents to a chamber are its ``to_dominant``. Actions apply the word to
 a vector with ``walk``; an element's rational matrix is derived only when
 asked for. Enumeration order is deterministic: by length, ties broken by
-key. A minimal coset section is walked on its own |W|/|W0| points without
-W, and W0 is enumerated only when an oracle reads it.
+key. A minimal coset section walks its |W|/|W0| points and an alternating
+sum its orbit (``signed_orbit``), so only oracles enumerate W or W0.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from math import isqrt
 from operator import sub as _sub
 
 from .errors import BudgetExceeded, ConsistencyError
@@ -41,16 +40,6 @@ class WeylElement:
     @property
     def sign(self) -> int:
         return -1 if self.length % 2 else 1
-
-    def act_key(self, key):
-        """w on an integer key; raises ValueError if the image leaves the
-        integer lattice."""
-        out, scale = self._system.walk(reversed(self.word), key)
-        if scale == 1:
-            return out
-        if any(x % scale for x in out):
-            raise ValueError("Weyl action leaves the key lattice")
-        return tuple(x // scale for x in out)
 
     def apply(self, w: Weight) -> Weight:
         return Weight.from_key(*self._system.walk(reversed(self.word), w.key, w.scale))
@@ -129,30 +118,52 @@ class SubsystemDatum:
         return _enumerate(self.rs, self.system, DEFAULT_WEYL_BUDGET,
                           f"W({self.system.descriptor()}) in W({self.rs.descriptor()})")
 
-    @cached_property
-    def packed_pairings(self):
-        """(cols, guard) packing the pairings of a key with every beta in
-        Delta0+ into one integer, one field of ``bits`` bits per root:
-        guard + sum_t key[t] cols[t] holds off + (beta_j, key) in field j,
-        where off = 1 << (bits - 1) is that field's bit in ``guard``.
 
-        The keys l0_of sees are w(rho) for w in W, all of form norm
-        n = inner_keys(rho, rho), and the subsystem shares the ambient form
-        and key scale, so by Cauchy-Schwarz |(beta, key)|^2 <= (beta, beta) n
-        in key units. With off above that bound every field stays inside
-        [1, 2 off), no field borrows from the next, and a field keeps its
-        guard bit exactly when its pairing is non-negative.
-        """
-        pos = self.system.positive_w
-        rho = self.rs.rho_key
-        n = self.rs.inner_keys(rho, rho)
-        bound = max((isqrt(_dot(k, w) * n) for k, w in zip(self.system.positive_keys, pos)),
-                    default=0)
-        bits = bound.bit_length() + 1
-        cols = tuple(sum(f[t] << (bits * j) for j, f in enumerate(pos))
-                     for t in range(self.rs.space_dim))
-        guard = sum(1 << (bits * j + bits - 1) for j in range(len(pos)))
-        return cols, guard
+def signed_orbit(rs: RootSystem, key, labels, required: int,
+                 twist: SubsystemDatum = None, sign: int = 1) -> dict:
+    """{w x: sign det w}, or sign tau(w) for the datum ``twist``, over the
+    orbit of a regular dominant key x with Dynkin labels ``labels``; no
+    element is made, and an orbit of other than ``required`` points raises
+    ConsistencyError. A point packs its labels, key and pairings with each
+    positive root in offset fields, so s_i is K - p_i move_i; a system keeps
+    the last orbit walked. The points are x - sum d_i alpha_i, 0 <= d_i <= c_i
+    for c = x - w0 x, which sizes the fields (-w0 permutes x's coordinates).
+    (alpha, w x) has the sign of (alpha, w rho): l(w) and l0(w) count the
+    fields of Delta+ and Delta0+ that lost their guard bit.
+    """
+    if rs._orbit_cache[0] != key:
+        pos = rs.positive_w
+        cx = [_dot(row, labels) for row in rs.lattice_rows]
+        c = [-(-(v + max(cx)) // rs.lattice_denom) for v in cx]
+        rows = [(*a, *k, *[_dot(k, w) for w in pos])
+                for a, k in zip(rs.cartan_matrix, rs.simple_keys)]
+        x = (*labels, *key, *[_dot(key, w) for w in pos])
+        bits = max(abs(v) + _dot(c, [abs(r[j]) for r in rows])
+                   for j, v in enumerate(x)).bit_length() + 1
+        off, mask = 1 << (bits - 1), (1 << bits) - 1
+        steps = [(bits * i, sum(v << (bits * t) for t, v in enumerate(r)))
+                 for i, r in enumerate(rows)]
+        seen = {sum((off + v) << (bits * t) for t, v in enumerate(x))}
+        todo = list(seen)
+        while todo:
+            k = todo.pop()
+            for shift, move in steps:
+                p = ((k >> shift) & mask) - off
+                if p > 0 and (y := k - p * move) not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        top = bits * (rs.rank + len(key))
+        rs._orbit_cache = (
+            key, {tuple([((k >> t) & mask) - off for t in range(bits * rs.rank, top, bits)]): k
+                  for k in seen},
+            {a: 1 << (top + bits * j + bits - 1) for j, a in enumerate(rs.positive_keys)})
+    _, points, guards = rs._orbit_cache
+    if len(points) != required:
+        raise ConsistencyError(f"an orbit of {len(points)} points, expected |W| = {required}")
+    roots = rs.positive_keys if twist is None else twist.system.positive_keys
+    fields = sum(guards[a] for a in roots)
+    return {k: -sign if (len(roots) - (p & fields).bit_count()) % 2 else sign
+            for k, p in points.items()}
 
 
 def _spell(rs: RootSystem, key) -> WeylElement:
@@ -207,12 +218,9 @@ def l0_of(rs: RootSystem, sub: SubsystemDatum, w: WeylElement) -> int:
     """l0(w) = #{alpha in Delta- : w(alpha) in Delta0+}.
 
     alpha = w^{-1}(beta) is negative exactly when (beta, w(rho)) < 0, so
-    this counts the beta in Delta0+ pairing negatively with w's key: the
-    fields of one packed pairing that lost their guard bit.
+    this counts the beta in Delta0+ pairing negatively with w's key.
     """
-    cols, guard = sub.packed_pairings
-    packed = guard + _dot(w.key, cols)
-    return len(sub.system.positive_w) - (packed & guard).bit_count()
+    return sum(_dot(w.key, b) < 0 for b in sub.system.positive_w)
 
 
 def cunning_parity(rs: RootSystem, sub: SubsystemDatum, w: WeylElement):

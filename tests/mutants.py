@@ -49,6 +49,34 @@ MUTANTS = [
            "labels, half = tuple(map(add, labels, labels)), tuple(map(add, half, half))",
            "labels, half = labels, half",
            ("tests/test_properties.py::test_merged_binomial_products_match_their_expansion",)),
+    Mutant("half-lattice mirror parity ignored", "charring.py",
+           "out[mirror - b] = out.get(mirror - b, 0) + parity * c",
+           "out[mirror - b] = out.get(mirror - b, 0) + c",
+           ("tests/test_properties.py::test_half_lattice_products_match_the_full_expansion",)),
+    Mutant("half-lattice mirror misses zero", "charring.py",
+           "                    if b <= base:\n",
+           "                    if b < base:\n",
+           ("tests/test_properties.py::test_half_lattice_products_match_the_full_expansion",)),
+    Mutant("half-lattice zero state counted twice", "charring.py",
+           "                zero = terms.pop(base, 0)\n",
+           "                zero = terms.get(base, 0)\n",
+           ("tests/test_properties.py::test_half_lattice_products_match_the_full_expansion",)),
+    Mutant("half-lattice budget counts the held states", "charring.py",
+           "support = 2 * len(terms) - (base in terms) if half_only else len(terms)",
+           "support = len(terms)",
+           ("tests/test_properties.py::test_half_lattice_products_match_the_full_expansion",)),
+    Mutant("binomials taken above zero lose their sign", "charring.py",
+           "terms[base] = prod(s ** m for _, h, m, s in items if h[::-1] < (0,) * dim)",
+           "terms[base] = 1",
+           ("tests/test_properties.py::test_half_lattice_products_match_the_full_expansion",)),
+    Mutant("orbit-size check dropped", "weyl.py",
+           "    if len(points) != required:\n",
+           "    if False:\n",
+           ("tests/test_charring.py::test_an_orbit_walk_short_of_w_is_a_consistency_failure",)),
+    Mutant("twisted sign read as det", "weyl.py",
+           "roots = rs.positive_keys if twist is None else twist.system.positive_keys",
+           "roots = rs.positive_keys",
+           ("tests/test_properties.py::test_orbit_signs_are_det_and_the_cunning_parity",)),
     Mutant("labels not halved", "charring.py",
            "labels.append(tuple([p // 2 for p in twice]))",
            "labels.append(tuple(twice))",
@@ -116,10 +144,10 @@ MUTANTS = [
            "            if g > 1:\n                key = tuple(g * x for x in key)",
            "            if False:\n                key = tuple(g * x for x in key)",
            ("tests/test_properties.py::test_walk_matches_fraction_reflections",)),
-    Mutant("packed l0 fields one bit narrower", "weyl.py",
-           "        bits = bound.bit_length() + 1",
-           "        bits = bound.bit_length()",
-           ("tests/test_weyl.py::test_packed_l0_is_the_plain_count",)),
+    Mutant("descent letters lose their sign", "charring.py",
+           "                                      -1 if len(letters) % 2 else 1))",
+           "                                      1))",
+           ("tests/test_charring.py::test_alternating_sum_on_and_off_the_dominant_chamber",)),
     Mutant("reduced Spin dimension check dropped", "spinmod.py",
            "    if ch.dimension() != expected:",
            "    if False:",

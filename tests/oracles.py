@@ -1,15 +1,15 @@
 """Oracles that only the tests read: rational vectors as plain tuples of
 Fractions, the Fraction bilinear form and Dynkin labels, the Fraction
 reflection s_alpha and its matrix, the Weyl element acting by a given
-matrix, the stretch e^mu -> e^{n mu} of a character, products, inverses,
-membership and the identity in an enumerated Weyl group, the
-factorization of an element over a coset section, the exterior powers by
-Newton's recursion and expanded degree by degree, the invariant Poincare
-polynomial read at the points of rho's orbit, the expanded skew product
-over a set of roots, any product of binomials multiplied out one at a
-time, decomposition by Racah-Speiser folding, and Fourier-Motzkin
-elimination, which decides whether an open cone of integer rows has a
-point."""
+matrix, the stretch e^mu -> e^{n mu} of a character, an element on an
+integer key, products, inverses, membership and the identity in an
+enumerated Weyl group, the factorization of an element over a coset
+section, the exterior powers by Newton's recursion and expanded degree
+by degree, the invariant Poincare polynomial read at the points of rho's
+orbit, the expanded skew product over a set of roots, any product of
+binomials multiplied out one at a time, decomposition by Racah-Speiser
+folding, and Fourier-Motzkin elimination, which decides whether an open
+cone of integer rows has a point."""
 
 from fractions import Fraction
 from math import comb
@@ -118,9 +118,18 @@ def contains(group, w):
     return w.key in _by_image(group)
 
 
+def act_key(w, key):
+    """w on an integer key, its word applied last letter first; raises
+    ValueError if the image leaves the integer lattice."""
+    out, scale = w._system.walk(reversed(w.word), key)
+    if any(x % scale for x in out):
+        raise ValueError("Weyl action leaves the key lattice")
+    return tuple(x // scale for x in out)
+
+
 def multiply(group, a, b):
     """ab, the element whose key is a applied to b's key."""
-    return group[_by_image(group)[a.act_key(b.key)]]
+    return group[_by_image(group)[act_key(a, b.key)]]
 
 
 def invert(group, a):

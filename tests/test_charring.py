@@ -7,6 +7,7 @@ from spinchar import (
     Character,
     ConsistencyError,
     GradedPoincare,
+    InvalidDescriptor,
     NonModuleCharacter,
     Weight,
     WeightSystem,
@@ -23,6 +24,7 @@ from spinchar import (
 )
 from spinchar import charring
 from spinchar.charring import alternating_sum, exact_divide
+from spinchar.rootsys import HALF
 from spinchar.gradings import INNER_SWEEP, OUTER_INSTANCES, involutive_pivots
 from spinchar.verify import TABLE1_ADJOINT_TYPES, TABLE1_F4, TABLE1_ROWS
 from oracles import exterior_powers, newton_exterior_powers, orbit_poincare
@@ -43,9 +45,9 @@ def test_rank_one_rho_character():
 
 @pytest.mark.parametrize("desc", ["A2", "B2", "G2", "B3", "A1xA1"])
 def test_alternating_sum_on_and_off_the_dominant_chamber(desc):
-    # a dominant regular x reads w(x) off its own orbit, any other x is
-    # moved by each element's word: s_i x gives minus the sum at x, and a
-    # dominant x on a wall gives zero
+    # a regular x walks its orbit, and one off the dominant chamber
+    # descends to it at the sign of its letters: s_i x gives minus the sum
+    # at x, and a dominant x on a wall gives zero
     rs = build_root_system(desc)
     x = rs.rho + rs.weight(*range(rs.rank))
     total = alternating_sum(rs, x)
@@ -55,6 +57,37 @@ def test_alternating_sum_on_and_off_the_dominant_chamber(desc):
         assert alternating_sum(rs, y) == -1 * total
     wall = rs.weight(*[int(i > 0) for i in range(rs.rank)])
     assert alternating_sum(rs, wall).terms == {}
+
+
+def test_alternating_sum_refuses_before_it_reads_x():
+    # |W| is read off the type before x, in the words of _check_weyl_budget
+    rs = build_root_system("E7")
+    for x in (rs.rho, HALF * rs.rho, rs.weight(1, 0, 0, 0, 0, 0, 0)):
+        with pytest.raises(BudgetExceeded) as caught:
+            alternating_sum(rs, x, twist=inner_grading(build_root_system("B2"), 1).sub)
+        assert str(caught.value) == "|W(E7)| = 2903040 exceeds the budget 1000000"
+        assert caught.value.required == rs.weyl_order()
+
+
+def test_a_twisted_sign_needs_a_regular_dominant_integral_x():
+    rs = build_root_system("B3")
+    sub = inner_grading(rs, 1).sub
+    for x in (rs.weight(1, 0, 1), rs.weight(-1, 2, 1), HALF * rs.rho):
+        with pytest.raises(InvalidDescriptor):
+            alternating_sum(rs, x, twist=sub)
+    with pytest.raises(InvalidDescriptor):
+        alternating_sum(rs, HALF * rs.rho)
+    assert alternating_sum(rs, rs.rho, twist=sub).terms[rs.rho_key] == 1
+
+
+def test_an_orbit_walk_short_of_w_is_a_consistency_failure(monkeypatch):
+    # the walk counts its points against |W| read off the type
+    rs = build_root_system("B3")
+    monkeypatch.setattr(rs, "weyl_order", lambda: 49)
+    with pytest.raises(ConsistencyError, match="an orbit of 48 points, expected"):
+        alternating_sum(rs, rs.rho)
+    with pytest.raises(ConsistencyError):
+        alternating_sum(rs, rs.rho, twist=inner_grading(rs, 1).sub)
 
 
 def test_b2_dimension_64():
@@ -192,7 +225,7 @@ def test_multiplicity_queries():
 def test_noninvariant_character_rejected():
     rs = build_root_system("B2")
     with pytest.raises(NonModuleCharacter):
-        decompose(Character.monomial(rs, rs.weight(1, 0)))
+        decompose(Character.from_weights(rs, [(rs.weight(1, 0), 1)]))
 
 
 def test_a_negative_summand_is_named():

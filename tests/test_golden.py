@@ -29,6 +29,7 @@ CASES = {
                         "--format", "markdown"],
     "verify_table1.md": ["verify", "--suite", "table1", "--format", "markdown"],
     "verify_conjecture.md": ["verify", "--suite", "conjecture", "--format", "markdown"],
+    "verify_identity.md": ["verify", "--suite", "identity", "--format", "markdown"],
     "verify_little_adjoint.md": ["verify", "--suite", "little-adjoint", "--format",
                                  "markdown"],
 }

@@ -32,7 +32,7 @@ from spinchar import (
     spin_g1,
     verify_tau_identity,
 )
-from spinchar import gradings
+from spinchar import charring, gradings
 from spinchar.charring import freudenthal_weights, weyl_denominator
 from spinchar.gradings import G1BAR, OUTER_INSTANCES, Z2Grading, parity_split
 from spinchar.rootsys import simple_types, special_elements, subsystem
@@ -281,15 +281,16 @@ def test_tau_identity_catches_mutants(desc, monkeypatch):
     assert not verify_tau_identity(rs, _mutated_sub(sub, sub.delta0_plus[1:]), d1p)
     assert not verify_tau_identity(
         rs, _mutated_sub(sub, sub.delta0_plus + sub.delta0_plus[:1]), d1p)
-    # tau flipped on one element that is not the identity
-    flipped = enumerate_weyl(rs)[1]
-    real = gradings.cunning_parity
+    # tau flipped at one orbit point, that of an element other than the identity
+    flipped = enumerate_weyl(rs)[1].key
+    real = charring.signed_orbit
 
-    def parity(rs, sub, w):
-        tau, l0 = real(rs, sub, w)
-        return (-tau if w == flipped else tau), l0
+    def orbit(*args):
+        signs = real(*args)
+        signs[flipped] = -signs[flipped]
+        return signs
 
-    monkeypatch.setattr(gradings, "cunning_parity", parity)
+    monkeypatch.setattr(charring, "signed_orbit", orbit)
     assert not verify_tau_identity(rs, sub, d1p)
 
 

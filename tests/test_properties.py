@@ -30,6 +30,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinchar import (
+    BudgetExceeded,
     InvalidDescriptor,
     SubsystemDatum,
     Weight,
@@ -56,15 +57,17 @@ from spinchar import (
     spin0_decomposition,
     weyl_dimension,
 )
-from spinchar.charring import (_binomial_product, dominant_weights as dominant_weight_walk,
-                               exact_divide, key_weight, weight_key)
+from spinchar.charring import (_binomial_product, alternating_sum,
+                               dominant_weights as dominant_weight_walk, exact_divide,
+                               key_weight, weight_key)
 from spinchar.gradings import OUTER_INSTANCES, involutive_pivots
 from spinchar.rootsys import HALF, _dot, _wsum, simple_types
 from spinchar.spinmod import _primitive, self_dual
-from oracles import (_fm_stages, contains, expanded_binomials, factorize, fold_decompose,
-                     fraction_inner, fraction_labels, invert, least_scale, multiply,
-                     racah_speiser, reflect, reflection_matrix, skew_product, stretch,
-                     vector_add, vector_scale, vector_sub)
+from spinchar.weyl import cunning_parity, signed_orbit
+from oracles import (_fm_stages, act_key, contains, expanded_binomials, factorize,
+                     fold_decompose, fraction_inner, fraction_labels, invert, least_scale,
+                     multiply, racah_speiser, reflect, reflection_matrix, skew_product,
+                     stretch, vector_add, vector_scale, vector_sub)
 
 TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2", "A1xA1"]
 RANK_4_TYPES = ["A4", "B4", "C4", "D4", "F4"]
@@ -222,7 +225,8 @@ def test_exact_divide_inverts_the_skew_product(data):
     # a root binomial is not a unit, so one more monomial leaves a remainder
     extra = data.draw(labels)
     with pytest.raises(NonModuleCharacter):
-        exact_divide(dividend + Character.monomial(rs, rs.weight(*extra)), roots, rs)
+        exact_divide(dividend + Character.from_weights(rs, [(rs.weight(*extra), 1)]),
+                     roots, rs)
 
 
 @PROPERTY
@@ -253,6 +257,46 @@ def test_merged_binomial_products_match_their_expansion(data):
                 for k, c in want.items() if min(doubled[k]) >= 2}
     pruned = _binomial_product(rs, factors, 10 ** 6, floor=2, seed=seed)
     assert {k: c for k, c in pruned.items() if c} == dominant
+
+
+@PROPERTY
+@given(st.data())
+def test_half_lattice_products_match_the_full_expansion(data):
+    # an unpruned, unseeded product holds half the lattice: signed factors
+    # at roots with plus factors at +-v and 2v (merged), plus factors at
+    # short roots and at weights, any multiplicity, in any order. It must
+    # give the binomials multiplied out, and the full-lattice loop's answer
+    # or refusal (the same product seeded with 1 at zero), the term budget
+    # counting the full support
+    rs = build_root_system(data.draw(st.sampled_from(["A1", "A2", "B2", "G2", "A3", "B3",
+                                                      "C3", "A1xB2"])))
+    shorts = [weight_key(rs, r) for r in rs.short_roots()] if rs.is_simple() else []
+    factors = []
+    for v in data.draw(st.lists(st.sampled_from(rs.positive_keys), max_size=3)):
+        factors.append((v, data.draw(st.integers(1, 3)), -1))
+        for c in data.draw(st.lists(st.sampled_from([1, -1, 2]), max_size=2)):
+            factors.append((tuple(c * x for x in v), data.draw(st.integers(1, 2)), 1))
+    for v in data.draw(st.lists(st.sampled_from(shorts), max_size=2)) if shorts else []:
+        factors.append((v, data.draw(st.integers(1, 2)), 1))
+    labels = st.lists(st.integers(-2, 2), min_size=rs.rank, max_size=rs.rank)
+    for p in data.draw(st.lists(labels, max_size=2)):
+        if any(p):
+            factors.append((weight_key(rs, rs.weight(*p)), data.draw(st.integers(1, 2)),
+                            data.draw(st.sampled_from([1, -1]))))
+    assume(factors)
+    factors = data.draw(st.permutations(factors))
+    want = expanded_binomials(rs, factors).terms
+    assert _binomial_product(rs, factors, 10 ** 6) == want
+    zero = (0,) * rs.space_dim
+    budget = data.draw(st.integers(1, 2 * len(want) + 1))
+
+    def product(seed):
+        try:
+            return _binomial_product(rs, factors, budget, seed=seed)
+        except BudgetExceeded as refusal:
+            return refusal.required, refusal.budget
+
+    assert product(None) == product({zero: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +560,7 @@ def test_to_dominant_matches_dominant_representative(case):
     # are then a reduced word of it
     assert rs.walk(letters, key) == (dom_key, 1)
     sign = -1 if len(letters) % 2 else 1
-    found = {(w.sign, w.length) for w in enumerate_weyl(rs) if w.act_key(key) == dom_key}
+    found = {(w.sign, w.length) for w in enumerate_weyl(rs) if act_key(w, key) == dom_key}
     assert sign in {s for s, _ in found}
     if 0 not in labels:
         assert found == {(sign, len(letters))}
@@ -528,7 +572,7 @@ def test_dominant_orbit_matches_the_enumerated_group(case):
     rs, lam = case
     key = weight_key(rs, lam)
     assert rs.dominant_orbit(key, rs.labels(key)).keys() == {
-        w.act_key(key) for w in enumerate_weyl(rs)}
+        act_key(w, key) for w in enumerate_weyl(rs)}
 
 
 @PROPERTY
@@ -669,6 +713,71 @@ def test_dominant_representative_is_the_dominant_orbit_point(data):
     dom = rs.dominant_representative(x)
     assert rs.is_dominant(dom)
     assert any(w.apply(x) == dom for w in enumerate_weyl(rs))
+
+
+# ---------------------------------------------------------------------------
+# the alternating sums: one orbit walk against the enumerated group
+
+ORBIT_TYPES = WEYL_TYPES + ["C2", "A1xB2", "A1xA2"]
+
+
+@PROPERTY
+@given(st.data())
+def test_alternating_sum_is_the_sum_over_the_enumerated_group(data):
+    # x regular dominant, anywhere (descended at the sign of its letters)
+    # or on a wall, and shifted off the root span where the roots do not
+    # span the space: the walk gives sum_w det w e^{w x}, read word by word
+    rs = build_root_system(data.draw(st.sampled_from(ORBIT_TYPES)))
+    kind = data.draw(st.sampled_from(["regular", "any", "wall"]))
+    labels = data.draw(st.lists(st.integers(1 if kind == "regular" else -3, 3),
+                                min_size=rs.rank, max_size=rs.rank))
+    if kind == "wall":
+        labels[data.draw(st.integers(0, rs.rank - 1))] = 0
+    key = weight_key(rs, rs.weight(*labels))
+    for v in rs.cone_lineality:
+        c = data.draw(st.integers(-2, 2))
+        key = tuple(k + c * x for k, x in zip(key, v))
+    want = {}
+    for w in enumerate_weyl(rs):
+        image = act_key(w, key)
+        want[image] = want.get(image, 0) + w.sign
+    assert alternating_sum(rs, key_weight(rs, key)) == Character(rs, want)
+
+
+@PROPERTY
+@given(st.data())
+def test_orbit_signs_are_det_and_the_cunning_parity(data):
+    # the sign at each point w x of a regular dominant x is det w, and with
+    # a subsystem datum tau(w), on every element
+    rs, sub = data.draw(weyl_cases())
+    labels = data.draw(st.lists(st.integers(1, 3), min_size=rs.rank, max_size=rs.rank))
+    key = weight_key(rs, rs.weight(*labels))
+    plain = signed_orbit(rs, key, labels, rs.weyl_order())
+    twisted = signed_orbit(rs, key, labels, rs.weyl_order(), sub, -1)
+    for w in enumerate_weyl(rs):
+        assert plain[act_key(w, key)] == w.sign
+        assert twisted[act_key(w, key)] == -cunning_parity(rs, sub, w)[0]
+
+
+def _graded_sums():
+    """(label, grading) of every inner grading of rank <= 3 and every outer
+    instance, whose rho_eff is not its ambient rho."""
+    out = [(g.label, g) for t in ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2"]
+           for g in inner_gradings(build_root_system(t))]
+    return out + [(f"{f}{p}", outer_grading(f, *p)) for f, p in OUTER_INSTANCES]
+
+
+def test_tau_at_rho_eff_is_the_cunning_parity_on_every_grading():
+    outer = 0
+    for label, grading in _graded_sums():
+        rs, sub, x = grading.ambient, grading.sub, grading.rho_effective
+        outer += x != rs.rho
+        key = weight_key(rs, x)
+        signs = signed_orbit(rs, key, rs.labels(key), rs.weyl_order(), sub)
+        assert len(signs) == rs.weyl_order(), label
+        for w in enumerate_weyl(rs):
+            assert signs[w.apply(x).key_at(rs.denom)] == cunning_parity(rs, sub, w)[0], label
+    assert outer == len(OUTER_INSTANCES)
 
 
 # ---------------------------------------------------------------------------

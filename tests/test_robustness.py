@@ -264,9 +264,10 @@ def test_budget_defaults_are_not_copied_as_literals():
         assert holders == {OWNERS[name]}, name
 
 
-# W is walked in full only where the walk is the point: the alternating
-# sums (tau identity, Weyl denominator, Weyl-formula oracle)
-W_WALKERS = {("charring.py", "alternating_sum")}
+# No library function enumerates W: the alternating sums (tau identity,
+# Weyl denominator, Weyl-formula oracle) walk one orbit with
+# ``signed_orbit``, and W as elements serves only the tests' oracles
+W_WALKERS = set()
 
 
 def _callers(name):
@@ -294,8 +295,7 @@ def test_weyl_group_is_enumerated_only_where_the_walk_is_the_point():
 # walk applies a word to a vector; W, W0 and every descent move Dynkin
 # labels through to_dominant and dominant_orbit instead. The last caller
 # is the tests' oracle.
-WORD_APPLIERS = {("weyl.py", "act_key"), ("weyl.py", "apply"),
-                 ("weyl.py", "apply_inverse"), ("weyl.py", "_spell"),
+WORD_APPLIERS = {("weyl.py", "apply"), ("weyl.py", "apply_inverse"), ("weyl.py", "_spell"),
                  ("rootsys.py", "dominant_representative")}
 
 

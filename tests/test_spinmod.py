@@ -155,7 +155,8 @@ def test_spin0_multiplies_over_direct_sums():
     rs = build_root_system("A1")
     w1 = freudenthal_weights(rs, rs.weight(2))
     w2 = freudenthal_weights(rs, rs.weight(4))
-    combined = w1.direct_sum(w2)
+    combined = WeightSystem(rs, [*w1.nonzero.items(), *w2.nonzero.items()],
+                            w1.zero_mult + w2.zero_mult)
     assert spin0_character(combined) == spin0_character(w1) * spin0_character(w2)
 
 

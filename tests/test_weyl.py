@@ -14,6 +14,7 @@ from spinchar import (
     weyl_denominator,
 )
 from spinchar.rootsys import _dot
+from spinchar.weyl import signed_orbit
 from oracles import (factorize, identity_element, invert, lookup, multiply,
                      reflection_matrix, skew_product)
 
@@ -153,14 +154,18 @@ def test_nonclosed_subsystem_length_gap():
 
 @pytest.mark.parametrize("desc", ["F4", "C4", "D4"])
 def test_packed_l0_is_the_plain_count(desc):
-    # one packed pairing per element against the pairings counted one by one
+    # the twisted sign that the packed orbit walk reads off each point w rho,
+    # its Delta0+ fields that lost their guard bit, against l0 counted one
+    # pairing at a time
     rs = build_root_system(desc)
     group = enumerate_weyl(rs)
     for grading in inner_gradings(rs):
         sub = grading.sub
+        signs = signed_orbit(rs, rs.rho_key, rs.labels(rs.rho_key), len(group), sub)
         for w in group:
-            assert l0_of(rs, sub, w) == sum(
-                1 for f in sub.system.positive_w if _dot(w.key, f) < 0), grading.label
+            l0 = sum(1 for f in sub.system.positive_w if _dot(w.key, f) < 0)
+            assert l0_of(rs, sub, w) == l0, grading.label
+            assert signs[w.key] == (-1) ** l0, grading.label
 
 
 def test_sign_is_multiplicative():
